@@ -15,12 +15,16 @@ run's own ``ok`` flag:
    to rebuilds or do nothing);
 4. zero stale cache reads: every per-query answer matched a direct
    base-table evaluation of the post-append catalog;
-5. maintenance was charged (``maint_s > 0`` with at least one batch).
+5. maintenance was charged (``maint_s > 0`` with at least one batch);
+6. the ``joined`` scenario — resident views that join the ingested table,
+   on the probe side, to a dimension — delta-maintained at least one such
+   view and **rebuilt nothing** in ``delta`` mode (``fragments_rebuilt ==
+   0``): Δ(R ⋈ S) = ΔR ⋈ S is taken, not the recompute fallback.
 
 Runnable locally:
 
     PYTHONPATH=src python -m repro ingest-bench --scenario drip \\
-        --output /tmp/ingest.json
+        --scenario joined --output /tmp/ingest.json
     python benchmarks/ci_checks/check_ingest_delta.py /tmp/ingest.json
 """
 
@@ -53,6 +57,15 @@ def check_report(report: dict) -> list[str]:
             problems.append(f"{name}: maint_s was never charged")
         if res["mode"] == "delta" and res.get("fragments_patched", 0) < 1:
             problems.append(f"{name}: delta path patched no fragments")
+        if res["mode"] == "delta" and res["scenario"] == "joined":
+            if res.get("join_views_delta", 0) < 1:
+                problems.append(f"{name}: no probe-side join view was delta-maintained")
+            # Absent counts as a failure: the gate exists for this number.
+            if res.get("fragments_rebuilt", -1) != 0:
+                problems.append(
+                    f"{name}: probe-side join views took the rebuild path "
+                    f"(fragments_rebuilt={res.get('fragments_rebuilt')})"
+                )
     for scenario, modes in sorted(by_scenario.items()):
         if "delta" in modes and "rebuild" in modes:
             if modes["delta"]["answer_digest"] != modes["rebuild"]["answer_digest"]:

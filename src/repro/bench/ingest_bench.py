@@ -1,6 +1,6 @@
 """Ingest benchmark: append scenarios proving delta maintenance correct.
 
-Three micro-batch append scenarios drive ``python -m repro ingest-bench``
+Four micro-batch append scenarios drive ``python -m repro ingest-bench``
 (the fig-10-style adaptation view of incremental ingest):
 
 * **drip** — a steady trickle: a small batch every other query, rows
@@ -9,7 +9,10 @@ Three micro-batch append scenarios drive ``python -m repro ingest-bench``
   then a batch *every* query (3x the drip size) concentrated in a narrow
   item range, then quiet again;
 * **drift** — a moving hot spot: both the query ranges and the appended
-  rows track a window that slides across the item domain over the run.
+  rows track a window that slides across the item domain over the run;
+* **joined** — the drip schedule under fact ⋈ dim queries, so the resident
+  views are joins with the ingested table on the probe side: the delta
+  path must maintain them (Δ(R ⋈ S) = ΔR ⋈ S) without one rebuild.
 
 Each scenario runs in two modes over identical inputs: ``delta`` (the
 :class:`~repro.storage.ingest.DeltaMaintainer` routes batch rows to
@@ -35,10 +38,14 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecutionContext, Executor
 from repro.engine.table import Table
 from repro.partitioning.intervals import Interval
+from repro.query.algebra import Join, walk
 from repro.query.builder import Q
 
-SCENARIOS = ("drip", "burst", "drift")
+SCENARIOS = ("drip", "burst", "drift", "joined")
 MODES = ("delta", "rebuild")
+# The scenario whose views join the ingested table (probe side) to a
+# dimension: its delta mode must patch them and rebuild nothing.
+PROBE_JOIN_SCENARIO = "joined"
 
 # Fraction of the item domain one query's selection range spans.
 _QUERY_WIDTH = 0.06
@@ -101,7 +108,7 @@ def scenario_schedule(
             frac = 0.2 + 0.6 * (i / max(1, n_queries - 1))
         elif scenario == "burst":
             frac = 0.5
-        else:  # drip
+        else:  # drip, joined
             frac = 0.35
         return domain.lo + frac * span + jitter
 
@@ -128,7 +135,7 @@ def scenario_schedule(
             frac = 0.2 + 0.6 * (i / max(1, n_queries - 1))
             lo = int(max(domain.lo, domain.lo + (frac - 0.1) * span))
             hi = int(min(domain.hi, domain.lo + (frac + 0.1) * span))
-        else:  # drip: uniform appends over the whole domain
+        else:  # drip, joined: uniform appends over the whole domain
             if i % 2 == 0:
                 continue
             nrows = rows_per_batch
@@ -138,14 +145,16 @@ def scenario_schedule(
     return ranges, batches
 
 
-def scenario_plans(ranges: "list[tuple[int, int]]"):
-    """Delta-able single-table plans over the scenario's query ranges."""
+def scenario_plans(ranges: "list[tuple[int, int]]", scenario: str = "drip"):
+    """Delta-able plans over the scenario's query ranges: single-table
+    select/project, or for ``joined`` the same over ``store_sales ⋈ item``."""
+    source = Q("store_sales")
+    columns = ("ss_id", "ss_item_sk", "ss_quantity", "ss_sales_price")
+    if scenario == PROBE_JOIN_SCENARIO:
+        source = source.join("item", on=("ss_item_sk", "i_item_sk"))
+        columns += ("i_category_id",)
     return [
-        Q("store_sales")
-        .select("ss_id", "ss_item_sk", "ss_quantity", "ss_sales_price")
-        .where_between("ss_item_sk", lo, hi)
-        .plan
-        for lo, hi in ranges
+        source.select(*columns).where_between("ss_item_sk", lo, hi).plan for lo, hi in ranges
     ]
 
 
@@ -247,7 +256,7 @@ def run_scenario(
         system.maintenance.force_rebuild = True
 
     ranges, batches = scenario_schedule(scenario, queries, fx.item_domain, seed)
-    plans = scenario_plans(ranges)
+    plans = scenario_plans(ranges, scenario)
     by_index: dict[int, list[BatchSpec]] = {}
     for spec in batches:
         by_index.setdefault(spec.at, []).append(spec)
@@ -280,6 +289,7 @@ def run_scenario(
                 stale_reads += 1
 
     ingest_reports = system.maintenance.reports
+    views_delta = sorted({v for r in ingest_reports for v in r.views_delta})
     merged = {
         "maint_s": sum(r.maint_s for r in ingest_reports),
         "fragments_patched": sum(r.fragments_patched for r in ingest_reports),
@@ -297,8 +307,12 @@ def run_scenario(
         "batches": len(ingest_reports),
         "rows_ingested": rows_ingested,
         **merged,
-        "views_delta": sorted({v for r in ingest_reports for v in r.views_delta}),
+        "views_delta": views_delta,
         "views_rebuilt": sorted({v for r in ingest_reports for v in r.views_rebuilt}),
+        "join_views_delta": sum(
+            any(isinstance(node, Join) for node in walk(system.pool.definition(v).plan))
+            for v in views_delta
+        ),
         "identity_checks": identity_checks,
         "identity_ok": not identity_problems,
         "identity_problems": identity_problems[:10],
@@ -332,6 +346,13 @@ def gate_problems(results: "list[dict]") -> list[str]:
             problems.append(f"{name}: maint_s not charged")
         if res["mode"] == "delta" and res["fragments_patched"] < 1:
             problems.append(f"{name}: no fragment was delta-patched")
+        if res["mode"] == "delta" and res["scenario"] == PROBE_JOIN_SCENARIO:
+            if res["join_views_delta"] < 1:
+                problems.append(f"{name}: no probe-side join view was delta-maintained")
+            if res["fragments_rebuilt"] != 0:
+                problems.append(
+                    f"{name}: {res['fragments_rebuilt']} fragment(s) rebuilt, not patched"
+                )
     for scenario, modes in by_scenario.items():
         if "delta" in modes and "rebuild" in modes:
             if modes["delta"]["answer_digest"] != modes["rebuild"]["answer_digest"]:

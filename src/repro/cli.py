@@ -672,14 +672,16 @@ def cmd_ingest_bench(
 ) -> int:
     """Micro-batch ingest scenarios; verify delta maintenance end to end.
 
-    Each scenario (steady drip, flash-crowd burst, drifting hot range)
-    runs in ``delta`` and ``rebuild`` modes over identical inputs.  After
+    Each scenario (steady drip, flash-crowd burst, drifting hot range,
+    drip under probe-side join views) runs in ``delta`` and ``rebuild``
+    modes over identical inputs.  After
     every batch the harness proves each resident fragment payload
     byte-identical to a from-scratch recompute over the grown base table,
     and probes every query answer against a direct base-table evaluation
     (stale cache reads must be zero).  Exits non-zero if any identity
     check fails, maintenance is never charged, no fragment is
-    delta-patched, or the two modes' per-query answers diverge.
+    delta-patched, the join scenario's delta mode rebuilds a fragment, or
+    the two modes' per-query answers diverge.
     """
     import json
 
@@ -854,8 +856,8 @@ def main(argv: list[str] | None = None) -> int:
         help="micro-batch ingest scenarios with per-batch identity proof",
     )
     ing_p.add_argument("--scenario", action="append", default=[], metavar="NAME",
-                       help="run only these scenarios (drip, burst, drift); "
-                       "repeatable; default: all three")
+                       help="run only these scenarios (drip, burst, drift, joined); "
+                       "repeatable; default: all four")
     ing_p.add_argument("--mode", action="append", default=[], metavar="NAME",
                        help="maintenance mode (delta, rebuild); repeatable; "
                        "default: both, with cross-mode answer check")

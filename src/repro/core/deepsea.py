@@ -445,10 +445,12 @@ class DeepSea:
             ledger,
             force_journal=True,
         )
+        # Accumulate into a ledger of our own: ``ledger`` belongs to the
+        # returned report, and a second batch before the next query must
+        # not inflate the first batch's numbers after the fact.
         if self._pending_maintenance is None:
-            self._pending_maintenance = ledger
-        else:
-            self._pending_maintenance.merge(ledger)
+            self._pending_maintenance = CostLedger(self.cluster)
+        self._pending_maintenance.merge(ledger)
         return report
 
     def run_workload(self, plans: list[Plan]) -> WorkloadSummary:

@@ -94,10 +94,11 @@ class Catalog:
     ) -> Table:
         """Append a micro-batch to base table ``name`` and bump the version.
 
-        The append is copy-on-write: the prior table object is never
-        mutated (readers holding a reference — snapshot leases, cached
-        fixtures sharing the catalog's tables — keep their rows), a fresh
-        concatenated table is installed in its place.  When ``journal``
+        The prior table object is never mutated (readers holding a
+        reference — snapshot leases, cached fixtures sharing the catalog's
+        tables — keep their rows): :meth:`Table.append` installs a new
+        table whose first rows are the old one's, sharing its storage
+        whenever this catalog is the only one growing it.  When ``journal``
         has an open transaction the pre-batch table and version are logged
         first (WAL discipline), so a crash mid-ingest rolls the catalog
         back exactly.  Returns the batch as appended.
@@ -106,7 +107,7 @@ class Catalog:
         batch = self.batch_table(name, rows)
         if journal is not None:
             journal.record_ingest(self, name, base, self.version)
-        self._tables[name] = Table.concat_many([base, batch])
+        self._tables[name] = base.append(batch)
         self._bump_version()
         return batch
 
@@ -114,9 +115,10 @@ class Catalog:
         """An independent catalog holding the same (immutable) tables.
 
         Ingest benchmarks and determinism tasks append to *forks* of the
-        shared benchmark fixtures: tables are never mutated in place
-        (``ingest`` installs fresh concatenations), so sharing the table
-        objects is safe, while versions and registrations diverge freely.
+        shared benchmark fixtures: tables are never mutated (``ingest``
+        installs a new table; two forks growing one parent each get their
+        own storage for the rows they add), so sharing the table objects
+        is safe, while versions and registrations diverge freely.
         The fork gets its own ``uid`` and starts with this catalog's
         version counter, so pre-fork cache entries cannot alias post-fork
         content.  ``shared_ident`` should be a content-stable tuple when

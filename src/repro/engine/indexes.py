@@ -19,6 +19,15 @@ The cache is **semantically transparent**: :func:`sort_index` computes
 exactly the ``np.argsort(keys, kind="stable")`` the executor used to run
 inline, so join outputs (row order included) and every simulated-cost
 ledger are byte-identical with the cache hot, cold, or disabled.
+
+Appends do not start a table cold.  :meth:`Table.append` returns a new
+table object (a new identity, so no entry can go stale) that remembers
+the table it grew from, whose rows are its own first rows.  On a miss
+both caches look for an entry of a live append-ancestor and extend it by
+the appended rows alone — a stable merge of the new keys into the sort
+order, a binary search of the new probe keys — which is integer index
+arithmetic over the same comparisons and therefore equal, element for
+element, to building the entry from scratch.
 """
 
 from __future__ import annotations
@@ -29,8 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.caches import register_cache
+from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.engine.types import decoded, sort_key
+
+# A cached probe is held as a two-column table so that a grown root's
+# entry is its parent's entry plus Table.append: the same tail buffer
+# that lets table versions share rows lets their probes share them.
+_PROBE_SCHEMA = Schema.of(Column("starts"), Column("ends"))
 
 
 @dataclass(frozen=True)
@@ -39,6 +54,23 @@ class SortIndex:
 
     order: np.ndarray
     sorted_keys: np.ndarray
+
+    def extended(self, keys, start: int) -> "SortIndex":
+        """The index of ``keys``, given this index of ``keys[:start]``.
+
+        A stable sort puts an appended row after every older row with an
+        equal key (``side="right"``) and keeps appended rows with equal
+        keys in row order (their own stable sort; ``np.insert`` keeps the
+        given order among values bound for one slot).
+        """
+        tail = keys[start:]
+        tail_order = np.argsort(sort_key(tail), kind="stable")
+        tail_sorted = decoded(tail)[tail_order]
+        slots = np.searchsorted(self.sorted_keys, tail_sorted, side="right")
+        return SortIndex(
+            np.insert(self.order, slots, tail_order + start),
+            np.insert(self.sorted_keys, slots, tail_sorted),
+        )
 
 
 class IndexCache:
@@ -72,15 +104,26 @@ class IndexCache:
         if index is None:
             self.misses += 1
             keys = table.column(column)
-            # Encoded string columns sort by their int32 codes (sorted
-            # dictionary ⇒ identical order); sorted_keys stays decoded so
-            # probes from *other* dictionaries binary-search correctly.
-            order = np.argsort(sort_key(keys), kind="stable")
-            index = SortIndex(order, decoded(keys)[order])
+            index = self._inherited(table, column, keys)
+            if index is None:
+                # Encoded string columns sort by their int32 codes (sorted
+                # dictionary ⇒ identical order); sorted_keys stays decoded
+                # so probes from *other* dictionaries binary-search
+                # correctly.
+                order = np.argsort(sort_key(keys), kind="stable")
+                index = SortIndex(order, decoded(keys)[order])
             per_table[column] = index
         else:
             self.hits += 1
         return index
+
+    def _inherited(self, table: Table, column: str, keys) -> "SortIndex | None":
+        """The nearest append-ancestor's index grown by the appended rows."""
+        for ancestor in table.append_ancestors():
+            index = self._indexes.get(ancestor, {}).get(column)
+            if index is not None:
+                return index.extended(keys, ancestor.nrows)
+        return None
 
     def clear(self) -> None:
         # Empty the inner dicts so outstanding finalizers (which hold
@@ -138,11 +181,16 @@ class ProbeCache:
     ``None`` (caller probes directly, exactly as without the cache); only
     a pair seen twice pays the one-time full-root probe and serves every
     later join from the cache.
+
+    A root grown by :meth:`Table.append` takes over where its parent
+    stood: a cached probe is extended by a binary search of the appended
+    keys only, and a first strike against the parent counts against the
+    grown table too — to the workload they are one relation.
     """
 
     def __init__(self) -> None:
         # root -> right -> {(left_attr, right_attr): None (seen once)
-        #                   | (starts, ends) (cached)}
+        #                   | Table of (starts, ends) (cached)}
         self._probes: "weakref.WeakKeyDictionary[Table, weakref.WeakKeyDictionary]" = (
             weakref.WeakKeyDictionary()
         )
@@ -181,21 +229,40 @@ class ProbeCache:
         per_right, box = pair
         attrs = (left_attr, right_attr)
         if attrs not in per_right:
-            per_right[attrs] = None  # first strike: probe directly
-            return None
+            for ancestor in root.append_ancestors():
+                known = self._probes.get(ancestor, {}).get(right)
+                if known is not None and attrs in known[0]:
+                    # What the table this root grew from knew of the pair
+                    # carries over: its strike (None), or its probe —
+                    # valid as it stands for this root's first rows.
+                    per_right[attrs] = known[0][attrs]
+                    if per_right[attrs] is not None:
+                        box.cached += 1
+                    break
+            else:
+                per_right[attrs] = None  # first strike: probe directly
+                return None
         entry = per_right[attrs]
-        if entry is None:
+        if entry is None or entry.nrows < root.nrows:
             self.misses += 1
-            keys = decoded(root.column(left_attr))
-            entry = (
-                np.searchsorted(sorted_rkeys, keys, side="left"),
-                np.searchsorted(sorted_rkeys, keys, side="right"),
+            done = 0 if entry is None else entry.nrows
+            keys = decoded(root.column(left_attr)[done:])
+            probed = Table(
+                _PROBE_SCHEMA,
+                {
+                    "starts": np.searchsorted(sorted_rkeys, keys, side="left"),
+                    "ends": np.searchsorted(sorted_rkeys, keys, side="right"),
+                },
             )
+            if entry is None:
+                box.cached += 1
+                entry = probed
+            else:
+                entry = entry.append(probed)
             per_right[attrs] = entry
-            box.cached += 1
         else:
             self.hits += 1
-        return entry
+        return entry.columns["starts"], entry.columns["ends"]
 
     def clear(self) -> None:
         # Disarm outstanding finalizers so cleared entries are not counted

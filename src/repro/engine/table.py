@@ -19,14 +19,21 @@ acceleration hint into the primary representation; the hint itself is
 still maintained so the join-probe caches keep working unchanged.
 
 Tables are immutable by convention: operators return new tables and never
-mutate column arrays in place.  ``ColumnKind.STRING`` columns are stored
+mutate column arrays in place.  :meth:`Table.append` keeps that promise
+while growing a table at a cost of O(batch): the grown table and the one
+it grew from are read-only prefix views of one shared tail buffer, and
+rows are only ever written past every existing table's visible length
+(:class:`_TailBuffer`).  ``ColumnKind.STRING`` columns are stored
 dictionary-encoded (:class:`~repro.engine.types.EncodedColumn`); decoding
 happens only in :meth:`to_rows` and at pickle boundaries.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,6 +65,99 @@ def set_lazy_views(enabled: bool) -> bool:
 
 def lazy_views_enabled() -> bool:
     return _LAZY_VIEWS
+
+
+class _TailBuffer:
+    """Capacity-doubling column storage behind :meth:`Table.append`.
+
+    One buffer backs a chain of appended versions of a table: each
+    version's columns are read-only views ``array[:nrows]`` of it, so a
+    catalog version, a fork, a journal undo image and a snapshot lease
+    all share storage.  ``filled`` is the visible length of the newest
+    version — the high-water mark.  The ownership rule that keeps every
+    version immutable: rows are only ever written at ``filled`` and
+    beyond, and only by the one appender that :meth:`claim` hands the
+    range to; whoever is not appending to the tip gets a fresh buffer.
+    Dictionary-encoded columns keep their int32 codes here (the
+    dictionary itself is shared, never grown in place).
+    """
+
+    __slots__ = ("arrays", "capacity", "filled", "_lock")
+
+    def __init__(self, columns: dict, nrows: int):
+        self.capacity = 2 * nrows
+        self.arrays: dict[str, np.ndarray] = {}
+        for name, col in columns.items():
+            stored = sort_key(col)
+            array = np.empty(self.capacity, dtype=stored.dtype)
+            array[:nrows] = stored
+            self.arrays[name] = array
+        self.filled = nrows
+        self._lock = threading.Lock()
+
+    def claim(self, start: int, nrows: int) -> bool:
+        """Reserve rows ``[start, start + nrows)`` for the caller alone.
+
+        Granted only to an append to the tip (``start == filled``) that
+        fits the capacity.  Two forks appending to one parent from two
+        threads race here, so check and reservation happen under a lock;
+        the loser falls back to a buffer of its own.
+        """
+        with self._lock:
+            if start != self.filled or start + nrows > self.capacity:
+                return False
+            self.filled = start + nrows
+            return True
+
+    def write(self, start: int, parts: "dict[str, np.ndarray]") -> None:
+        """Fill a range handed out by :meth:`claim`."""
+        for name, part in parts.items():
+            stop = start + len(part)
+            # The claim moved the mark past the range before any row
+            # landed, and no table is handed rows it has not been built
+            # over yet — so nothing below a live table's visible length
+            # is ever written.
+            assert stop <= self.filled
+            self.arrays[name][start:stop] = part
+
+    def visible(self, like: dict, nrows: int) -> dict:
+        """Read-only column views of the first ``nrows`` rows (``like``
+        supplies the dictionary of each encoded column)."""
+        columns: dict = {}
+        for name, array in self.arrays.items():
+            view = array[:nrows]
+            view.flags.writeable = False
+            template = like[name]
+            if isinstance(template, EncodedColumn):
+                columns[name] = EncodedColumn(view, template.values)
+            else:
+                columns[name] = view
+        return columns
+
+
+def _tail_part(own, new) -> "np.ndarray | None":
+    """``new``'s rows in the form ``own``'s tail buffer stores, or ``None``
+    when they cannot extend it in place: a dtype that ``np.concatenate``
+    would promote, or a string the dictionary does not hold (the
+    concatenation then re-unifies the dictionaries, renumbering codes
+    that older versions still read)."""
+    if not isinstance(own, EncodedColumn):
+        if isinstance(new, EncodedColumn) or new.dtype != own.dtype:
+            return None
+        return new
+    if not isinstance(new, EncodedColumn):
+        new = EncodedColumn.encode(new)
+    if new.values is own.values or np.array_equal(new.values, own.values):
+        return new.codes
+    if len(own.values) == 0:
+        return None
+    # A batch is encoded on its own, so its dictionary is usually a strict
+    # subset: translate its codes, exactly as ``concat_columns`` would
+    # through a union dictionary equal to ``own.values``.
+    at = np.minimum(np.searchsorted(own.values, new.values), len(own.values) - 1)
+    if not np.array_equal(own.values[at], new.values):
+        return None
+    return at.astype(np.int32)[new.codes]
 
 
 @dataclass(eq=False)
@@ -108,6 +208,14 @@ class Table:
         # Purely an acceleration hint — never consulted for semantics.
         self._lineage: "tuple[Table, np.ndarray | None, bool] | None" = None
 
+    # Set by :meth:`append` on the tables it returns: the shared tail
+    # buffer the columns are views of, and a weak reference to the table
+    # appended to (whose rows are this table's first rows — what lets
+    # repro.engine.indexes extend the parent's indexes instead of
+    # rebuilding them).  Both are in-process only, like lineage.
+    _tail: ClassVar["_TailBuffer | None"] = None
+    _append_parent: ClassVar["weakref.ref[Table] | None"] = None
+
     def __getstate__(self) -> dict:
         """Pickle without lineage and with strings decoded.
 
@@ -123,6 +231,11 @@ class Table:
         """
         state = dict(self.__dict__)
         state["_lineage"] = None
+        # An appended table ships its visible rows only: numpy pickles a
+        # view by content, and the buffer (with every later version's
+        # rows) and the parent link stay behind.
+        state.pop("_tail", None)
+        state.pop("_append_parent", None)
         state["columns"] = {name: decoded(col) for name, col in self.columns.items()}
         return state
 
@@ -258,6 +371,55 @@ class Table:
             for name in first.schema.names
         }
         return Table(first.schema, cols, max(t.scale for t in tables))
+
+    def append(self, batch: "Table") -> "Table":
+        """``concat_many([self, batch])``, at a cost of O(batch) when it can be.
+
+        The result's columns are views of a capacity-doubling tail buffer
+        (:class:`_TailBuffer`); ``self`` is never touched and keeps
+        reading its own prefix.  The batch rows are written in place only
+        when ``self`` is the buffer's newest version and every column's
+        dtype and dictionary agree.  Everything else — a table that has
+        no buffer yet or has filled it, a second fork appending to the
+        same parent, an append retried after a journal rollback, a batch
+        bringing a new string — concatenates into a fresh buffer, so the
+        result is column for column what ``concat_many`` returns.
+        """
+        if batch.schema.names != self.schema.names:
+            raise SchemaError("cannot append a batch with a different schema")
+        start, total = self._nrows, self._nrows + batch.nrows
+        tail = self._tail
+        parts: "dict[str, np.ndarray] | None" = None
+        if tail is not None:
+            parts = {}
+            for name in self.schema.names:
+                part = _tail_part(self.columns[name], batch.column(name))
+                if part is None:
+                    parts = None
+                    break
+                parts[name] = part
+        if parts is not None and tail.claim(start, batch.nrows):
+            tail.write(start, parts)
+            like, scale = self.columns, max(self.scale, batch.scale)
+        else:
+            grown = Table.concat_many([self, batch])
+            tail = _TailBuffer(grown.columns, total)
+            like, scale = grown.columns, grown.scale
+        out = Table(self.schema, tail.visible(like, total), scale)
+        out._tail = tail
+        out._append_parent = weakref.ref(self)
+        return out
+
+    def append_ancestors(self):
+        """The live tables this one was grown from by :meth:`append`,
+        nearest first; each one's rows are a prefix of this table's."""
+        ref = self._append_parent
+        while ref is not None:
+            parent = ref()
+            if parent is None:
+                return
+            yield parent
+            ref = parent._append_parent
 
     def distinct(self) -> "Table":
         """Remove duplicate rows (used for overlapping-fragment unions)."""

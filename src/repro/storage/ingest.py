@@ -9,22 +9,27 @@ table back in sync — without ever changing an answer.
 
 Two maintenance paths:
 
-* **Delta patch** — for views whose defining plan is a ``Select``/
-  ``Project`` chain over the ingested relation.  Those operators are
-  distributive over append *and* order-preserving, so the view of the
-  grown table is exactly ``concat(view(old_rows), view(batch))``.  The
-  pass executes the view plan over a batch-only throwaway catalog, routes
-  the resulting delta rows to the affected fragments through the pool's
-  sorted interval structure (fragments whose interval misses the batch's
-  min/max range are skipped without a mask), and appends each fragment's
-  slice to its payload.  A patch is a journaled evict + re-admit under
+* **Delta patch** — for views the ingested relation reaches the root of
+  through ``Select``, ``Project`` and the *probe* (left) input of
+  ``Join`` only (:func:`delta_source`).  Those operators are distributive
+  over append *and* emit rows in the order of the rows they are fed, so
+  the view of the grown table is exactly ``concat(view(old_rows),
+  view(batch))`` (for a join, Δ(R ⋈ S) = ΔR ⋈ S).  The pass executes the
+  view plan over a throwaway catalog that holds the batch in place of
+  the ingested relation, routes the resulting delta rows to the affected
+  fragments through the pool's sorted interval structure (fragments
+  whose interval misses the batch's min/max range are skipped without a
+  mask), and appends each fragment's slice to its payload
+  (:meth:`Table.append`: O(slice), the old payload's storage shared, not
+  copied).  A patch is a journaled evict + re-admit under
   the same :class:`~repro.storage.pool.FragmentKey` — never an in-place
   overwrite — so payload-immutability invariants (prune-cache min/max
   sidecars, epoch-pinned snapshot leases) hold and cache subscribers see
   the ordinary admit/evict CoverDelta pair: every tier invalidates by
   exact version, nothing flushes globally.
-* **Rebuild from base** — the always-correct fallback for joins,
-  aggregates, and forced-rebuild benchmarking: re-run the defining plan
+* **Rebuild from base** — the always-correct fallback for aggregates,
+  build-side and self joins, and forced-rebuild benchmarking: re-run the
+  defining plan
   against the (post-append) catalog and rewrite every resident entry
   from the fresh result.
 
@@ -46,7 +51,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.cost import CostLedger
 from repro.engine.executor import ExecutionContext, Executor
 from repro.engine.table import Table
-from repro.query.algebra import Plan, Project, Relation, Select, base_relations
+from repro.query.algebra import Join, Plan, Project, Relation, Select, base_relations
 
 if TYPE_CHECKING:
     from repro.storage.pool import FragmentEntry
@@ -58,19 +63,31 @@ UPKEEP_HORIZON_QUERIES = 8.0
 
 
 def delta_source(plan: Plan) -> str | None:
-    """The single base relation under an order-preserving operator chain.
+    """The one relation whose appends this plan absorbs by delta, if any.
 
-    Returns the relation name when ``plan`` is ``Select``/``Project``
-    operators stacked over one ``Relation`` — the shape for which
-    ``view(base ++ batch) == view(base) ++ view(batch)`` holds row-for-row
-    (filter and project preserve row order; append adds batch rows at the
-    end) — and ``None`` for any plan containing a join or an aggregate,
-    which must take the rebuild path.
+    That is the relation at the bottom of the plan's *probe spine* — the
+    path from the root down through ``Select`` / ``Project`` children and
+    the left input of each ``Join`` — provided it appears nowhere else in
+    the plan.  Every operator on the spine emits rows in the order of the
+    rows it is fed from below (filter and project keep row order;
+    ``hash_join`` emits matches in probe-row order), and appended rows
+    come last, so ``view(base ++ batch) == view(base) ++ view(batch)``
+    row for row, the other join inputs being the same tables on both
+    sides.  ``None`` when the spine ends in anything else (an
+    ``Aggregate`` re-orders and re-associates) or the relation occurs
+    twice (a self-join: the batch would have to meet itself).  Ingest
+    into any *other* relation of the plan — a join's build side — changes
+    matches of old rows and takes the rebuild path.
     """
     node = plan
-    while isinstance(node, (Select, Project)):
-        node = node.child
-    return node.name if isinstance(node, Relation) else None
+    while not isinstance(node, Relation):
+        if isinstance(node, (Select, Project)):
+            node = node.child
+        elif isinstance(node, Join):
+            node = node.left
+        else:
+            return None
+    return node.name if base_relations(plan).count(node.name) == 1 else None
 
 
 @dataclass
@@ -140,9 +157,10 @@ class DeltaMaintainer:
 
         Exactly ``0.0`` when none of the plan's relations has seen a
         batch, so workloads without ingest price candidates bit-
-        identically to before.  Delta-able views pay an append-write of
-        the view's share of the per-query delta bytes; everything else
-        pays a full recompute + rewrite per observed batch.
+        identically to before.  A view pays an append-write of its share
+        of the per-query delta bytes for ingest into its
+        :func:`delta_source` (probe-side joins included), and a full
+        recompute + rewrite per observed batch for any other relation.
         """
         names = [n for n in set(base_relations(plan)) if n in self._observed]
         if not names:
@@ -198,10 +216,17 @@ class DeltaMaintainer:
         dropped = 0
         for view_id in pool.resident_view_ids():
             plan = pool.definition(view_id).plan
-            if name not in base_relations(plan):
+            relations = base_relations(plan)
+            if name not in relations:
                 continue
             if not self.force_rebuild and delta_source(plan) == name:
-                dropped += self._apply_delta(view_id, plan, batch, ledger)
+                # The batch stands in for the ingested relation; the other
+                # join inputs are the live table *objects*, so their cached
+                # sort indexes are hit and only the batch's keys are probed.
+                inputs = Catalog()
+                for relation in sorted(set(relations)):
+                    inputs.register(relation, batch if relation == name else catalog.get(relation))
+                dropped += self._apply_delta(view_id, plan, inputs, ledger)
                 views_delta.append(view_id)
             else:
                 dropped += self._rebuild(view_id, plan, ledger)
@@ -242,21 +267,33 @@ class DeltaMaintainer:
         pool.patch_entry(entry.fragment_id, payload)
         return False
 
-    def _apply_delta(self, view_id: str, plan: Plan, batch: Table, ledger: CostLedger) -> int:
-        """Route the batch's view rows to the fragments they belong to."""
+    def _execute_once(self, plan: Plan, catalog: Catalog) -> "tuple[Table, float]":
+        """A view's defining plan over ``catalog``: (rows, simulated seconds).
+
+        Executor semantics (not a re-implementation) are what make a
+        maintained payload byte-identical to a full recompute.  The result
+        cache is bypassed on both maintenance paths: a lookup cannot hit —
+        the scratch catalog's uid never recurs, and the live catalog's
+        version was bumped by this very batch — while a store would park
+        a view-sized table in the LRU that only a query equal to the
+        unpushed view definition, at this exact version, could ever use.
+        """
+        scratch = CostLedger(self.system.cluster)
+        executor = Executor(ExecutionContext(catalog, None, self.system.cluster))
+        table = executor.execute(plan, scratch, use_cache=False).table
+        return table, scratch.total_seconds
+
+    def _apply_delta(self, view_id: str, plan: Plan, inputs: Catalog, ledger: CostLedger) -> int:
+        """Route the batch's view rows to the fragments they belong to.
+
+        ``inputs`` maps the ingested relation to the batch, so the
+        defining plan over it yields exactly the rows the batch adds to
+        the view — the tail of a full recompute.
+        """
         system = self.system
         pool = system.pool
         cluster = system.cluster
-        # The view's own rows contributed by the batch: the defining plan
-        # over a throwaway batch-only catalog.  Executor semantics (not a
-        # re-implementation) guarantee the delta rows are byte-identical
-        # to the tail of a full recompute.
-        scratch_catalog = Catalog()
-        scratch_catalog.register(delta_source(plan), batch)
-        scratch = CostLedger(cluster)
-        executor = Executor(ExecutionContext(scratch_catalog, None, cluster))
-        delta = executor.execute(plan, scratch, use_cache=False).table
-        seconds = scratch.total_seconds
+        delta, seconds = self._execute_once(plan, inputs)
         # routed = delta rows entering the router; applied = rows landed
         # in payloads (overlapping fragments may land a row twice).
         applied = patched = dropped = 0
@@ -265,7 +302,7 @@ class DeltaMaintainer:
                 if delta.nrows == 0:
                     continue
                 old = pool.read_entry(entry.fragment_id, ledger)
-                payload = Table.concat_many([old, delta])
+                payload = old.append(delta)
                 seconds += cluster.write_elapsed(delta.size_bytes, nfiles=1)
                 applied += delta.nrows
                 if self._patch(entry, payload):
@@ -288,7 +325,7 @@ class DeltaMaintainer:
                 continue
             piece = delta.filter(mask)
             old = pool.read_entry(entry.fragment_id, ledger)
-            payload = Table.concat_many([old, piece])
+            payload = old.append(piece)
             seconds += cluster.write_elapsed(piece.size_bytes, nfiles=1)
             applied += hits
             if self._patch(entry, payload):
@@ -302,12 +339,8 @@ class DeltaMaintainer:
         """Recompute the view from (post-append) base tables and rewrite
         every resident entry — the always-correct fallback."""
         system = self.system
-        pool = system.pool
         cluster = system.cluster
-        scratch = CostLedger(cluster)
-        executor = Executor(ExecutionContext(system.catalog, None, cluster))
-        table = executor.execute(plan, scratch).table
-        seconds = scratch.total_seconds
+        table, seconds = self._execute_once(plan, system.catalog)
         rebuilt = dropped = 0
         for attr, entry in self._entries_of(view_id):
             if attr is None:

@@ -317,8 +317,10 @@ def ingest_result(
     stale_reads=0,
     maint_s=120.5,
     fragments_patched=12,
+    **extra,
 ):
     return {
+        **extra,
         "scenario": scenario,
         "mode": mode,
         "answer_digest": digest,
@@ -380,6 +382,43 @@ class TestCheckIngestDelta:
         proc = run_check("check_ingest_delta.py", write_ingest_report(tmp_path, results))
         assert proc.returncode == 1
         assert "patched no fragments" in proc.stderr
+
+    def joined_results(self, **delta_fields):
+        fields = {"join_views_delta": 1, "fragments_rebuilt": 0, **delta_fields}
+        return self.good_results() + [
+            ingest_result("joined", "delta", **fields),
+            ingest_result("joined", "rebuild", fragments_patched=0, fragments_rebuilt=13),
+        ]
+
+    def test_passes_when_probe_join_views_are_only_patched(self, tmp_path):
+        report = write_ingest_report(tmp_path, self.joined_results())
+        proc = run_check("check_ingest_delta.py", report)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_fails_when_a_probe_join_view_is_rebuilt(self, tmp_path):
+        report = write_ingest_report(tmp_path, self.joined_results(fragments_rebuilt=3))
+        proc = run_check("check_ingest_delta.py", report)
+        assert proc.returncode == 1
+        assert "rebuild path" in proc.stderr and "joined/delta" in proc.stderr
+
+    def test_fails_when_the_rebuilt_count_is_not_reported(self, tmp_path):
+        results = self.joined_results()
+        del results[2]["fragments_rebuilt"]
+        proc = run_check("check_ingest_delta.py", write_ingest_report(tmp_path, results))
+        assert proc.returncode == 1
+        assert "rebuild path" in proc.stderr
+
+    def test_fails_when_no_join_view_was_delta_maintained(self, tmp_path):
+        report = write_ingest_report(tmp_path, self.joined_results(join_views_delta=0))
+        proc = run_check("check_ingest_delta.py", report)
+        assert proc.returncode == 1
+        assert "no probe-side join view" in proc.stderr
+
+    def test_rebuilds_outside_the_join_scenario_are_not_gated(self, tmp_path):
+        results = self.good_results()
+        results[0] = ingest_result(mode="delta", fragments_rebuilt=2)
+        proc = run_check("check_ingest_delta.py", write_ingest_report(tmp_path, results))
+        assert proc.returncode == 0, proc.stderr
 
     def test_fails_when_a_mode_is_missing(self, tmp_path):
         report = write_ingest_report(tmp_path, [ingest_result(mode="delta")])

@@ -22,6 +22,7 @@ from repro.engine.table import Table
 from repro.engine.types import ColumnKind
 from repro.errors import CatalogError
 from repro.partitioning.intervals import Interval
+from repro.query.algebra import Join, Project, Relation
 from repro.query.builder import Q
 from repro.storage.ingest import delta_source
 from repro.workloads.bigbench import TEMPLATES
@@ -47,6 +48,38 @@ def make_system(n=4000, seed=1, smax=1e12):
 
 def plan(lo, hi):
     return Q("t").select("id", "k", "v").where_between("k", lo, hi).plan
+
+
+DIM_SCHEMA = Schema.of(Column("dk"), Column("cat", ColumnKind.STRING))
+
+
+def make_join_system(n=3000, seed=1):
+    """``t`` plus a dimension ``d`` covering every other key, so the
+    resident views are ``t ⋈ d`` joins with ``t`` on the probe side."""
+    catalog = Catalog()
+    catalog.register("t", make_table(n, seed))
+    dim = {"dk": np.arange(0, 1001, 2), "cat": [f"c{i % 7}" for i in range(501)]}
+    catalog.register("d", Table.from_dict(DIM_SCHEMA, dim, scale=1000.0))
+    return DeepSea(catalog, smax_bytes=1e12, domains={"k": DOMAIN})
+
+
+def join_plan(lo, hi):
+    return (
+        Q("t")
+        .join("d", on=("k", "dk"))
+        .select("id", "k", "v", "cat")
+        .where_between("k", lo, hi)
+        .plan
+    )
+
+
+def warm_joins(system, queries=8):
+    for i in range(queries):
+        system.execute(join_plan(10 + 7 * i, 500 + 3 * i))
+    plans = [system.pool.definition(v).plan for v in system.pool.resident_view_ids()]
+    assert any(isinstance(p.child, Join) for p in plans if isinstance(p, Project)), (
+        "fixture failed to materialize a join view"
+    )
 
 
 def batch_rows(rng, n, lo=0, hi=1000, id0=100_000):
@@ -133,6 +166,23 @@ class TestCatalogIngest:
         # The aborted transaction's version (v0 + 1) is never re-issued.
         assert catalog.version == v0 + 2
 
+    def test_two_forks_growing_one_table_never_see_each_other(self):
+        catalog = Catalog()
+        catalog.register("t", make_table(100))
+        catalog.ingest("t", batch_rows(np.random.default_rng(0), 10))  # buffered parent
+        left, right = catalog.fork(("left",)), catalog.fork(("right",))
+        assert left.get("t") is right.get("t")
+        rng = np.random.default_rng(1)
+        for step in range(3):
+            left.ingest("t", batch_rows(rng, 5, id0=1_000 + 10 * step))
+            right.ingest("t", batch_rows(rng, 7, id0=2_000 + 10 * step))
+        assert catalog.get("t").nrows == 110
+        left_ids, right_ids = left.get("t").column("id"), right.get("t").column("id")
+        np.testing.assert_array_equal(left_ids[:110], catalog.get("t").column("id"))
+        np.testing.assert_array_equal(right_ids[:110], catalog.get("t").column("id"))
+        assert set(left_ids[110:]) == {1_000 + 10 * s + i for s in range(3) for i in range(5)}
+        assert set(right_ids[110:]) == {2_000 + 10 * s + i for s in range(3) for i in range(7)}
+
     def test_fork_is_independent(self):
         catalog = Catalog()
         catalog.register("t", make_table(10))
@@ -146,11 +196,43 @@ class TestCatalogIngest:
 
 
 class TestDeltaSource:
+    FACT_DIM = Join(Relation("fact"), Relation("dim"), "fk", "dk")
+
     def test_select_project_chain_is_delta_able(self):
         assert delta_source(plan(10, 20)) == "t"
 
     def test_join_template_takes_rebuild_path(self):
+        # Still None, but only because q01 aggregates above its join.
         assert delta_source(TEMPLATES["q01"](0, 100)) is None
+
+    def test_probe_side_of_a_join_is_delta_able(self):
+        assert delta_source(Project(self.FACT_DIM, ("fk",))) == "fact"
+        assert delta_source(join_plan(10, 20)) == "t"
+
+    def test_probe_spine_runs_through_nested_joins(self):
+        nested = Q(self.FACT_DIM).join("other", on=("fk", "ok")).where_between("fk", 0, 9)
+        assert delta_source(nested.plan) == "fact"
+
+    def test_build_side_ingest_is_not_delta_able(self):
+        # Only the probe relation is ever named: ingest into ``fact`` here
+        # (it sits on the build side) compares unequal and rebuilds.
+        assert delta_source(Join(Relation("dim"), Relation("fact"), "dk", "fk")) == "dim"
+
+    def test_self_join_is_not_delta_able(self):
+        assert delta_source(Join(Relation("fact"), Relation("fact"), "fk", "fk")) is None
+
+    def test_relation_appearing_twice_is_not_delta_able(self):
+        twice = Q(self.FACT_DIM).join(Q("fact").select("other_fk"), on=("fk", "other_fk"))
+        assert delta_source(twice.plan) is None
+
+    def test_aggregate_above_a_join_is_not_delta_able(self):
+        agg = Q(self.FACT_DIM).group_by("fk", agg=[("count", None, "n")])
+        assert delta_source(agg.plan) is None
+        assert delta_source(agg.select("fk", "n").where_between("fk", 0, 9).plan) is None
+
+    def test_aggregate_on_the_build_side_only_is_delta_able(self):
+        totals = Q("dim").group_by("dk", agg=[("count", None, "n")])
+        assert delta_source(Q("fact").join(totals, on=("fk", "dk")).plan) == "fact"
 
 
 class TestDeltaMaintenance:
@@ -206,6 +288,58 @@ class TestDeltaMaintenance:
         after = system.execute(plan(100, 600))
         assert after.creation_ledger.maint_s == 0.0  # folded exactly once
 
+    def test_back_to_back_batches_do_not_inflate_the_first_report(self):
+        """Regression: the pending-maintenance accumulator used to *be*
+        the first report's ledger, so a second batch before the next
+        query was merged into the first batch's numbers."""
+        system = make_system()
+        warm(system)
+        rng = np.random.default_rng(7)
+        first = system.ingest("t", batch_rows(rng, 100))
+        first_maint, first_patched = first.maint_s, first.fragments_patched
+        second = system.ingest("t", batch_rows(rng, 100, id0=200_000))
+        assert first.maint_s == first_maint
+        assert first.fragments_patched == first_patched
+        assert second.ledger is not first.ledger
+        # The next query still pays for both, exactly once.
+        folded = system.execute(plan(100, 600)).creation_ledger
+        assert folded.maint_s == pytest.approx(first.maint_s + second.maint_s)
+        assert folded.fragments_patched == first.fragments_patched + second.fragments_patched
+        assert [r.maint_s for r in system.maintenance.reports] == [first_maint, second.maint_s]
+
+    def test_probe_side_join_views_are_patched_not_rebuilt(self):
+        system = make_join_system()
+        warm_joins(system)
+        report = system.ingest("t", batch_rows(np.random.default_rng(7), 200))
+        assert report.views_delta and not report.views_rebuilt
+        assert report.fragments_patched >= 1 and report.fragments_rebuilt == 0
+        assert_pool_identity(system)
+
+    def test_build_side_ingest_rebuilds_join_views(self):
+        system = make_join_system()
+        warm_joins(system)
+        # New dimension rows give *old* fact rows new matches: no delta.
+        report = system.ingest("d", {"dk": np.arange(1, 200, 2), "cat": ["fresh"] * 100})
+        assert report.views_rebuilt and not report.views_delta
+        assert report.fragments_rebuilt >= 1
+        assert_pool_identity(system)
+
+    def test_patched_payloads_share_storage_across_batches(self):
+        system = make_system()
+        warm(system)
+        rng = np.random.default_rng(3)
+        system.ingest("t", batch_rows(rng, 300))  # first patch: fresh buffers
+        pool = system.pool
+        before = {e.key: pool.hdfs.peek(e.path) for e in pool.all_entries()}
+        system.ingest("t", batch_rows(rng, 300, id0=200_000))
+        shared = 0
+        for entry in pool.all_entries():
+            old, new = before[entry.key], pool.hdfs.peek(entry.path)
+            if new is not old:
+                shared += np.shares_memory(old.column("id"), new.column("id"))
+        assert shared >= 1  # appended in place, not copied
+        assert_pool_identity(system)
+
     def test_oversized_patch_evicts_instead_of_overflowing(self):
         system = make_system()
         warm(system)
@@ -244,6 +378,92 @@ class TestCrashRollback:
         # The aborted attempt's version is stranded, never re-issued.
         assert catalog.version == pre_version + 2
         assert report.fragments_patched >= 1
+        assert_pool_identity(system)
+
+    def test_injected_crash_then_retry_restores_exactly_and_appends_again(self):
+        """A controller crash mid-ingest rolls catalog and pool back to the
+        very objects they held, and the retry — whose base-table and
+        payload appends can no longer go in place, the aborted attempt
+        having taken the buffers' tips — still lands byte-identical."""
+        rng = np.random.default_rng(11)
+        system = make_join_system()
+        warm_joins(system)
+        system.ingest("t", batch_rows(rng, 150))  # give every target a tail buffer
+        pool, catalog = system.pool, system.catalog
+        pre_table, pre_version = catalog.get("t"), catalog.version
+        pre_rows = [np.array(pre_table.column(n)) for n in pre_table.schema.names]
+        pre_payloads = {e.key: pool.hdfs.peek(e.path) for e in pool.all_entries()}
+        pre_config = repr(pool.configuration())
+
+        class CrashOnce:
+            """Stands in for a FaultInjector: the first ingest step dies."""
+
+            fired = False
+
+            def controller_crash(self, site):
+                crash, self.fired = not self.fired, True
+                return crash
+
+            def record_recovery(self, site, note):
+                self.recovered = (site, note)
+
+        crash = CrashOnce()
+        real_patch = system.maintenance._patch
+        seen = {}
+
+        def patch_then_maybe_crash(entry, payload):
+            dropped = real_patch(entry, payload)
+            if not crash.fired:
+                # What the aborted attempt had done by the time it died.
+                seen["table"] = catalog.get("t")
+                seen["payload"] = payload
+            system._maybe_crash("ingest")
+            return dropped
+
+        system.faults = crash
+        system.maintenance._patch = patch_then_maybe_crash
+        try:
+            report = system.ingest("t", batch_rows(rng, 120, id0=300_000))
+        finally:
+            system.faults = None
+            system.maintenance._patch = real_patch
+
+        assert crash.recovered[0] == "ingest"
+        assert catalog.version == pre_version + 2  # the aborted version is stranded
+        assert report.fragments_patched >= 1
+        assert repr(pool.configuration()) == pre_config
+        # The aborted attempt appended in place; the retry found the tips
+        # taken and fell back — and nobody's visible rows moved.
+        aborted, retried = seen["table"], catalog.get("t")
+        assert aborted._tail is pre_table._tail and retried._tail is not pre_table._tail
+        assert aborted.nrows == retried.nrows == pre_table.nrows + 120
+        for name, old in zip(pre_table.schema.names, pre_rows):
+            np.testing.assert_array_equal(pre_table.column(name), old)
+            np.testing.assert_array_equal(aborted.column(name), retried.column(name))
+        for entry in pool.all_entries():
+            old = pre_payloads[entry.key]
+            new = pool.hdfs.peek(entry.path)
+            for name in old.schema.names:  # the old payload is a prefix of the new
+                np.testing.assert_array_equal(
+                    new.column(name)[: old.nrows], old.column(name)
+                )
+        assert_pool_identity(system)
+
+    def test_rollback_restores_the_pre_batch_objects(self):
+        system = make_join_system()
+        warm_joins(system)
+        pool, catalog = system.pool, system.catalog
+        pre_table = catalog.get("t")
+        pre_paths = {e.fragment_id: pool.hdfs.peek(e.path) for e in pool.all_entries()}
+        system.maintenance._patch = lambda entry, payload: (_ for _ in ()).throw(
+            RuntimeError("simulated crash mid-maintenance")
+        )
+        with pytest.raises(RuntimeError):
+            system.ingest("t", batch_rows(np.random.default_rng(7), 100))
+        assert catalog.get("t") is pre_table
+        assert {
+            e.fragment_id: pool.hdfs.peek(e.path) for e in pool.all_entries()
+        } == pre_paths  # same ids, same payload objects
         assert_pool_identity(system)
 
     def test_observed_rates_not_double_counted_on_controller_retry(self):
@@ -324,6 +544,18 @@ class TestScenarioSchedules:
         problems = gate_problems([result("delta", "aa"), result("rebuild", "bb")])
         assert any("diverged" in p for p in problems)
 
+    def test_joined_scenario_patches_join_views_and_rebuilds_nothing(self):
+        from repro.bench.ingest_bench import gate_problems, run_scenario
+
+        delta = run_scenario("joined", "delta", queries=16)
+        assert delta["join_views_delta"] >= 1
+        assert delta["fragments_patched"] >= 1 and delta["fragments_rebuilt"] == 0
+        assert delta["identity_ok"] and delta["stale_reads"] == 0
+        assert gate_problems([delta]) == []
+        # The gate fires on exactly that scenario's rebuild count.
+        assert any("rebuilt" in p for p in gate_problems([{**delta, "fragments_rebuilt": 2}]))
+        assert any("join view" in p for p in gate_problems([{**delta, "join_views_delta": 0}]))
+
 
 class TestBitIdentityProperty:
     @settings(
@@ -352,6 +584,41 @@ class TestBitIdentityProperty:
             id0 += n
             system.ingest("t", rows)
             assert_pool_identity(system)
+
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        batches=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=60),  # rows
+                st.integers(min_value=0, max_value=900),  # range lo
+                st.integers(min_value=1, max_value=100),  # range width
+                st.booleans(),  # a query (and so a refinement) before the next batch
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_random_batches_keep_join_view_fragments_bit_identical(self, batches):
+        """Probe-side join views under random batch sequences: after every
+        batch each fragment equals, row for row and in order, its slice
+        of a from-scratch recompute over the grown fact table."""
+        system = make_join_system(n=2000)
+        warm_joins(system, queries=6)
+        id0 = 200_000
+        for i, (n, lo, width, query) in enumerate(batches):
+            rng = np.random.default_rng([i, n, lo, width])
+            report = system.ingest("t", batch_rows(rng, n, lo, min(1000, lo + width), id0))
+            id0 += n
+            assert report.fragments_rebuilt == 0 and not report.views_rebuilt
+            assert_pool_identity(system)
+            if query:
+                system.execute(join_plan(lo, min(1000, lo + width)))
+                assert_pool_identity(system)
 
 
 class TestSchedulerFingerprints:

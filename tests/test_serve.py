@@ -9,16 +9,20 @@ execution of the same plans.
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.baselines import deepsea, hive
 from repro.bench.harness import sdss_fixture
+from repro.engine.catalog import Catalog
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
+from repro.engine.types import ColumnKind
 from repro.errors import DeadlineExceeded, Overloaded, RecoveryError
 from repro.faults.schedule import FaultSchedule
 from repro.partitioning.intervals import Interval
 from repro.query.algebra import Relation
+from repro.query.builder import Q
 from repro.serve.driver import answer_digest, check_gates, reference_digests
 from repro.serve.queue import AdmissionQueue
 from repro.serve.service import QueryService
@@ -321,6 +325,81 @@ class TestQueryService:
             QueryService(system, workers=0)
         with pytest.raises(ValueError):
             QueryService(system, retries=-1)
+
+
+class TestFeedBatchUnderReaders:
+    """Readers run while the writer appends in place to storage they are
+    reading a prefix of: every answer must be the serial answer over the
+    table as it stood after *some* whole number of batches — never a torn
+    or shifted row — and the drained service must match the serial end state."""
+
+    N_ROWS, N_BATCHES, BATCH = 1500, 8, 60
+    SCHEMA = Schema.of(Column("id"), Column("k"), Column("s", ColumnKind.STRING))
+
+    def rows(self, id0: int, n: int) -> dict:
+        rng = np.random.default_rng(id0)
+        # "zeta" first appears in a batch: that append re-unifies the
+        # dictionary into a fresh buffer while readers hold the old one.
+        words = np.array(["alpha", "beta", "gamma", "zeta"][: 4 if id0 else 3])
+        return {
+            "id": np.arange(id0, id0 + n),
+            "k": rng.integers(0, 1001, n),
+            "s": words[rng.integers(0, len(words), n)],
+        }
+
+    def plan(self, i: int):
+        lo = 40 * (i % 12)
+        return Q("t").select("id", "k", "s").where_between("k", lo, lo + 420).plan
+
+    def test_every_answer_is_a_serial_answer_at_a_batch_boundary(self):
+        base = Catalog()
+        base.register("t", Table.from_dict(self.SCHEMA, self.rows(0, self.N_ROWS), scale=1000.0))
+        batches = [
+            self.rows(10_000 * (b + 1), self.BATCH) for b in range(self.N_BATCHES)
+        ]
+        distinct = [self.plan(i) for i in range(12)]
+
+        # Serial reference: the digest of every plan at every batch boundary.
+        serial = base.fork()
+        direct = hive(serial)
+        boundaries = [{p: answer_digest(direct.execute(p).result) for p in distinct}]
+        for rows in batches:
+            serial.ingest("t", rows)
+            boundaries.append({p: answer_digest(direct.execute(p).result) for p in distinct})
+
+        system = deepsea(base.fork(), domains={"k": Interval.closed(0, 1000)})
+        svc = QueryService(system, workers=3, queue_depth=128).start()
+        plans, tickets, fed = [], [], 0
+        try:
+            # Queries keep arriving, one batch outstanding at a time, until
+            # the writer has applied them all: appends land mid-traffic.
+            deadline = time.monotonic() + TIMEOUT
+            while svc.writer.batches < self.N_BATCHES and time.monotonic() < deadline:
+                if fed == svc.writer.batches and fed < self.N_BATCHES:
+                    assert svc.feed_batch("t", batches[fed])
+                    fed += 1
+                plans.append(distinct[len(plans) % len(distinct)])
+                tickets.append(svc.submit(plans[-1]))
+                time.sleep(0.002)
+            outs = [t.result(timeout=TIMEOUT) for t in tickets]
+        finally:
+            svc.stop()
+        metrics = svc.metrics()
+        assert metrics["writer"]["batches"] == self.N_BATCHES
+        assert metrics["writer"]["errors"] == 0 and metrics["failed"] == 0
+        assert all(o is not None and o.status == "answered" for o in outs)
+        seen = set()
+        for plan, out in zip(plans, outs):
+            digest = answer_digest(out.table)
+            at = [b for b, known in enumerate(boundaries) if known[plan] == digest]
+            assert at, "answer matches the table at no batch boundary"
+            seen.update(at)
+        assert len(seen) > 1  # the answers really did straddle appends
+        # Drained: the live table is the serial end state, row for row.
+        live, want = system.catalog.get("t"), serial.get("t")
+        assert live.nrows == self.N_ROWS + self.N_BATCHES * self.BATCH
+        assert live.to_rows() == want.to_rows()
+        assert base.get("t").nrows == self.N_ROWS  # the shared parent never grew
 
 
 class TestDriverGates:
