@@ -18,7 +18,6 @@ if TYPE_CHECKING:
 from repro import caches
 from repro.core.deepsea import DeepSea
 from repro.core.reports import QueryReport
-from repro.parallel import shared_cache
 
 # Re-exported for compatibility: the prewarm pass lives with the worker
 # pools it serves.
@@ -121,8 +120,6 @@ def run_system(
             system.profiler = None
 
 
-
-
 def run_systems(
     factories: dict[str, Callable[[], DeepSea]],
     plans: list[Plan],
@@ -134,8 +131,6 @@ def run_systems(
     stateless: "tuple[str, ...]" = (),
     worker_stats: "list[dict] | None" = None,
     catalog=None,
-    shared: "shared_cache.SharedCacheServer | None" = None,
-    shared_scope: tuple = (),
 ) -> dict[str, RunResult]:
     """Run the same workload through several freshly built systems.
 
@@ -168,27 +163,11 @@ def run_systems(
     counters) — the per-worker breakdown of ``python -m repro profile``
     (static/serial schedulers only; the steal pool reports per worker,
     not per label, via ``worker_stats``).
-
-    ``shared`` attaches a cross-worker shared cache tier
-    (:mod:`repro.parallel.shared_cache`): the pool schedulers serve its
-    frames from the parent loop, and each task's pool is stamped with a
-    shared-cache identity scoped by ``(shared_scope, label, slice)`` so
-    entries from one run unit validate only against replays of exactly
-    that unit's deterministic build.  Callers must not reuse one server
-    across run_systems calls whose labels name *different* configurations
-    — extend ``shared_scope`` with the config instead (the CLI passes its
-    full parameter tuple).
     """
     profilers = profilers or {}
     labels = list(factories)
     if scheduler not in ("static", "steal"):
         raise ValueError(f"unknown scheduler: {scheduler!r}")
-
-    def stamp_pool(system: DeepSea, label: str, start: int, stop: int) -> DeepSea:
-        pool = getattr(system, "pool", None)
-        if pool is not None and shared is not None:
-            pool.shared_ident = ("run_systems", shared_scope, label, start, stop)
-        return system
     if scheduler == "steal" and workers >= 2 and len(labels) >= 1:
         from repro.bench.profile import WallClockProfiler
         from repro.parallel.pool import steal_map
@@ -199,8 +178,7 @@ def run_systems(
         def whole_task(label: str, make: Callable[[], DeepSea], profiled: bool) -> Callable:
             def run() -> "tuple[list[QueryReport], WallClockProfiler | None, tuple]":
                 prof = WallClockProfiler() if profiled else None
-                system = stamp_pool(make(), label, 0, len(plans))
-                result = run_system(label, system, plans, prof)
+                result = run_system(label, make(), plans, prof)
                 return result.reports, prof, result.fault_events
 
             return run
@@ -210,7 +188,7 @@ def run_systems(
         ) -> Callable:
             def run() -> "tuple[list[QueryReport], WallClockProfiler | None, tuple]":
                 prof = WallClockProfiler() if profiled else None
-                system = stamp_pool(make(), label, start, stop)
+                system = make()
                 # Clock offset keeps slice report indexes identical to the
                 # same queries inside a whole serial run.
                 system.clock = start
@@ -232,9 +210,7 @@ def run_systems(
             else:
                 units.append((label, 0))
                 thunks.append(whole_task(label, make, profiled))
-        outputs = steal_map(
-            thunks, workers, chunk_size=1, worker_stats=worker_stats, shared=shared
-        )
+        outputs = steal_map(thunks, workers, chunk_size=1, worker_stats=worker_stats)
         merged_reports: dict[str, list[QueryReport]] = {label: [] for label in labels}
         merged_events: dict[str, tuple] = {label: () for label in labels}
         for (label, _), (reports, prof, events) in zip(units, outputs):
@@ -259,14 +235,13 @@ def run_systems(
                 from repro.caches import cache_stats
 
                 prof = WallClockProfiler() if profiled else None
-                system = stamp_pool(make(), label, 0, len(plans))
-                result = run_system(label, system, plans, prof)
+                result = run_system(label, make(), plans, prof)
                 info = WorkerTelemetry(os.getpid(), prof.report() if prof else None, cache_stats())
                 return result, prof, info
 
             return run
 
-        outputs = fan_out([task(l, m) for l, m in factories.items()], workers, shared=shared)
+        outputs = fan_out([task(l, m) for l, m in factories.items()], workers)
         results: dict[str, RunResult] = {}
         for label, (result, prof, info) in zip(labels, outputs):
             if prof is not None:
@@ -277,27 +252,17 @@ def run_systems(
         return results
 
     results = {}
-    prior_client = (
-        shared_cache.install_client(shared_cache.InProcessClient(shared))
-        if shared is not None
-        else None
-    )
-    try:
-        for label, make in factories.items():
-            system = stamp_pool(make(), label, 0, len(plans))
-            results[label] = run_system(label, system, plans, profilers.get(label))
-            if telemetry is not None:
-                import os
+    for label, make in factories.items():
+        results[label] = run_system(label, make(), plans, profilers.get(label))
+        if telemetry is not None:
+            import os
 
-                from repro.caches import cache_stats
+            from repro.caches import cache_stats
 
-                prof = profilers.get(label)
-                telemetry[label] = WorkerTelemetry(
-                    os.getpid(), prof.report() if prof else None, cache_stats()
-                )
-    finally:
-        if shared is not None:
-            shared_cache.install_client(prior_client)
+            prof = profilers.get(label)
+            telemetry[label] = WorkerTelemetry(
+                os.getpid(), prof.report() if prof else None, cache_stats()
+            )
     return results
 
 
@@ -355,11 +320,6 @@ def sdss_fixture(
         instance = generate_bigbench(
             instance_gb, seed=seed, item_domain=item_domain, item_sk_values=values
         )
-        # Content-stable identity for the cross-worker shared cache tier:
-        # any process building this fixture from the same key holds
-        # byte-identical tables (seeded generation), so entries computed
-        # against one build are valid against every other.
-        instance.catalog.shared_ident = ("sdss",) + key
         _admit_fixture(_FIXTURE_CACHE, key, SDSSFixture(instance, log))
     return _FIXTURE_CACHE[key]
 
@@ -395,7 +355,6 @@ def uniform_fixture(
     key = (instance_gb, seed, item_domain)
     if key not in _UNIFORM_CACHE:
         instance = generate_bigbench(instance_gb, seed=seed, item_domain=item_domain)
-        instance.catalog.shared_ident = ("uniform",) + key
         _admit_fixture(_UNIFORM_CACHE, key, UniformFixture(instance))
     return _UNIFORM_CACHE[key]
 

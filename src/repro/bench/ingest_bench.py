@@ -244,7 +244,7 @@ def run_scenario(
         raise ValueError(f"unknown ingest mode: {mode!r}")
     fx = uniform_fixture(instance_gb)
     # Fork: ingest mutates the catalog, and fixtures are cached/shared.
-    catalog = fx.catalog.fork(("ingest-bench", scenario, mode, queries, seed))
+    catalog = fx.catalog.fork()
     domains = dict(fx.domains)
     domains["ss_item_sk"] = fx.item_domain
     system = deepsea(

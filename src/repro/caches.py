@@ -25,29 +25,20 @@ from typing import Callable
 
 _CLEARERS: dict[str, Callable[[], None]] = {}
 _STATS: dict[str, Callable[[], dict]] = {}
-_TIERS: dict[str, str] = {}
 
 
 def register_cache(
     name: str,
     clear: Callable[[], None],
     stats: "Callable[[], dict] | None" = None,
-    *,
-    tier: str = "local",
 ) -> None:
     """Register one cache's ``clear`` (and optional ``stats``) callable.
 
     Called at module import time by every cache-bearing module; the
     ``name`` should be the dotted location of the cache so registry
-    snapshots read like a map of the process.  ``tier`` distinguishes
-    process-local caches (``"local"``, the default) from the cross-worker
-    shared tier (``"shared"``) so profile reports can break counters out
-    per tier.
+    snapshots read like a map of the process.
     """
-    if tier not in ("local", "shared"):
-        raise ValueError(f"unknown cache tier {tier!r}")
     _CLEARERS[name] = clear
-    _TIERS[name] = tier
     if stats is not None:
         _STATS[name] = stats
     else:
@@ -57,11 +48,6 @@ def register_cache(
 def registered_caches() -> tuple[str, ...]:
     """Names of every cache currently registered (sorted, for tests)."""
     return tuple(sorted(_CLEARERS))
-
-
-def cache_tier(name: str) -> str:
-    """The registered tier of one cache (``"local"`` or ``"shared"``)."""
-    return _TIERS[name]
 
 
 def clear_all_caches() -> None:
@@ -79,11 +65,6 @@ def clear_all_caches() -> None:
 def cache_stats() -> dict[str, dict]:
     """Snapshot of every registered cache's counters (stable key order)."""
     return {name: dict(_STATS[name]()) for name in sorted(_STATS)}
-
-
-def snapshot_stats() -> dict[str, dict]:
-    """Alias of :func:`cache_stats` for before/after delta bookkeeping."""
-    return cache_stats()
 
 
 def stats_delta(before: dict[str, dict], after: dict[str, dict]) -> dict[str, dict]:

@@ -194,7 +194,6 @@ def cmd_profile(
     max_slowdown: float,
     workers: int = 0,
     scheduler: str = "static",
-    shared: str = "off",
 ) -> int:
     """Run the Figure-5a workload under the wall-clock profiler.
 
@@ -208,12 +207,10 @@ def cmd_profile(
     work-stealing pool: warm-forked workers pull run units off a shared
     deque (the stateless H baseline sliced into query chunks so it
     load-balances), and ``per_worker`` reports per *worker* — tasks run
-    plus cache-counter deltas — instead of per system.  ``--shared-cache
-    on`` attaches the cross-worker shared cache tier (the parent serves
-    cache frames over the pool pipes; server counters land under
-    ``shared_cache`` in the report).  With ``--check`` the measured total
-    *and every profiled stage* are gated against a previously written
-    report (the CI regression smoke), failing with a per-phase verdict.
+    plus cache-counter deltas — instead of per system.  With ``--check``
+    the measured total *and every profiled stage* are gated against a
+    previously written report (the CI regression smoke), failing with a
+    per-phase verdict.
     """
     from repro.baselines import deepsea, hive, non_partitioned
     from repro.bench.harness import run_systems, sdss_fixture
@@ -223,7 +220,6 @@ def cmd_profile(
         load_report,
         write_report,
     )
-    from repro.parallel import shared_cache
     from repro.workloads.generator import sdss_mapped_workload
 
     fx = sdss_fixture(instance_gb)  # built outside the timed region
@@ -236,26 +232,18 @@ def cmd_profile(
     profilers = {label: WallClockProfiler() for label in factories}
     telemetry: dict = {}
     worker_stats: list = []
-    server = shared_cache.SharedCacheServer() if shared == "on" else None
-    prior_server = shared_cache.install_server(server) if server is not None else None
     start = time.perf_counter()
-    try:
-        run_systems(
-            factories,
-            plans,
-            profilers,
-            workers=workers,
-            telemetry=telemetry,
-            scheduler=scheduler,
-            stateless=("H",) if scheduler == "steal" else (),
-            worker_stats=worker_stats,
-            catalog=fx.catalog if scheduler == "steal" else None,
-            shared=server,
-            shared_scope=("profile", queries, instance_gb, seed),
-        )
-    finally:
-        if server is not None:
-            shared_cache.install_server(prior_server)
+    run_systems(
+        factories,
+        plans,
+        profilers,
+        workers=workers,
+        telemetry=telemetry,
+        scheduler=scheduler,
+        stateless=("H",) if scheduler == "steal" else (),
+        worker_stats=worker_stats,
+        catalog=fx.catalog if scheduler == "steal" else None,
+    )
     wall = time.perf_counter() - start
 
     combined = WallClockProfiler()
@@ -288,11 +276,6 @@ def cmd_profile(
         "seed": seed,
         "workers": workers,
         "scheduler": scheduler,
-        # Per-tier cache counters: the local tier is every worker's
-        # process-local caches (in per_worker), the shared tier the
-        # parent-side server the pool loops multiplexed.
-        "shared_cache": {"mode": shared}
-        | ({"server": server.stats()} if server is not None else {}),
         "total_seconds": wall,
         "systems": {label: prof.report() for label, prof in profilers.items()},
         "stages": combined.report()["stages"],
@@ -321,8 +304,6 @@ def cmd_profile(
             for label, info in telemetry.items()
         },
     }
-    if server is not None:
-        server.close()
     if output:
         write_report(output, report)
         print(f"report written to {output}")
@@ -338,7 +319,6 @@ def cmd_determinism(
     instance_gb: float,
     seed: int,
     worker_counts: list[int],
-    shared: str = "off",
     scheduler: str = "both",
     ingest: str = "off",
 ) -> int:
@@ -352,19 +332,15 @@ def cmd_determinism(
     schedulers each worker count is checked under: the static cold-worker
     fan-out, the work-stealing pool with warm-forked workers and the
     stateless H baseline sliced into query chunks, or ``both`` (the
-    default; CI runs one scheduler per matrix entry).  ``--shared-cache
-    on`` (or ``both``) additionally runs every row with the cross-worker
-    shared cache tier attached — same serial reference, so a digest match
-    *is* the proof that shared-tier hits never change an answer or a
-    ledger.  ``--ingest on`` adds a fourth task — DS with the steady-drip
-    micro-batch schedule interleaved against a forked catalog — so the
-    fingerprints also cover ingest's maintenance ledgers (``maint_s``,
-    rows routed/applied, fragments patched) across worker counts and
-    schedulers.  Exits non-zero, printing the first divergences, if any
-    run changes a single byte.
+    default; CI runs one scheduler per matrix entry).  ``--ingest on``
+    adds a fourth task — DS with the steady-drip micro-batch schedule
+    interleaved against a forked catalog — so the fingerprints also cover
+    ingest's maintenance ledgers (``maint_s``, rows routed/applied,
+    fragments patched) across worker counts and schedulers.  Exits
+    non-zero, printing the first divergences, if any run changes a single
+    byte.
     """
     from repro.bench.harness import RunResult
-    from repro.parallel import shared_cache
     from repro.parallel.determinism import diff_results, fingerprint
     from repro.parallel.pool import fan_out, steal_map
     from repro.parallel.tasks import FixtureSpec, RunTask, SystemSpec, WorkloadSpec
@@ -408,40 +384,25 @@ def cmd_determinism(
             for line in diff_results(serial, results, b_name=name):
                 print(line, file=sys.stderr)
 
-    tiers = {"off": (False,), "on": (True,), "both": (False, True)}[shared]
     for n in worker_counts:
-        for tier_on in tiers:
-            suffix = " shared" if tier_on else ""
-            if scheduler in ("static", "both"):
-                shuffled = list(reversed(range(len(tasks))))
-                server = shared_cache.SharedCacheServer() if tier_on else None
-                try:
-                    outputs = fan_out(tasks, n, submission_order=shuffled, shared=server)
-                finally:
-                    if server is not None:
-                        server.close()
-                check(f"workers={n}{suffix}", dict(zip(labels, outputs)))
+        if scheduler in ("static", "both"):
+            shuffled = list(reversed(range(len(tasks))))
+            outputs = fan_out(tasks, n, submission_order=shuffled)
+            check(f"workers={n}", dict(zip(labels, outputs)))
 
-            if scheduler in ("steal", "both"):
-                server = shared_cache.SharedCacheServer() if tier_on else None
-                try:
-                    stolen = steal_map(
-                        [part for _, part in sliced], n, chunk_size=1, shared=server
+        if scheduler in ("steal", "both"):
+            stolen = steal_map([part for _, part in sliced], n, chunk_size=1)
+            merged: dict[str, RunResult] = {}
+            for (label, _), result in zip(sliced, stolen):
+                if label in merged:
+                    merged[label] = RunResult(
+                        label,
+                        merged[label].reports + result.reports,
+                        merged[label].fault_events + result.fault_events,
                     )
-                finally:
-                    if server is not None:
-                        server.close()
-                merged: dict[str, RunResult] = {}
-                for (label, _), result in zip(sliced, stolen):
-                    if label in merged:
-                        merged[label] = RunResult(
-                            label,
-                            merged[label].reports + result.reports,
-                            merged[label].fault_events + result.fault_events,
-                        )
-                    else:
-                        merged[label] = result
-                check(f"workers={n} steal{suffix}", merged)
+                else:
+                    merged[label] = result
+            check(f"workers={n} steal", merged)
     print(
         format_table(
             ["run", "fingerprint", "verdict"],
@@ -586,7 +547,6 @@ def cmd_serve_bench(
     rate: float,
     phases: list[str],
     output: str | None,
-    shared: str = "off",
 ) -> int:
     """Open-loop load over the serving layer; verify the serving invariant.
 
@@ -617,7 +577,6 @@ def cmd_serve_bench(
         chaos_schedule=chaos,
         rate_qps=rate,
         phases=wanted,
-        shared_cache=shared == "on",
     )
     rows = []
     for name, phase in report["phases"].items():
@@ -779,8 +738,6 @@ def main(argv: list[str] | None = None) -> int:
     prof_p.add_argument("--scheduler", choices=("static", "steal"), default="static",
                         help="static per-system fan-out, or work-stealing "
                         "pool with warm workers and query slicing")
-    prof_p.add_argument("--shared-cache", choices=("on", "off"), default="off",
-                        help="attach the cross-worker shared cache tier")
     prof_p.add_argument("--output", default=None, metavar="PATH", help="write the JSON report here")
     prof_p.add_argument("--check", default=None, metavar="PATH",
                         help="fail if slower than this baseline report")
@@ -796,10 +753,6 @@ def main(argv: list[str] | None = None) -> int:
     det_p.add_argument(
         "--workers", default="1,2,4", metavar="N[,N...]",
         help="comma-separated worker counts to check against serial",
-    )
-    det_p.add_argument(
-        "--shared-cache", choices=("on", "off", "both"), default="off",
-        help="also (or only) run each row with the shared cache tier attached",
     )
     det_p.add_argument(
         "--scheduler", choices=("static", "steal", "both"), default="both",
@@ -847,9 +800,6 @@ def main(argv: list[str] | None = None) -> int:
                          "repeatable; default: all three")
     serve_p.add_argument("--output", default=None, metavar="PATH",
                          help="write the JSON report here")
-    serve_p.add_argument("--shared-cache", choices=("on", "off"), default="off",
-                         help="route reader threads through the in-process "
-                         "shared cache tier (lock-free result lookups)")
 
     ing_p = sub.add_parser(
         "ingest-bench",
@@ -878,7 +828,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_profile(
             args.queries, args.instance_gb, args.seed,
             args.output, args.check, args.max_slowdown, args.workers,
-            args.scheduler, args.shared_cache,
+            args.scheduler,
         )
     if args.command == "determinism":
         try:
@@ -887,7 +837,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"invalid --workers list: {args.workers!r}", file=sys.stderr)
             return 2
         return cmd_determinism(
-            args.queries, args.instance_gb, args.seed, counts, args.shared_cache,
+            args.queries, args.instance_gb, args.seed, counts,
             args.scheduler, args.ingest,
         )
     if args.command == "chaos":
@@ -904,7 +854,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_serve_bench(
             args.queries, args.instance_gb, args.seed, args.workers,
             args.queue_depth, args.deadline or None, args.chaos, args.rate,
-            args.phase, args.output, args.shared_cache,
+            args.phase, args.output,
         )
     return cmd_compare(args.queries, args.pool, args.instance_gb, args.seed)
 

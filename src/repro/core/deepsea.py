@@ -83,11 +83,6 @@ from repro.storage.pool import FragmentKey, MaterializedViewPool
 # evidence over very long workloads without being materialized.
 _MAX_TENTATIVE_FRAGMENTS = 512
 
-# Candidate-piece batches smaller than this are always evaluated inline:
-# one piece costs microseconds, so a process round-trip only pays for
-# itself on the rare wide batches (dense overlapping designs).
-_PARALLEL_PIECE_THRESHOLD = 32
-
 
 def _piece_refinement_passes(
     piece: Interval,
@@ -105,10 +100,7 @@ def _piece_refinement_passes(
 
     Pure in its arguments — it reads precomputed per-candidate indexes
     (:class:`ResidentProfile`, :class:`RealizingHitsIndex`) and computes,
-    mutating nothing but value-transparent caches — which is what lets
-    `_refinement_passes` fan a wide batch of pieces out over
-    :func:`repro.parallel.pool.batch_map` with results identical to the
-    inline loop (each worker's memo copy just starts cold).
+    mutating nothing but value-transparent caches.
     """
     # Everything up to the hit counting depends only on the piece and the
     # resident cover, not on the query time — and jittering workloads
@@ -151,18 +143,6 @@ def _piece_refinement_passes(
             smoothed = adjusted_hits(piece, fitted, total, domain)
             hits = max(hits, min(smoothed, 2.0 * hits))
     return hits * saving_per_hit >= safety * cost_est
-
-
-class _ConstDist:
-    """Picklable constant thunk for the batched refinement path."""
-
-    __slots__ = ("_dist",)
-
-    def __init__(self, dist) -> None:
-        self._dist = dist
-
-    def __call__(self):
-        return self._dist
 
 
 @dataclass
@@ -237,10 +217,6 @@ class DeepSea:
         # execute() charges real seconds to matching / selection /
         # execution / materialization.  None costs one attribute read.
         self.profiler = None
-        # Worker budget for side-effect-free candidate evaluation inside
-        # the refinement filter (repro.parallel.batch_map).  0 keeps the
-        # serial inline path; any value yields identical decisions.
-        self.parallel_workers = 0
         # Optional repro.faults.injector.FaultInjector (attach_faults).
         # None — the default, and the only configuration the seed
         # benchmarks use — keeps every path bit-identical to before.
@@ -432,9 +408,9 @@ class DeepSea:
         a serving writer — because the append mutates the *catalog* too:
         a crash mid-batch must restore the base table, the catalog
         version, and the pool configuration together, stranding every
-        cache entry (local or shared-tier) stamped with the aborted
-        version.  The maintenance cost lands on the next query's creation
-        ledger via ``_pending_maintenance``.
+        cache entry stamped with the aborted version.  The maintenance
+        cost lands on the next query's creation ledger via
+        ``_pending_maintenance``.
         """
         ledger = CostLedger(self.cluster)
         if self.faults is not None:
@@ -996,19 +972,12 @@ class DeepSea:
         the system from re-carving the same hot spot query after query.
         """
         decay = self.policy.effective_decay
-        batched = self.parallel_workers >= 2 and len(hot) >= _PARALLEL_PIECE_THRESHOLD
         dist_fn = None
         if self.policy.smoothing_enabled:
-            if batched:
-                # Workers need a picklable value, so the batch path fits
-                # eagerly; the fit itself is (clock, view, attr)-cached
-                # either way, so both paths see identical distributions.
-                dist_fn = _ConstDist(self._partition_distribution(view_id, attr, domain, t))
-            else:
-                # Most candidate pieces fail the size/cover prefix before
-                # the hit counting ever consults the MLE fit — defer the
-                # fit until a piece actually reaches it with hits.
-                dist_fn = lambda: self._partition_distribution(view_id, attr, domain, t)  # noqa: E731
+            # Most candidate pieces fail the size/cover prefix before the
+            # hit counting ever consults the MLE fit — defer the fit until
+            # a piece actually reaches it with hits.
+            dist_fn = lambda: self._partition_distribution(view_id, attr, domain, t)  # noqa: E731
         _, resident_sizes, resident_intervals = self._resident_snapshot(view_id, attr)
         parent_stats = self.stats.fragment(view_id, attr, parent)
         check = partial(
@@ -1026,17 +995,6 @@ class DeepSea:
             dist_fn=dist_fn,
             safety=self.policy.refinement_safety,
         )
-        if batched:
-            from repro.parallel.pool import batch_map
-
-            return any(
-                batch_map(
-                    check,
-                    hot,
-                    self.parallel_workers,
-                    min_items=_PARALLEL_PIECE_THRESHOLD,
-                )
-            )
         return any(check(piece) for piece in hot)
 
     # ------------------------------------------------------------------

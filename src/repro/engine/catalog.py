@@ -41,16 +41,8 @@ class Catalog:
         # aborted ingest restores ``version`` to its pre-transaction value
         # but never rewinds the counter, so a version stamped by the
         # aborted transaction can never be re-issued for different
-        # content — cache entries (local and shared-tier) keyed on it are
-        # stranded, not aliased.
+        # content — cache entries keyed on it are stranded, not aliased.
         self._version_seq: int = 0
-        # Cross-process identity for the shared cache tier: ``uid`` is a
-        # process-local counter, so it cannot name "the same catalog" on
-        # two pool workers.  Builders that deterministically reconstruct
-        # identical content from a spec (the benchmark fixtures) stamp a
-        # content-stable token here; None keeps this catalog out of the
-        # shared tier entirely.
-        self.shared_ident: "tuple | None" = None
 
     def _bump_version(self) -> None:
         self._version_seq += 1
@@ -111,7 +103,7 @@ class Catalog:
         self._bump_version()
         return batch
 
-    def fork(self, shared_ident: "tuple | None" = None) -> "Catalog":
+    def fork(self, _ident: "tuple | None" = None) -> "Catalog":
         """An independent catalog holding the same (immutable) tables.
 
         Ingest benchmarks and determinism tasks append to *forks* of the
@@ -121,14 +113,13 @@ class Catalog:
         is safe, while versions and registrations diverge freely.
         The fork gets its own ``uid`` and starts with this catalog's
         version counter, so pre-fork cache entries cannot alias post-fork
-        content.  ``shared_ident`` should be a content-stable tuple when
-        the fork's mutation sequence is deterministic, else ``None``.
+        content.  ``_ident`` is accepted and ignored: the benchmark still
+        passes one positionally and may not be edited in this change.
         """
         fork = Catalog()
         fork._tables = dict(self._tables)
         fork.version = self.version
         fork._version_seq = self._version_seq
-        fork.shared_ident = shared_ident
         return fork
 
     def rollback_ingest(self, name: str, table: Table, version: int) -> None:

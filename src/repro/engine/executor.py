@@ -104,12 +104,10 @@ class Executor:
         ledger = ledger if ledger is not None else CostLedger(self.context.cluster)
         analysis = analyze_plan(plan)  # boundaries + job count, one traversal
         key = None
-        shared = None
         if use_cache and not self._capture_targets and result_cache.eligible(ledger):
             key = result_cache.ResultCache.key_for(plan, analysis, self.context)
             if key is not None:
-                shared = result_cache.ResultCache.shared_parts(plan, analysis, self.context)
-                entry = result_cache.GLOBAL.lookup_through(key, shared)
+                entry = result_cache.GLOBAL.lookup(key)
                 if entry is not None:
                     table = result_cache.ResultCache.replay(entry, ledger)
                     return ExecutionResult(table, ledger)
@@ -118,7 +116,7 @@ class Executor:
         if analysis.job_ops == 0:
             ledger.charge_jobs(1)
         if key is not None:
-            result_cache.GLOBAL.store(key, table, ledger, shared)
+            result_cache.GLOBAL.store(key, table, ledger)
         return ExecutionResult(table, ledger)
 
     def execute_with_capture(

@@ -46,7 +46,6 @@ exactly like every other acceleration cache.
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING
@@ -54,7 +53,6 @@ from typing import TYPE_CHECKING
 from repro.caches import register_cache
 from repro.engine.cost import CostLedger
 from repro.engine.table import Table
-from repro.parallel import shared_cache
 
 if TYPE_CHECKING:
     from repro.engine.executor import ExecutionContext
@@ -127,45 +125,6 @@ class ResultCache:
         catalog = context.catalog
         return (catalog.uid, catalog.version, pool_key, context.cluster, plan)
 
-    @staticmethod
-    def shared_parts(
-        plan: "Plan", analysis: "PlanAnalysis", context: "ExecutionContext"
-    ) -> "tuple | None":
-        """``(key_bytes, version_token)`` for the cross-worker shared tier,
-        or ``None`` when this execution may not use it.
-
-        The shared tier splits :meth:`key_for` into an *identity* (hashed
-        into the key) and the *versions* it was computed at (the token a
-        ``get`` must match exactly).  Identity swaps the process-local
-        ``catalog.uid`` / ``pool.uid`` counters for the content-stable
-        ``shared_ident`` stamped by fixture builders — two workers that
-        deterministically rebuilt the same spec carry the same ident, two
-        different fixtures never do.  Executions whose catalog or pool
-        carries no ident simply skip the tier.
-        """
-        catalog = context.catalog
-        catalog_ident = getattr(catalog, "shared_ident", None)
-        if catalog_ident is None:
-            return None
-        if analysis.has_materialized:
-            pool = context.pool
-            if pool is None:
-                return None
-            pool_ident = getattr(pool, "shared_ident", None)
-            if pool_ident is None:
-                return None
-            pool_part = (pool_ident, analysis.view_ids)
-            versions = tuple(
-                pool.cover_version(view_id) for view_id in analysis.view_ids
-            )
-        else:
-            pool_part = None
-            versions = None
-        key = shared_cache.stable_key(
-            "result", (catalog_ident, pool_part, context.cluster, plan)
-        )
-        return (key, (catalog.version, versions))
-
     # -- lookup/store --------------------------------------------------
     def lookup(self, key: tuple) -> "_Entry | None":
         with self._lock:
@@ -177,63 +136,8 @@ class ResultCache:
             self.hits += 1
             return entry
 
-    def lookup_through(self, key: tuple, shared: "tuple | None" = None) -> "_Entry | None":
-        """Local lookup falling through to the shared tier on a miss.
-
-        A shared hit is unpickled and installed locally (so repeats skip
-        the round trip) — except for ``prefer_shared`` clients (the
-        serving layer's reader threads), which consult the shared tier
-        *first* precisely to stay off this cache's LRU lock and therefore
-        never write back into it on the read path.
-        """
-        client = shared_cache.client()
-        if client is not None and client.prefer_shared and shared is not None:
-            entry = self._shared_lookup(client, shared)
-            if entry is not None:
-                return entry
-            return self.lookup(key)
-        entry = self.lookup(key)
-        if entry is not None:
-            return entry
-        if client is None or shared is None:
-            return None
-        entry = self._shared_lookup(client, shared)
-        if entry is not None:
-            self._install(key, entry)
-        return entry
-
-    def _shared_lookup(self, client, shared: tuple) -> "_Entry | None":
-        key_bytes, version = shared
-        payload = client.get("result", key_bytes, version)
-        if payload is None:
-            return None
-        table, charges = pickle.loads(payload)
-        return _Entry(table, charges, table.memory_bytes())
-
-    def _install(self, key: tuple, entry: _Entry) -> None:
-        """Adopt a shared-tier hit into the local LRU (no publish-back)."""
-        if entry.nbytes > self.max_bytes:
-            return
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = entry
-            self._bytes += entry.nbytes
-            while self._bytes > self.max_bytes and self._entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                self.evictions += 1
-
-    def store(
-        self,
-        key: tuple,
-        table: Table,
-        ledger: CostLedger,
-        shared: "tuple | None" = None,
-    ) -> None:
+    def store(self, key: tuple, table: Table, ledger: CostLedger) -> None:
         charges = ledger.snapshot()
-        if shared is not None:
-            self._publish(table, charges, shared)
         nbytes = table.memory_bytes()
         if nbytes > self.max_bytes:
             return
@@ -246,18 +150,6 @@ class ResultCache:
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
                 self.evictions += 1
-
-    @staticmethod
-    def _publish(table: Table, charges: CostLedger, shared: tuple) -> None:
-        client = shared_cache.client()
-        if client is None:
-            return
-        if table.memory_bytes() > client.admission.max_bytes:
-            return  # would be rejected anyway; skip the pickling cost
-        key_bytes, version = shared
-        payload = pickle.dumps((table, charges), protocol=pickle.HIGHEST_PROTOCOL)
-        if client.admit("result", len(payload)):
-            client.put("result", key_bytes, version, payload)
 
     @staticmethod
     def replay(entry: _Entry, ledger: CostLedger) -> Table:

@@ -31,13 +31,11 @@ recomputed ones.
 
 from __future__ import annotations
 
-import pickle
 import weakref
 from bisect import insort
 
 from repro.caches import register_cache
 from repro.matching.partition_match import CoveredFragment, greedy_cover
-from repro.parallel import shared_cache
 from repro.partitioning.intervals import Interval, IntervalIndex, sort_key
 from repro.storage.pool import CoverDelta, MaterializedViewPool
 
@@ -105,52 +103,12 @@ class CoverCache:
             self.invalidations += 1
             self.invalidations_by_view[view_id] = self.invalidations_by_view.get(view_id, 0) + 1
         self.misses += 1
-        shared = self._shared_key(view_id, attr, theta)
-        if shared is not None:
-            fetched = self._shared_lookup(shared, version)
-            if fetched is not _ABSENT:
-                if len(bucket) >= _MAX_COVERS_PER_VIEW:
-                    bucket.pop(next(iter(bucket)))
-                    self.evictions += 1
-                bucket[memo_key] = (version, fetched)
-                return fetched
         result = greedy_cover(theta, [], index=self._index_for(view_id, attr, version))
-        if shared is not None:
-            self._shared_publish(shared, version, result)
         if len(bucket) >= _MAX_COVERS_PER_VIEW:
             bucket.pop(next(iter(bucket)))
             self.evictions += 1
         bucket[memo_key] = (version, result)
         return result
-
-    # ------------------------------------------------------------------
-    # Shared tier (cross-worker covers, same per-view version validation)
-    # ------------------------------------------------------------------
-    def _shared_key(self, view_id: str, attr: str, theta: Interval) -> "bytes | None":
-        client = shared_cache.client()
-        if client is None:
-            return None
-        pool_ident = getattr(self.pool, "shared_ident", None)
-        if pool_ident is None:
-            return None
-        return shared_cache.stable_key("cover", (pool_ident, view_id, attr, theta))
-
-    def _shared_lookup(self, key: bytes, version: int):
-        """A published cover at exactly ``version``, else ``_ABSENT``.
-
-        Covers may legitimately be ``None`` (θ not coverable), so the
-        sentinel distinguishes "shared miss" from a cached None.
-        """
-        payload = shared_cache.client().get("cover", key, version)
-        if payload is None:
-            return _ABSENT
-        return pickle.loads(payload)
-
-    def _shared_publish(self, key: bytes, version: int, result) -> None:
-        client = shared_cache.client()
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        if client.admit("cover", len(payload)):
-            client.put("cover", key, version, payload)
 
     def _index_for(self, view_id: str, attr: str, version: int) -> IntervalIndex:
         key = (view_id, attr)

@@ -36,14 +36,12 @@ fragments, per-piece clip masks, and the post-concat selection pass.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from repro.caches import register_cache
-from repro.parallel import shared_cache
 from repro.partitioning.intervals import Interval
 from repro.query.predicates import RangePredicate
 
@@ -152,14 +150,8 @@ class FragmentPruneCache:
             view_counts = self.invalidations_by_view
             view_counts[scan.view_id] = view_counts.get(scan.view_id, 0) + 1
             entry = None
-        shared_key = None
         if entry is None:
-            shared_key = self._shared_key(pool, scan, shape, constants)
-            decisions = None
-            if shared_key is not None:
-                decisions = self._shared_lookup(shared_key, version)
-            if decisions is None:
-                decisions = {}
+            decisions = {}
             self._entries[key] = (version, decisions)
             self.misses += 1
         else:
@@ -167,42 +159,13 @@ class FragmentPruneCache:
             self.hits += 1
         clips = scan.clips or (None,) * len(scan.fragment_ids)
         out = []
-        computed = 0
         for fid, clip in zip(scan.fragment_ids, clips):
             decision = decisions.get((fid, clip))
             if decision is None:
                 decision = self._decide(pool, scan.attr, fid, clip, intersection)
                 decisions[(fid, clip)] = decision
-                computed += 1
             out.append(decision)
-        if computed and shared_key is not None:
-            self._shared_publish(shared_key, version, decisions)
         return out
-
-    # -- shared tier (cross-worker decisions, cover-version validated) --
-    def _shared_key(self, pool, scan, shape, constants) -> "bytes | None":
-        if shared_cache.client() is None:
-            return None
-        pool_ident = getattr(pool, "shared_ident", None)
-        if pool_ident is None:
-            return None
-        return shared_cache.stable_key(
-            "fragment", (pool_ident, scan.view_id, scan.attr, shape, constants)
-        )
-
-    @staticmethod
-    def _shared_lookup(key: bytes, version: int) -> "dict | None":
-        payload = shared_cache.client().get("fragment", key, version)
-        if payload is None:
-            return None
-        return pickle.loads(payload)
-
-    @staticmethod
-    def _shared_publish(key: bytes, version: int, decisions: dict) -> None:
-        client = shared_cache.client()
-        payload = pickle.dumps(decisions, protocol=pickle.HIGHEST_PROTOCOL)
-        if client.admit("fragment", len(payload)):
-            client.put("fragment", key, version, payload)
 
     def _decide(self, pool, attr: str, fid: str, clip, intersection) -> PieceDecision:
         eff = intersection

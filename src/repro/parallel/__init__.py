@@ -2,19 +2,20 @@
 
 The experiment suite runs independent units of work — (system variant ×
 workload) runs inside :func:`repro.bench.harness.run_systems`, whole
-benchmark figures inside ``python -m repro run all``, and side-effect-free
-partitioning-candidate evaluations inside the refinement filter — strictly
-serially in the seed.  All of them share nothing but read-only inputs, so
-this package fans them out over a process pool and merges the result
+benchmark figures inside ``python -m repro run all`` — strictly serially
+in the seed.  All of them share nothing but read-only inputs, so this
+package fans them out over a process pool and merges the result
 streams back in *canonical task order*, making every ledger and table
 byte-identical to a serial run for any worker count.
 
 Three modules:
 
-* :mod:`repro.parallel.pool` — the executor: :func:`~repro.parallel.pool.
-  fan_out` runs thunks over forked workers (each initialized with
-  :func:`repro.caches.clear_all_caches` for isolation) and returns results
-  indexed by task position, never by completion order.
+* :mod:`repro.parallel.pool` — the executor: one pool loop over forked
+  workers with two policies, :func:`~repro.parallel.pool.fan_out` (one
+  task per dispatch, workers initialized with
+  :func:`repro.caches.clear_all_caches` for isolation) and
+  :func:`~repro.parallel.pool.steal_map` (chunked, warm-forked workers);
+  both return results indexed by task position, never by completion order.
 * :mod:`repro.parallel.tasks` — picklable task specs (fixture + system
   factory + workload slice instead of live objects), so units of work can
   cross process boundaries without dragging megabyte tables along.
@@ -28,7 +29,7 @@ from repro.parallel.determinism import (
     fingerprint,
     result_fingerprint,
 )
-from repro.parallel.pool import batch_map, fan_out, steal_map
+from repro.parallel.pool import fan_out, steal_map
 from repro.parallel.tasks import FixtureSpec, RunTask, SystemSpec, WorkloadSpec
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "RunTask",
     "SystemSpec",
     "WorkloadSpec",
-    "batch_map",
     "diff_results",
     "fan_out",
     "fingerprint",

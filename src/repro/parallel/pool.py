@@ -1,6 +1,9 @@
 """The process-pool executor: deterministic fan-out of independent tasks.
 
-Design constraints, in order:
+One parent loop (:func:`_run_pool`) with two public policies:
+:func:`fan_out` — chunks of one task, cold workers, optional per-task
+timeout — and :func:`steal_map` — chunked work stealing over warm-forked
+workers with per-worker stats.  Design constraints, in order:
 
 1. **Determinism.**  Results are returned in *task order*, never in
    completion or submission order.  Workers return ``(index, value)``
@@ -18,13 +21,13 @@ Design constraints, in order:
    cheap.  On platforms without ``fork`` the executor degrades to serial
    execution (same results, no speedup) unless every task is picklable —
    use :mod:`repro.parallel.tasks` specs to guarantee that.
-3. **Isolation.**  Every worker starts by calling
+3. **Isolation.**  Every cold worker starts by calling
    :func:`repro.caches.clear_all_caches`: nothing cached in the parent
    before the fork can influence a worker's run, and — because caches
    auto-register with :mod:`repro.caches` on import — a newly added cache
    cannot be missed.  The caches are semantically transparent, so this is
    belt-and-braces for byte-identical ledgers, not a correctness
-   requirement.
+   requirement — which is why :func:`steal_map` may fork its workers warm.
 4. **No hangs.**  The parent owns one pipe per worker and multiplexes
    them with :func:`multiprocessing.connection.wait`, so a worker that
    dies (crash, OOM-kill, ``os._exit``) surfaces as EOF on its pipe
@@ -38,6 +41,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import time
@@ -46,16 +50,15 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any, Callable, Sequence, TypeVar
 
+from repro import caches
 from repro.errors import WorkerCrashError
-from repro.parallel import shared_cache
 
 T = TypeVar("T")
-U = TypeVar("U")
 
 # Tasks inherited by forked workers (see module docstring, point 2).
-# Only ever non-None inside a `fan_out` call; parallel sections do not
-# nest (a worker that calls fan_out again runs its tasks serially, since
-# its own _TASKS is set — the guard in fan_out).
+# Only ever non-None inside a pool call; parallel sections do not nest (a
+# worker that calls fan_out / steal_map again runs its tasks serially,
+# since its own _TASKS is set — the guard in _run_pool).
 _TASKS: "Sequence[Callable[[], Any]] | None" = None
 
 # How long to wait for a killed worker process to be reaped before
@@ -63,61 +66,57 @@ _TASKS: "Sequence[Callable[[], Any]] | None" = None
 _REAP_GRACE_S = 2.0
 
 
-def _worker_init() -> None:
-    """Per-worker startup: drop every cache forked from the parent."""
-    from repro.caches import clear_all_caches
+def _worker_main(conn, warm: bool) -> None:
+    """Worker loop: receive chunks of tasks, send one result per task.
 
-    clear_all_caches()
+    A message from the parent is one chunk — a list of ``(index, attempt,
+    crashes)`` units — or ``None``, the stop sentinel.  Each finished
+    task goes back individually as ``("ok", index, value)`` (or ``("err",
+    index, exc)``), so the parent slots results and accounts crashes at
+    task granularity whatever the chunking.  ``crashes`` is the task's
+    entry in the caller's ``fault_plan``: while ``attempt <= crashes``
+    the worker dies via ``os._exit`` *before* running the task — an
+    honest hard crash (no exception, no cleanup, just a dead process and
+    an EOF on the pipe) used by the chaos tests to prove the parent's
+    crash detection end to end.
 
-
-def _install_worker_client(conn, shared_on: bool, arena_path: "str | None") -> None:
-    """Point this worker's shared-tier hooks at the parent, or at nothing.
-
-    Always called, even with the tier off: a forked worker may inherit
-    the parent's installed client (e.g. the serving layer's in-process
-    one), which would silently operate on the worker's private copy of
-    the parent's server — installing ``None`` severs that.
+    A cold worker (``warm=False``) starts by dropping every cache forked
+    from the parent; a warm one *keeps* them (result cache, cover cache,
+    match memo, fixtures...).  The caches are semantically transparent,
+    so outputs are byte-identical either way — warm workers just turn
+    repeated fixture builds and index probes into fork-shared hits.  On
+    stop the worker reports what it did: ``("stats", pid, {"tasks": n,
+    "caches": <counter deltas since startup>})``.
     """
-    client = shared_cache.PipeClient(conn, arena_path) if shared_on else None
-    shared_cache.install_client(client)
-    shared_cache.install_server(None)
-
-
-def _worker_main(conn, shared_on: bool = False, arena_path: "str | None" = None) -> None:
-    """Worker loop: receive ``(index, attempt, crashes)``, send results.
-
-    ``crashes`` is the task's entry in the caller's ``fault_plan``: while
-    ``attempt <= crashes`` the worker dies via ``os._exit`` *before*
-    running the task — an honest hard crash (no exception, no cleanup,
-    just a dead process and an EOF on the pipe) used by the chaos tests
-    to prove the parent's crash detection end to end.  A ``None`` index
-    is the shutdown sentinel.
-
-    With ``shared_on`` the worker speaks shared-cache frames over the
-    same ``conn`` between tasks' request/response pairs (the parent loop
-    multiplexes them); cache lookups happen strictly mid-task, so a
-    cache reply can never be confused with a task dispatch.
-    """
-    _install_worker_client(conn, shared_on, arena_path)
-    _worker_init()
+    if not warm:
+        caches.clear_all_caches()
+    before = caches.cache_stats()
+    ran = 0
     while True:
         try:
-            index, attempt, crashes = conn.recv()
+            units = conn.recv()
         except (EOFError, OSError):
             return
-        if index is None:
-            return
-        if attempt <= crashes:
-            os._exit(17)
-        try:
-            value = _TASKS[index]()
-        except BaseException as exc:  # propagate to the parent, keep serving
+        if units is None:
             try:
-                conn.send(("err", index, exc))
+                delta = caches.stats_delta(before, caches.cache_stats())
+                conn.send(("stats", os.getpid(), {"tasks": ran, "caches": delta}))
             except Exception:
-                conn.send(("err", index, RuntimeError(repr(exc))))
-            continue
-        conn.send(("ok", index, value))
+                pass
+            return
+        for index, attempt, crashes in units:
+            if attempt <= crashes:
+                os._exit(17)
+            try:
+                value = _TASKS[index]()
+            except BaseException as exc:  # propagate to the parent, keep serving
+                try:
+                    conn.send(("err", index, exc))
+                except Exception:
+                    conn.send(("err", index, RuntimeError(repr(exc))))
+                continue
+            ran += 1
+            conn.send(("ok", index, value))
 
 
 @dataclass
@@ -126,29 +125,13 @@ class _Worker:
 
     proc: Any
     conn: Any
-    # fan_out: the in-flight task index.  steal_map: the set of task
-    # indexes of the claimed chunk still awaiting results.
-    current: "int | set[int] | None" = None
+    # Task indexes of the dispatched chunk still awaiting results.
+    current: "set[int] | None" = None
     deadline: "float | None" = None
 
     @property
     def alive(self) -> bool:
         return self.proc.is_alive()
-
-    def shutdown(self) -> None:
-        try:
-            if self.alive:
-                self.conn.send((None, 0, 0))
-        except (BrokenPipeError, OSError):
-            pass
-        self.proc.join(_REAP_GRACE_S)
-        if self.alive:
-            self.proc.terminate()
-            self.proc.join(_REAP_GRACE_S)
-        if self.alive:
-            self.proc.kill()
-            self.proc.join()
-        self.conn.close()
 
     def kill(self) -> None:
         self.proc.terminate()
@@ -157,6 +140,29 @@ class _Worker:
             self.proc.kill()
             self.proc.join()
         self.conn.close()
+
+    def shutdown(self) -> "dict | None":
+        """Stop the worker, harvesting its final stats message.
+
+        A worker can still be mid-chunk when the stop is queued (the pool
+        is unwinding on an error), so trailing result frames may precede
+        the stats; they are drained and dropped.
+        """
+        stats = None
+        try:
+            if self.alive:
+                self.conn.send(None)
+                while self.conn.poll(_REAP_GRACE_S):
+                    message = self.conn.recv()
+                    if message[0] == "stats":
+                        stats = {"pid": message[1], **message[2]}
+                        break
+        except (EOFError, OSError):
+            pass
+        if stats is not None:
+            self.proc.join(_REAP_GRACE_S)  # it is exiting on its own
+        self.kill()
+        return stats
 
 
 def default_workers() -> int:
@@ -171,6 +177,159 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def _run_pool(
+    tasks: Sequence[Callable[[], T]],
+    workers: int,
+    *,
+    chunk_size: int,
+    warm: bool,
+    submission_order: "Sequence[int] | None",
+    retries: int,
+    task_timeout: "float | None",
+    fault_plan: "dict[int, int] | None",
+    worker_stats: "list[dict] | None",
+) -> list[T]:
+    """The one pool loop behind :func:`fan_out` and :func:`steal_map`.
+
+    The parent keeps a deque of chunks and one pipe per worker,
+    multiplexed with :func:`multiprocessing.connection.wait`: an idle
+    worker's drained pipe *is* its pull of the next chunk.  A worker that
+    dies (EOF), outlives ``task_timeout`` on one dispatch, or turns out
+    to have died while idle (the dispatch's send fails) is killed, the
+    unfinished remainder of its chunk goes back to the *front* of the
+    deque so its retry budget settles before new work starts, and a fresh
+    worker takes the slot.
+    """
+    global _TASKS
+    tasks = list(tasks)
+    order = list(range(len(tasks))) if submission_order is None else list(submission_order)
+    if sorted(order) != list(range(len(tasks))):
+        raise ValueError("submission_order must be a permutation of the task indexes")
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+
+    results: list[Any] = [None] * len(tasks)
+    serial = (
+        workers <= 1
+        or len(tasks) <= 1
+        or not fork_available()
+        or _TASKS is not None  # nested call from inside a pool worker
+    )
+    if serial:
+        before = caches.cache_stats() if worker_stats is not None else None
+        for index in order:
+            results[index] = tasks[index]()
+        if worker_stats is not None:
+            delta = caches.stats_delta(before, caches.cache_stats())
+            worker_stats.append({"pid": os.getpid(), "tasks": len(tasks), "caches": delta})
+        return results
+
+    if chunk_size <= 0:
+        chunk_size = max(1, len(tasks) // (workers * 4))
+    pending: deque[list[int]] = deque(
+        order[i : i + chunk_size] for i in range(0, len(order), chunk_size)
+    )
+    fault_plan = fault_plan or {}
+    dispatches = [0] * len(tasks)
+    context = multiprocessing.get_context("fork")
+
+    def spawn() -> _Worker:
+        parent_conn, child_conn = context.Pipe()
+        proc = context.Process(target=_worker_main, args=(child_conn, warm), daemon=True)
+        proc.start()
+        # Close the child end immediately: after this, the only open copy
+        # lives in the child, so its death is an EOF on parent_conn.
+        child_conn.close()
+        return _Worker(proc, parent_conn)
+
+    def dispatch(worker: _Worker, chunk: list[int]) -> None:
+        units = []
+        for index in chunk:
+            if dispatches[index] > retries:
+                raise WorkerCrashError(
+                    f"task {index} lost its worker {dispatches[index]} time(s); "
+                    f"retry limit ({retries}) exhausted",
+                    index=index,
+                    dispatches=dispatches[index],
+                )
+            dispatches[index] += 1
+            units.append((index, dispatches[index], fault_plan.get(index, 0)))
+        worker.current = set(chunk)
+        if task_timeout is not None:
+            worker.deadline = time.monotonic() + task_timeout
+        worker.conn.send(units)
+
+    def replace(slot: int) -> None:
+        worker = crew[slot]
+        worker.kill()
+        pending.appendleft(sorted(worker.current))
+        crew[slot] = spawn()
+
+    if warm:
+        # Freeze the parent heap before forking: the fixtures and warm
+        # caches the workers inherit stop being traversed by their cyclic
+        # GC, so the shared pages stay copy-on-write-clean instead of being
+        # privately duplicated into every worker the first time its GC
+        # walks them.
+        gc.collect()  # don't freeze garbage into every child
+        gc.freeze()
+    _TASKS = tasks
+    crew = [spawn() for _ in range(min(workers, len(pending)))]
+    done = 0
+    try:
+        while done < len(tasks):
+            for slot, worker in enumerate(crew):
+                if worker.current is None and pending:
+                    chunk = pending.popleft()
+                    try:
+                        dispatch(worker, chunk)
+                    except OSError:
+                        # The idle worker died between chunks; the chunk was
+                        # never received, so it keeps its dispatch budget.
+                        for index in chunk:
+                            dispatches[index] -= 1
+                        replace(slot)
+            busy = [w for w in crew if w.current is not None]
+            if not busy:
+                # Every dispatch of this pass failed on a dead pipe; loop
+                # back to hand the re-queued chunks to the fresh workers
+                # instead of waiting on an empty pipe set (never wakes).
+                continue
+            wait_for = None
+            if task_timeout is not None:
+                wait_for = max(min(w.deadline for w in busy) - time.monotonic(), 0.0)
+            ready = connection.wait([w.conn for w in busy], wait_for)
+            now = time.monotonic()
+            for slot, worker in enumerate(crew):
+                if worker.current is None:
+                    continue
+                if worker.conn not in ready:
+                    if worker.deadline is not None and now >= worker.deadline:
+                        replace(slot)
+                    continue
+                try:
+                    kind, index, payload = worker.conn.recv()
+                except (EOFError, OSError):
+                    replace(slot)
+                    continue
+                if kind == "err":
+                    raise payload
+                results[index] = payload
+                done += 1
+                worker.current.discard(index)
+                if not worker.current:
+                    worker.current = None
+    finally:
+        _TASKS = None
+        if warm:
+            gc.unfreeze()
+        for worker in crew:
+            stats = worker.shutdown()
+            if stats is not None and worker_stats is not None:
+                worker_stats.append(stats)
+    return results
+
+
 def fan_out(
     tasks: Sequence[Callable[[], T]],
     workers: int = 0,
@@ -179,9 +338,12 @@ def fan_out(
     retries: int = 1,
     task_timeout: "float | None" = None,
     fault_plan: "dict[int, int] | None" = None,
-    shared: "shared_cache.SharedCacheServer | None" = None,
 ) -> list[T]:
     """Run independent thunks, results in task order for any worker count.
+
+    The static policy of the pool loop: chunks of one task, cold workers
+    (every cache forked from the parent is dropped at worker start), and
+    an optional ``task_timeout``.
 
     ``workers <= 1`` (or a single task, or a platform without ``fork``,
     or a nested call from inside a worker) runs serially in-process —
@@ -201,207 +363,18 @@ def fan_out(
     worker_kill_plan`).  Because results are slotted by index and each
     re-run executes the identical thunk, crashes perturb scheduling only
     — outputs are byte-identical to a crash-free run.
-
-    ``shared`` plugs in a :class:`~repro.parallel.shared_cache.
-    SharedCacheServer`: the parent loop answers cache request frames
-    alongside task results and workers publish what they compute, so an
-    entry one worker paid for is a hit for every other.  The serial
-    fallback installs an in-process client against the same server, so
-    ``workers=1`` exercises the identical code path.
     """
-    global _TASKS
-    tasks = list(tasks)
-    order = list(range(len(tasks))) if submission_order is None else list(submission_order)
-    if sorted(order) != list(range(len(tasks))):
-        raise ValueError("submission_order must be a permutation of the task indexes")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-
-    serial = (
-        workers <= 1
-        or len(tasks) <= 1
-        or not fork_available()
-        or _TASKS is not None  # nested fan-out inside a worker
+    return _run_pool(
+        tasks,
+        workers,
+        chunk_size=1,
+        warm=False,
+        submission_order=submission_order,
+        retries=retries,
+        task_timeout=task_timeout,
+        fault_plan=fault_plan,
+        worker_stats=None,
     )
-    results: list[Any] = [None] * len(tasks)
-    if serial:
-        prior_client = (
-            shared_cache.install_client(shared_cache.InProcessClient(shared))
-            if shared is not None
-            else None
-        )
-        try:
-            for index in order:
-                results[index] = tasks[index]()
-        finally:
-            if shared is not None:
-                shared_cache.install_client(prior_client)
-        return results
-
-    context = multiprocessing.get_context("fork")
-    fault_plan = dict(fault_plan or {})
-    max_dispatches = retries + 1
-    pending: deque[int] = deque(order)
-    dispatches = [0] * len(tasks)
-
-    def spawn() -> _Worker:
-        parent_conn, child_conn = context.Pipe()
-        proc = context.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                shared is not None,
-                shared.arena_path if shared is not None else None,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        # Close the child end immediately: after this, the only open copy
-        # lives in the child, so its death is an EOF on parent_conn.
-        child_conn.close()
-        return _Worker(proc, parent_conn)
-
-    _TASKS = tasks
-    crew = [spawn() for _ in range(min(workers, len(tasks)))]
-    done = 0
-    try:
-        while done < len(tasks):
-            for slot, worker in enumerate(crew):
-                if worker.current is None and pending:
-                    index = pending.popleft()
-                    if dispatches[index] >= max_dispatches:
-                        raise WorkerCrashError(
-                            f"task {index} lost its worker "
-                            f"{dispatches[index]} time(s); retry limit "
-                            f"({retries}) exhausted",
-                            index=index,
-                            dispatches=dispatches[index],
-                        )
-                    dispatches[index] += 1
-                    worker.current = index
-                    worker.deadline = (
-                        time.monotonic() + task_timeout
-                        if task_timeout is not None
-                        else None
-                    )
-                    try:
-                        worker.conn.send(
-                            (index, dispatches[index], fault_plan.get(index, 0))
-                        )
-                    except (BrokenPipeError, OSError):
-                        # The idle worker died between tasks; the task was
-                        # never received, so it keeps its dispatch budget
-                        # and goes back to the queue front for the fresh
-                        # worker picked up on the next pass.
-                        dispatches[index] -= 1
-                        worker.kill()
-                        crew[slot] = spawn()
-                        pending.appendleft(index)
-            busy = [w for w in crew if w.current is not None]
-            if not busy:
-                # Every in-flight dispatch just failed on a dead pipe;
-                # loop back to hand the re-queued tasks to fresh workers.
-                continue
-            wait_for = None
-            if task_timeout is not None:
-                soonest = min(w.deadline for w in busy)
-                wait_for = max(soonest - time.monotonic(), 0.0)
-            ready = set(connection.wait([w.conn for w in busy], wait_for))
-            now = time.monotonic()
-            for slot, worker in enumerate(crew):
-                if worker.current is None:
-                    continue
-                crashed = None
-                if worker.conn in ready:
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        crashed = "died"
-                    else:
-                        if message[0] in shared_cache.CACHE_FRAMES:
-                            # Mid-task cache traffic: answer and leave the
-                            # worker busy on its current task (a queued
-                            # follow-up frame re-readies the pipe).
-                            reply = shared.handle(message) if shared is not None else None
-                            if message[0] == shared_cache.GET_FRAME:
-                                try:
-                                    worker.conn.send(
-                                        reply if reply is not None else shared_cache.MISS_REPLY
-                                    )
-                                except (BrokenPipeError, OSError):
-                                    crashed = "died"
-                        else:
-                            kind, index, payload = message
-                            if kind == "err":
-                                raise payload
-                            results[index] = payload
-                            worker.current = None
-                            done += 1
-                elif worker.deadline is not None and now >= worker.deadline:
-                    crashed = f"exceeded task_timeout={task_timeout}s"
-                if crashed is not None:
-                    index = worker.current
-                    worker.kill()
-                    # Orphaned task goes to the queue front so its retry
-                    # budget is settled before new work is started.
-                    pending.appendleft(index)
-                    crew[slot] = spawn()
-    finally:
-        _TASKS = None
-        for worker in crew:
-            worker.shutdown()
-    return results
-
-
-def _steal_worker_main(
-    conn, warm: bool, shared_on: bool = False, arena_path: "str | None" = None
-) -> None:
-    """Persistent steal-pool worker: pull chunks, push per-task results.
-
-    Messages from the parent are ``("run", units)`` — one chunk of
-    ``(index, attempt, crashes)`` units pulled off the shared deque — or
-    ``("stop",)``.  Each finished task is sent back individually as
-    ``("ok", index, value)``, so the parent can slot results (and account
-    crashes) at task granularity even though scheduling is chunked.  With
-    ``warm=True`` the worker *keeps* every cache forked from the parent
-    (result cache, cover cache, match memo, fixtures...) instead of
-    starting cold; the caches are semantically transparent, so outputs
-    stay byte-identical while repeated fixture builds and index probes
-    become fork-shared hits.  On ``stop`` the worker reports what it did:
-    ``("stats", pid, {"tasks": n, "caches": <counter deltas>})``.
-    """
-    from repro import caches
-
-    _install_worker_client(conn, shared_on, arena_path)
-    if not warm:
-        caches.clear_all_caches()
-    before = caches.snapshot_stats()
-    ran = 0
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message[0] == "stop":
-            try:
-                delta = caches.stats_delta(before, caches.snapshot_stats())
-                conn.send(("stats", os.getpid(), {"tasks": ran, "caches": delta}))
-            except Exception:
-                pass
-            return
-        for index, attempt, crashes in message[1]:
-            if attempt <= crashes:
-                os._exit(17)
-            try:
-                value = _TASKS[index]()
-            except BaseException as exc:  # propagate to the parent
-                try:
-                    conn.send(("err", index, exc))
-                except Exception:
-                    conn.send(("err", index, RuntimeError(repr(exc))))
-                continue
-            ran += 1
-            conn.send(("ok", index, value))
 
 
 def steal_map(
@@ -414,21 +387,17 @@ def steal_map(
     retries: int = 1,
     fault_plan: "dict[int, int] | None" = None,
     worker_stats: "list[dict] | None" = None,
-    shared: "shared_cache.SharedCacheServer | None" = None,
 ) -> list[T]:
     """Run thunks over a work-stealing pool; results in task order.
 
-    Where :func:`fan_out` hands exactly one task to a worker and waits,
-    this scheduler keeps a shared deque of *chunks* (``chunk_size`` task
-    indexes each; default splits the workload about four chunks per
-    worker) and persistent workers that pull the next chunk the moment
-    they finish one — so an unlucky worker stuck with a long task no
-    longer idles the rest of the pool the way a static split does.  The
-    deque lives in the parent, which multiplexes every worker pipe: an
-    idle worker's drained pipe *is* its pull, and a worker death is an
-    EOF, never a hang.  Workers fork **warm** by default (see
-    :func:`_steal_worker_main`): the parent's caches are shared read-only
-    into every worker at pool start.
+    The stealing policy of the pool loop: the deque holds *chunks*
+    (``chunk_size`` task indexes each; default splits the workload about
+    four chunks per worker) and persistent workers pull the next chunk
+    the moment they finish one — so an unlucky worker stuck with a long
+    task no longer idles the rest of the pool the way a static split
+    does.  Workers fork **warm** by default (see :func:`_worker_main`):
+    the parent's caches are shared copy-on-write into every worker at
+    pool start, with the parent heap frozen out of their cyclic GC.
 
     Determinism contract unchanged from :func:`fan_out`: results are
     slotted by task index, so any chunking, any steal order, any
@@ -442,234 +411,15 @@ def steal_map(
     (``pid``, ``tasks`` completed, per-cache counter ``deltas``) — the
     per-worker section of the profile JSON.  The serial fallback appends
     a single self-entry so callers see a uniform shape.
-
-    ``shared`` attaches a cross-worker cache server exactly as in
-    :func:`fan_out`; here the warm fork makes it strictly additive —
-    whatever the parent cached pre-fork is copy-on-write shared, and the
-    shared tier carries what workers earn *after* the fork across the
-    pool.
     """
-    global _TASKS
-    tasks = list(tasks)
-    order = list(range(len(tasks))) if submission_order is None else list(submission_order)
-    if sorted(order) != list(range(len(tasks))):
-        raise ValueError("submission_order must be a permutation of the task indexes")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-
-    serial = (
-        workers <= 1
-        or len(tasks) <= 1
-        or not fork_available()
-        or _TASKS is not None  # nested call from inside a pool worker
+    return _run_pool(
+        tasks,
+        workers,
+        chunk_size=chunk_size,
+        warm=warm,
+        submission_order=submission_order,
+        retries=retries,
+        task_timeout=None,
+        fault_plan=fault_plan,
+        worker_stats=worker_stats,
     )
-    results: list[Any] = [None] * len(tasks)
-    if serial:
-        from repro import caches
-
-        prior_client = (
-            shared_cache.install_client(shared_cache.InProcessClient(shared))
-            if shared is not None
-            else None
-        )
-        try:
-            before = caches.snapshot_stats() if worker_stats is not None else None
-            for index in order:
-                results[index] = tasks[index]()
-            if worker_stats is not None:
-                delta = caches.stats_delta(before, caches.snapshot_stats())
-                worker_stats.append(
-                    {"pid": os.getpid(), "tasks": len(tasks), "caches": delta}
-                )
-        finally:
-            if shared is not None:
-                shared_cache.install_client(prior_client)
-        return results
-
-    if chunk_size <= 0:
-        chunk_size = max(1, len(tasks) // (workers * 4))
-    pending: deque[list[int]] = deque(
-        [order[i : i + chunk_size] for i in range(0, len(order), chunk_size)]
-    )
-    fault_plan = dict(fault_plan or {})
-    max_dispatches = retries + 1
-    dispatches = [0] * len(tasks)
-
-    context = multiprocessing.get_context("fork")
-
-    def spawn() -> _Worker:
-        parent_conn, child_conn = context.Pipe()
-        proc = context.Process(
-            target=_steal_worker_main,
-            args=(
-                child_conn,
-                warm,
-                shared is not None,
-                shared.arena_path if shared is not None else None,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        return _Worker(proc, parent_conn)
-
-    def dispatch(worker: _Worker, chunk: list[int]) -> None:
-        units = []
-        for index in chunk:
-            if dispatches[index] >= max_dispatches:
-                raise WorkerCrashError(
-                    f"task {index} lost its worker {dispatches[index]} time(s); "
-                    f"retry limit ({retries}) exhausted",
-                    index=index,
-                    dispatches=dispatches[index],
-                )
-            dispatches[index] += 1
-            units.append((index, dispatches[index], fault_plan.get(index, 0)))
-        worker.current = set(chunk)
-        worker.conn.send(("run", units))
-
-    # Freeze the parent heap before forking: the fixtures and warm caches
-    # the workers inherit stop being traversed by their cyclic GC, so the
-    # shared pages stay copy-on-write-clean instead of being privately
-    # duplicated into every worker the first time its GC walks them.
-    import gc
-
-    gc.collect()  # don't freeze garbage into every child
-    gc.freeze()
-
-    _TASKS = tasks
-    crew = [spawn() for _ in range(min(workers, len(pending)))]
-    done = 0
-    try:
-        while done < len(tasks):
-            for slot, worker in enumerate(crew):
-                if worker.current is None and pending:
-                    chunk = pending.popleft()
-                    try:
-                        dispatch(worker, chunk)
-                    except (BrokenPipeError, OSError):
-                        # The idle worker died between chunks; the chunk
-                        # was never received, so hand it to a fresh one.
-                        for index in chunk:
-                            dispatches[index] -= 1
-                        worker.kill()
-                        crew[slot] = spawn()
-                        dispatch(crew[slot], chunk)
-            busy = [w for w in crew if w.current is not None]
-            if not busy:
-                # All dispatches failed on dead pipes this pass; loop back
-                # to hand the re-queued chunks to fresh workers instead of
-                # waiting on an empty pipe set (which never wakes).
-                continue
-            ready = set(connection.wait([w.conn for w in busy]))
-            for slot, worker in enumerate(crew):
-                if worker.current is None or worker.conn not in ready:
-                    continue
-                try:
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    # Re-queue only what the dead worker had not finished,
-                    # at the front so its retry budget settles first.
-                    remainder = sorted(worker.current)
-                    worker.kill()
-                    pending.appendleft(remainder)
-                    crew[slot] = spawn()
-                    continue
-                if message[0] in shared_cache.CACHE_FRAMES:
-                    # Mid-task cache traffic; the worker stays busy on its
-                    # current chunk.
-                    reply = shared.handle(message) if shared is not None else None
-                    if message[0] == shared_cache.GET_FRAME:
-                        try:
-                            worker.conn.send(
-                                reply if reply is not None else shared_cache.MISS_REPLY
-                            )
-                        except (BrokenPipeError, OSError):
-                            remainder = sorted(worker.current)
-                            worker.kill()
-                            pending.appendleft(remainder)
-                            crew[slot] = spawn()
-                    continue
-                kind, index, payload = message
-                if kind == "err":
-                    raise payload
-                results[index] = payload
-                worker.current.discard(index)
-                done += 1
-                if not worker.current:
-                    worker.current = None
-    finally:
-        _TASKS = None
-        gc.unfreeze()
-        for worker in crew:
-            stats = _steal_shutdown(worker)
-            if stats is not None and worker_stats is not None:
-                worker_stats.append(stats)
-    return results
-
-
-def _steal_shutdown(worker: _Worker) -> "dict | None":
-    """Stop one steal worker, harvesting its final stats message.
-
-    A worker can still be mid-task when "stop" is queued, so leftover
-    cache frames may precede the stats message: publishes are dropped
-    (the tier is going away) and lookups get a canned miss so the task
-    can finish and the worker reach its stop handler.
-    """
-    stats = None
-    try:
-        if worker.alive:
-            worker.conn.send(("stop",))
-            while worker.conn.poll(_REAP_GRACE_S):
-                message = worker.conn.recv()
-                if message[0] == "stats":
-                    stats = {"pid": message[1], **message[2]}
-                    break
-                if message[0] == shared_cache.GET_FRAME:
-                    worker.conn.send(shared_cache.MISS_REPLY)
-                # cput / trailing ok frames: drained and dropped
-    except (EOFError, OSError, BrokenPipeError):
-        pass
-    worker.proc.join(_REAP_GRACE_S)
-    if worker.alive:
-        worker.proc.terminate()
-        worker.proc.join(_REAP_GRACE_S)
-    if worker.alive:
-        worker.proc.kill()
-        worker.proc.join()
-    worker.conn.close()
-    return stats
-
-
-def batch_map(
-    fn: Callable[[U], T],
-    items: Sequence[U],
-    workers: int = 0,
-    *,
-    min_items: int = 16,
-) -> list[T]:
-    """Map a pure function over items, fanning out only above a threshold.
-
-    Process fan-out has real fixed cost (fork + pipe per batch); for the
-    optimizer's candidate evaluations — microseconds each, usually a
-    handful per query — the serial path is the fast path.  Only a batch of
-    at least ``min_items`` with ``workers >= 2`` pays for a pool.  Results
-    are in item order either way.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) < max(min_items, 2):
-        return [fn(item) for item in items]
-    return fan_out([_Bound(fn, item) for item in items], workers)
-
-
-class _Bound:
-    """A picklable ``lambda: fn(item)`` (closures defeat spawn pickling)."""
-
-    __slots__ = ("fn", "item")
-
-    def __init__(self, fn: Callable, item: Any) -> None:
-        self.fn = fn
-        self.item = item
-
-    def __call__(self):
-        return self.fn(self.item)

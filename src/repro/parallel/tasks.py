@@ -152,17 +152,6 @@ class RunTask:
             system.clock = self.clock0
         if self.faults is not None:
             system.attach_faults(self.faults)
-        pool = getattr(system, "pool", None)
-        if pool is not None:
-            # Shared-cache identity: the whole frozen spec, because the
-            # pool's mutation sequence (and hence the content behind each
-            # cover version) is a deterministic function of exactly
-            # (fixture, system options, workload slice, fault schedule,
-            # clock offset).  Two workers running the same spec replay the
-            # same mutations, so a version-matched shared entry from one
-            # is bit-identical on the other; any differing spec gets a
-            # different identity and can never collide.
-            pool.shared_ident = ("run_task", self)
         return run_system(self.label, system, plans, profiler)
 
     def _run_with_ingest(self, fixture, plans, profiler) -> "RunResult":
@@ -171,15 +160,12 @@ class RunTask:
         from repro.bench.harness import RunResult
         from repro.bench.ingest_bench import scenario_schedule
 
-        catalog = fixture.catalog.fork(("run_task_ingest", self))
+        catalog = fixture.catalog.fork()
         system = self.system.build(_ForkedFixture(catalog, fixture.domains))
         if self.clock0:
             system.clock = self.clock0
         if self.faults is not None:
             system.attach_faults(self.faults)
-        pool = getattr(system, "pool", None)
-        if pool is not None:
-            pool.shared_ident = ("run_task", self)
         _, batches = scenario_schedule(
             self.ingest, len(plans), fixture.item_domain, self.workload.seed
         )

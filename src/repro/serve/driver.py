@@ -100,7 +100,6 @@ def run_phase(
     chaos_schedule: str,
     rate_qps: float,
     arrival_seed: int,
-    shared_cache: bool = False,
 ) -> dict:
     """Drive one phase against a fresh adaptive system; return its report."""
     from repro.baselines import deepsea
@@ -113,7 +112,6 @@ def run_phase(
         deadline_s=deadline_s,
         retries=retries,
         faults=chaos_schedule if name == "chaos" else None,
-        shared_cache=shared_cache,
     ).start()
     rng = np.random.default_rng(arrival_seed)
     burst_size = queue_depth * 3
@@ -195,12 +193,6 @@ def check_gates(phases: dict[str, dict]) -> list[str]:
             problems.append(f"{name}: {phase['failed']} queries failed outright")
         if phase["unresolved"]:
             problems.append(f"{name}: {phase['unresolved']} tickets never resolved")
-        stale_served = phase.get("shared_cache", {}).get("stale_served", 0)
-        if stale_served:
-            problems.append(
-                f"{name}: shared tier served {stale_served} version-mismatched "
-                "entries — stale reads are never acceptable"
-            )
     if "burst" in phases and phases["burst"]["shed"] == 0:
         problems.append("burst: no queries were shed — admission control never fired")
     if "chaos" in phases:
@@ -226,7 +218,6 @@ def run_serve_bench(
     chaos_schedule: str = "perfect-storm",
     rate_qps: float = 150.0,
     phases: "tuple[str, ...]" = PHASES,
-    shared_cache: bool = False,
 ) -> dict:
     """Run the full serve benchmark; returns the JSON-ready report."""
     from repro.bench.harness import sdss_fixture
@@ -251,7 +242,6 @@ def run_serve_bench(
             chaos_schedule=chaos_schedule,
             rate_qps=rate_qps,
             arrival_seed=seed + 1000 * (i + 1),
-            shared_cache=shared_cache,
         )
     problems = check_gates(phase_reports)
     return {
@@ -271,7 +261,6 @@ def run_serve_bench(
             "retries": retries,
             "chaos_schedule": chaos_schedule,
             "rate_qps": rate_qps,
-            "shared_cache": shared_cache,
         },
         "serial_reference_s": round(serial_s, 3),
         "phases": phase_reports,

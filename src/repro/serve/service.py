@@ -41,7 +41,6 @@ from repro.engine.cost import CostLedger
 from repro.engine.executor import ExecutionContext, Executor
 from repro.errors import DeadlineExceeded, ReproError, WorkerCrashError
 from repro.faults.injector import FaultInjector
-from repro.parallel import shared_cache
 from repro.query.optimizer import push_down
 from repro.serve.queue import AdmissionQueue
 from repro.serve.snapshot import SnapshotManager
@@ -157,14 +156,6 @@ class QueryService:
     damage, controller crashes, and per-attempt reader deaths all draw
     from one thread-safe stream.  Attach chaos through this parameter —
     not ``system.attach_faults`` — when using more than one worker.
-
-    ``shared_cache=True`` stands up an in-process shared result tier and
-    routes reader threads through it *first* (``prefer_shared``): a hit
-    is one lock-free dict read instead of a pass through the single
-    process-local result-cache lock all readers otherwise contend on.
-    Entries carry the cover versions they were built under, so a reader
-    racing the writer's repartitioning sees a version mismatch — a plain
-    miss — never a stale answer.
     """
 
     def __init__(
@@ -178,7 +169,6 @@ class QueryService:
         backoff_s: float = 0.005,
         faults=None,
         adapt: bool = True,
-        shared_cache: bool = False,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -201,10 +191,6 @@ class QueryService:
             threading.Thread(target=self._reader_loop, name=f"serve-reader-{i}", daemon=True)
             for i in range(workers)
         ]
-        self._shared_cache = shared_cache
-        self._shared_server: "shared_cache.SharedCacheServer | None" = None
-        self._prior_client = None
-        self._prior_server = None
         self._mlock = threading.Lock()
         self._seq = 0
         self.answered = 0
@@ -221,34 +207,11 @@ class QueryService:
     def start(self) -> "QueryService":
         if not self._started:
             self._started = True
-            if self._shared_cache:
-                self._install_shared_tier()
             if self.writer is not None:
                 self.writer.start()
             for thread in self._readers:
                 thread.start()
         return self
-
-    def _install_shared_tier(self) -> None:
-        """Stand up the in-process shared tier for this service's threads.
-
-        The arena is skipped — everything lives in one address space, so
-        payload bytes are served straight from the server's dict.  The
-        system's pool/catalog get in-process identity tokens when the
-        caller didn't stamp content-stable ones; that's safe here because
-        the tier never outlives this process.
-        """
-        pool = getattr(self.system, "pool", None)
-        if pool is not None and getattr(pool, "shared_ident", None) is None:
-            pool.shared_ident = ("serve-pool", id(self), pool.uid)
-        catalog = self.system.catalog
-        if getattr(catalog, "shared_ident", None) is None:
-            catalog.shared_ident = ("serve-catalog", id(self), catalog.uid)
-        self._shared_server = shared_cache.SharedCacheServer(use_arena=False)
-        self._prior_server = shared_cache.install_server(self._shared_server)
-        self._prior_client = shared_cache.install_client(
-            shared_cache.InProcessClient(self._shared_server, prefer_shared=True)
-        )
 
     def submit(self, plan: "Plan", *, deadline_s: "float | None" = None) -> ServeTicket:
         """Admit one query or raise :class:`~repro.errors.Overloaded`."""
@@ -283,10 +246,6 @@ class QueryService:
         if self.writer is not None:
             self.writer.stop(drain=drain_writer, timeout=timeout)
         self.snapshots.detach()
-        if self._shared_server is not None:
-            shared_cache.install_client(self._prior_client)
-            shared_cache.install_server(self._prior_server)
-            self._shared_server.close()
 
     def __enter__(self) -> "QueryService":
         return self.start()
@@ -325,8 +284,6 @@ class QueryService:
                 "dropped": self.writer.dropped,
                 "errors": len(self.writer.errors),
             }
-        if self._shared_server is not None:
-            out["shared_cache"] = self._shared_server.stats()
         out["accounted"] = (
             out["answered"] + out["shed"] + out["timed_out"] + out["failed"]
         )
@@ -367,6 +324,9 @@ class QueryService:
                     time.sleep(self.backoff_s * retries)
                     continue
                 break  # retry budget spent: drop to the base-table rung
+            except Exception as exc:  # a real bug, not adversity — surface it
+                self._resolve(ticket, "failed", retries=retries, error_kind=type(exc).__name__)
+                return
             self._resolve(
                 ticket,
                 "answered",

@@ -64,17 +64,6 @@ class LeasedPoolView:
         return self._pool.uid
 
     @property
-    def shared_ident(self) -> "tuple | None":
-        """The underlying pool's shared-cache identity (pass-through).
-
-        Safe to forward because shared-tier entries are validated against
-        the lease's *pinned* cover versions (:meth:`cover_version`), so a
-        reader on an older epoch simply misses entries published at newer
-        versions — and vice versa — instead of ever mixing epochs.
-        """
-        return getattr(self._pool, "shared_ident", None)
-
-    @property
     def epoch(self) -> int:
         return self._lease.epoch
 

@@ -46,8 +46,8 @@ class JournalOp:
     # version as they were before the micro-batch was appended.  The
     # version counter itself is *not* rewound on rollback, so version
     # numbers stamped by the aborted transaction are never re-issued —
-    # in-process and shared-tier cache entries published mid-transaction
-    # are stranded instead of aliasing later catalog states.
+    # cache entries stored mid-transaction are stranded instead of
+    # aliasing later catalog states.
     catalog: "Catalog | None" = None
     table_name: str | None = None
     prior_version: int = 0

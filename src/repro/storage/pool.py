@@ -117,10 +117,6 @@ class MaterializedViewPool:
         # against.  Monotonic counters, never ``id()`` (reusable).
         self.uid: int = next(_POOL_UIDS)
         self.epoch: int = 0
-        # Cross-process identity for the shared cache tier (see
-        # Catalog.shared_ident): stamped by builders whose mutation
-        # sequence is deterministic from a spec, None otherwise.
-        self.shared_ident: "tuple | None" = None
         # Per-view cover versions: the epoch value of the view's last
         # residency mutation.  Every bump feeds the global epoch (a view
         # mutation is also a pool mutation — the result cache's epoch key

@@ -1,16 +1,14 @@
-"""Tests for the cache registry itself (repro.caches) and its tier axis.
+"""Tests for the cache registry itself (repro.caches).
 
 ``register_cache`` is the one place every semantically transparent cache
-announces itself; worker isolation, the profile report, and the shared
-tier's invalidation story all hang off it, so its own behavior gets
-direct coverage here rather than riding along in integration tests.
+announces itself; worker isolation and the profile report hang off it,
+so its own behavior gets direct coverage here rather than riding along
+in integration tests.
 """
 
 import pytest
 
 from repro import caches
-from repro.parallel import shared_cache
-from repro.parallel.shared_cache import InProcessClient, SharedCacheServer, stable_key
 
 
 @pytest.fixture
@@ -18,89 +16,23 @@ def scratch_registration():
     """Register-and-cleanup helper so tests never pollute the registry."""
     names = []
 
-    def register(name, clear, stats=None, *, tier="local"):
+    def register(name, clear, stats=None):
         names.append(name)
-        caches.register_cache(name, clear, stats, tier=tier)
+        caches.register_cache(name, clear, stats)
 
     yield register
     for name in names:
         caches._CLEARERS.pop(name, None)
         caches._STATS.pop(name, None)
-        caches._TIERS.pop(name, None)
-
-
-@pytest.fixture
-def clean_tier():
-    prior_client = shared_cache.install_client(None)
-    prior_server = shared_cache.install_server(None)
-    yield
-    shared_cache.install_client(prior_client)
-    shared_cache.install_server(prior_server)
 
 
 class TestRegistration:
-    def test_default_tier_is_local(self, scratch_registration):
-        scratch_registration("test.local_cache", lambda: None)
-        assert caches.cache_tier("test.local_cache") == "local"
-
-    def test_shared_tier_recorded(self, scratch_registration):
-        scratch_registration("test.shared_cache", lambda: None, tier="shared")
-        assert caches.cache_tier("test.shared_cache") == "shared"
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="tier"):
-            caches.register_cache("test.bogus", lambda: None, tier="global")
-        assert "test.bogus" not in caches.registered_caches()
-
-    def test_reregistration_replaces_stats_and_tier(self, scratch_registration):
-        scratch_registration("test.dup", lambda: None, lambda: {"hits": 1}, tier="shared")
+    def test_reregistration_replaces_stats(self, scratch_registration):
+        scratch_registration("test.dup", lambda: None, lambda: {"hits": 1})
+        assert caches.cache_stats()["test.dup"] == {"hits": 1}
         scratch_registration("test.dup", lambda: None)  # no stats this time
-        assert caches.cache_tier("test.dup") == "local"
+        assert "test.dup" in caches.registered_caches()
         assert "test.dup" not in caches.cache_stats()
-
-    def test_shared_cache_module_registered_as_shared(self):
-        assert "parallel.shared_cache" in caches.registered_caches()
-        assert caches.cache_tier("parallel.shared_cache") == "shared"
-
-    def test_every_other_cache_is_local(self):
-        for name in caches.registered_caches():
-            if name != "parallel.shared_cache":
-                assert caches.cache_tier(name) == "local", name
-
-
-class TestSharedTierStats:
-    def test_stats_shape_without_client(self, clean_tier):
-        stats = caches.cache_stats()["parallel.shared_cache"]
-        for key in ("hits", "misses", "evictions", "entries"):
-            assert stats[key] == 0
-        assert "server" not in stats
-
-    def test_stats_include_server_breakdown_when_installed(self, clean_tier):
-        server = SharedCacheServer(use_arena=False)
-        shared_cache.install_server(server)
-        shared_cache.install_client(InProcessClient(server))
-        key = stable_key("result", ("registry-test",))
-        shared_cache.client().put("result", key, 1, b"z" * 200)
-        shared_cache.client().get("result", key, 1)
-        stats = caches.cache_stats()["parallel.shared_cache"]
-        assert stats["hits"] == 1
-        assert stats["entries"] == 1
-        assert stats["server"]["publishes"] == 1
-        assert stats["server"]["stale_served"] == 0
-
-    def test_clear_all_caches_empties_client_and_server(self, clean_tier):
-        server = SharedCacheServer(use_arena=False)
-        shared_cache.install_server(server)
-        shared_cache.install_client(InProcessClient(server))
-        key = stable_key("cover", ("registry-clear",))
-        shared_cache.client().put("cover", key, 1, b"z" * 200)
-        shared_cache.client().get("cover", key, 1)
-        caches.clear_all_caches()
-        stats = caches.cache_stats()["parallel.shared_cache"]
-        assert stats["entries"] == 0
-        assert stats["hits"] == 0 and stats["misses"] == 0
-        # The entry itself is gone, not just the counters.
-        assert shared_cache.client().get("cover", key, 1) is None
 
 
 class TestStatsDelta:

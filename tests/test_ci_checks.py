@@ -177,16 +177,6 @@ class TestCheckFragmentPrune:
         assert "pruned-row fraction" in proc.stderr
 
 
-class TestCheckSharedCache:
-    def test_scaled_down_smoke_proves_cross_worker_reuse(self):
-        proc = run_check(
-            "check_shared_cache.py", "--queries", "12", "--instance-gb", "5"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "cross_hits=" in proc.stdout
-        assert "stale_served=0" in proc.stdout
-
-
 class TestCheckSelectionShare:
     @staticmethod
     def _report(tmp_path: Path, selection: float, execution: float) -> str:

@@ -12,7 +12,6 @@ The contract under test (see ``repro/matching/cover_cache.py``):
   covers are identical to a memo-free ``greedy_cover`` oracle.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.schema import Column, Schema
@@ -254,205 +253,6 @@ def test_bucket_eviction_is_bounded_fifo():
     stats = cache.stats()
     assert stats["entries"] <= limit
     assert stats["evictions"] >= 1
-
-
-class TestSharedTierRollback:
-    """Journal rollback vs the cross-worker shared tier (DESIGN.md §15).
-
-    A rolled-back repartition must leave the shared tier either empty
-    (``clear_all_caches`` in the server's process) or version-stale:
-    entries published mid-transaction were stored at versions the journal
-    rollback retires forever, so post-rollback lookups present the
-    restored versions and the stranded entries can never be served.
-    """
-
-    @staticmethod
-    def _tier(pool):
-        from repro.parallel import shared_cache
-        from repro.parallel.shared_cache import InProcessClient, SharedCacheServer
-
-        pool.shared_ident = ("test-shared-rollback", id(pool))
-        server = SharedCacheServer(use_arena=False)
-        prior_server = shared_cache.install_server(server)
-        prior_client = shared_cache.install_client(InProcessClient(server))
-        return server, prior_server, prior_client
-
-    @staticmethod
-    def _teardown(server, prior_server, prior_client):
-        from repro.parallel import shared_cache
-
-        shared_cache.install_client(prior_client)
-        shared_cache.install_server(prior_server)
-        server.close()
-
-    def test_mid_transaction_publishes_stranded_by_rollback(self):
-        pool = make_pool("va")
-        server, prior_server, prior_client = self._tier(pool)
-        try:
-            pool.add_fragment("va", "v", Interval.closed(0, 10), payload())
-            theta = Interval.closed(0, 18)
-            pre_cover = CoverCache(pool).cover("va", "v", theta)  # published @ pre
-            pre_version = pool.cover_version("va")
-
-            pool.begin("step")
-            pool.add_fragment("va", "v", Interval.open_closed(10, 20), payload())
-            # A cold cache (fresh worker) publishes at the mid-transaction
-            # version, overwriting the shared entry for this (view, θ).
-            mid_cover = CoverCache(pool).cover("va", "v", theta)
-            assert mid_cover != pre_cover
-            pool.rollback()
-
-            assert pool.cover_version("va") == pre_version
-            # The stranded mid-transaction entry is version-stale: a fresh
-            # cache recomputes the pre-transaction cover from the pool.
-            got = CoverCache(pool).cover("va", "v", theta)
-            assert got == pre_cover
-            assert got == greedy_cover(theta, pool.intervals_of("va", "v"))
-            stats = server.stats()
-            assert stats["stale"] >= 1  # the stranded entry was probed
-            assert stats["stale_served"] == 0
-        finally:
-            self._teardown(server, prior_server, prior_client)
-
-    def test_rollback_revalidates_pre_transaction_shared_entries(self):
-        pool = make_pool("va")
-        server, prior_server, prior_client = self._tier(pool)
-        try:
-            pool.add_fragment("va", "v", Interval.closed(0, 10), payload())
-            theta = Interval.closed(2, 8)
-            pre_cover = CoverCache(pool).cover("va", "v", theta)  # published @ pre
-
-            pool.begin("step")
-            pool.add_fragment("va", "v", Interval.open_closed(10, 20), payload())
-            pool.rollback()
-
-            # Nothing republished for this θ mid-transaction, so the
-            # pre-transaction entry validates again at the restored
-            # version — a fresh (memo-cold) cache hits the shared tier.
-            hits_before = server.hits
-            assert CoverCache(pool).cover("va", "v", theta) == pre_cover
-            assert server.hits == hits_before + 1
-            assert server.stats()["stale_served"] == 0
-        finally:
-            self._teardown(server, prior_server, prior_client)
-
-    def test_clear_all_caches_empties_shared_tier_with_locals(self):
-        from repro.caches import clear_all_caches
-
-        pool = make_pool("va")
-        server, prior_server, prior_client = self._tier(pool)
-        try:
-            pool.add_fragment("va", "v", Interval.closed(0, 10), payload())
-            CoverCache(pool).cover("va", "v", Interval.closed(1, 9))
-            assert server.stats()["entries"] >= 1
-            clear_all_caches()
-            assert server.stats()["entries"] == 0
-        finally:
-            self._teardown(server, prior_server, prior_client)
-
-    def test_fragment_cache_rollback_strands_shared_decisions(self):
-        from repro.matching.fragment_cache import FragmentPruneCache
-
-        pool = make_pool("va")
-        server, prior_server, prior_client = self._tier(pool)
-        try:
-            pool.add_fragment("va", "v", Interval.closed(0, 10), payload())
-            pre_version = pool.cover_version("va")
-
-            pool.begin("step")
-            pool.add_fragment("va", "v", Interval.open_closed(10, 20), payload())
-            mid_version = pool.cover_version("va")
-            pool.rollback()
-
-            assert pool.cover_version("va") == pre_version
-            assert mid_version != pre_version
-            # Any fragment decision published at mid_version can only miss
-            # now: rolled-back versions are never re-issued (see
-            # TestRollbackRestoresVersions), so exact-match validation
-            # strands it without coordination.
-            from repro.parallel import shared_cache
-
-            key = shared_cache.stable_key("fragment", ("stranded",))
-            shared_cache.client().put("fragment", key, mid_version, b"p" * 64)
-            assert shared_cache.client().get("fragment", key, pre_version) is None
-            assert server.stats()["stale_served"] == 0
-            assert FragmentPruneCache is not None  # the client under test
-        finally:
-            self._teardown(server, prior_server, prior_client)
-
-    def test_ingest_abort_restores_catalog_and_strands_aborted_version(self):
-        """A crashed mid-ingest batch rolls the catalog back exactly, and
-        any shared-tier publish stamped with the aborted catalog version
-        is stranded: the version was drawn from a counter the rollback
-        never rewinds, so neither the restored state nor any future
-        successful ingest can ever validate against it."""
-        import numpy as np
-
-        from repro.core.deepsea import DeepSea
-        from repro.engine.catalog import Catalog
-        from repro.engine.schema import Column as C, Schema as S
-        from repro.engine.table import Table as T
-        from repro.parallel import shared_cache
-        from repro.query.builder import Q
-
-        rng = np.random.default_rng(1)
-        n = 3000
-        catalog = Catalog()
-        catalog.register(
-            "t",
-            T.from_dict(
-                S.of(C("id"), C("k")),
-                {"id": np.arange(n), "k": rng.integers(0, 1001, n)},
-                scale=1000.0,
-            ),
-        )
-        system = DeepSea(
-            catalog, smax_bytes=1e12, domains={"k": Interval.closed(0, 1000)}
-        )
-        server, prior_server, prior_client = self._tier(system.pool)
-        try:
-            for i in range(8):
-                system.execute(
-                    Q("t").select("id", "k").where_between("k", 10 + 7 * i, 500 + 3 * i).plan
-                )
-            pre_version = catalog.version
-            pre_rows = catalog.get("t").nrows
-            pre_covers = system.pool.cover_versions_snapshot()
-
-            def crash_and_publish(entry, payload_table):
-                # A concurrent worker publishes an entry stamped with the
-                # mid-transaction catalog version, then the step crashes.
-                key = shared_cache.stable_key("result", ("ingest-abort",))
-                shared_cache.client().put("result", key, catalog.version, b"r" * 64)
-                raise RuntimeError("simulated crash mid-ingest")
-
-            system.maintenance._patch = crash_and_publish
-            batch = {"id": np.arange(n, n + 50), "k": rng.integers(0, 1001, 50)}
-            with pytest.raises(RuntimeError):
-                system.ingest("t", dict(batch))
-            aborted_version = pre_version + 1
-
-            # Catalog, base table, and cover versions restored exactly.
-            assert catalog.version == pre_version
-            assert catalog.get("t").nrows == pre_rows
-            assert system.pool.cover_versions_snapshot() == pre_covers
-
-            # The mid-ingest publish is stranded at the aborted version:
-            # the restored catalog can only miss on it ...
-            key = shared_cache.stable_key("result", ("ingest-abort",))
-            assert shared_cache.client().get("result", key, catalog.version) is None
-            # ... and a successful retry draws a version PAST the aborted
-            # one, so the stranded entry stays dead forever.
-            system.maintenance._patch = type(system.maintenance)._patch.__get__(
-                system.maintenance
-            )
-            system.ingest("t", dict(batch))
-            assert catalog.version == pre_version + 2
-            assert catalog.version != aborted_version
-            assert shared_cache.client().get("result", key, catalog.version) is None
-            assert server.stats()["stale_served"] == 0
-        finally:
-            self._teardown(server, prior_server, prior_client)
 
 
 class TestFilterTreeResidency:

@@ -170,7 +170,7 @@ class TestCatalogIngest:
         catalog = Catalog()
         catalog.register("t", make_table(100))
         catalog.ingest("t", batch_rows(np.random.default_rng(0), 10))  # buffered parent
-        left, right = catalog.fork(("left",)), catalog.fork(("right",))
+        left, right = catalog.fork(), catalog.fork()
         assert left.get("t") is right.get("t")
         rng = np.random.default_rng(1)
         for step in range(3):
@@ -186,9 +186,8 @@ class TestCatalogIngest:
     def test_fork_is_independent(self):
         catalog = Catalog()
         catalog.register("t", make_table(10))
-        fork = catalog.fork(("test-fork",))
+        fork = catalog.fork()
         assert fork.uid != catalog.uid
-        assert fork.shared_ident == ("test-fork",)
         fork.ingest("t", batch_rows(np.random.default_rng(0), 4))
         assert fork.get("t").nrows == 14
         assert catalog.get("t").nrows == 10
@@ -379,6 +378,35 @@ class TestCrashRollback:
         assert catalog.version == pre_version + 2
         assert report.fragments_patched >= 1
         assert_pool_identity(system)
+
+    def test_result_cached_under_the_aborted_version_is_never_served(self):
+        system = make_system()
+        warm(system)
+        catalog = system.catalog
+        everything = plan(0, 1000)
+
+        def answer_rows():
+            context = ExecutionContext(catalog, None, system.cluster)
+            return Executor(context).execute(everything).table.nrows
+
+        pre_rows = answer_rows()
+        seen = {}
+
+        def crash(entry, payload):
+            # Lands in the result cache keyed on the mid-ingest version.
+            seen["mid"] = answer_rows()
+            raise RuntimeError("simulated crash mid-maintenance")
+
+        original = system.maintenance._patch
+        system.maintenance._patch = crash
+        with pytest.raises(RuntimeError):
+            system.ingest("t", batch_rows(np.random.default_rng(7), 100))
+        assert seen["mid"] == pre_rows + 100
+        assert answer_rows() == pre_rows  # restored version: the pre-batch entry
+
+        system.maintenance._patch = original
+        system.ingest("t", batch_rows(np.random.default_rng(8), 40))
+        assert answer_rows() == pre_rows + 40  # a fresh version, not the aborted one
 
     def test_injected_crash_then_retry_restores_exactly_and_appends_again(self):
         """A controller crash mid-ingest rolls catalog and pool back to the

@@ -1,0 +1,39 @@
+"""Import layering: the engine-side packages never reach up the stack.
+
+``engine``, ``matching``, ``storage``, ``query``, ``costmodel``,
+``partitioning`` and ``core`` are what the paper describes; ``parallel``,
+``serve`` and ``bench`` drive them.  An import in the other direction —
+module-level or tucked inside a function — ties the mechanism to one of
+its drivers, so this walks every import statement in the lower packages.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+LOWER = ("engine", "matching", "storage", "query", "costmodel", "partitioning", "core")
+UPPER = ("repro.parallel", "repro.serve", "repro.bench")
+
+
+def imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module)
+            # ``from repro import parallel`` names the package in the alias.
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("package", LOWER)
+def test_lower_package_imports_nothing_from_its_drivers(package):
+    offenders = []
+    for path in sorted((SRC / package).rglob("*.py")):
+        for name in imported_modules(path):
+            if any(name == upper or name.startswith(upper + ".") for upper in UPPER):
+                offenders.append(f"{path.relative_to(SRC)} imports {name}")
+    assert not offenders, "\n".join(offenders)

@@ -2,6 +2,7 @@
 
 import gc
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from repro.parallel import (
     RunTask,
     SystemSpec,
     WorkloadSpec,
-    batch_map,
     diff_results,
     fan_out,
     fingerprint,
@@ -62,39 +62,32 @@ class TestFanOut:
         with pytest.raises(ValueError):
             fan_out([lambda: 1, lambda: 2], submission_order=[0, 0])
 
-    def test_batch_map_serial_below_threshold(self):
-        calls = batch_map(lambda x: x + 1, [1, 2, 3], workers=4, min_items=16)
-        assert calls == [2, 3, 4]
 
-    def test_batch_map_parallel_matches_serial(self):
-        items = list(range(40))
-        expected = [x * 2 for x in items]
-        assert batch_map(lambda x: x * 2, items, workers=2, min_items=16) == expected
+class _CrashRecoveryCases:
+    """Crash / retry / error cases, run once per pool policy by the two
+    subclasses below (the loop is shared; the policies must not diverge)."""
 
+    run = None  # staticmethod: the pool entry point under test
 
-class TestWorkerCrashRecovery:
     def test_fault_plan_crash_then_retry_succeeds(self):
         tasks = [(lambda i=i: i * i) for i in range(6)]
-        out = fan_out(tasks, workers=3, fault_plan={2: 1, 5: 1})
+        out = self.run(tasks, workers=3, fault_plan={2: 1, 5: 1})
         assert out == [0, 1, 4, 9, 16, 25]
 
     def test_retry_budget_exhausted_raises_typed(self):
         tasks = [(lambda i=i: i) for i in range(4)]
-        with pytest.raises(WorkerCrashError, match="retry limit"):
-            fan_out(tasks, workers=2, retries=1, fault_plan={1: 99})
-        try:
-            fan_out(tasks, workers=2, retries=1, fault_plan={1: 99})
-        except WorkerCrashError as exc:
-            assert exc.index == 1
-            assert exc.dispatches == 2
+        with pytest.raises(WorkerCrashError, match="retry limit") as caught:
+            self.run(tasks, workers=2, retries=1, fault_plan={1: 99})
+        assert caught.value.index == 1
+        assert caught.value.dispatches == 2
 
     def test_retries_zero_fails_on_first_crash(self):
         with pytest.raises(WorkerCrashError):
-            fan_out([lambda: 1, lambda: 2], workers=2, retries=0, fault_plan={0: 1})
+            self.run([lambda: 1, lambda: 2], workers=2, retries=0, fault_plan={0: 1})
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries"):
-            fan_out([lambda: 1, lambda: 2], workers=2, retries=-1)
+            self.run([lambda: 1, lambda: 2], workers=2, retries=-1)
 
     def test_worker_death_mid_batch_recovered(self, tmp_path):
         # A task that hard-kills its own worker on the first dispatch
@@ -110,8 +103,34 @@ class TestWorkerCrashRecovery:
                 os._exit(23)
             return "survived"
 
-        out = fan_out([lambda: "a", victim, lambda: "c"], workers=3)
+        out = self.run([lambda: "a", victim, lambda: "c"], workers=3)
         assert out == ["a", "survived", "c"]
+
+    def test_task_exception_propagates_to_caller(self):
+        def boom():
+            raise ValueError("boom in worker")
+
+        with pytest.raises(ValueError, match="boom in worker"):
+            self.run([lambda: 1, boom, lambda: 3], workers=2)
+
+    def test_crashes_do_not_change_engine_results(self):
+        # Worker kills perturb scheduling only: a re-dispatched RunTask
+        # rebuilds the same system and replays the same workload, so the
+        # crashed run's fingerprints match the crash-free run's exactly.
+        fixture = FixtureSpec("sdss", 10.0, log_queries=500)
+        workload = WorkloadSpec(QUERIES)
+        tasks = [
+            RunTask(label, SystemSpec.of(name), fixture, workload)
+            for label, name in (("H", "hive"), ("DS", "deepsea"))
+        ]
+        plain = self.run(tasks, workers=0)
+        crashed = self.run(tasks, workers=2, fault_plan={0: 1, 1: 1})
+        for a, b in zip(plain, crashed):
+            assert result_fingerprint(a) == result_fingerprint(b)
+
+
+class TestWorkerCrashRecovery(_CrashRecoveryCases):
+    run = staticmethod(fan_out)
 
     def test_task_timeout_kills_and_redispatches(self, tmp_path):
         marker = tmp_path / "slow-once"
@@ -127,27 +146,9 @@ class TestWorkerCrashRecovery:
         out = fan_out([slow_once, lambda: "fast"], workers=2, task_timeout=3.0)
         assert out == ["done", "fast"]
 
-    def test_task_exception_propagates_to_caller(self):
-        def boom():
-            raise ValueError("boom in worker")
 
-        with pytest.raises(ValueError, match="boom in worker"):
-            fan_out([lambda: 1, boom, lambda: 3], workers=2)
-
-    def test_crashes_do_not_change_engine_results(self):
-        # Worker kills perturb scheduling only: a re-dispatched RunTask
-        # rebuilds the same system and replays the same workload, so the
-        # crashed run's fingerprints match the crash-free run's exactly.
-        fixture = FixtureSpec("sdss", 10.0, log_queries=500)
-        workload = WorkloadSpec(QUERIES)
-        tasks = [
-            RunTask(label, SystemSpec.of(name), fixture, workload)
-            for label, name in (("H", "hive"), ("DS", "deepsea"))
-        ]
-        plain = fan_out(tasks, workers=0)
-        crashed = fan_out(tasks, workers=2, fault_plan={0: 1, 1: 1})
-        for a, b in zip(plain, crashed):
-            assert result_fingerprint(a) == result_fingerprint(b)
+class TestWorkerCrashRecoverySteal(_CrashRecoveryCases):
+    run = staticmethod(partial(steal_map, chunk_size=2))
 
 
 class TestTaskSpecs:
@@ -223,19 +224,6 @@ class TestDeterminism:
         shuffled = fan_out(tasks, workers=2, submission_order=[2, 0, 1])
         for a, b in zip(serial, shuffled):
             assert result_fingerprint(a) == result_fingerprint(b)
-
-    def test_deepsea_parallel_refinement_same_fingerprints(self):
-        # batch_map inside §7.2's refinement filter must never change a
-        # decision, whatever the worker budget.
-        fx = _fixture()
-        plans = _plans(fx)
-
-        def run(workers):
-            system = deepsea(fx.catalog, domains=fx.domains)
-            system.parallel_workers = workers
-            return run_systems({"DS": lambda: system}, plans)
-
-        assert fingerprint(run(0)) == fingerprint(run(2))
 
     def test_diff_results_names_divergence(self):
         fx = _fixture()

@@ -312,6 +312,33 @@ class TestQueryService:
         assert m["retries"] == 10
         assert m["accounting_ok"] and m["failed"] == 0
 
+    def test_engine_bug_fails_the_ticket_and_spares_the_reader(self, fx, plans, monkeypatch):
+        # An exception that is not a ReproError is a bug, not adversity: the
+        # ticket resolves "failed" with the exception's type, no retry, and
+        # the reader thread lives on to answer the next one.
+        from repro.engine.executor import Executor
+
+        real = Executor.execute
+        raised = []
+
+        def execute_raising_once(self, *args, **kwargs):
+            if not raised:
+                raised.append(True)
+                raise RuntimeError("bug inside the executor")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Executor, "execute", execute_raising_once)
+        system = deepsea(fx.catalog, domains=fx.domains)
+        svc = QueryService(system, workers=1, adapt=False).start()
+        first, second = drain(svc, plans[:2])
+        svc.stop()
+        assert first is not None and first.status == "failed"
+        assert first.error_kind == "RuntimeError" and first.retries == 0
+        assert second is not None and second.status == "answered"
+        m = svc.metrics()
+        assert (m["offered"], m["failed"], m["answered"]) == (2, 1, 1)
+        assert m["accounting_ok"]
+
     def test_stop_is_idempotent_and_detaches_retention(self, fx):
         system = deepsea(fx.catalog, domains=fx.domains)
         svc = QueryService(system, workers=1).start()
