@@ -336,9 +336,12 @@ def cmd_determinism(
     adds a fourth task — DS with the steady-drip micro-batch schedule
     interleaved against a forked catalog — so the fingerprints also cover
     ingest's maintenance ledgers (``maint_s``, rows routed/applied,
-    fragments patched) across worker counts and schedulers.  Exits
-    non-zero, printing the first divergences, if any run changes a single
-    byte.
+    fragments patched) across worker counts and schedulers.  A DS task at
+    the 10 % pool always runs beside them and is fingerprinted on its own
+    (the fig-5a digest stays comparable with its history): the unbounded
+    systems never evict, so only this row sees §7.3's bounded selection.
+    Exits non-zero, printing the first divergences, if any run changes a
+    single byte.
     """
     from repro.bench.harness import RunResult
     from repro.parallel.determinism import diff_results, fingerprint
@@ -359,11 +362,16 @@ def cmd_determinism(
         tasks.append(
             RunTask("DS+ingest", SystemSpec.of("deepsea"), fixture, workload, ingest="drip")
         )
+    groups = {"fig5a": [t.label for t in tasks], "10% pool": ["DS@10%"]}
+    tasks.append(RunTask("DS@10%", SystemSpec.of("deepsea", pool_fraction=0.10), fixture, workload))
     labels = [t.label for t in tasks]
 
+    def digests(results: dict) -> list[str]:
+        return [fingerprint({label: results[label] for label in g}) for g in groups.values()]
+
     serial = {t.label: t.run() for t in tasks}
-    reference = fingerprint(serial)
-    rows = [("serial", reference[:16], "baseline")]
+    reference = digests(serial)
+    rows = [("serial", *(d[:16] for d in reference), "baseline")]
     status = 0
 
     # The H baseline is stateless, so under the steal scheduler its run
@@ -375,11 +383,11 @@ def cmd_determinism(
 
     def check(name: str, results: dict) -> None:
         nonlocal status
-        digest = fingerprint(results)
-        if digest == reference:
-            rows.append((name, digest[:16], "identical"))
-        else:
-            rows.append((name, digest[:16], "DIVERGED"))
+        found = digests(results)
+        rows.append(
+            (name, *(d[:16] for d in found), "identical" if found == reference else "DIVERGED")
+        )
+        if found != reference:
             status = 1
             for line in diff_results(serial, results, b_name=name):
                 print(line, file=sys.stderr)
@@ -405,7 +413,7 @@ def cmd_determinism(
             check(f"workers={n} steal", merged)
     print(
         format_table(
-            ["run", "fingerprint", "verdict"],
+            ["run", *(f"{name} fingerprint" for name in groups), "verdict"],
             rows,
             title=f"Determinism harness — fig5a, {queries} queries, "
             f"{instance_gb:.0f}GB, systems {'/'.join(labels)}",

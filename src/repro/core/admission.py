@@ -58,14 +58,17 @@ class AdmissionController:
         assert self.pool.smax_bytes is not None
         budget = self.pool.smax_bytes - self.pool.used_bytes
         threshold = candidate_value / self.hysteresis
+        entries = self.pool.all_entries()
+        values = [self.value_fn(entry) for entry in entries]  # each entry valued once
         victims: list[FragmentEntry] = []
-        for entry in sorted(self.pool.all_entries(), key=self.value_fn):
-            if budget + 1e-6 >= needed_bytes:
-                break
-            if self.value_fn(entry) >= threshold:
-                break
-            victims.append(entry)
-            budget += entry.size_bytes
+        # Nothing below the bar (the usual refusal): no ranking needed.
+        if values and min(values) < threshold:
+            # (value, position) sorts as the stable sort by value does.
+            for value, _, entry in sorted(zip(values, range(len(entries)), entries)):
+                if budget + 1e-6 >= needed_bytes or value >= threshold:
+                    break
+                victims.append(entry)
+                budget += entry.size_bytes
         if budget + 1e-6 >= needed_bytes:
             return victims
         return None

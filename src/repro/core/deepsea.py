@@ -34,6 +34,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from repro.core.admission import AdmissionController
 from repro.core.merging import MergeCandidate, find_merge_candidates
 from repro.core.domains import DomainResolver
@@ -41,7 +43,7 @@ from repro.core.policies import Policy
 from repro.core.reports import QueryReport, WorkloadSummary
 from repro.core.tentative import TentativePartitions
 from repro.costmodel.estimate import ResidentProfile
-from repro.costmodel.mle import adjusted_hits, adjusted_hits_density
+from repro.costmodel.mle import adjusted_hits, adjusted_hits_density_many
 from repro.costmodel.nectar import (
     nectar_fragment_value,
     nectar_plus_fragment_value,
@@ -83,6 +85,40 @@ from repro.storage.pool import FragmentKey, MaterializedViewPool
 # evidence over very long workloads without being materialized.
 _MAX_TENTATIVE_FRAGMENTS = 512
 
+# _dist_cache marker: the tick's fit was asked for and found unnecessary.
+_OWED = object()
+
+
+class _Pieces:
+    """One table cut by interval, each piece masked once.
+
+    Lives for one repartitioning step: sizing, bounding and writing a
+    creation's fragments share the cuts, and they go when the step does.
+    """
+
+    def __init__(self, table: Table, attr: str) -> None:
+        self.table = table
+        column = table.column(attr)
+        if (
+            isinstance(column, np.ndarray)
+            and column.dtype.kind in "iu"
+            and len(column)
+            and -(2**53) <= column.min()
+            and column.max() <= 2**53
+        ):
+            # Every bound comparison casts an integer column to float64
+            # (exact in this range, where int and float order agree):
+            # cast it once for all the cuts.
+            column = column.astype(np.float64)
+        self._column = column
+        self._cut: dict[Interval, Table] = {}
+
+    def __getitem__(self, interval: Interval) -> Table:
+        piece = self._cut.get(interval)
+        if piece is None:
+            piece = self._cut[interval] = self.table.filter(interval.mask(self._column))
+        return piece
+
 
 def _piece_refinement_passes(
     piece: Interval,
@@ -95,12 +131,14 @@ def _piece_refinement_passes(
     realizing: "RealizingHitsIndex | None",
     dist_fn,
     safety: float,
+    defer_fn=None,
 ) -> bool:
     """The §7.2 filter for one candidate piece.
 
     Pure in its arguments — it reads precomputed per-candidate indexes
     (:class:`ResidentProfile`, :class:`RealizingHitsIndex`) and computes,
-    mutating nothing but value-transparent caches.
+    mutating nothing but value-transparent caches.  ``defer_fn`` is told
+    when the MLE fit ``dist_fn`` would have produced was not needed.
     """
     # Everything up to the hit counting depends only on the piece and the
     # resident cover, not on the query time — and jittering workloads
@@ -136,13 +174,22 @@ def _piece_refinement_passes(
     # piece realize the per-hit margin; MLE smoothing tops this up
     # (capped, so the fitted tail cannot manufacture evidence).
     hits = realizing.hits_for(piece) if realizing is not None else 0.0
+    needed = safety * cost_est
     if dist_fn is not None and hits > 0:
+        # The smoothed count lies in [hits, 2·hits] and multiplying by the
+        # non-negative margin is monotone in floats, so a verdict both
+        # ends agree on is the verdict: no fit.
+        floor, ceiling = hits * saving_per_hit, (2.0 * hits) * saving_per_hit
+        if floor >= needed or ceiling < needed:
+            if defer_fn is not None:
+                defer_fn()
+            return floor >= needed
         dist = dist_fn()
         if dist is not None:
             fitted, total = dist
             smoothed = adjusted_hits(piece, fitted, total, domain)
             hits = max(hits, min(smoothed, 2.0 * hits))
-    return hits * saving_per_hit >= safety * cost_est
+    return hits * saving_per_hit >= needed
 
 
 @dataclass
@@ -212,6 +259,11 @@ class DeepSea:
         # admission and every admit/evict/restore bumps the view's cover
         # version, so a matching version guarantees the snapshot is current.
         self._resident_lists: dict[tuple[str, str], tuple] = {}
+        # (view_id, attr) -> (cover version, design, domain, mean width) and
+        # (view_id, attr) -> (validity token, {interval: Φ}): see
+        # _mean_fragment_width and _entry_value.
+        self._mean_widths: dict[tuple[str, str], tuple] = {}
+        self._resident_values: dict[tuple[str, str], tuple] = {}
         self._creation_cooldown: dict[str, float] = {}
         # Optional repro.bench.profile.WallClockProfiler; when attached,
         # execute() charges real seconds to matching / selection /
@@ -586,6 +638,7 @@ class DeepSea:
         for piece in candidate.pieces:
             piece_stats = self.stats.ensure_fragment(view_id, attr, piece)
             if parent is not None and not piece_stats.hit_times:
+                self._settle_fit(view_id, attr)
                 piece_stats.inherit_hits(parent, piece)
 
     # ------------------------------------------------------------------
@@ -674,39 +727,38 @@ class DeepSea:
             creations.append(ViewCreation(view_id, sub, attrs))
         return creations
 
+    def _controller(self, t: float) -> AdmissionController:
+        return AdmissionController(
+            self.pool, lambda e: self._entry_value(e, t), self.policy.admission_hysteresis
+        )
+
     def _admission_feasible(self, view_id: str, attr: str | None, t: float) -> bool:
         """Would at least the hottest fragment win space in the pool?"""
         if self.pool.smax_bytes is None:
             return True
         vstats = self.stats.view(view_id)
-        controller = AdmissionController(
-            self.pool, lambda e: self._entry_value(e, t), self.policy.admission_hysteresis
-        )
+        controller = self._controller(t)
         if attr is None:
             value = self._view_admission_value(vstats, t)
             return controller.plan_eviction(vstats.size_bytes, value) is not None
         domain = self.domains(attr)
         if domain is None or domain.width <= 0:
             return False
-        best: tuple[float, float] | None = None  # (value, est size)
-        for interval in self.tentative.intervals(view_id, attr):
-            clamped = interval.intersect(domain)
-            if clamped is None:
-                continue
-            fstats = self.stats.fragment(view_id, attr, interval)
-            if fstats is not None and fstats.size_is_actual:
-                # A previous materialization measured this fragment; the
-                # width-proportional guess badly underestimates hot ranges
-                # on skewed data.
-                size_est = fstats.size_bytes
-            else:
-                size_est = vstats.size_bytes * (clamped.width / domain.width)
-            value = self._fragment_admission_value(view_id, attr, interval, t)
-            if best is None or value > best[0]:
-                best = (value, size_est)
-        if best is None:
+        intervals = [iv for iv in self.tentative.intervals(view_id, attr) if iv.overlaps(domain)]
+        if not intervals:
             return False
-        return controller.plan_eviction(best[1], best[0]) is not None
+        values = self._fragment_values(view_id, attr, intervals, t)
+        value = max(values)
+        hottest = intervals[values.index(value)]  # the first of equals, as a scan keeps it
+        fstats = self.stats.fragment(view_id, attr, hottest)
+        if fstats is not None and fstats.size_is_actual:
+            # A previous materialization measured this fragment; the
+            # width-proportional guess badly underestimates hot ranges
+            # on skewed data.
+            size_est = fstats.size_bytes
+        else:
+            size_est = vstats.size_bytes * (hottest.intersect(domain).width / domain.width)
+        return controller.plan_eviction(size_est, value) is not None
 
     def _choose_partition_attrs(self, view_id: str) -> tuple[str, ...]:
         """Partition attributes for a new view.
@@ -972,12 +1024,14 @@ class DeepSea:
         the system from re-carving the same hot spot query after query.
         """
         decay = self.policy.effective_decay
-        dist_fn = None
+        dist_fn = defer_fn = None
         if self.policy.smoothing_enabled:
             # Most candidate pieces fail the size/cover prefix before the
             # hit counting ever consults the MLE fit — defer the fit until
-            # a piece actually reaches it with hits.
+            # a piece actually reaches it with hits, and leave it owing
+            # (see _settle_fit) when even then it cannot change the verdict.
             dist_fn = lambda: self._partition_distribution(view_id, attr, domain, t)  # noqa: E731
+            defer_fn = partial(self._dist_cache.setdefault, (self.clock, view_id, attr), _OWED)
         _, resident_sizes, resident_intervals = self._resident_snapshot(view_id, attr)
         parent_stats = self.stats.fragment(view_id, attr, parent)
         check = partial(
@@ -994,6 +1048,7 @@ class DeepSea:
             ),
             dist_fn=dist_fn,
             safety=self.policy.refinement_safety,
+            defer_fn=defer_fn,
         )
         return any(check(piece) for piece in hot)
 
@@ -1009,13 +1064,10 @@ class DeepSea:
     ) -> tuple[bool, int]:
         vstats = self.stats.view(creation.view_id)
         vstats.set_actual_size(max(table.size_bytes, 1.0))
-        controller = AdmissionController(
-            self.pool, lambda e: self._entry_value(e, t), self.policy.admission_hysteresis
-        )
 
         if not creation.attrs:
             candidate_value = self._view_admission_value(vstats, t)
-            result = controller.admit_whole_view(creation.view_id, table, candidate_value)
+            result = self._controller(t).admit_whole_view(creation.view_id, table, candidate_value)
             if result.admitted:
                 # whole-view payload: already written at the job boundary;
                 # keeping it costs one extra file creation.
@@ -1024,62 +1076,64 @@ class DeepSea:
                     vstats.set_actual_cost(self.rewriter.estimate_plan_cost(creation.plan).cost_s)
             return result.admitted, len(result.evicted)
 
-        admitted_any = False
         evicted = 0
         total_files = 0
         for index, attr in enumerate(creation.attrs):
             self._maybe_crash("materialize")
-            domain = self.domains(attr)
-            intervals = self._creation_intervals(creation, attr, table, domain)
-            column = table.column(attr)
-            written_bytes = 0.0
-            written_files = 0
-            for interval in intervals:
-                if self.pool.find_fragment(
-                    FragmentKey(creation.view_id, attr, interval)
-                ) is not None:
-                    continue  # re-creation: only write missing fragments
-                piece = table.filter(interval.mask(column))
-                fstats = self.stats.ensure_fragment(creation.view_id, attr, interval)
-                fstats.set_actual_size(piece.size_bytes)
-                result = controller.admit_fragment(
-                    creation.view_id,
-                    attr,
-                    interval,
-                    piece,
-                    self._fragment_admission_value(
-                        creation.view_id, attr, interval, t
-                    ),
-                )
-                evicted += len(result.evicted)
-                if result.admitted:
-                    admitted_any = True
-                    written_bytes += piece.size_bytes
-                    written_files += 1
+            pieces = _Pieces(table, attr)
+            intervals = self._creation_intervals(creation, attr, pieces, self.domains(attr))
+            written_files, written_bytes, lost = self._admit_pieces(
+                creation.view_id, attr, intervals, pieces, t
+            )
+            evicted += lost
             if written_files:
-                if index == 0:
-                    # The view's bytes were already written at the job
-                    # boundary during execution (MapReduce materializes
-                    # them anyway, §2); the primary partition only adds
-                    # per-fragment file overheads.
-                    ledger.charge_write(0.0, nfiles=written_files)
-                else:
-                    # A secondary partition on another attribute is a full
-                    # re-sort and re-write of the view's bytes.
-                    ledger.charge_write(written_bytes, nfiles=written_files)
+                # The view's bytes were already written at the job boundary
+                # during execution (MapReduce materializes them anyway, §2),
+                # so the primary partition only adds per-fragment file
+                # overheads; a secondary partition on another attribute is
+                # a full re-sort and re-write of the view's bytes.
+                ledger.charge_write(0.0 if index == 0 else written_bytes, nfiles=written_files)
             total_files += written_files
-        if admitted_any and not vstats.cost_is_actual:
+        if total_files and not vstats.cost_is_actual:
             vstats.set_actual_cost(
                 self.rewriter.estimate_plan_cost(creation.plan).cost_s
-                + self.cluster.write_elapsed(0.0, nfiles=max(total_files, 1))
+                + self.cluster.write_elapsed(0.0, nfiles=total_files)
             )
-        return admitted_any, evicted
+        return total_files > 0, evicted
+
+    def _admit_pieces(
+        self, view_id: str, attr: str, intervals, pieces: _Pieces, t: float
+    ) -> tuple[int, float, int]:
+        """Admit the fragments of ``intervals`` not yet resident.
+
+        Returns ``(files written, bytes written, entries evicted)``.
+        """
+        controller = self._controller(t)
+        written_files, written_bytes, evicted = 0, 0.0, 0
+        for interval in intervals:
+            if self.pool.find_fragment(FragmentKey(view_id, attr, interval)) is not None:
+                continue  # re-creation: only write missing fragments
+            piece = pieces[interval]
+            self.stats.ensure_fragment(view_id, attr, interval).set_actual_size(piece.size_bytes)
+            result = controller.admit_fragment(
+                view_id,
+                attr,
+                interval,
+                piece,
+                self._fragment_admission_value(view_id, attr, interval, t),
+            )
+            evicted += len(result.evicted)
+            if result.admitted:
+                written_bytes += piece.size_bytes
+                written_files += 1
+        return written_files, written_bytes, evicted
 
     def _creation_intervals(
-        self, creation: ViewCreation, attr: str, table: Table, domain: Interval | None
+        self, creation: ViewCreation, attr: str, pieces: _Pieces, domain: Interval | None
     ) -> list[Interval]:
         if domain is None:
             return []
+        table = pieces.table
         if self.policy.partitioning == "equidepth":
             intervals = equidepth_intervals(
                 table.column(attr), self.policy.equidepth_fragments, domain
@@ -1092,14 +1146,16 @@ class DeepSea:
         intervals = list(design.intervals)
         if self.policy.bounds is None:
             return intervals
-        column = table.column(attr)
-        sizes = [table.filter(iv.mask(column)).size_bytes for iv in intervals]
         if design.is_disjoint():
+            sizes = [pieces[iv].size_bytes for iv in intervals]
             intervals = merge_undersized(intervals, sizes, self.policy.bounds.min_bytes)
-            sizes = [table.filter(iv.mask(column)).size_bytes for iv in intervals]
         bounded: list[Interval] = []
-        for interval, size in zip(intervals, sizes):
-            bounded.extend(bound_fragment(interval, size, table.size_bytes, self.policy.bounds))
+        for interval in intervals:
+            bounded.extend(
+                bound_fragment(
+                    interval, pieces[interval].size_bytes, table.size_bytes, self.policy.bounds
+                )
+            )
         bounded = sorted(set(bounded), key=sort_key)
         self.tentative.replace_design(
             creation.view_id, attr, Fragmentation(attr, domain, tuple(bounded))
@@ -1144,32 +1200,12 @@ class DeepSea:
                 creation = ViewCreation(
                     view_id, self.pool.definition(view_id).plan, (attr,)
                 )
-                intervals = self._creation_intervals(creation, attr, table, domain)
-                column = table.column(attr)
-                controller = AdmissionController(
-                    self.pool,
-                    lambda e: self._entry_value(e, t),
-                    self.policy.admission_hysteresis,
+                pieces = _Pieces(table, attr)
+                intervals = self._creation_intervals(creation, attr, pieces, domain)
+                written_files, written_bytes, lost = self._admit_pieces(
+                    view_id, attr, intervals, pieces, t
                 )
-                written_bytes = 0.0
-                written_files = 0
-                for interval in intervals:
-                    if self.pool.find_fragment(FragmentKey(view_id, attr, interval)) is not None:
-                        continue
-                    piece = table.filter(interval.mask(column))
-                    fstats = self.stats.ensure_fragment(view_id, attr, interval)
-                    fstats.set_actual_size(piece.size_bytes)
-                    result = controller.admit_fragment(
-                        view_id,
-                        attr,
-                        interval,
-                        piece,
-                        self._fragment_admission_value(view_id, attr, interval, t),
-                    )
-                    evictions += len(result.evicted)
-                    if result.admitted:
-                        written_bytes += piece.size_bytes
-                        written_files += 1
+                evictions += lost
                 if written_files:
                     ledger.charge_write(written_bytes, nfiles=written_files)
                     extended += 1
@@ -1259,6 +1295,7 @@ class DeepSea:
         # union the pair's hit history into the merged fragment's stats
         merged_stats = self.stats.ensure_fragment(merge.view_id, merge.attr, merge.merged)
         if not merged_stats.hit_times:
+            self._settle_fit(merge.view_id, merge.attr)
             events = set()
             for interval in (merge.left, merge.right):
                 source = self.stats.fragment(merge.view_id, merge.attr, interval)
@@ -1272,10 +1309,7 @@ class DeepSea:
         # Same dangerous window as refinement: both halves gone, the
         # merged entry not yet admitted.
         self._maybe_crash("merge")
-        controller = AdmissionController(
-            self.pool, lambda e: self._entry_value(e, t), self.policy.admission_hysteresis
-        )
-        result = controller.admit_fragment(
+        result = self._controller(t).admit_fragment(
             merge.view_id,
             merge.attr,
             merge.merged,
@@ -1309,10 +1343,6 @@ class DeepSea:
             return False, 0  # parent evicted meanwhile: design-only refinement
         parent_table = self.pool.read_entry(parent_entry.fragment_id, ledger)
         ledger.charge_read(parent_entry.size_bytes, nfiles=1)
-        column_name = refinement.attr
-        controller = AdmissionController(
-            self.pool, lambda e: self._entry_value(e, t), self.policy.admission_hysteresis
-        )
 
         if refinement.overlap_pieces is not None:
             new_intervals = refinement.overlap_pieces
@@ -1324,31 +1354,13 @@ class DeepSea:
         # configuration has a hole the fault-free run never had.
         self._maybe_crash("repartition")
 
-        evicted = 0
-        written_bytes = 0.0
-        written_files = 0
-        column = parent_table.column(column_name)
-        for interval in new_intervals:
-            if self.pool.find_fragment(
-                FragmentKey(refinement.view_id, refinement.attr, interval)
-            ) is not None:
-                continue
-            piece = parent_table.filter(interval.mask(column))
-            fstats = self.stats.ensure_fragment(refinement.view_id, refinement.attr, interval)
-            fstats.set_actual_size(piece.size_bytes)
-            result = controller.admit_fragment(
-                refinement.view_id,
-                refinement.attr,
-                interval,
-                piece,
-                self._fragment_admission_value(
-                    refinement.view_id, refinement.attr, interval, t
-                ),
-            )
-            evicted += len(result.evicted)
-            if result.admitted:
-                written_bytes += piece.size_bytes
-                written_files += 1
+        written_files, written_bytes, evicted = self._admit_pieces(
+            refinement.view_id,
+            refinement.attr,
+            new_intervals,
+            _Pieces(parent_table, refinement.attr),
+            t,
+        )
         if written_files:
             ledger.charge_write(written_bytes, nfiles=written_files)
         return written_files > 0, evicted
@@ -1358,8 +1370,9 @@ class DeepSea:
     # ------------------------------------------------------------------
     def _partition_distribution(self, view_id: str, attr: str, domain: Interval, t: float):
         key = (self.clock, view_id, attr)
-        if key not in self._dist_cache:
-            self._dist_cache[key] = partition_distribution(
+        fit = self._dist_cache.get(key, _OWED)
+        if fit is _OWED:
+            fit = self._dist_cache[key] = partition_distribution(
                 self.stats,
                 view_id,
                 attr,
@@ -1368,16 +1381,35 @@ class DeepSea:
                 self.policy.effective_decay,
                 self.policy.mle_parts,
             )
-        return self._dist_cache[key]
+        return fit
+
+    def _settle_fit(self, view_id: str, attr: str) -> None:
+        """Compute a fit the §7.2 short-cut left owing, before a hit list it reads changes.
+
+        A tick's fit is taken over the hit lists as they stand at its first
+        demand; a skipped demand must not move that moment past a mutation.
+        """
+        if self._dist_cache.get((self.clock, view_id, attr)) is _OWED:
+            self._partition_distribution(view_id, attr, self.domains(attr), float(self.clock))
 
     def _mean_fragment_width(self, view_id: str, attr: str, domain: Interval) -> float:
-        """Mean resident fragment width — the density-normalization scale."""
+        """Mean resident fragment width — the density-normalization scale.
+
+        Reads the view's resident intervals or, with none resident, the
+        tentative design (replaced, never mutated), so it is memoized on
+        the cover version and the design's identity.
+        """
+        version = self.pool.cover_version(view_id)
+        design = self.tentative.get(view_id, attr)
+        memo = self._mean_widths.get((view_id, attr))
+        if memo is not None and memo[0] == version and memo[1] is design and memo[2] == domain:
+            return memo[3]
         intervals = self.pool.intervals_of(view_id, attr) or self.tentative.intervals(view_id, attr)
-        widths = [iv.intersect(domain).width for iv in intervals if iv.intersect(domain)]
-        positive = [w for w in widths if w > 0]
-        if not positive:
-            return domain.width
-        return sum(positive) / len(positive)
+        clamped = [iv.intersect(domain) for iv in intervals]
+        positive = [c.width for c in clamped if c is not None and c.width > 0]
+        width = sum(positive) / len(positive) if positive else domain.width
+        self._mean_widths[(view_id, attr)] = (version, design, domain, width)
+        return width
 
     def _view_admission_value(self, vstats: ViewStats, t: float) -> float:
         model = self.policy.value_model
@@ -1387,62 +1419,74 @@ class DeepSea:
             return nectar_plus_view_value(vstats, t)
         return view_value(vstats, t, self.policy.effective_decay)
 
-    def _fragment_admission_value(
-        self, view_id: str, attr: str, interval: Interval, t: float
-    ) -> float:
-        """Per-fragment value Φ(I) — the same metric eviction ranks by.
+    def _fragment_values(
+        self, view_id: str, attr: str, intervals: list[Interval], t: float
+    ) -> list[float]:
+        """Φ(I) of several fragments of one partition — the one producer.
 
         Admission and eviction must speak the same currency (§7.3 ranks
         ALLCAND and resident fragments together): a cold fragment of a
-        valuable view must not evict a hot fragment of another view.
+        valuable view must not evict a hot fragment of another view.  The
+        partition-level inputs (fit, mean width) are read once per pass.
         """
         vstats = self.stats.view(view_id)
         if vstats is None:
-            return 0.0
-        fstats = self.stats.ensure_fragment(view_id, attr, interval)
+            return [0.0] * len(intervals)
+        fragments = [self.stats.ensure_fragment(view_id, attr, iv) for iv in intervals]
         model = self.policy.value_model
         if model == "nectar":
-            return nectar_fragment_value(fstats, vstats, t)
+            return [nectar_fragment_value(f, vstats, t) for f in fragments]
         if model == "nectar+":
-            return nectar_plus_fragment_value(fstats, vstats, t)
-        hits_override = None
-        if self.policy.smoothing_enabled:
-            domain = self.domains(attr)
-            if domain is not None:
-                dist = self._partition_distribution(view_id, attr, domain, t)
-                if dist is not None:
-                    fitted, total = dist
-                    hits_override = adjusted_hits_density(
-                        interval, fitted, total, domain,
-                        self._mean_fragment_width(view_id, attr, domain),
-                    )
-        return fragment_value(fstats, vstats, t, self.policy.effective_decay, hits_override)
+            return [nectar_plus_fragment_value(f, vstats, t) for f in fragments]
+        overrides: "list[float | None]" = [None] * len(intervals)
+        domain = self.domains(attr) if self.policy.smoothing_enabled else None
+        if domain is not None:
+            dist = self._partition_distribution(view_id, attr, domain, t)
+            if dist is not None:
+                overrides = adjusted_hits_density_many(
+                    intervals, *dist, domain, self._mean_fragment_width(view_id, attr, domain)
+                )
+        decay = self.policy.effective_decay
+        return [fragment_value(f, vstats, t, decay, h) for f, h in zip(fragments, overrides)]
+
+    def _fragment_admission_value(
+        self, view_id: str, attr: str, interval: Interval, t: float
+    ) -> float:
+        return self._fragment_values(view_id, attr, [interval], t)[0]
 
     def _entry_value(self, entry, t: float) -> float:
-        vstats = self.stats.view(entry.key.view_id)
+        """Φ of a resident entry: a look-up in its partition's value pass.
+
+        A partition's resident fragments are valued together, once per
+        validity token.  The token names what Φ(I) reads at a fixed ``t``
+        that can move — the view's size and cost, the cover version (mean
+        width), the hit revision, the domain; the tick's fit is fixed
+        once taken, and a resident fragment's size changes only with its
+        admission (a new cover version) or in the pass itself.
+        """
+        view_id, attr = entry.key.view_id, entry.key.attr
+        vstats = self.stats.view(view_id)
         if vstats is None:
             return 0.0
-        if entry.key.attr is None:
+        if attr is None:
             return self._view_admission_value(vstats, t)
-        fstats = self.stats.ensure_fragment(entry.key.view_id, entry.key.attr, entry.key.interval)
-        if not fstats.size_is_actual:
-            fstats.set_actual_size(entry.size_bytes)
-        model = self.policy.value_model
-        if model == "nectar":
-            return nectar_fragment_value(fstats, vstats, t)
-        if model == "nectar+":
-            return nectar_plus_fragment_value(fstats, vstats, t)
-        hits_override = None
-        if self.policy.smoothing_enabled:
-            domain = self.domains(entry.key.attr)
-            if domain is not None:
-                dist = self._partition_distribution(entry.key.view_id, entry.key.attr, domain, t)
-                if dist is not None:
-                    fitted, total = dist
-                    hits_override = adjusted_hits_density(
-                        entry.key.interval, fitted, total, domain,
-                        self._mean_fragment_width(
-                            entry.key.view_id, entry.key.attr, domain
-                        ),
-                    )
-        return fragment_value(fstats, vstats, t, self.policy.effective_decay, hits_override)
+        token = (
+            t,
+            self.pool.cover_version(view_id),
+            self.stats.hit_revision(view_id, attr),
+            vstats.size_bytes,
+            vstats.creation_cost_s,
+            self.domains(attr),
+        )
+        memo = self._resident_values.get((view_id, attr))
+        if memo is None or memo[0] != token:
+            entries = self.pool.fragments_of(view_id, attr)
+            for resident in entries:
+                fstats = self.stats.ensure_fragment(view_id, attr, resident.key.interval)
+                if not fstats.size_is_actual:
+                    # before the value is formed: Φ reads this size
+                    fstats.set_actual_size(resident.size_bytes)
+            intervals = [e.key.interval for e in entries]
+            values = dict(zip(intervals, self._fragment_values(view_id, attr, intervals, t)))
+            memo = self._resident_values[(view_id, attr)] = (token, values)
+        return memo[1][entry.key.interval]

@@ -324,11 +324,28 @@ def adjusted_hits_density(
     equal-width fragments rank exactly as in the paper, while fragments of
     different widths compete fairly per byte.
     """
-    clamped = interval.intersect(domain)
-    if clamped is None:
-        return 0.0
-    hits = total_hits * fitted.mass(clamped)
-    width = clamped.width
-    if width <= 0 or reference_width <= 0:
-        return hits
-    return hits * min(reference_width / width, 1e6)
+    return adjusted_hits_density_many([interval], fitted, total_hits, domain, reference_width)[0]
+
+
+def adjusted_hits_density_many(
+    intervals: list[Interval],
+    fitted: FittedNormal,
+    total_hits: float,
+    domain: Interval,
+    reference_width: float,
+) -> list[float]:
+    """:func:`adjusted_hits_density` of every interval of one partition.
+
+    One pass over the partition shares the per-endpoint ``erf`` (see
+    :func:`adjusted_hits_many`); the width ratio is the scalar operation
+    in the scalar order, so every float is the one a per-interval call
+    returns.
+    """
+    out = []
+    for interval, hits in zip(intervals, adjusted_hits_many(intervals, fitted, total_hits, domain)):
+        clamped = interval.intersect(domain)
+        width = clamped.width if clamped is not None else 0.0  # outside: hits is 0.0
+        if not (width <= 0 or reference_width <= 0):
+            hits = hits * min(reference_width / width, 1e6)
+        out.append(hits)
+    return out

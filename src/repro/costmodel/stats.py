@@ -362,6 +362,11 @@ class StatisticsStore:
             self._frags_cache[key] = frags
         return frags
 
+    def hit_revision(self, view_id: str, attr: str) -> int:
+        """Hits ever recorded on PSTAT(V, A): moves iff one of its hit lists did."""
+        cell = self._hit_cells.get((view_id, attr))
+        return cell[0] if cell is not None else 0
+
     def partition_times(
         self, view_id: str, attr: str
     ) -> "tuple[list[FragmentStats], list[int], np.ndarray, np.ndarray]":
@@ -381,8 +386,7 @@ class StatisticsStore:
         would give.
         """
         key = (view_id, attr)
-        cell = self._hit_cells.get(key)
-        rev = cell[0] if cell is not None else 0
+        rev = self.hit_revision(view_id, attr)
         cached = self._times_cache.get(key)
         if cached is not None and cached[0] == rev:
             return cached[1], cached[2], cached[3], cached[4]

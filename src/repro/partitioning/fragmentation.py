@@ -10,6 +10,7 @@ any in-domain selection can be answered from fragments.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.errors import PartitionError
@@ -120,15 +121,33 @@ class Fragmentation:
     # Refinement
     # ------------------------------------------------------------------
     def replace(self, target: Interval, pieces: tuple[Interval, ...]) -> "Fragmentation":
-        """Split ``target`` into ``pieces`` (must tile it exactly)."""
-        if target not in self.intervals:
+        """Split ``target`` into ``pieces`` (must tile it exactly).
+
+        The pieces are spliced into the (sorted, already validated) tuple
+        at their bisected positions and only they are checked against the
+        domain — the tuple, and the errors, of re-validating the whole
+        fragmentation through the constructor, without re-sorting it.
+        """
+        at = bisect_left(self.intervals, sort_key(target), key=sort_key)
+        if at == len(self.intervals) or self.intervals[at] != target:
             raise PartitionError(f"{target} is not a fragment of this fragmentation")
         if not union_covers(list(pieces), target):
             raise PartitionError("pieces do not cover the fragment being replaced")
         if not pairwise_disjoint(list(pieces)):
             raise PartitionError("split pieces overlap")
-        new = tuple(iv for iv in self.intervals if iv != target) + tuple(pieces)
-        return Fragmentation(self.attr, self.domain, tuple(sorted(new, key=sort_key)))
+        spliced = list(self.intervals)
+        del spliced[at]
+        for piece in sorted(pieces, key=sort_key):
+            if piece.intersect(self.domain) is None:
+                raise PartitionError(f"fragment {piece} lies outside domain {self.domain}")
+            i = bisect_left(spliced, sort_key(piece), key=sort_key)
+            if i == len(spliced) or spliced[i] != piece:  # a set: duplicates collapse
+                spliced.insert(i, piece)
+        out = object.__new__(Fragmentation)
+        object.__setattr__(out, "attr", self.attr)
+        object.__setattr__(out, "domain", self.domain)
+        object.__setattr__(out, "intervals", tuple(spliced))
+        return out
 
     def add_overlapping(self, fragment: Interval) -> "Fragmentation":
         """Add a fragment that may overlap existing ones (Definition 2 path)."""

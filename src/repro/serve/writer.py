@@ -123,7 +123,10 @@ class PoolWriter:
                         self.system.ingest(plan.name, plan.rows)
                         self.batches += 1
                     else:
-                        self.system.execute(plan)
+                        # A reader answered this query; the writer only learns
+                        # from it, so its copy of the answer is not kept — a
+                        # long-lived service would retain one table per query.
+                        self.system.execute(plan).result = None
                         self.steps += 1
                 except ReproError as exc:
                     # The writer must outlive any single bad step: the

@@ -3,6 +3,7 @@ domain resolution, policies, reports, and the simulator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.admission import AdmissionController
 from repro.core.domains import DomainResolver
@@ -26,6 +27,73 @@ from repro.partitioning.intervals import Interval
 from repro.query.algebra import Relation, Select
 from repro.query.predicates import between
 from repro.storage.pool import MaterializedViewPool
+
+
+def _double_evaluating_plan_eviction(pool, value_fn, hysteresis, needed_bytes, candidate_value):
+    """``plan_eviction`` before it valued each entry once — verbatim: the
+    pool sorted through ``value_fn``, which the scan then calls again."""
+    if pool.fits(needed_bytes):
+        return []
+    assert pool.smax_bytes is not None
+    budget = pool.smax_bytes - pool.used_bytes
+    threshold = candidate_value / hysteresis
+    victims = []
+    for entry in sorted(pool.all_entries(), key=value_fn):
+        if budget + 1e-6 >= needed_bytes:
+            break
+        if value_fn(entry) >= threshold:
+            break
+        victims.append(entry)
+        budget += entry.size_bytes
+    if budget + 1e-6 >= needed_bytes:
+        return victims
+    return None
+
+
+class TestPlanEvictionOracle:
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from([40.0, 80.0, 150.0]),
+                st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 4.0]),
+            ),
+            min_size=0,
+            max_size=8,
+        ),
+        slack=st.sampled_from([0.0, 10.0, 100.0]),
+        needed=st.sampled_from([0.0, 10.0, 90.0, 200.0, 1000.0]),
+        candidate=st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 8.0]),
+        hysteresis=st.sampled_from([1.0, 1.25, 2.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_victims_in_the_same_order(self, entries, slack, needed, candidate, hysteresis):
+        # ties are everywhere (values repeat), a value can sit exactly on
+        # the hysteresis threshold, and the pool can be empty or roomy
+        pool = MaterializedViewPool(smax_bytes=sum(size for size, _ in entries) + slack)
+        pool.define_view("v", Relation("t"))
+        schema = Schema.of(Column("a"))
+        values = {}
+        for i, (size, value) in enumerate(entries):
+            table = Table.from_dict(
+                schema, {"a": np.arange(5)}, scale=size / (5 * schema.row_bytes)
+            )
+            entry = pool.add_fragment("v", "a", Interval.closed(i * 10, i * 10 + 5), table)
+            values[entry.fragment_id] = value
+        calls = []
+
+        def value_fn(entry):
+            calls.append(entry.fragment_id)
+            return values[entry.fragment_id]
+
+        got = AdmissionController(pool, value_fn, hysteresis).plan_eviction(needed, candidate)
+        assert len(calls) == len(set(calls))  # each entry valued at most once
+        expected = _double_evaluating_plan_eviction(
+            pool, lambda e: values[e.fragment_id], hysteresis, needed, candidate
+        )
+        if expected is None:
+            assert got is None
+        else:
+            assert [e.fragment_id for e in got] == [e.fragment_id for e in expected]
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,33 @@
 """Tests for DeepSea's internal helpers: jitter estimation, piece widening,
 mean fragment width, view reconstruction, and admission feasibility."""
 
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.core.deepsea as deepsea_module
 from repro import Catalog, DeepSea, Interval, Policy
-from repro.engine.cost import CostLedger
+from repro.baselines import deepsea
+from repro.bench.harness import sdss_fixture
+from repro.core.admission import AdmissionController
+from repro.core.deepsea import _OWED, _Pieces, _piece_refinement_passes
+from repro.costmodel.estimate import ResidentProfile
+from repro.costmodel.nectar import nectar_fragment_value, nectar_plus_fragment_value
+from repro.costmodel.value import fragment_value, partition_distribution
+from repro.engine.cost import ClusterSpec, CostLedger
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
+from repro.parallel.determinism import report_fingerprint
+from repro.partitioning.candidates import SplitCandidate
+from repro.partitioning.fragmentation import Fragmentation
 from repro.query.algebra import Aggregate, AggSpec, Join, Relation, Select
 from repro.query.predicates import between
+from repro.workloads.generator import sdss_mapped_workload
+from tests.test_core_components import _double_evaluating_plan_eviction
+from tests.test_fragmentation import _rebuilding_replace
+from tests.test_value_functions import _scalar_adjusted_hits_density
 
 DOMAIN = Interval.closed(0, 1000)
 DOMAINS = {"d_k": DOMAIN, "f_k": DOMAIN}
@@ -288,3 +306,366 @@ class TestPieceRefinementMemo:
             safety=1.0,
         )
         assert estimator.piece_memo[piece][0] is False
+
+
+# ----------------------------------------------------------------------
+# Tight-pool admission oracles (DESIGN.md §12): the valuation as it was
+# before Φ was valued once per partition — verbatim scalar code, compared
+# with ``==``.  The oracles read the same per-tick fit the system does
+# (``_partition_distribution`` is unchanged), so a differing float is a
+# differing computation, never a differing input.
+# ----------------------------------------------------------------------
+def scalar_mean_fragment_width(system, view_id, attr, domain):
+    intervals = system.pool.intervals_of(view_id, attr) or system.tentative.intervals(view_id, attr)
+    widths = [iv.intersect(domain).width for iv in intervals if iv.intersect(domain)]
+    positive = [w for w in widths if w > 0]
+    if not positive:
+        return domain.width
+    return sum(positive) / len(positive)
+
+
+def scalar_fragment_value(system, view_id, attr, interval, t):
+    vstats = system.stats.view(view_id)
+    if vstats is None:
+        return 0.0
+    fstats = system.stats.ensure_fragment(view_id, attr, interval)
+    model = system.policy.value_model
+    if model == "nectar":
+        return nectar_fragment_value(fstats, vstats, t)
+    if model == "nectar+":
+        return nectar_plus_fragment_value(fstats, vstats, t)
+    hits_override = None
+    if system.policy.smoothing_enabled:
+        domain = system.domains(attr)
+        if domain is not None:
+            dist = system._partition_distribution(view_id, attr, domain, t)
+            if dist is not None:
+                fitted, total = dist
+                hits_override = _scalar_adjusted_hits_density(
+                    interval, fitted, total, domain,
+                    scalar_mean_fragment_width(system, view_id, attr, domain),
+                )
+    return fragment_value(fstats, vstats, t, system.policy.effective_decay, hits_override)
+
+
+def scalar_entry_value(system, entry, t):
+    vstats = system.stats.view(entry.key.view_id)
+    if vstats is None:
+        return 0.0
+    if entry.key.attr is None:
+        return system._view_admission_value(vstats, t)
+    fstats = system.stats.ensure_fragment(entry.key.view_id, entry.key.attr, entry.key.interval)
+    if not fstats.size_is_actual:
+        fstats.set_actual_size(entry.size_bytes)
+    return scalar_fragment_value(system, entry.key.view_id, entry.key.attr, entry.key.interval, t)
+
+
+_bound = st.sampled_from([None, -50.0, 0.0, 100.0, 250.0, 400.0, 600.0, 850.0, 1000.0, 1300.0])
+
+
+@st.composite
+def _fragment_intervals(draw):
+    """Distinct intervals on, beside and outside DOMAIN; unbounded ends
+    and zero-width points included."""
+    out = []
+    for _ in range(draw(st.integers(0, 7))):
+        lo, hi = draw(_bound), draw(_bound)
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        if lo is not None and lo == hi:
+            out.append(Interval.point(lo))
+        else:
+            out.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return list(dict.fromkeys(out))
+
+
+_PIECE = Table.from_dict(Schema.of(Column("d_k")), {"d_k": np.arange(4)}, scale=1e6)
+
+VALUE_POLICIES = {
+    "deepsea": Policy(),
+    "deepsea, raw hits": Policy(use_mle=False),
+    "nectar": Policy(value_model="nectar"),
+    "nectar+": Policy(value_model="nectar+"),
+}
+
+
+def valued_system(policy, resident, hits, *, smax=None):
+    """A system with one view "v", ``resident`` fragments on d_k and a hit
+    per drawn ``(fragment index, time)`` — no query needed."""
+    system = DeepSea(Catalog(), domains=DOMAINS, policy=policy, smax_bytes=smax)
+    system.pool.define_view("v", Relation("fact"))
+    vstats = system.stats.ensure_view("v", Relation("fact"))
+    vstats.size_bytes, vstats.creation_cost_s = 5e8, 120.0
+    vstats.record_benefit(1.0, 30.0)
+    for interval in resident:
+        system.pool.add_fragment("v", "d_k", interval, _PIECE)
+        system.stats.ensure_fragment("v", "d_k", interval)
+    for index, when in hits:
+        if resident:
+            target = resident[index % len(resident)]
+            system.stats.fragment("v", "d_k", target).record_hit(float(when), target)
+    system.clock = 20
+    return system
+
+
+class TestMeanFragmentWidthOracle:
+    @given(
+        resident=_fragment_intervals(),
+        design_cuts=st.lists(st.integers(1, 999), max_size=4, unique=True),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_memo_equals_scalar_loop_through_every_change(self, resident, design_cuts):
+        system = valued_system(Policy(), resident, [])
+        check = lambda: system._mean_fragment_width("v", "d_k", DOMAIN) == (  # noqa: E731
+            scalar_mean_fragment_width(system, "v", "d_k", DOMAIN)
+        )
+        assert check() and check()  # cold, then from the memo
+        # the tentative design is what is read once nothing is resident;
+        # it is replaced, never mutated
+        design = system.tentative.ensure("v", "d_k", DOMAIN)
+        for cut in design_cuts:
+            parent = next(iv for iv in design.intervals if iv.contains_point(cut))
+            if parent.lo < cut:
+                system.tentative.apply_split(
+                    "v", "d_k", SplitCandidate(parent, parent.split_before(cut))
+                )
+                design = system.tentative.get("v", "d_k")
+            assert check()
+        for entry in system.pool.fragments_of("v", "d_k"):
+            system.pool.evict(entry.fragment_id)  # a new cover version each time
+            assert check()
+        other = Interval.closed(0, 500)
+        assert system._mean_fragment_width("v", "d_k", other) == (
+            scalar_mean_fragment_width(system, "v", "d_k", other)
+        )
+
+
+class TestFragmentValuesOracle:
+    @pytest.mark.parametrize("model", sorted(VALUE_POLICIES))
+    @given(
+        resident=_fragment_intervals(),
+        extra=_fragment_intervals(),
+        hits=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 19)), max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_equals_one_scalar_phi_each(self, model, resident, extra, hits):
+        # ``hits == []`` leaves the partition without hit mass: ``dist is None``
+        system = valued_system(VALUE_POLICIES[model], resident, hits)
+        t = float(system.clock)
+        intervals = resident + [iv for iv in extra if iv not in resident]
+        assert system._fragment_values("v", "d_k", intervals, t) == [
+            scalar_fragment_value(system, "v", "d_k", iv, t) for iv in intervals
+        ]
+        for entry in system.pool.all_entries():
+            assert system._entry_value(entry, t) == scalar_entry_value(system, entry, t)
+
+    def test_unknown_view_is_worthless_and_untracked(self):
+        system = valued_system(Policy(), [], [])
+        assert system._fragment_values("ghost", "d_k", [DOMAIN], 3.0) == [0.0]
+        assert system.stats.fragment("ghost", "d_k", DOMAIN) is None
+
+    def test_entry_value_settles_the_size_before_valuing(self):
+        resident = [Interval.closed(0, 500), Interval.open_closed(500, 1000)]
+        system = valued_system(Policy(), resident, [(0, 3), (0, 5), (1, 7)])
+        t = float(system.clock)
+        stats = [system.stats.fragment("v", "d_k", iv) for iv in resident]
+        assert not any(s.size_is_actual for s in stats)
+        entries = system.pool.fragments_of("v", "d_k")
+        values = [system._entry_value(e, t) for e in entries]
+        assert [s.size_bytes for s in stats] == [e.size_bytes for e in entries]
+        assert all(s.size_is_actual for s in stats)
+        # the value formed is the one over the settled size
+        assert values == [scalar_entry_value(system, e, t) for e in entries] and all(values)
+
+    def test_token_follows_every_input_phi_reads(self):
+        resident = [Interval.closed(0, 500), Interval.open_closed(500, 1000)]
+        system = valued_system(Policy(), resident, [(0, 3), (1, 7)])
+        t = float(system.clock)
+        agree = lambda at: all(  # noqa: E731
+            system._entry_value(e, at) == scalar_entry_value(system, e, at)
+            for e in system.pool.all_entries()
+        )
+        assert agree(t)
+        vstats = system.stats.view("v")
+        vstats.set_actual_size(7e8)
+        assert agree(t)
+        vstats.set_actual_cost(45.0)
+        assert agree(t)
+        system.stats.fragment("v", "d_k", resident[0]).record_hit(t, resident[0])
+        assert agree(t)
+        system.pool.add_fragment("v", "d_k", Interval.closed(100, 200), _PIECE)
+        assert agree(t)
+        system.clock += 1
+        assert agree(float(system.clock))
+
+
+class TestFitShortCutsOracle:
+    """``_piece_refinement_passes`` against the always-fit verdict it replaced."""
+
+    @staticmethod
+    def always_fit_verdict(hits, saving_per_hit, cost_est, smoothed, safety):
+        # the tail of the pre-change function, verbatim, with the fit's
+        # smoothed count given
+        if hits > 0:
+            hits = max(hits, min(smoothed, 2.0 * hits))
+        return hits * saving_per_hit >= safety * cost_est
+
+    @given(
+        hits=st.sampled_from([0.0, 0.25, 1.0, 3.0, 40.0]),
+        saving=st.sampled_from([0.0, 0.5, 3.0, 1e3]),
+        cost=st.sampled_from([0.0, 1.0, 2.9, 3.0, 6.0, 1e4]),
+        smoothed=st.sampled_from([0.0, 0.3, 1.5, 2.0, 79.9, 1e9, float("nan")]),
+        safety=st.sampled_from([1.0, 1.5]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_verdict_and_fits_only_when_it_matters(self, hits, saving, cost, smoothed, safety):
+        piece = Interval.closed(100, 140)
+        estimator = ResidentProfile(TestPieceRefinementMemo.RESIDENT, DOMAIN, ClusterSpec())
+        estimator.piece_memo[piece] = (True, 1.0, cost, saving)
+
+        class Realizing:
+            def hits_for(self, _piece):
+                return hits
+
+        class Fit:  # adjusted_hits(piece, fit, total, domain) == total * mass
+            def mass(self, _clamped):
+                return smoothed
+
+        calls = []
+        got = _piece_refinement_passes(
+            piece,
+            estimator=estimator,
+            resident_sizes={},
+            resident_intervals=[],
+            domain=DOMAIN,
+            cluster=ClusterSpec(),
+            realizing=Realizing(),
+            dist_fn=lambda: calls.append("fit") or (Fit(), 1.0),
+            safety=safety,
+            defer_fn=lambda: calls.append("owed"),
+        )
+        assert got == self.always_fit_verdict(hits, saving, cost, smoothed, safety)
+        needed = safety * cost
+        undecided = hits * saving < needed <= (2.0 * hits) * saving
+        assert calls == ([] if hits == 0 else ["fit"] if undecided else ["owed"])
+
+    def test_owed_fit_is_taken_before_the_hits_it_reads_change(self, system):
+        """A tick's fit is over the hit lists at its first demand; skipping
+        the demand must not move that moment past an inherit."""
+        for lo in (100, 120, 140):
+            system.execute(query(lo, lo + 100))
+        vid = the_partitioned_view(system)
+        t = float(system.clock)
+        key = (system.clock, vid, "d_k")
+        system._dist_cache.pop(key, None)
+        before = partition_distribution(
+            system.stats, vid, "d_k", DOMAIN, t, system.policy.effective_decay,
+            system.policy.mle_parts,
+        )
+        system._dist_cache.setdefault(key, _OWED)  # what the short-cut leaves
+        parent = next(
+            iv for iv in system.stats.intervals_for(vid, "d_k")
+            if system.stats.fragment(vid, "d_k", iv).hit_times
+        )
+        pieces = parent.split_before(parent.lo + 0.37 * parent.width)  # a cut no query made
+        assert all(system.stats.fragment(vid, "d_k", p) is None for p in pieces)
+        system._inherit_fragment_stats(vid, "d_k", SplitCandidate(parent, pieces))
+        assert any(system.stats.fragment(vid, "d_k", p).hit_times for p in pieces)
+        assert system._dist_cache[key] == before
+        after = partition_distribution(
+            system.stats, vid, "d_k", DOMAIN, t, system.policy.effective_decay,
+            system.policy.mle_parts,
+        )
+        assert after != before  # the inherit did move what a late fit would see
+
+
+class TestPiecesOracle:
+    @given(
+        values=st.lists(st.sampled_from([-5, 0, 10, 10, 20, 20, 20, 30, 35, 40, 100]), max_size=40),
+        intervals=_fragment_intervals(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_each_cut_is_the_masked_filter(self, values, intervals):
+        # bounds of the drawn intervals sit on 0 / 100 and the column
+        # repeats values on and next to them: open and closed sides differ
+        schema = Schema.of(Column("d_k"), Column("row"))
+        table = Table.from_dict(
+            schema, {"d_k": np.array(values, dtype=np.int64), "row": np.arange(len(values))}
+        )
+        pieces = _Pieces(table, "d_k")
+        for interval in intervals + [Interval.closed(10, 20), Interval.open(10, 20)]:
+            expected = table.filter(interval.mask(table.column("d_k")))
+            cut = pieces[interval]
+            assert cut.to_rows() == expected.to_rows()
+            assert cut.size_bytes == expected.size_bytes
+            assert pieces[interval] is cut  # masked once
+
+    def test_integer_keys_past_float_precision_still_compare_as_integers(self):
+        """The column is cast to float64 once only where that is exact."""
+        big = 2**53
+        values = np.array([5, 10, big - 1, big, big + 1, big + 2], dtype=np.int64)
+        table = Table.from_dict(Schema.of(Column("d_k")), {"d_k": values})
+        assert table.column("d_k").dtype == np.int64
+        pieces = _Pieces(table, "d_k")
+        for interval in (
+            Interval.open_closed(big, big + 2),  # integer bounds: exact comparison
+            Interval.closed(10, big),
+            Interval.closed(5.0, float(big)),
+        ):
+            expected = table.filter(interval.mask(table.column("d_k")))
+            assert pieces[interval].to_rows() == expected.to_rows()
+
+
+def test_stateful_tight_pool_run(monkeypatch):
+    """150 SDSS-mapped queries against the 10 % pool: after every query
+    every resident entry's Φ is the scalar oracle's and nothing cut for
+    the step outlives it; and the whole run — every ledger, decision and
+    answer — is the run of the pre-change code paths put back together."""
+    fx = sdss_fixture(20.0)
+    plans = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=150, seed=2)
+
+    def make():
+        return deepsea(
+            fx.catalog, domains=fx.domains, smax_bytes=0.10 * fx.catalog.total_size_bytes
+        )
+
+    step_scoped = []
+    cut = _Pieces.__getitem__
+
+    def tracking_cut(self, interval):
+        piece = cut(self, interval)
+        step_scoped.extend((weakref.ref(self), weakref.ref(piece)))
+        return piece
+
+    system = make()
+    with monkeypatch.context() as patched:
+        patched.setattr(_Pieces, "__getitem__", tracking_cut)
+        for plan in plans:
+            system.execute(plan)
+            t = float(system.clock)
+            for entry in system.pool.all_entries():
+                assert system._entry_value(entry, t) == scalar_entry_value(system, entry, t)
+            assert not any(ref() is not None for ref in step_scoped)
+    assert step_scoped and sum(r.evictions for r in system.reports) > 0
+
+    def always_fit(piece, *, defer_fn=None, dist_fn, **rest):
+        return _piece_refinement_passes(piece, dist_fn=dist_fn, defer_fn=dist_fn, **rest)
+
+    twin = make()
+    with monkeypatch.context() as patched:
+        patched.setattr(DeepSea, "_entry_value", scalar_entry_value)
+        patched.setattr(DeepSea, "_fragment_admission_value", scalar_fragment_value)
+        patched.setattr(deepsea_module, "_piece_refinement_passes", always_fit)
+        patched.setattr(Fragmentation, "replace", _rebuilding_replace)
+        patched.setattr(
+            AdmissionController,
+            "plan_eviction",
+            lambda self, needed, value: _double_evaluating_plan_eviction(
+                self.pool, self.value_fn, self.hysteresis, needed, value
+            ),
+        )
+        for plan in plans:
+            twin.execute(plan)
+    assert [report_fingerprint(r) for r in system.reports] == [
+        report_fingerprint(r) for r in twin.reports
+    ]

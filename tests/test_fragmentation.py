@@ -9,7 +9,7 @@ from repro.partitioning.fragmentation import (
     pairwise_disjoint,
     union_covers,
 )
-from repro.partitioning.intervals import Interval
+from repro.partitioning.intervals import Interval, sort_key
 
 
 class TestUnionCovers:
@@ -170,3 +170,104 @@ def test_repeated_splits_stay_horizontal(points, after):
             continue
         frag = frag.replace(target, pieces)
     assert frag.is_horizontal_partition()
+
+
+# ----------------------------------------------------------------------
+# Oracle: the spliced ``replace`` against the pre-splice one, verbatim —
+# rebuild, re-sort and re-validate everything through the constructor.
+# ----------------------------------------------------------------------
+def _rebuilding_replace(frag, target, pieces):
+    if target not in frag.intervals:
+        raise PartitionError(f"{target} is not a fragment of this fragmentation")
+    if not union_covers(list(pieces), target):
+        raise PartitionError("pieces do not cover the fragment being replaced")
+    if not pairwise_disjoint(list(pieces)):
+        raise PartitionError("split pieces overlap")
+    new = tuple(iv for iv in frag.intervals if iv != target) + tuple(pieces)
+    return Fragmentation(frag.attr, frag.domain, tuple(sorted(new, key=sort_key)))
+
+
+def _outcome(replace, frag, target, pieces):
+    try:
+        return replace(frag, target, pieces).intervals
+    except PartitionError as exc:
+        return str(exc)
+
+
+_cut = st.sampled_from([-10, 0, 10, 20, 30, 45, 60, 80, 100, 120])
+
+
+@st.composite
+def _interval(draw):
+    lo, hi = sorted((draw(_cut), draw(_cut)))
+    if lo == hi:
+        return Interval.point(lo)
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+class TestSplicedReplaceOracle:
+    DOMAIN = Interval.closed(0, 100)
+
+    @given(
+        extra=st.lists(_interval(), max_size=6),
+        target_at=st.integers(0, 10),
+        pieces=st.lists(_interval(), min_size=1, max_size=4),
+        cuts=st.lists(st.integers(1, 99), max_size=3, unique=True),
+        tile=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_tuple_or_same_error(self, extra, target_at, pieces, cuts, tile):
+        # an overlapping design: the domain plus whatever intersects it
+        design = Fragmentation(
+            "a",
+            self.DOMAIN,
+            (self.DOMAIN, *(iv for iv in extra if iv.overlaps(self.DOMAIN))),
+        )
+        target = design.intervals[target_at % len(design)]
+        if tile:
+            # pieces that do tile the target (cut at interior points), so the
+            # accepting path, interleaving and duplicate collapse are drawn
+            # as often as the three refusals
+            pieces, rest = [], target
+            for point in sorted(c for c in cuts if target.lo < c < target.hi):
+                left, rest = rest.split_before(point)
+                pieces.append(left)
+            pieces.append(rest)
+        got = _outcome(Fragmentation.replace, design, target, tuple(pieces))
+        assert got == _outcome(_rebuilding_replace, design, target, tuple(pieces))
+
+    def test_piece_equal_to_an_existing_fragment_collapses(self):
+        design = Fragmentation(
+            "a", self.DOMAIN, (self.DOMAIN, Interval.closed_open(0, 40))
+        )
+        pieces = (Interval.closed_open(0, 40), Interval.closed(40, 100))
+        out = design.replace(self.DOMAIN, pieces)
+        assert out.intervals == pieces
+        assert out == _rebuilding_replace(design, self.DOMAIN, pieces)
+
+    def test_pieces_interleave_with_overlapping_neighbours(self):
+        design = Fragmentation("a", self.DOMAIN, (self.DOMAIN, Interval.closed(30, 60)))
+        pieces = (Interval.closed_open(0, 50), Interval.closed(50, 100))
+        out = design.replace(self.DOMAIN, pieces)
+        assert out.intervals == (pieces[0], Interval.closed(30, 60), pieces[1])
+
+    def test_out_of_domain_piece_is_the_constructors_error(self):
+        design = Fragmentation("a", self.DOMAIN, (self.DOMAIN, Interval.closed(90, 120)))
+        target = Interval.closed(90, 120)
+        pieces = (Interval.closed(90, 100), Interval.open_closed(100, 120))
+        with pytest.raises(PartitionError, match="lies outside domain"):
+            design.replace(target, pieces)
+        assert _outcome(Fragmentation.replace, design, target, pieces) == _outcome(
+            _rebuilding_replace, design, target, pieces
+        )
+
+    def test_not_a_fragment_and_non_tiling(self):
+        design = Fragmentation.single("a", self.DOMAIN)
+        for target, pieces in (
+            (Interval.closed(0, 5), (Interval.closed(0, 5),)),
+            (self.DOMAIN, (Interval.closed(0, 40), Interval.closed(60, 100))),
+            (self.DOMAIN, (Interval.closed(0, 60), Interval.closed(40, 100))),
+        ):
+            assert _outcome(Fragmentation.replace, design, target, pieces) == _outcome(
+                _rebuilding_replace, design, target, pieces
+            )

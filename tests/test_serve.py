@@ -239,6 +239,19 @@ class TestQueryService:
             m = svc.metrics()
             assert m["accounting_ok"] and m["failed"] == 0
 
+    def test_writer_keeps_reports_but_not_answer_tables(self, fx, plans, digests):
+        """The writer learns from each query; it must not retain its answer."""
+        system = deepsea(fx.catalog, domains=fx.domains)
+        with QueryService(system, workers=2, queue_depth=64) as svc:
+            outs = drain(svc, plans)
+        assert [answer_digest(o.table) for o in outs] == digests
+        assert svc.metrics()["writer"]["steps"] == len(system.reports) == len(plans)
+        assert all(r.result is None for r in system.reports)
+        # the counters the layer trace reads survive
+        assert sum(len(r.views_created) for r in system.reports) > 0
+        assert any(r.view_used is not None for r in system.reports)
+        assert all(r.evictions == 0 and r.refinements >= 0 for r in system.reports)
+
     def test_chaos_answers_byte_identical_with_retries(self, fx, plans, digests):
         system = deepsea(fx.catalog, domains=fx.domains)
         svc = QueryService(

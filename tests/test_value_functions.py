@@ -9,6 +9,7 @@ from repro.costmodel.mle import (
     FittedNormal,
     adjusted_hits,
     adjusted_hits_density,
+    adjusted_hits_density_many,
     fit_partition_distribution,
 )
 from repro.costmodel.stats import FragmentStats, StatisticsStore
@@ -194,6 +195,52 @@ class TestRealizingHitsIndexOracle:
         for piece in (Interval.closed(15, 30), Interval.closed(24, 29)):
             expected = realizing_hits(parent, parent_iv, piece, 3.0, DEC)
             assert index.hits_for(piece) == expected
+
+
+def _scalar_adjusted_hits_density(interval, fitted, total_hits, domain, reference_width):
+    """The pre-batching scalar, verbatim: the oracle of the partition pass."""
+    clamped = interval.intersect(domain)
+    if clamped is None:
+        return 0.0
+    hits = total_hits * fitted.mass(clamped)
+    width = clamped.width
+    if width <= 0 or reference_width <= 0:
+        return hits
+    return hits * min(reference_width / width, 1e6)
+
+
+# bounds on, beside and outside DOMAIN = [0, 100]; None is an unbounded end
+_bound = st.sampled_from([None, -20.0, 0.0, 10.0, 25.0, 40.0, 60.0, 85.0, 100.0, 130.0])
+
+
+@st.composite
+def _fragments(draw):
+    lo, hi = draw(_bound), draw(_bound)
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    if lo is not None and lo == hi:
+        return Interval.point(lo)  # zero width
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+class TestAdjustedHitsDensityManyOracle:
+    @given(
+        st.lists(_fragments(), min_size=0, max_size=12),
+        st.sampled_from(
+            [FittedNormal(50.0, 100.0), FittedNormal(0.0, 1e-12), FittedNormal(97.0, 2500.0)]
+        ),
+        st.sampled_from([0.0, 7.5, 20.0, 1e-9]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_partition_pass_equals_scalar_loop(self, intervals, fitted, reference_width):
+        many = adjusted_hits_density_many(intervals, fitted, 17.0, DOMAIN, reference_width)
+        assert many == [
+            _scalar_adjusted_hits_density(iv, fitted, 17.0, DOMAIN, reference_width)
+            for iv in intervals
+        ]
+        # the scalar entry point is the same pass over one interval
+        for iv, value in zip(intervals, many):
+            assert adjusted_hits_density(iv, fitted, 17.0, DOMAIN, reference_width) == value
 
 
 class TestPartitionDistributionsOracle:
