@@ -3,91 +3,82 @@
 The cover-delta invalidation work keys `match_view` skeletons on
 range-free signature shapes and greedy covers on per-view cover versions,
 so pool mutations of one view no longer flush everyone else's entries.
-On the fig-5a profile this pushes the `matching.match_view` hit rate from
+On the fig-5a smoke this pushes the `matching.match_view` hit rate from
 ~55% (whole-cover invalidation) to >95%; the floor locks the property in
 and fails with the observed rate so a regression is diagnosable from the
 CI log alone.
 
 The gate also requires the `matching.cover_cache` per-view invalidation
-counters to be present in the JSON — they are the observable part of the
-delta protocol.
+counters to be present in :func:`repro.caches.cache_stats` — they are the
+observable part of the delta protocol.
 
-Runnable locally:
+Runs the H / NP / DS systems over a small fig-5a workload in-process and
+reads the cache registry.  Runnable locally:
 
-    PYTHONPATH=src python -m repro profile --queries 150 --instance-gb 100 \
-        --seed 2 --output /tmp/profile_smoke.json
-    python benchmarks/ci_checks/check_matching_memo.py /tmp/profile_smoke.json
+    PYTHONPATH=src python benchmarks/ci_checks/check_matching_memo.py
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 DEFAULT_FLOOR = 0.80
 
 
+def check(stats: dict, floor: float) -> list[str]:
+    """Violations of the gate in one ``cache_stats()`` snapshot (empty = pass)."""
+    memo = stats.get("matching.match_view")
+    if memo is None:
+        return ["matching.match_view not in cache stats"]
+    cover = stats.get("matching.cover_cache")
+    if cover is None:
+        return ["matching.cover_cache not in cache stats"]
+    if "invalidations" not in cover or "by_view" not in cover:
+        return [f"matching.cover_cache lacks per-view invalidation counters: {sorted(cover)}"]
+    calls = memo["hits"] + memo["misses"]
+    if calls == 0:
+        return ["no match_view calls recorded — the workload ran no matching"]
+    rate = memo["hits"] / calls
+    if rate < floor:
+        return [f"match_view hit rate {rate:.3f} below floor {floor:.2f}"]
+    return []
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("report", help="profile JSON written by `python -m repro profile`")
+    parser.add_argument("--queries", type=int, default=150)
+    parser.add_argument("--instance-gb", type=float, default=100.0)
     parser.add_argument(
         "--floor",
         type=float,
         default=DEFAULT_FLOOR,
-        help=f"minimum aggregate match_view hit rate (default {DEFAULT_FLOOR})",
+        help=f"minimum match_view hit rate (default {DEFAULT_FLOOR})",
     )
     args = parser.parse_args(argv)
 
-    with open(args.report) as fh:
-        report = json.load(fh)
+    from repro import caches
+    from repro.baselines import deepsea, hive, non_partitioned
+    from repro.bench.harness import run_systems, sdss_fixture
+    from repro.workloads.generator import sdss_mapped_workload
 
-    total_hits = 0
-    total_misses = 0
-    cover_cache_seen = False
-    for label, info in sorted(report["per_worker"].items()):
-        caches = info["caches"]
-        memo = caches.get("matching.match_view")
-        if memo is None:
-            print(f"FAIL {label}: matching.match_view not in cache stats", file=sys.stderr)
-            return 1
-        hits, misses = memo["hits"], memo["misses"]
-        total_hits += hits
-        total_misses += misses
-        if hits + misses:
-            print(f"{label}: matching.match_view hits={hits} misses={misses}")
-        cover = caches.get("matching.cover_cache")
-        if cover is not None:
-            cover_cache_seen = True
-            if "invalidations" not in cover or "by_view" not in cover:
-                print(
-                    f"FAIL {label}: matching.cover_cache lacks per-view "
-                    f"invalidation counters: {sorted(cover)}",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"{label}: matching.cover_cache hits={cover['hits']} "
-                f"misses={cover['misses']} invalidations={cover['invalidations']} "
-                f"by_view={cover['by_view']}"
-            )
-
-    if not cover_cache_seen:
-        print("FAIL matching.cover_cache missing from every worker", file=sys.stderr)
-        return 1
-    calls = total_hits + total_misses
-    if calls == 0:
-        print("FAIL no match_view calls recorded — profile ran no matching", file=sys.stderr)
-        return 1
-    rate = total_hits / calls
-    print(f"aggregate match_view hit rate: {rate:.3f} ({total_hits}/{calls})")
-    if rate < args.floor:
-        print(
-            f"FAIL match_view hit rate {rate:.3f} below floor {args.floor:.2f}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    fx = sdss_fixture(args.instance_gb)
+    plans = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=args.queries, seed=2)
+    run_systems(
+        {
+            "H": lambda: hive(fx.catalog, domains=fx.domains),
+            "NP": lambda: non_partitioned(fx.catalog, domains=fx.domains),
+            "DS": lambda: deepsea(fx.catalog, domains=fx.domains),
+        },
+        plans,
+    )
+    stats = caches.cache_stats()
+    for name in ("matching.match_view", "matching.cover_cache"):
+        print(f"{name}: {stats.get(name)}")
+    problems = check(stats, args.floor)
+    for problem in problems:
+        print(f"FAIL {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

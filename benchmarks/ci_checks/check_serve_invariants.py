@@ -43,8 +43,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{name}: offered={phase['offered']} answered={phase['answered']} "
             f"shed={phase['shed']} timed_out={phase['timed_out']} "
-            f"failed={phase['failed']} retries={phase['retries']} "
-            f"qps={phase['qps']} p99={phase['p99_ms']}ms"
+            f"failed={phase['failed']} retries={phase['retries']}"
         )
     if problems:
         for problem in problems:

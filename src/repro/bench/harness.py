@@ -8,20 +8,13 @@ the paper-shaped table with :mod:`repro.bench.reporting`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.bench.profile import WallClockProfiler
 
 from repro import caches
 from repro.core.deepsea import DeepSea
 from repro.core.reports import QueryReport
-
-# Re-exported for compatibility: the prewarm pass lives with the worker
-# pools it serves.
-from repro.parallel.prewarm import prewarm_shared_caches  # noqa: F401
 from repro.partitioning.intervals import Interval
 from repro.query.algebra import Plan
 from repro.workloads.bigbench import BigBenchInstance, generate_bigbench
@@ -87,183 +80,22 @@ class RunResult:
         return None
 
 
-@dataclass
-class WorkerTelemetry:
-    """What one fan-out unit observed about its own process."""
-
-    pid: int
-    profile: dict | None
-    caches: dict
-
-
-def run_system(
-    label: str,
-    system: DeepSea,
-    plans: list[Plan],
-    profiler: "WallClockProfiler | None" = None,
-) -> RunResult:
-    """Execute a workload on one system instance.
-
-    An optional :class:`~repro.bench.profile.WallClockProfiler` is
-    attached for the duration of the run, charging real seconds to the
-    matching / selection / execution / materialization stages.  Profiling
-    never touches the simulated ledgers.
-    """
-    if profiler is not None:
-        system.profiler = profiler
-    try:
-        reports = [system.execute(p) for p in plans]
-        events = system.faults.event_log() if system.faults is not None else ()
-        return RunResult(label, reports, events)
-    finally:
-        if profiler is not None:
-            system.profiler = None
+def run_system(label: str, system: DeepSea, plans: list[Plan]) -> RunResult:
+    """Execute a workload on one system instance."""
+    reports = [system.execute(p) for p in plans]
+    events = system.faults.event_log() if system.faults is not None else ()
+    return RunResult(label, reports, events)
 
 
 def run_systems(
-    factories: dict[str, Callable[[], DeepSea]],
-    plans: list[Plan],
-    profilers: "dict[str, WallClockProfiler] | None" = None,
-    *,
-    workers: int = 0,
-    telemetry: "dict[str, WorkerTelemetry] | None" = None,
-    scheduler: str = "static",
-    stateless: "tuple[str, ...]" = (),
-    worker_stats: "list[dict] | None" = None,
-    catalog=None,
+    factories: dict[str, Callable[[], DeepSea]], plans: list[Plan]
 ) -> dict[str, RunResult]:
-    """Run the same workload through several freshly built systems.
+    """Run the same workload through several freshly built systems, in order.
 
-    With ``workers >= 2`` each (system × workload) run becomes one task
-    of a forked process pool (:func:`repro.parallel.pool.fan_out`): every
-    worker starts cache-cold (per-worker ``clear_all_caches`` isolation)
-    and results merge back in the factories' dict order, so ledgers and
-    result tables are byte-identical to a serial run for any worker
-    count.  ``workers <= 1`` is the unchanged serial path.
-
-    ``scheduler="steal"`` (with ``workers >= 2``) replaces the static
-    per-system split with the work-stealing pool
-    (:func:`repro.parallel.pool.steal_map`): persistent *warm-forked*
-    workers pull run units off a shared deque, and any system named in
-    ``stateless`` — one whose per-query outputs don't depend on earlier
-    queries, like the H baseline — is cut into contiguous query slices
-    so its work load-balances across the pool instead of pinning one
-    worker.  Results merge back identically (slices concatenate in query
-    order); ``worker_stats``, when given, collects one per-worker dict of
-    cache-counter deltas for the profile JSON.  With ``catalog`` supplied
-    the parent runs :func:`prewarm_shared_caches` before forking, so the
-    warm workers inherit the plan memos and base-table join indexes
-    instead of each rebuilding them.
-
-    ``profilers`` maps labels to :class:`WallClockProfiler` instances; in
-    parallel mode each task profiles in its own process and the worker's
-    totals are merged into the caller's profiler afterwards.  When a
-    ``telemetry`` dict is supplied it is filled with one
-    :class:`WorkerTelemetry` per label (worker pid, profile, cache
-    counters) — the per-worker breakdown of ``python -m repro profile``
-    (static/serial schedulers only; the steal pool reports per worker,
-    not per label, via ``worker_stats``).
+    Parallel runs go through picklable :class:`repro.parallel.tasks.RunTask`
+    specs and :func:`repro.parallel.pool.fan_out` / ``steal_map``.
     """
-    profilers = profilers or {}
-    labels = list(factories)
-    if scheduler not in ("static", "steal"):
-        raise ValueError(f"unknown scheduler: {scheduler!r}")
-    if scheduler == "steal" and workers >= 2 and len(labels) >= 1:
-        from repro.bench.profile import WallClockProfiler
-        from repro.parallel.pool import steal_map
-
-        if catalog is not None:
-            prewarm_shared_caches(plans, catalog)
-
-        def whole_task(label: str, make: Callable[[], DeepSea], profiled: bool) -> Callable:
-            def run() -> "tuple[list[QueryReport], WallClockProfiler | None, tuple]":
-                prof = WallClockProfiler() if profiled else None
-                result = run_system(label, make(), plans, prof)
-                return result.reports, prof, result.fault_events
-
-            return run
-
-        def slice_task(
-            label: str, make: Callable[[], DeepSea], profiled: bool, start: int, stop: int
-        ) -> Callable:
-            def run() -> "tuple[list[QueryReport], WallClockProfiler | None, tuple]":
-                prof = WallClockProfiler() if profiled else None
-                system = make()
-                # Clock offset keeps slice report indexes identical to the
-                # same queries inside a whole serial run.
-                system.clock = start
-                result = run_system(label, system, plans[start:stop], prof)
-                return result.reports, prof, result.fault_events
-
-            return run
-
-        n_slices = max(2, workers)
-        units: "list[tuple[str, int]]" = []  # (label, slice ordinal)
-        thunks: list[Callable] = []
-        for label, make in factories.items():
-            profiled = label in profilers
-            if label in stateless and len(plans) >= 2 * n_slices:
-                bounds = np.linspace(0, len(plans), n_slices + 1).astype(int)
-                for ordinal, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-                    units.append((label, ordinal))
-                    thunks.append(slice_task(label, make, profiled, int(start), int(stop)))
-            else:
-                units.append((label, 0))
-                thunks.append(whole_task(label, make, profiled))
-        outputs = steal_map(thunks, workers, chunk_size=1, worker_stats=worker_stats)
-        merged_reports: dict[str, list[QueryReport]] = {label: [] for label in labels}
-        merged_events: dict[str, tuple] = {label: () for label in labels}
-        for (label, _), (reports, prof, events) in zip(units, outputs):
-            merged_reports[label].extend(reports)  # units are in slice order
-            merged_events[label] = merged_events[label] + tuple(events)
-            if prof is not None:
-                profilers[label].merge(prof)
-        return {
-            label: RunResult(label, merged_reports[label], merged_events[label])
-            for label in labels
-        }
-    if workers >= 2 and len(labels) > 1:
-        from repro.bench.profile import WallClockProfiler
-        from repro.parallel.pool import fan_out
-
-        def task(label: str, make: Callable[[], DeepSea]) -> Callable:
-            profiled = label in profilers
-
-            def run() -> tuple[RunResult, "WallClockProfiler | None", WorkerTelemetry]:
-                import os
-
-                from repro.caches import cache_stats
-
-                prof = WallClockProfiler() if profiled else None
-                result = run_system(label, make(), plans, prof)
-                info = WorkerTelemetry(os.getpid(), prof.report() if prof else None, cache_stats())
-                return result, prof, info
-
-            return run
-
-        outputs = fan_out([task(l, m) for l, m in factories.items()], workers)
-        results: dict[str, RunResult] = {}
-        for label, (result, prof, info) in zip(labels, outputs):
-            if prof is not None:
-                profilers[label].merge(prof)
-            if telemetry is not None:
-                telemetry[label] = info
-            results[label] = result
-        return results
-
-    results = {}
-    for label, make in factories.items():
-        results[label] = run_system(label, make(), plans, profilers.get(label))
-        if telemetry is not None:
-            import os
-
-            from repro.caches import cache_stats
-
-            prof = profilers.get(label)
-            telemetry[label] = WorkerTelemetry(
-                os.getpid(), prof.report() if prof else None, cache_stats()
-            )
-    return results
+    return {label: run_system(label, make(), plans) for label, make in factories.items()}
 
 
 # ----------------------------------------------------------------------

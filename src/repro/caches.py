@@ -12,8 +12,8 @@ Having one registry serves two masters:
   it could when ``clear_caches`` implementations were hand-maintained in
   two places.
 * **Observability**: caches may register a ``stats`` callable; the
-  aggregate :func:`cache_stats` snapshot is surfaced per worker in the
-  ``python -m repro profile`` JSON report.
+  aggregate :func:`cache_stats` snapshot is what ``python3 -m perfbench``
+  and the ``benchmarks/ci_checks`` cache canaries read.
 
 Registration is idempotent by name, which keeps module re-imports (e.g.
 under ``importlib`` test harnesses) from duplicating entries.
@@ -73,8 +73,7 @@ def stats_delta(before: dict[str, dict], after: dict[str, dict]) -> dict[str, di
     A warm-forked pool worker inherits the parent's counters along with
     the caches themselves, so its raw :func:`cache_stats` snapshot mixes
     parent history with its own work.  The delta isolates what *this*
-    process did since ``before`` — the per-worker numbers surfaced in the
-    ``python -m repro profile`` JSON.  Non-numeric entries (and gauges
+    process did since ``before``.  Non-numeric entries (and gauges
     like ``entries`` that describe current state rather than traffic) are
     reported as their ``after`` value.
     """

@@ -18,8 +18,8 @@ benchmarks define, so results are identical to
 ``pytest benchmarks/ --benchmark-only -s``.
 
 ``--workers N`` fans independent units out over a forked process pool
-(experiments for ``run``, system variants for ``profile``) and merges
-outputs back in canonical order — simulated-second results are
+(experiments for ``run``, task specs for ``chaos`` and ``ingest-bench``)
+and merges outputs back in canonical order — simulated-second results are
 byte-identical to a serial run for any worker count, which ``python -m
 repro determinism`` verifies end to end.
 """
@@ -182,135 +182,6 @@ def cmd_compare(queries: int, pool: float | None, instance_gb: float, seed: int)
             f"{'unlimited' if pool is None else f'{pool:.0%} of base'}",
         )
     )
-    return 0
-
-
-def cmd_profile(
-    queries: int,
-    instance_gb: float,
-    seed: int,
-    output: str | None,
-    check: str | None,
-    max_slowdown: float,
-    workers: int = 0,
-    scheduler: str = "static",
-) -> int:
-    """Run the Figure-5a workload under the wall-clock profiler.
-
-    Unlike every other subcommand, the numbers here are *real* seconds
-    spent inside this Python process, not simulated cluster seconds —
-    this is the tool for measuring the engine's own hot paths.  With
-    ``--workers N`` the three systems run in a process pool; each
-    worker's stage profile and cache counters appear under
-    ``per_worker`` in the JSON report, merged totals under ``stages``.
-    ``--scheduler steal`` swaps the static per-system split for the
-    work-stealing pool: warm-forked workers pull run units off a shared
-    deque (the stateless H baseline sliced into query chunks so it
-    load-balances), and ``per_worker`` reports per *worker* — tasks run
-    plus cache-counter deltas — instead of per system.  With ``--check``
-    the measured total *and every profiled stage* are gated against a
-    previously written report (the CI regression smoke), failing with a
-    per-phase verdict.
-    """
-    from repro.baselines import deepsea, hive, non_partitioned
-    from repro.bench.harness import run_systems, sdss_fixture
-    from repro.bench.profile import (
-        WallClockProfiler,
-        check_report_against_baseline,
-        load_report,
-        write_report,
-    )
-    from repro.workloads.generator import sdss_mapped_workload
-
-    fx = sdss_fixture(instance_gb)  # built outside the timed region
-    plans = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=queries, seed=seed)
-    factories = {
-        "H": lambda: hive(fx.catalog, domains=fx.domains),
-        "NP": lambda: non_partitioned(fx.catalog, domains=fx.domains),
-        "DS": lambda: deepsea(fx.catalog, domains=fx.domains),
-    }
-    profilers = {label: WallClockProfiler() for label in factories}
-    telemetry: dict = {}
-    worker_stats: list = []
-    start = time.perf_counter()
-    run_systems(
-        factories,
-        plans,
-        profilers,
-        workers=workers,
-        telemetry=telemetry,
-        scheduler=scheduler,
-        stateless=("H",) if scheduler == "steal" else (),
-        worker_stats=worker_stats,
-        catalog=fx.catalog if scheduler == "steal" else None,
-    )
-    wall = time.perf_counter() - start
-
-    combined = WallClockProfiler()
-    stage_names = sorted({name for p in profilers.values() for name in p.seconds})
-    rows = []
-    for label, prof in profilers.items():
-        combined.merge(prof)
-        rows.append(
-            (label, prof.total_seconds)
-            + tuple(prof.seconds.get(name, 0.0) for name in stage_names)
-        )
-    rows.append(
-        ("all", combined.total_seconds)
-        + tuple(combined.seconds.get(name, 0.0) for name in stage_names)
-    )
-    print(
-        format_table(
-            ["system", "total (s)"] + [f"{n} (s)" for n in stage_names],
-            rows,
-            title=f"Wall-clock profile — {queries} SDSS-mapped queries, "
-            f"{instance_gb:.0f}GB instance"
-            + (f", {workers} workers ({scheduler})" if workers >= 2 else ""),
-        )
-    )
-
-    report = {
-        "experiment": "fig5a",
-        "queries": queries,
-        "instance_gb": instance_gb,
-        "seed": seed,
-        "workers": workers,
-        "scheduler": scheduler,
-        "total_seconds": wall,
-        "systems": {label: prof.report() for label, prof in profilers.items()},
-        "stages": combined.report()["stages"],
-        # One entry per fan-out unit: which pid ran it, its stage profile,
-        # and its cache hit/miss/eviction counters.  Serial runs share one
-        # pid (and cumulative cache counters); parallel workers are
-        # isolated, so their counters describe exactly one system's run.
-        # Under --scheduler steal the unit is the *worker*, not the
-        # system: warm-forked workers run many units each, so the entry
-        # is tasks completed plus cache-counter deltas for that worker.
-        "per_worker": {
-            f"worker-{stats['pid']}": {
-                "pid": stats["pid"],
-                "tasks": stats["tasks"],
-                "caches": stats["caches"],
-            }
-            for stats in worker_stats
-        }
-        if scheduler == "steal"
-        else {
-            label: {
-                "pid": info.pid,
-                "profile": info.profile,
-                "caches": info.caches,
-            }
-            for label, info in telemetry.items()
-        },
-    }
-    if output:
-        write_report(output, report)
-        print(f"report written to {output}")
-    if check:
-        ok, message = check_report_against_baseline(report, load_report(check), max_slowdown)
-        print(message)
-        return 0 if ok else 1
     return 0
 
 
@@ -596,17 +467,12 @@ def cmd_serve_bench(
                 phase["shed"],
                 phase["timed_out"],
                 phase["retries"],
-                phase["qps"],
-                phase["p50_ms"],
-                phase["p95_ms"],
-                phase["p99_ms"],
                 phase["pool_epoch"],
             )
         )
     print(
         format_table(
-            ["phase", "offered", "answered", "shed", "timed out", "retries",
-             "qps", "p50 (ms)", "p95 (ms)", "p99 (ms)", "epoch"],
+            ["phase", "offered", "answered", "shed", "timed out", "retries", "epoch"],
             rows,
             title=f"Serve bench — {queries} SDSS-mapped queries, "
             f"{instance_gb:.0f}GB, {workers} readers, queue depth "
@@ -737,20 +603,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="pool budget as a fraction of base size")
     cmp_p.add_argument("--instance-gb", type=float, default=500.0)
     cmp_p.add_argument("--seed", type=int, default=2)
-    prof_p = sub.add_parser("profile", help="wall-clock profile of the engine (real seconds)")
-    prof_p.add_argument("--queries", type=int, default=400)
-    prof_p.add_argument("--instance-gb", type=float, default=500.0)
-    prof_p.add_argument("--seed", type=int, default=2)
-    prof_p.add_argument("--workers", type=int, default=0,
-                        help="fan system variants out over N pool workers")
-    prof_p.add_argument("--scheduler", choices=("static", "steal"), default="static",
-                        help="static per-system fan-out, or work-stealing "
-                        "pool with warm workers and query slicing")
-    prof_p.add_argument("--output", default=None, metavar="PATH", help="write the JSON report here")
-    prof_p.add_argument("--check", default=None, metavar="PATH",
-                        help="fail if slower than this baseline report")
-    prof_p.add_argument("--max-slowdown", type=float, default=2.0,
-                        help="allowed slowdown factor for --check")
     det_p = sub.add_parser(
         "determinism",
         help="verify parallel ledgers are byte-identical to serial",
@@ -832,17 +684,17 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_list()
     if args.command == "run":
         return cmd_run(args.experiments, args.workers)
-    if args.command == "profile":
-        return cmd_profile(
-            args.queries, args.instance_gb, args.seed,
-            args.output, args.check, args.max_slowdown, args.workers,
-            args.scheduler,
-        )
     if args.command == "determinism":
         try:
             counts = [int(part) for part in str(args.workers).split(",") if part]
         except ValueError:
-            print(f"invalid --workers list: {args.workers!r}", file=sys.stderr)
+            counts = []
+        if not counts or min(counts) < 1:
+            print(
+                f"invalid --workers list: {args.workers!r} "
+                "(need one or more comma-separated counts >= 1)",
+                file=sys.stderr,
+            )
             return 2
         return cmd_determinism(
             args.queries, args.instance_gb, args.seed, counts,

@@ -67,7 +67,7 @@ from repro.errors import ControllerCrashError
 from repro.matching.filter_tree import FilterTree
 from repro.matching.matcher import partition_attr_ranges
 from repro.matching.partition_match import greedy_cover
-from repro.matching.rewriter import Rewriter, Rewriting, ViewMatch
+from repro.matching.rewriter import Rewriter, ViewMatch
 from repro.partitioning.bounding import bound_fragment, merge_undersized
 from repro.partitioning.candidates import SplitCandidate, partition_candidates
 from repro.partitioning.equidepth import equidepth_intervals
@@ -265,9 +265,11 @@ class DeepSea:
         self._mean_widths: dict[tuple[str, str], tuple] = {}
         self._resident_values: dict[tuple[str, str], tuple] = {}
         self._creation_cooldown: dict[str, float] = {}
-        # Optional repro.bench.profile.WallClockProfiler; when attached,
-        # execute() charges real seconds to matching / selection /
-        # execution / materialization.  None costs one attribute read.
+        # Optional stage recorder (perfbench/trace.py implements it): an
+        # object with ``stage(name)`` returning a context manager and a
+        # ``queries`` counter.  When attached, execute() wraps matching /
+        # selection / execution / materialization in its stages.  None
+        # costs one attribute read.
         self.profiler = None
         # Optional repro.faults.injector.FaultInjector (attach_faults).
         # None — the default, and the only configuration the seed
@@ -357,12 +359,7 @@ class DeepSea:
 
             # 3. Choose Q_best.
             rewritings = self.rewriter.build_rewritings(plan, matches)
-            direct_est = self.rewriter.estimate_plan_cost(push_down(plan, self.schemas)).cost_s
-            chosen: Rewriting | None = None
-            if rewritings:
-                best = min(rewritings, key=lambda r: r.est_cost_s)
-                if best.est_cost_s < direct_est:
-                    chosen = best
+            chosen = self.rewriter.best_rewriting(plan, rewritings)
 
         with self._stage("selection"):
             # 5. Selection: creations and refinements.

@@ -136,7 +136,7 @@ class IndexCache:
         self.evictions = 0
 
     def stats(self) -> dict:
-        """Counter snapshot for the profile report's cache section."""
+        """Counter snapshot for :func:`repro.caches.cache_stats`."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -278,7 +278,7 @@ class ProbeCache:
         self.evictions = 0
 
     def stats(self) -> dict:
-        """Counter snapshot for the profile report's cache section."""
+        """Counter snapshot for :func:`repro.caches.cache_stats`."""
         entries = sum(
             sum(1 for v in per_right.values() if v is not None)
             for per_root in self._probes.values()
@@ -380,28 +380,6 @@ def join_probe(
     # rank in subset-sorted order -> row of `right`
     order = np.searchsorted(rrows, root_index.order[member_sorted])
     return starts, ends, order
-
-
-def prewarm_join(
-    left_root: Table, left_attr: str, right_root: Table, right_attr: str
-) -> None:
-    """Build the cross-query caches for one base-table equi-join up front.
-
-    Used by the work-stealing scheduler's parent-side prewarm: a join both
-    sides of which are long-lived root tables will be probed by every
-    worker, so the parent pays the sort index and the full-root probe once
-    before forking and the warm-forked workers inherit both.  Bypasses the
-    probe cache's two-strikes admission deliberately — the caller is
-    asserting the pair recurs across the workload.
-    """
-    root_index = sort_index(right_root, right_attr)
-    entry = _PROBE_CACHE.starts_ends(
-        left_root, left_attr, right_root, right_attr, root_index.sorted_keys
-    )
-    if entry is None:  # first strike registered the pair; second fills it
-        _PROBE_CACHE.starts_ends(
-            left_root, left_attr, right_root, right_attr, root_index.sorted_keys
-        )
 
 
 def cache_stats() -> tuple[int, int]:

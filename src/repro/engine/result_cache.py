@@ -40,7 +40,7 @@ Safety rules (each mechanically enforced at lookup/store time):
 
 Entries are byte-bounded (in-process array bytes, LRU eviction) and the
 cache registers with :mod:`repro.caches`, so hit/miss/eviction counters
-surface in ``python -m repro profile`` and pool workers start cache-cold
+surface in :func:`repro.caches.cache_stats` and pool workers start cache-cold
 exactly like every other acceleration cache.
 """
 

@@ -70,9 +70,7 @@ def normalize_conjuncts(
     caller falls back to unpruned evaluation.
 
     Memoized on the predicate tuple: this is the cache's *plan-pure*
-    tier, a function of the plans alone, which
-    :func:`repro.parallel.prewarm.prewarm_shared_caches` builds once in
-    the parent before forking so warm workers share it copy-on-write.
+    tier, a function of the plans alone.
     """
     if not predicates:
         return None

@@ -191,6 +191,15 @@ class Rewriter:
                     rewritings.append(rewriting)
         return rewritings
 
+    def best_rewriting(self, query: Plan, rewritings: list[Rewriting]) -> Rewriting | None:
+        """Q_best (Algorithm 1, step 3): the min-cost rewriting, kept only
+        if it beats the pushed-down direct plan's estimate; else ``None``."""
+        if not rewritings:
+            return None
+        direct_est = self.estimate_plan_cost(push_down(query, self.schemas)).cost_s
+        best = min(rewritings, key=lambda r: r.est_cost_s)
+        return best if best.est_cost_s < direct_est else None
+
     def _compensated(self, scan: Plan, compensation: Compensation) -> Plan:
         plan = scan
         if compensation.selections:

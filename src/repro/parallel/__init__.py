@@ -1,7 +1,7 @@
 """Deterministic process-parallel experiment execution.
 
 The experiment suite runs independent units of work — (system variant ×
-workload) runs inside :func:`repro.bench.harness.run_systems`, whole
+workload) runs as :class:`~repro.parallel.tasks.RunTask` specs, whole
 benchmark figures inside ``python -m repro run all`` — strictly serially
 in the seed.  All of them share nothing but read-only inputs, so this
 package fans them out over a process pool and merges the result

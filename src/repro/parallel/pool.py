@@ -3,7 +3,7 @@
 One parent loop (:func:`_run_pool`) with two public policies:
 :func:`fan_out` — chunks of one task, cold workers, optional per-task
 timeout — and :func:`steal_map` — chunked work stealing over warm-forked
-workers with per-worker stats.  Design constraints, in order:
+workers.  Design constraints, in order:
 
 1. **Determinism.**  Results are returned in *task order*, never in
    completion or submission order.  Workers return ``(index, value)``
@@ -84,25 +84,16 @@ def _worker_main(conn, warm: bool) -> None:
     from the parent; a warm one *keeps* them (result cache, cover cache,
     match memo, fixtures...).  The caches are semantically transparent,
     so outputs are byte-identical either way — warm workers just turn
-    repeated fixture builds and index probes into fork-shared hits.  On
-    stop the worker reports what it did: ``("stats", pid, {"tasks": n,
-    "caches": <counter deltas since startup>})``.
+    repeated fixture builds and index probes into fork-shared hits.
     """
     if not warm:
         caches.clear_all_caches()
-    before = caches.cache_stats()
-    ran = 0
     while True:
         try:
             units = conn.recv()
         except (EOFError, OSError):
             return
         if units is None:
-            try:
-                delta = caches.stats_delta(before, caches.cache_stats())
-                conn.send(("stats", os.getpid(), {"tasks": ran, "caches": delta}))
-            except Exception:
-                pass
             return
         for index, attempt, crashes in units:
             if attempt <= crashes:
@@ -115,7 +106,6 @@ def _worker_main(conn, warm: bool) -> None:
                 except Exception:
                     conn.send(("err", index, RuntimeError(repr(exc))))
                 continue
-            ran += 1
             conn.send(("ok", index, value))
 
 
@@ -141,28 +131,15 @@ class _Worker:
             self.proc.join()
         self.conn.close()
 
-    def shutdown(self) -> "dict | None":
-        """Stop the worker, harvesting its final stats message.
-
-        A worker can still be mid-chunk when the stop is queued (the pool
-        is unwinding on an error), so trailing result frames may precede
-        the stats; they are drained and dropped.
-        """
-        stats = None
+    def shutdown(self) -> None:
+        """Ask the worker to stop, give it a moment to exit, then reap it."""
         try:
             if self.alive:
                 self.conn.send(None)
-                while self.conn.poll(_REAP_GRACE_S):
-                    message = self.conn.recv()
-                    if message[0] == "stats":
-                        stats = {"pid": message[1], **message[2]}
-                        break
-        except (EOFError, OSError):
+                self.proc.join(_REAP_GRACE_S)
+        except OSError:
             pass
-        if stats is not None:
-            self.proc.join(_REAP_GRACE_S)  # it is exiting on its own
         self.kill()
-        return stats
 
 
 def default_workers() -> int:
@@ -187,7 +164,6 @@ def _run_pool(
     retries: int,
     task_timeout: "float | None",
     fault_plan: "dict[int, int] | None",
-    worker_stats: "list[dict] | None",
 ) -> list[T]:
     """The one pool loop behind :func:`fan_out` and :func:`steal_map`.
 
@@ -216,12 +192,8 @@ def _run_pool(
         or _TASKS is not None  # nested call from inside a pool worker
     )
     if serial:
-        before = caches.cache_stats() if worker_stats is not None else None
         for index in order:
             results[index] = tasks[index]()
-        if worker_stats is not None:
-            delta = caches.stats_delta(before, caches.cache_stats())
-            worker_stats.append({"pid": os.getpid(), "tasks": len(tasks), "caches": delta})
         return results
 
     if chunk_size <= 0:
@@ -324,9 +296,7 @@ def _run_pool(
         if warm:
             gc.unfreeze()
         for worker in crew:
-            stats = worker.shutdown()
-            if stats is not None and worker_stats is not None:
-                worker_stats.append(stats)
+            worker.shutdown()
     return results
 
 
@@ -373,7 +343,6 @@ def fan_out(
         retries=retries,
         task_timeout=task_timeout,
         fault_plan=fault_plan,
-        worker_stats=None,
     )
 
 
@@ -386,7 +355,6 @@ def steal_map(
     submission_order: "Sequence[int] | None" = None,
     retries: int = 1,
     fault_plan: "dict[int, int] | None" = None,
-    worker_stats: "list[dict] | None" = None,
 ) -> list[T]:
     """Run thunks over a work-stealing pool; results in task order.
 
@@ -406,11 +374,6 @@ def steal_map(
     whose worker dies re-dispatches only the *unfinished* remainder of
     the chunk; exhausted retries raise
     :class:`~repro.errors.WorkerCrashError`.
-
-    ``worker_stats``, when given, receives one dict per pool worker
-    (``pid``, ``tasks`` completed, per-cache counter ``deltas``) — the
-    per-worker section of the profile JSON.  The serial fallback appends
-    a single self-entry so callers see a uniform shape.
     """
     return _run_pool(
         tasks,
@@ -421,5 +384,4 @@ def steal_map(
         retries=retries,
         task_timeout=None,
         fault_plan=fault_plan,
-        worker_stats=worker_stats,
     )

@@ -15,8 +15,8 @@ system deterministically on the other side:
 * :class:`WorkloadSpec` — the seeded SDSS-mapped workload and an optional
   ``[start, stop)`` slice, so one logical workload can be cut into
   per-worker shards without shipping plan objects.
-* :class:`RunTask` — one (system variant × workload slice) unit: exactly
-  what ``run_systems`` fans out, in pickled form.
+* :class:`RunTask` — one (system variant × workload slice) unit: what
+  :func:`~repro.parallel.pool.fan_out` / ``steal_map`` run in parallel.
 
 Everything here is frozen dataclasses of primitives, hashable and
 byte-stable, which also makes task identity usable as a dedup/cache key.
@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.bench.harness import RunResult
-    from repro.bench.profile import WallClockProfiler
     from repro.core.deepsea import DeepSea
     from repro.query.algebra import Plan
 
@@ -140,21 +139,21 @@ class RunTask:
     def __call__(self) -> "RunResult":
         return self.run()
 
-    def run(self, profiler: "WallClockProfiler | None" = None) -> "RunResult":
+    def run(self) -> "RunResult":
         from repro.bench.harness import run_system
 
         fixture = self.fixture.build()
         plans = self.workload.build(fixture)
         if self.ingest is not None:
-            return self._run_with_ingest(fixture, plans, profiler)
+            return self._run_with_ingest(fixture, plans)
         system = self.system.build(fixture)
         if self.clock0:
             system.clock = self.clock0
         if self.faults is not None:
             system.attach_faults(self.faults)
-        return run_system(self.label, system, plans, profiler)
+        return run_system(self.label, system, plans)
 
-    def _run_with_ingest(self, fixture, plans, profiler) -> "RunResult":
+    def _run_with_ingest(self, fixture, plans) -> "RunResult":
         """Replay the scenario's batch schedule between the workload's
         queries — one deterministic interleaving for any worker count."""
         from repro.bench.harness import RunResult
@@ -174,19 +173,13 @@ class RunTask:
             by_index.setdefault(spec.at, []).append(spec)
         id0 = catalog.get("store_sales").nrows
 
-        if profiler is not None:
-            system.profiler = profiler
-        try:
-            reports = []
-            for i, plan in enumerate(plans):
-                for spec in by_index.get(i, ()):
-                    system.ingest("store_sales", spec.rows(id0))
-                reports.append(system.execute(plan))
-            events = system.faults.event_log() if system.faults is not None else ()
-            return RunResult(self.label, reports, events)
-        finally:
-            if profiler is not None:
-                system.profiler = None
+        reports = []
+        for i, plan in enumerate(plans):
+            for spec in by_index.get(i, ()):
+                system.ingest("store_sales", spec.rows(id0))
+            reports.append(system.execute(plan))
+        events = system.faults.event_log() if system.faults is not None else ()
+        return RunResult(self.label, reports, events)
 
     def slices(self, n_slices: int) -> "list[RunTask]":
         """Cut this run into contiguous query-slice tasks (stateless systems).

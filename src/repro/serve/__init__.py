@@ -25,9 +25,9 @@ the existing engine:
   direct base-table execution — a query can be *shed* or *timed out*, but
   an answered query is always answered correctly.
 * :mod:`repro.serve.driver` — the open-loop load driver behind
-  ``python -m repro serve-bench``: queries/sec and p50/p95/p99 tail
-  latency under steady, burst, and chaos load, with every answer's digest
-  checked against the serial fault-free run.
+  ``python -m repro serve-bench``: steady, burst, and chaos load with
+  every answer's digest checked against the serial fault-free run and the
+  accounting, shed and retry gates audited.
 
 The serving invariant extends DESIGN.md §9: **admission control, faults,
 and concurrency change latency and cost — never answers.**

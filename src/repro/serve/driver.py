@@ -16,16 +16,14 @@ Three phases, each against a fresh DeepSea instance:
 Every answered query's digest is checked against a serial, fault-free,
 direct execution of the same plan — the serving invariant in executable
 form.  The driver also audits the accounting invariant
-(``answered + shed + timed_out + failed == offered``) and reports
-queries/sec plus p50/p95/p99 tail latency and a log-bucketed latency
-histogram per phase.
+(``answered + shed + timed_out + failed == offered``).  It measures no
+real seconds: throughput and latency of the serving layer are
+``python3 -m perfbench``'s ``serve_closed`` workload.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import platform
 import time
 from typing import TYPE_CHECKING
 
@@ -39,52 +37,17 @@ if TYPE_CHECKING:
 
 PHASES = ("steady", "burst", "chaos")
 
-# Latency histogram bucket edges, in milliseconds (log2-spaced).
-_BUCKET_EDGES_MS = [2.0**k for k in range(-1, 14)]
-
-
 def answer_digest(table: "Table") -> str:
     """Canonical digest of an answer: order-free, byte-stable row repr."""
     return hashlib.sha256(repr(table.sorted_rows()).encode()).hexdigest()[:16]
 
 
-def _percentiles(latencies_s: list[float]) -> dict:
-    if not latencies_s:
-        return {"p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0}
-    arr = np.asarray(latencies_s) * 1e3
-    return {
-        "p50_ms": round(float(np.percentile(arr, 50)), 3),
-        "p95_ms": round(float(np.percentile(arr, 95)), 3),
-        "p99_ms": round(float(np.percentile(arr, 99)), 3),
-        "max_ms": round(float(arr.max()), 3),
-    }
-
-
-def _histogram(latencies_s: list[float]) -> dict:
-    """Log-bucketed latency histogram: ``{"<=1ms": n, ..., ">8192ms": n}``."""
-    edges = _BUCKET_EDGES_MS
-    counts = [0] * (len(edges) + 1)
-    for lat in latencies_s:
-        ms = lat * 1e3
-        for i, edge in enumerate(edges):
-            if ms <= edge:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
-    out = {f"<={edge:g}ms": counts[i] for i, edge in enumerate(edges)}
-    out[f">{edges[-1]:g}ms"] = counts[-1]
-    return out
-
-
-def reference_digests(fixture, plans) -> tuple[list[str], float]:
+def reference_digests(fixture, plans) -> list[str]:
     """Serial fault-free answers via direct base-table execution."""
     from repro.baselines import hive
 
     system = hive(fixture.catalog, domains=fixture.domains)
-    t0 = time.perf_counter()
-    digests = [answer_digest(system.execute(plan).result) for plan in plans]
-    return digests, time.perf_counter() - t0
+    return [answer_digest(system.execute(plan).result) for plan in plans]
 
 
 def run_phase(
@@ -116,7 +79,6 @@ def run_phase(
     rng = np.random.default_rng(arrival_seed)
     burst_size = queue_depth * 3
     tickets: list = [None] * len(plans)
-    t0 = time.perf_counter()
     try:
         for i, plan in enumerate(plans):
             if name == "burst":
@@ -133,31 +95,22 @@ def run_phase(
             for i, ticket in enumerate(tickets)
             if ticket is not None
         ]
-        wall_s = time.perf_counter() - t0
     finally:
         service.stop()
     metrics = service.metrics()
 
-    latencies: list[float] = []
     mismatches: list[int] = []
     unresolved = 0
     for i, outcome in outcomes:
         if outcome is None:
             unresolved += 1
-            continue
-        if outcome.status == "answered":
-            latencies.append(outcome.latency_s)
-            if answer_digest(outcome.table) != ref_digests[i]:
-                mismatches.append(i)
+        elif outcome.status == "answered" and answer_digest(outcome.table) != ref_digests[i]:
+            mismatches.append(i)
 
     report = {
         "phase": name,
         "queries": len(plans),
-        "wall_s": round(wall_s, 3),
-        "qps": round(metrics["answered"] / wall_s, 1) if wall_s > 0 else 0.0,
         **metrics,
-        **_percentiles(latencies),
-        "latency_histogram": _histogram(latencies),
         "digest_mismatches": mismatches,
         "unresolved": unresolved,
         "mean_sim_cost_s": round(
@@ -227,7 +180,7 @@ def run_serve_bench(
     plans = sdss_mapped_workload(
         fixture.log, fixture.item_domain, n_queries=queries, seed=seed
     )
-    digests, serial_s = reference_digests(fixture, plans)
+    digests = reference_digests(fixture, plans)
     phase_reports: dict[str, dict] = {}
     for i, name in enumerate(phases):
         phase_reports[name] = run_phase(
@@ -246,11 +199,6 @@ def run_serve_bench(
     problems = check_gates(phase_reports)
     return {
         "benchmark": "serve-bench: open-loop load over the concurrent serving layer",
-        "machine": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpus": os.cpu_count(),
-        },
         "params": {
             "queries": queries,
             "instance_gb": instance_gb,
@@ -262,7 +210,6 @@ def run_serve_bench(
             "chaos_schedule": chaos_schedule,
             "rate_qps": rate_qps,
         },
-        "serial_reference_s": round(serial_s, 3),
         "phases": phase_reports,
         "problems": problems,
         "ok": not problems,

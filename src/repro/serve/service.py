@@ -388,17 +388,10 @@ class QueryService:
         Planning trouble is never fatal — it degrades to direct execution,
         which the matching layer already treats as the universal fallback.
         """
-        system = self.system
         try:
-            matches = system.rewriter.find_matches(plan)
-            rewritings = system.rewriter.build_rewritings(plan, matches)
-            if not rewritings:
-                return None
-            direct_est = system.rewriter.estimate_plan_cost(
-                push_down(plan, system.schemas)
-            ).cost_s
-            best = min(rewritings, key=lambda r: r.est_cost_s)
-            return best if best.est_cost_s < direct_est else None
+            rewriter = self.system.rewriter
+            rewritings = rewriter.build_rewritings(plan, rewriter.find_matches(plan))
+            return rewriter.best_rewriting(plan, rewritings)
         except ReproError:
             return None
 

@@ -3,17 +3,17 @@
 Covers the join-key index / probe caches (cold vs warm equivalence, bag
 semantics, empty inputs, dtype preservation), the one-allocation
 ``concat_many`` fragment assembly, the process-wide ``clear_caches``
-helper, and the wall-clock profiler.  The common theme: every cache and
+helper, and the profiler null hook.  The common theme: every cache and
 fast path must be invisible — identical tables out, identical simulated
 seconds — whether it is cold, warm, or cleared mid-run.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
-import pytest
 
 from repro.baselines import deepsea
 from repro.bench.harness import clear_caches, run_system
-from repro.bench.profile import STAGES, WallClockProfiler, check_against_baseline
 from repro.engine import indexes
 from repro.engine.executor import hash_join
 from repro.engine.schema import Column, Schema
@@ -156,8 +156,21 @@ class TestJoinCaches:
 
 
 # ----------------------------------------------------------------------
-# Wall-clock profiler
+# The profiler null hook (the protocol perfbench/trace.py implements)
 # ----------------------------------------------------------------------
+class _StageRecorder:
+    """Minimal ``system.profiler``: ``stage(name)`` and a ``queries`` counter."""
+
+    def __init__(self):
+        self.queries = 0
+        self.stages = []
+
+    @contextmanager
+    def stage(self, name):
+        self.stages.append(name)
+        yield
+
+
 class TestProfiler:
     def _plans(self, catalog):
         from repro.query.predicates import between
@@ -176,22 +189,10 @@ class TestProfiler:
     def test_stages_recorded_and_ledgers_untouched(self, catalog):
         plans = self._plans(catalog)
         baseline = run_system("DS", deepsea(catalog), plans)
-        profiler = WallClockProfiler()
-        profiled = run_system("DS", deepsea(catalog), plans, profiler)
-        assert profiler.queries == len(plans)
-        assert set(profiler.seconds) <= set(STAGES)
-        assert {"matching", "execution"} <= set(profiler.seconds)
-        assert profiler.total_seconds > 0.0
-        report = profiler.report()
-        assert report["queries"] == len(plans)
-        assert report["total_seconds"] == pytest.approx(profiler.total_seconds)
-        # profiling must not perturb the simulated cost model
+        system = deepsea(catalog)
+        system.profiler = recorder = _StageRecorder()
+        profiled = run_system("DS", system, plans)
+        assert recorder.queries == len(plans)
+        assert set(recorder.stages) == {"matching", "selection", "execution", "materialization"}
+        # an attached recorder must not perturb the simulated cost model
         assert [r.total_s for r in profiled.reports] == [r.total_s for r in baseline.reports]
-
-    def test_check_against_baseline(self):
-        ok, msg = check_against_baseline(1.0, {"total_seconds": 1.0}, 2.0)
-        assert ok and "OK" in msg
-        bad, msg = check_against_baseline(5.0, {"total_seconds": 1.0}, 2.0)
-        assert not bad and "REGRESSION" in msg
-        missing, _ = check_against_baseline(1.0, {}, 2.0)
-        assert not missing

@@ -1,7 +1,7 @@
 """Tests for the cache registry itself (repro.caches).
 
 ``register_cache`` is the one place every semantically transparent cache
-announces itself; worker isolation and the profile report hang off it,
+announces itself; worker isolation and the cache canaries hang off it,
 so its own behavior gets direct coverage here rather than riding along
 in integration tests.
 """

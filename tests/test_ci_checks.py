@@ -3,10 +3,11 @@
 Each gate is exercised through its real CLI (``subprocess``) on both the
 pass and the fail path, so a broken gate fails the local suite instead of
 surfacing as a red CI job after merge.  The JSON-reading gates get
-synthetic profile fixtures; the end-to-end gate runs a scaled-down
-fig-5a replay.
+synthetic report fixtures; the in-process cache canaries run a
+scaled-down fig-5a workload.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -29,16 +30,6 @@ def run_check(script: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def write_profile(tmp_path: Path, per_worker: dict) -> str:
-    path = tmp_path / "profile.json"
-    path.write_text(json.dumps({"per_worker": per_worker}))
-    return str(path)
-
-
-def worker(caches: dict, pid: int = 4242) -> dict:
-    return {"pid": pid, "caches": caches}
-
-
 GOOD_MATCHING = {
     "matching.match_view": {"hits": 95, "misses": 5, "evictions": 0, "entries": 5},
     "matching.cover_cache": {
@@ -53,93 +44,45 @@ GOOD_MATCHING = {
 }
 
 
-class TestCheckProfileCaches:
-    def test_passes_with_traffic(self, tmp_path):
-        report = write_profile(tmp_path, {"serial": worker(GOOD_MATCHING)})
-        proc = run_check("check_profile_caches.py", report)
-        assert proc.returncode == 0, proc.stderr
-        assert "engine.result_cache" in proc.stdout
-
-    def test_fails_on_missing_cache(self, tmp_path):
-        report = write_profile(tmp_path, {"serial": worker({})})
-        proc = run_check("check_profile_caches.py", report)
-        assert proc.returncode == 1
-        assert "missing" in proc.stderr
-
-    def test_fails_on_zero_traffic(self, tmp_path):
-        caches = {"engine.result_cache": {"hits": 0, "misses": 0, "evictions": 0, "entries": 0}}
-        report = write_profile(tmp_path, {"serial": worker(caches)})
-        proc = run_check("check_profile_caches.py", report)
-        assert proc.returncode == 1
-        assert "no traffic" in proc.stderr
-
-    def test_require_flag_extends_the_gate(self, tmp_path):
-        report = write_profile(tmp_path, {"serial": worker(GOOD_MATCHING)})
-        proc = run_check(
-            "check_profile_caches.py", report, "--require", "matching.match_view"
-        )
-        assert proc.returncode == 0, proc.stderr
-        proc = run_check("check_profile_caches.py", report, "--require", "no.such.cache")
-        assert proc.returncode == 1
-
-
 class TestCheckMatchingMemo:
-    def test_passes_above_floor(self, tmp_path):
-        report = write_profile(tmp_path, {"serial": worker(GOOD_MATCHING)})
-        proc = run_check("check_matching_memo.py", report)
+    """The verdict on synthetic ``cache_stats()`` snapshots, then one live run."""
+
+    @staticmethod
+    def problems(stats: dict, floor: float = 0.80) -> list[str]:
+        spec = importlib.util.spec_from_file_location(
+            "check_matching_memo", CHECKS / "check_matching_memo.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.check(stats, floor)
+
+    def test_passes_above_floor(self):
+        assert self.problems(GOOD_MATCHING) == []
+        proc = run_check("check_matching_memo.py", "--queries", "40", "--instance-gb", "5")
         assert proc.returncode == 0, proc.stderr
-        assert "aggregate match_view hit rate: 0.950" in proc.stdout
         assert "by_view" in proc.stdout
 
-    def test_fails_below_floor_with_observed_rate(self, tmp_path):
-        caches = dict(GOOD_MATCHING)
-        caches["matching.match_view"] = {"hits": 5, "misses": 95, "evictions": 0, "entries": 95}
-        report = write_profile(tmp_path, {"serial": worker(caches)})
-        proc = run_check("check_matching_memo.py", report)
-        assert proc.returncode == 1
-        assert "0.050" in proc.stderr  # the observed rate is in the failure
+    def test_fails_below_floor_with_observed_rate(self):
+        stats = dict(GOOD_MATCHING)
+        stats["matching.match_view"] = {"hits": 5, "misses": 95, "evictions": 0, "entries": 95}
+        (problem,) = self.problems(stats)
+        assert "0.050" in problem  # the observed rate is in the failure
 
-    def test_fails_when_cover_cache_lacks_per_view_counters(self, tmp_path):
-        caches = dict(GOOD_MATCHING)
-        caches["matching.cover_cache"] = {"hits": 1, "misses": 1, "evictions": 0, "entries": 1}
-        report = write_profile(tmp_path, {"serial": worker(caches)})
-        proc = run_check("check_matching_memo.py", report)
-        assert proc.returncode == 1
-        assert "invalidation counters" in proc.stderr
+    def test_fails_when_cover_cache_lacks_per_view_counters(self):
+        stats = dict(GOOD_MATCHING)
+        stats["matching.cover_cache"] = {"hits": 1, "misses": 1, "evictions": 0, "entries": 1}
+        (problem,) = self.problems(stats)
+        assert "invalidation counters" in problem
 
-    def test_fails_when_memo_missing(self, tmp_path):
-        report = write_profile(
-            tmp_path, {"serial": worker({"engine.result_cache": {"hits": 1, "misses": 1}})}
+    def test_fails_when_memo_missing(self):
+        assert self.problems({"engine.result_cache": {"hits": 1, "misses": 1}})
+
+    def test_floor_flag(self):
+        proc = run_check(
+            "check_matching_memo.py", "--queries", "40", "--instance-gb", "5", "--floor", "0.999"
         )
-        proc = run_check("check_matching_memo.py", report)
         assert proc.returncode == 1
-
-    def test_floor_flag(self, tmp_path):
-        report = write_profile(tmp_path, {"serial": worker(GOOD_MATCHING)})
-        proc = run_check("check_matching_memo.py", report, "--floor", "0.99")
-        assert proc.returncode == 1
-        assert "below floor 0.99" in proc.stderr
-
-
-class TestCheckWorkerIsolation:
-    def test_passes_when_each_worker_missed(self, tmp_path):
-        per_worker = {
-            "worker-0": worker(GOOD_MATCHING, pid=1),
-            "worker-1": worker(GOOD_MATCHING, pid=2),
-        }
-        report = write_profile(tmp_path, per_worker)
-        proc = run_check("check_worker_isolation.py", report)
-        assert proc.returncode == 0, proc.stderr
-        assert "pid=1" in proc.stdout and "pid=2" in proc.stdout
-
-    def test_fails_on_missless_worker(self, tmp_path):
-        caches = {"engine.result_cache": {"hits": 9, "misses": 0, "evictions": 0, "entries": 0}}
-        report = write_profile(
-            tmp_path, {"worker-0": worker(GOOD_MATCHING), "worker-1": worker(caches)}
-        )
-        proc = run_check("check_worker_isolation.py", report)
-        assert proc.returncode == 1
-        assert "worker-1" in proc.stderr
+        assert "below floor" in proc.stderr
 
 
 class TestCheckResultCacheReuse:
@@ -177,66 +120,10 @@ class TestCheckFragmentPrune:
         assert "pruned-row fraction" in proc.stderr
 
 
-class TestCheckSelectionShare:
-    @staticmethod
-    def _report(tmp_path: Path, selection: float, execution: float) -> str:
-        path = tmp_path / "stages.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "stages": {
-                        "selection": {"seconds": selection, "calls": 10},
-                        "execution": {"seconds": execution, "calls": 10},
-                    }
-                }
-            )
-        )
-        return str(path)
-
-    def test_passes_under_ceiling(self, tmp_path):
-        report = self._report(tmp_path, selection=0.1, execution=0.9)
-        proc = run_check("check_selection_share.py", report)
-        assert proc.returncode == 0, proc.stderr
-        assert "10.0%" in proc.stdout
-
-    def test_fails_over_ceiling_with_observed_share(self, tmp_path):
-        report = self._report(tmp_path, selection=0.6, execution=0.4)
-        proc = run_check("check_selection_share.py", report)
-        assert proc.returncode == 1
-        assert "60.0%" in proc.stderr
-
-    def test_ceiling_flag(self, tmp_path):
-        report = self._report(tmp_path, selection=0.1, execution=0.9)
-        proc = run_check("check_selection_share.py", report, "--ceiling", "0.05")
-        assert proc.returncode == 1
-
-    def test_empty_profile_fails(self, tmp_path):
-        path = tmp_path / "stages.json"
-        path.write_text(json.dumps({"stages": {}}))
-        proc = run_check("check_selection_share.py", str(path))
-        assert proc.returncode == 1
-
-    def test_live_profile_report_passes(self, tmp_path):
-        # End-to-end: a real (tiny) profile run satisfies the gate.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO / "src")
-        out = tmp_path / "live.json"
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "profile",
-                "--queries", "20", "--instance-gb", "5", "--output", str(out),
-            ],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        gate = run_check("check_selection_share.py", str(out))
-        assert gate.returncode == 0, gate.stderr
-
-
 def serve_phase(**over) -> dict:
     base = {
         "offered": 20, "answered": 20, "shed": 0, "timed_out": 0,
-        "failed": 0, "retries": 2, "qps": 100.0, "p99_ms": 5.0,
+        "failed": 0, "retries": 2,
         "digest_mismatches": [], "accounting_ok": True, "unresolved": 0,
         "pool_epoch": 4, "writer": {"steps": 9},
     }

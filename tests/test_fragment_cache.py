@@ -12,7 +12,7 @@ The contract under test:
 * a journal rollback restores the prior versions, so entries recorded
   before the transaction re-validate for free;
 * the cache registers with :mod:`repro.caches`, so its counters surface
-  in ``python -m repro profile``.
+  in :func:`repro.caches.cache_stats`.
 """
 
 import numpy as np
@@ -321,7 +321,7 @@ class TestCoverDeltaInvalidation:
 
 
 # ----------------------------------------------------------------------
-# Registry + prewarm integration.
+# Registry integration.
 # ----------------------------------------------------------------------
 def test_fragment_cache_registered_in_registry():
     caches.clear_all_caches()
@@ -338,14 +338,15 @@ def test_fragment_cache_registered_in_registry():
     assert stats["rows_scanned"] > 0
 
 
-def test_prewarm_builds_plan_pure_tier():
-    from repro.parallel.prewarm import prewarm_shared_caches
-
+def test_plan_pure_tier_fills_on_use_and_clears_with_registry():
     caches.clear_all_caches()
     assert fragment_cache.normalize_conjuncts.cache_info().currsize == 0
-    plans = [Select(Relation("sales"), (between("s_item_sk", 10.0, 20.0),))]
-    prewarm_shared_caches(plans, CATALOG)
+    pool, fids = partitioned_pool([50.0])
+    plan = Select(MaterializedScan("v", fids, "s_item_sk"), (between("s_item_sk", 10.0, 90.0),))
+    Executor(ExecutionContext(CATALOG, pool)).execute(plan)
     assert fragment_cache.normalize_conjuncts.cache_info().currsize >= 1
+    caches.clear_all_caches()
+    assert fragment_cache.normalize_conjuncts.cache_info().currsize == 0
 
 
 def test_clear_resets_counters_but_not_enabled():

@@ -10,7 +10,6 @@ import pytest
 from repro import caches
 from repro.baselines import deepsea, hive, non_partitioned
 from repro.bench.harness import clear_caches, run_systems, sdss_fixture
-from repro.bench.profile import WallClockProfiler, check_report_against_baseline
 from repro.engine.indexes import _GLOBAL_CACHE
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
@@ -198,17 +197,6 @@ class TestTaskSpecs:
 
 
 class TestDeterminism:
-    def test_run_systems_identical_across_worker_counts(self):
-        fx = _fixture()
-        plans = _plans(fx)
-        clear_caches()
-        serial = run_systems(_factories(fx), plans, workers=0)
-        base = fingerprint(serial)
-        for workers in (1, 4):
-            clear_caches()
-            results = run_systems(_factories(fx), plans, workers=workers)
-            assert fingerprint(results) == base, "\n".join(diff_results(serial, results))
-
     def test_shuffled_submission_same_fingerprints(self):
         fixture = FixtureSpec("sdss", 10.0, log_queries=500)
         workload = WorkloadSpec(QUERIES)
@@ -305,69 +293,6 @@ class TestCacheCounters:
         assert stats["query.signature"]["hits"] > 0
 
 
-class TestProfileIntegration:
-    def test_parallel_profilers_merge(self):
-        fx = _fixture()
-        plans = _plans(fx)
-        profilers = {label: WallClockProfiler() for label in ("H", "NP", "DS")}
-        telemetry = {}
-        run_systems(_factories(fx), plans, profilers, workers=2, telemetry=telemetry)
-        for label, prof in profilers.items():
-            assert prof.queries == QUERIES, label
-            assert prof.total_seconds > 0, label
-        assert set(telemetry) == {"H", "NP", "DS"}
-        for info in telemetry.values():
-            assert info.profile is not None
-            assert "engine.indexes.sort" in info.caches
-
-
-class TestCheckReport:
-    BASELINE = {
-        "total_seconds": 1.0,
-        "stages": {
-            "matching": {"seconds": 0.5, "calls": 10},
-            "materialization": {"seconds": 0.01, "calls": 10},
-        },
-    }
-
-    def test_ok_within_limit(self):
-        report = {
-            "total_seconds": 1.5,
-            "stages": {"matching": {"seconds": 0.8, "calls": 10}},
-        }
-        ok, message = check_report_against_baseline(report, self.BASELINE)
-        assert ok
-        assert message.startswith("OK")
-
-    def test_regression_names_the_phase(self):
-        report = {
-            "total_seconds": 1.5,
-            "stages": {"matching": {"seconds": 4.0, "calls": 10}},
-        }
-        ok, message = check_report_against_baseline(report, self.BASELINE)
-        assert not ok
-        assert "REGRESSION" in message
-        assert "stage matching" in message.splitlines()[0]
-
-    def test_tiny_stages_not_gated(self):
-        # materialization (10 ms baseline) regressing 100x is noise, not
-        # a gate trip, as long as total and the large stages hold.
-        report = {
-            "total_seconds": 1.0,
-            "stages": {
-                "matching": {"seconds": 0.5, "calls": 10},
-                "materialization": {"seconds": 1.0, "calls": 10},
-            },
-        }
-        ok, _ = check_report_against_baseline(report, self.BASELINE)
-        assert ok
-
-    def test_missing_baseline_total_fails(self):
-        ok, message = check_report_against_baseline({"total_seconds": 1.0}, {})
-        assert not ok
-        assert "baseline" in message
-
-
 class TestCliDeterminism:
     def test_determinism_command_smoke(self, capsys):
         from repro.cli import main
@@ -386,6 +311,15 @@ class TestCliDeterminism:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "identical" in out
+
+    @pytest.mark.parametrize("workers", ["", ",", "0,2", "two"])
+    def test_empty_or_invalid_worker_list_is_rejected(self, workers, capsys):
+        from repro.cli import main
+
+        assert main(["determinism", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert "invalid --workers list" in captured.err
+        assert "identical" not in captured.out
 
 
 class TestStealMap:
@@ -426,20 +360,6 @@ class TestStealMap:
                 fault_plan={0: 5}, retries=1,
             )
 
-    def test_worker_stats_parallel_and_serial_shapes(self):
-        stats: list = []
-        steal_map([(lambda i=i: i) for i in range(6)], workers=2,
-                  chunk_size=1, worker_stats=stats)
-        assert len(stats) == 2
-        assert sum(s["tasks"] for s in stats) == 6
-        for entry in stats:
-            assert set(entry) == {"pid", "tasks", "caches"}
-
-        serial_stats: list = []
-        steal_map([lambda: 1], workers=4, worker_stats=serial_stats)
-        assert len(serial_stats) == 1
-        assert serial_stats[0]["tasks"] == 1
-
     def test_cold_workers_match_warm_workers(self):
         fixture = FixtureSpec("sdss", 10.0, log_queries=500)
         workload = WorkloadSpec(QUERIES)
@@ -451,6 +371,26 @@ class TestStealMap:
         cold = steal_map(tasks, workers=2, chunk_size=1, warm=False)
         for a, b in zip(warm, cold):
             assert result_fingerprint(a) == result_fingerprint(b)
+
+    def test_cold_workers_start_empty_warm_workers_inherit(self):
+        # Worker isolation: whatever the parent cached before the fork, a
+        # cold worker starts from an empty result cache with zeroed
+        # counters; a warm steal worker keeps the parent's entries.
+        def result_cache_on_entry():
+            return caches.cache_stats()["engine.result_cache"]
+
+        fx = _fixture()
+        clear_caches()
+        system = _factories(fx)["H"]()
+        for plan in _plans(fx):
+            system.execute(plan)
+        parent = result_cache_on_entry()
+        assert parent["entries"] > 0
+        thunks = [result_cache_on_entry] * 4
+        for seen in fan_out(thunks, workers=2):
+            assert (seen["entries"], seen["hits"], seen["misses"]) == (0, 0, 0)
+        for seen in steal_map(thunks, workers=2, chunk_size=1, warm=True):
+            assert seen["entries"] == parent["entries"]
 
 
 class TestStealDeterminism:
@@ -518,73 +458,6 @@ class TestStealDeterminism:
                            fault_plan=kill_plan, retries=3)
         for a, b in zip(serial, stolen):
             assert result_fingerprint(a) == result_fingerprint(b)
-
-    def test_run_systems_steal_scheduler_matches_serial(self):
-        fx = _fixture()
-        plans = _plans(fx)
-        clear_caches()
-        serial = run_systems(_factories(fx), plans, workers=0)
-        stats: list = []
-        results = run_systems(
-            _factories(fx), plans, workers=3,
-            scheduler="steal", stateless=("H",), worker_stats=stats,
-        )
-        assert fingerprint(results) == fingerprint(serial), "\n".join(
-            diff_results(serial, results)
-        )
-        assert stats and sum(s["tasks"] for s in stats) >= len(_factories(fx))
-
-    def test_run_systems_rejects_unknown_scheduler(self):
-        fx = _fixture()
-        with pytest.raises(ValueError):
-            run_systems(_factories(fx), _plans(fx)[:2], scheduler="fifo")
-
-
-class TestPrewarmSharedCaches:
-    """Parent-side cache prewarm that warm steal forks inherit."""
-
-    def test_populates_plan_memos_and_join_indexes(self):
-        from repro.bench.harness import prewarm_shared_caches
-
-        fx = _fixture()
-        plans = _plans(fx)
-        clear_caches()
-        prewarm_shared_caches(plans, fx.catalog)
-        stats = caches.cache_stats()
-        assert stats["query.analysis"]["entries"] > 0
-        assert stats["query.optimizer.pushdown"]["entries"] > 0
-        assert stats["query.signature"]["entries"] > 0
-        assert stats["engine.indexes.sort"]["entries"] > 0
-        assert stats["engine.indexes.probe"]["entries"] > 0
-
-    def test_prewarm_is_semantically_invisible(self):
-        from repro.bench.harness import prewarm_shared_caches
-
-        fx = _fixture()
-        plans = _plans(fx)
-        clear_caches()
-        cold = run_systems(_factories(fx), plans)
-        clear_caches()
-        prewarm_shared_caches(plans, fx.catalog)
-        warm = run_systems(_factories(fx), plans)
-        assert fingerprint(cold) == fingerprint(warm)
-
-    def test_steal_scheduler_with_catalog_matches_serial(self):
-        fx = _fixture()
-        plans = _plans(fx)
-        clear_caches()
-        serial = run_systems(_factories(fx), plans)
-        clear_caches()
-        stolen = run_systems(
-            _factories(fx),
-            plans,
-            workers=2,
-            scheduler="steal",
-            stateless=("H",),
-            catalog=fx.catalog,
-        )
-        assert fingerprint(serial) == fingerprint(stolen)
-
 
 def _guarded(fn, timeout_s=60.0):
     """Run a pool call under a watchdog: a hang fails instead of wedging CI."""

@@ -45,7 +45,7 @@ def plans(fx):
 
 @pytest.fixture(scope="module")
 def digests(fx, plans):
-    return reference_digests(fx, plans)[0]
+    return reference_digests(fx, plans)
 
 
 def drain(service, plans, *, pace_s=0.004):
