@@ -93,7 +93,7 @@ def run_systems(
     """Run the same workload through several freshly built systems, in order.
 
     Parallel runs go through picklable :class:`repro.parallel.tasks.RunTask`
-    specs and :func:`repro.parallel.pool.fan_out` / ``steal_map``.
+    specs and :func:`repro.parallel.pool.fan_out`.
     """
     return {label: run_system(label, make(), plans) for label, make in factories.items()}
 

@@ -94,7 +94,7 @@ def scenario_schedule(
 
     Everything is a deterministic function of the arguments — the
     determinism harness replays a schedule across worker counts and
-    schedulers and expects bit-identical ledgers.
+    expects bit-identical ledgers.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown ingest scenario: {scenario!r}")

@@ -70,12 +70,10 @@ def cache_stats() -> dict[str, dict]:
 def stats_delta(before: dict[str, dict], after: dict[str, dict]) -> dict[str, dict]:
     """Per-cache counter differences ``after − before``.
 
-    A warm-forked pool worker inherits the parent's counters along with
-    the caches themselves, so its raw :func:`cache_stats` snapshot mixes
-    parent history with its own work.  The delta isolates what *this*
-    process did since ``before``.  Non-numeric entries (and gauges
-    like ``entries`` that describe current state rather than traffic) are
-    reported as their ``after`` value.
+    A raw :func:`cache_stats` snapshot mixes everything the process has
+    done so far; the delta isolates the work since ``before``.  Non-numeric
+    entries (and gauges like ``entries`` that describe current state rather
+    than traffic) are reported as their ``after`` value.
     """
     out: dict[str, dict] = {}
     for name in sorted(after):

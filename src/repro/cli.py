@@ -190,7 +190,6 @@ def cmd_determinism(
     instance_gb: float,
     seed: int,
     worker_counts: list[int],
-    scheduler: str = "both",
     ingest: str = "off",
 ) -> int:
     """Verify parallel runs are byte-identical to serial (CI smoke gate).
@@ -199,24 +198,19 @@ def cmd_determinism(
     requested worker count — submitting tasks in *reversed* order to
     exercise the canonical-order merge — and compares full result
     fingerprints (both simulated-second ledgers, all decision counters,
-    and every result table's sorted rows).  ``--scheduler`` picks which
-    schedulers each worker count is checked under: the static cold-worker
-    fan-out, the work-stealing pool with warm-forked workers and the
-    stateless H baseline sliced into query chunks, or ``both`` (the
-    default; CI runs one scheduler per matrix entry).  ``--ingest on``
-    adds a fourth task — DS with the steady-drip micro-batch schedule
-    interleaved against a forked catalog — so the fingerprints also cover
-    ingest's maintenance ledgers (``maint_s``, rows routed/applied,
-    fragments patched) across worker counts and schedulers.  A DS task at
-    the 10 % pool always runs beside them and is fingerprinted on its own
-    (the fig-5a digest stays comparable with its history): the unbounded
-    systems never evict, so only this row sees §7.3's bounded selection.
+    and every result table's sorted rows).  ``--ingest on`` adds a fourth
+    task — DS with the steady-drip micro-batch schedule interleaved
+    against a forked catalog — so the fingerprints also cover ingest's
+    maintenance ledgers (``maint_s``, rows routed/applied, fragments
+    patched) across worker counts.  A DS task at the 10 % pool always runs
+    beside them and is fingerprinted on its own (the fig-5a digest stays
+    comparable with its history): the unbounded systems never evict, so
+    only this row sees §7.3's bounded selection.
     Exits non-zero, printing the first divergences, if any run changes a
     single byte.
     """
-    from repro.bench.harness import RunResult
     from repro.parallel.determinism import diff_results, fingerprint
-    from repro.parallel.pool import fan_out, steal_map
+    from repro.parallel.pool import fan_out
     from repro.parallel.tasks import FixtureSpec, RunTask, SystemSpec, WorkloadSpec
 
     fixture = FixtureSpec("sdss", instance_gb)
@@ -245,13 +239,6 @@ def cmd_determinism(
     rows = [("serial", *(d[:16] for d in reference), "baseline")]
     status = 0
 
-    # The H baseline is stateless, so under the steal scheduler its run
-    # splits into contiguous query slices that merge back in order.
-    sliced: list[tuple[str, RunTask]] = []
-    for task in tasks:
-        parts = task.slices(4) if task.label == "H" else [task]
-        sliced.extend((task.label, part) for part in parts)
-
     def check(name: str, results: dict) -> None:
         nonlocal status
         found = digests(results)
@@ -264,24 +251,9 @@ def cmd_determinism(
                 print(line, file=sys.stderr)
 
     for n in worker_counts:
-        if scheduler in ("static", "both"):
-            shuffled = list(reversed(range(len(tasks))))
-            outputs = fan_out(tasks, n, submission_order=shuffled)
-            check(f"workers={n}", dict(zip(labels, outputs)))
-
-        if scheduler in ("steal", "both"):
-            stolen = steal_map([part for _, part in sliced], n, chunk_size=1)
-            merged: dict[str, RunResult] = {}
-            for (label, _), result in zip(sliced, stolen):
-                if label in merged:
-                    merged[label] = RunResult(
-                        label,
-                        merged[label].reports + result.reports,
-                        merged[label].fault_events + result.fault_events,
-                    )
-                else:
-                    merged[label] = result
-            check(f"workers={n} steal", merged)
+        shuffled = list(reversed(range(len(tasks))))
+        outputs = fan_out(tasks, n, submission_order=shuffled)
+        check(f"workers={n}", dict(zip(labels, outputs)))
     print(
         format_table(
             ["run", *(f"{name} fingerprint" for name in groups), "verdict"],
@@ -615,10 +587,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated worker counts to check against serial",
     )
     det_p.add_argument(
-        "--scheduler", choices=("static", "steal", "both"), default="both",
-        help="which pool scheduler(s) to check each worker count under",
-    )
-    det_p.add_argument(
         "--ingest", choices=("on", "off"), default="off",
         help="add a DS task with the steady-drip ingest schedule interleaved",
     )
@@ -697,8 +665,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
         return cmd_determinism(
-            args.queries, args.instance_gb, args.seed, counts,
-            args.scheduler, args.ingest,
+            args.queries, args.instance_gb, args.seed, counts, args.ingest
         )
     if args.command == "chaos":
         return cmd_chaos(

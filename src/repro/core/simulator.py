@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.deepsea import DeepSea
 from repro.errors import ReproError
 from repro.query.algebra import Plan, Select, walk
 
@@ -49,9 +48,6 @@ class TemplateRegression:
     def observe(self, template: str, width: float, elapsed_s: float) -> None:
         self._widths.setdefault(template, []).append(width)
         self._elapsed.setdefault(template, []).append(elapsed_s)
-
-    def sample_count(self, template: str) -> int:
-        return len(self._widths.get(template, []))
 
     def fit(self, template: str) -> RegressionFit | None:
         """OLS fit for the template; ``None`` before ``min_samples``."""
@@ -103,7 +99,7 @@ class WorkloadSimulator:
     always measured, so creation costs stay exact.
     """
 
-    def __init__(self, system: DeepSea, min_samples: int = 5):
+    def __init__(self, system, min_samples: int = 5):
         self.system = system
         self.regression = TemplateRegression(min_samples=min_samples)
         self.history: list[SimulatedQuery] = []

@@ -406,6 +406,3 @@ class StatisticsStore:
 
     def partition_attrs(self, view_id: str) -> list[str]:
         return sorted(a for (v, a) in self._partitions if v == view_id)
-
-    def all_fragments(self) -> list[FragmentStats]:
-        return list(self._fragments.values())

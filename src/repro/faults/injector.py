@@ -56,12 +56,6 @@ class FaultInjector:
     def event_log(self) -> tuple[str, ...]:
         return tuple(event.line() for event in self.events)
 
-    def event_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
     @property
     def fired(self) -> int:
         return len(self.events)

@@ -11,13 +11,12 @@ byte-identical to a serial run for any worker count.
 Three modules:
 
 * :mod:`repro.parallel.pool` — the executor: one pool loop over forked
-  workers with two policies, :func:`~repro.parallel.pool.fan_out` (one
-  task per dispatch, workers initialized with
-  :func:`repro.caches.clear_all_caches` for isolation) and
-  :func:`~repro.parallel.pool.steal_map` (chunked, warm-forked workers);
-  both return results indexed by task position, never by completion order.
+  workers, :func:`~repro.parallel.pool.fan_out` (one task per dispatch,
+  workers initialized with :func:`repro.caches.clear_all_caches` for
+  isolation), returning results indexed by task position, never by
+  completion order.
 * :mod:`repro.parallel.tasks` — picklable task specs (fixture + system
-  factory + workload slice instead of live objects), so units of work can
+  factory + workload instead of live objects), so units of work can
   cross process boundaries without dragging megabyte tables along.
 * :mod:`repro.parallel.determinism` — the harness that fingerprints and
   diffs ``RunResult`` streams across worker counts; the CI smoke job and
@@ -29,7 +28,7 @@ from repro.parallel.determinism import (
     fingerprint,
     result_fingerprint,
 )
-from repro.parallel.pool import fan_out, steal_map
+from repro.parallel.pool import fan_out
 from repro.parallel.tasks import FixtureSpec, RunTask, SystemSpec, WorkloadSpec
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "fan_out",
     "fingerprint",
     "result_fingerprint",
-    "steal_map",
 ]

@@ -1,9 +1,7 @@
 """The process-pool executor: deterministic fan-out of independent tasks.
 
-One parent loop (:func:`_run_pool`) with two public policies:
-:func:`fan_out` — chunks of one task, cold workers, optional per-task
-timeout — and :func:`steal_map` — chunked work stealing over warm-forked
-workers.  Design constraints, in order:
+One parent loop, :func:`fan_out`: one task per dispatch, cold workers,
+optional per-task timeout.  Design constraints, in order:
 
 1. **Determinism.**  Results are returned in *task order*, never in
    completion or submission order.  Workers return ``(index, value)``
@@ -21,13 +19,13 @@ workers.  Design constraints, in order:
    cheap.  On platforms without ``fork`` the executor degrades to serial
    execution (same results, no speedup) unless every task is picklable —
    use :mod:`repro.parallel.tasks` specs to guarantee that.
-3. **Isolation.**  Every cold worker starts by calling
+3. **Isolation.**  Every worker starts by calling
    :func:`repro.caches.clear_all_caches`: nothing cached in the parent
    before the fork can influence a worker's run, and — because caches
    auto-register with :mod:`repro.caches` on import — a newly added cache
    cannot be missed.  The caches are semantically transparent, so this is
    belt-and-braces for byte-identical ledgers, not a correctness
-   requirement — which is why :func:`steal_map` may fork its workers warm.
+   requirement.
 4. **No hangs.**  The parent owns one pipe per worker and multiplexes
    them with :func:`multiprocessing.connection.wait`, so a worker that
    dies (crash, OOM-kill, ``os._exit``) surfaces as EOF on its pipe
@@ -41,7 +39,6 @@ workers.  Design constraints, in order:
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import time
@@ -57,8 +54,8 @@ T = TypeVar("T")
 
 # Tasks inherited by forked workers (see module docstring, point 2).
 # Only ever non-None inside a pool call; parallel sections do not nest (a
-# worker that calls fan_out / steal_map again runs its tasks serially,
-# since its own _TASKS is set — the guard in _run_pool).
+# worker that calls fan_out again runs its tasks serially, since its own
+# _TASKS is set — the guard in fan_out).
 _TASKS: "Sequence[Callable[[], Any]] | None" = None
 
 # How long to wait for a killed worker process to be reaped before
@@ -66,47 +63,40 @@ _TASKS: "Sequence[Callable[[], Any]] | None" = None
 _REAP_GRACE_S = 2.0
 
 
-def _worker_main(conn, warm: bool) -> None:
-    """Worker loop: receive chunks of tasks, send one result per task.
+def _worker_main(conn) -> None:
+    """Worker loop: receive one task at a time, send its result.
 
-    A message from the parent is one chunk — a list of ``(index, attempt,
-    crashes)`` units — or ``None``, the stop sentinel.  Each finished
-    task goes back individually as ``("ok", index, value)`` (or ``("err",
-    index, exc)``), so the parent slots results and accounts crashes at
-    task granularity whatever the chunking.  ``crashes`` is the task's
+    A message from the parent is ``(index, attempt, crashes)`` or ``None``,
+    the stop sentinel; the finished task goes back as ``("ok", index,
+    value)`` (or ``("err", index, exc)``).  ``crashes`` is the task's
     entry in the caller's ``fault_plan``: while ``attempt <= crashes``
     the worker dies via ``os._exit`` *before* running the task — an
     honest hard crash (no exception, no cleanup, just a dead process and
     an EOF on the pipe) used by the chaos tests to prove the parent's
     crash detection end to end.
 
-    A cold worker (``warm=False``) starts by dropping every cache forked
-    from the parent; a warm one *keeps* them (result cache, cover cache,
-    match memo, fixtures...).  The caches are semantically transparent,
-    so outputs are byte-identical either way — warm workers just turn
-    repeated fixture builds and index probes into fork-shared hits.
+    The worker starts by dropping every cache forked from the parent.
     """
-    if not warm:
-        caches.clear_all_caches()
+    caches.clear_all_caches()
     while True:
         try:
-            units = conn.recv()
+            unit = conn.recv()
         except (EOFError, OSError):
             return
-        if units is None:
+        if unit is None:
             return
-        for index, attempt, crashes in units:
-            if attempt <= crashes:
-                os._exit(17)
+        index, attempt, crashes = unit
+        if attempt <= crashes:
+            os._exit(17)
+        try:
+            value = _TASKS[index]()
+        except BaseException as exc:  # propagate to the parent, keep serving
             try:
-                value = _TASKS[index]()
-            except BaseException as exc:  # propagate to the parent, keep serving
-                try:
-                    conn.send(("err", index, exc))
-                except Exception:
-                    conn.send(("err", index, RuntimeError(repr(exc))))
-                continue
-            conn.send(("ok", index, value))
+                conn.send(("err", index, exc))
+            except Exception:
+                conn.send(("err", index, RuntimeError(repr(exc))))
+            continue
+        conn.send(("ok", index, value))
 
 
 @dataclass
@@ -115,8 +105,8 @@ class _Worker:
 
     proc: Any
     conn: Any
-    # Task indexes of the dispatched chunk still awaiting results.
-    current: "set[int] | None" = None
+    # Index of the dispatched task still awaiting its result.
+    current: "int | None" = None
     deadline: "float | None" = None
 
     @property
@@ -142,39 +132,44 @@ class _Worker:
         self.kill()
 
 
-def default_workers() -> int:
-    """Worker count when the user asks for "all cores"."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _run_pool(
+def fan_out(
     tasks: Sequence[Callable[[], T]],
-    workers: int,
+    workers: int = 0,
     *,
-    chunk_size: int,
-    warm: bool,
-    submission_order: "Sequence[int] | None",
-    retries: int,
-    task_timeout: "float | None",
-    fault_plan: "dict[int, int] | None",
+    submission_order: "Sequence[int] | None" = None,
+    retries: int = 1,
+    task_timeout: "float | None" = None,
+    fault_plan: "dict[int, int] | None" = None,
 ) -> list[T]:
-    """The one pool loop behind :func:`fan_out` and :func:`steal_map`.
+    """Run independent thunks, results in task order for any worker count.
 
-    The parent keeps a deque of chunks and one pipe per worker,
+    ``workers <= 1`` (or a single task, or a platform without ``fork``,
+    or a nested call from inside a worker) runs serially in-process —
+    the degenerate pool.  ``submission_order`` permutes the order tasks
+    are *handed to* the pool without affecting the order results are
+    *returned* in; it exists so the determinism tests can prove that
+    claim.
+
+    The parent keeps a deque of task indexes and one pipe per worker,
     multiplexed with :func:`multiprocessing.connection.wait`: an idle
-    worker's drained pipe *is* its pull of the next chunk.  A worker that
-    dies (EOF), outlives ``task_timeout`` on one dispatch, or turns out
-    to have died while idle (the dispatch's send fails) is killed, the
-    unfinished remainder of its chunk goes back to the *front* of the
-    deque so its retry budget settles before new work starts, and a fresh
-    worker takes the slot.
+    worker's drained pipe *is* its pull of the next task.  A worker that
+    dies (EOF), outlives ``task_timeout`` (real seconds per dispatch), or
+    turns out to have died while idle (the dispatch's send fails) is
+    killed, its task goes back to the *front* of the deque so its retry
+    budget settles before new work starts, and a fresh worker takes the
+    slot.  A task is re-dispatched up to ``retries`` extra times; when it
+    exhausts its dispatches, :class:`~repro.errors.WorkerCrashError` is
+    raised with the task index — the pool never hangs and never silently
+    drops a result.  ``fault_plan`` maps a task index to a number of
+    leading dispatches whose worker hard-crashes before running it (the
+    chaos hook; see :func:`repro.faults.injector.FaultInjector.
+    worker_kill_plan`).  Because results are slotted by index and each
+    re-run executes the identical thunk, crashes perturb scheduling only
+    — outputs are byte-identical to a crash-free run.
     """
     global _TASKS
     tasks = list(tasks)
@@ -196,55 +191,40 @@ def _run_pool(
             results[index] = tasks[index]()
         return results
 
-    if chunk_size <= 0:
-        chunk_size = max(1, len(tasks) // (workers * 4))
-    pending: deque[list[int]] = deque(
-        order[i : i + chunk_size] for i in range(0, len(order), chunk_size)
-    )
+    pending: deque[int] = deque(order)
     fault_plan = fault_plan or {}
     dispatches = [0] * len(tasks)
     context = multiprocessing.get_context("fork")
 
     def spawn() -> _Worker:
         parent_conn, child_conn = context.Pipe()
-        proc = context.Process(target=_worker_main, args=(child_conn, warm), daemon=True)
+        proc = context.Process(target=_worker_main, args=(child_conn,), daemon=True)
         proc.start()
         # Close the child end immediately: after this, the only open copy
         # lives in the child, so its death is an EOF on parent_conn.
         child_conn.close()
         return _Worker(proc, parent_conn)
 
-    def dispatch(worker: _Worker, chunk: list[int]) -> None:
-        units = []
-        for index in chunk:
-            if dispatches[index] > retries:
-                raise WorkerCrashError(
-                    f"task {index} lost its worker {dispatches[index]} time(s); "
-                    f"retry limit ({retries}) exhausted",
-                    index=index,
-                    dispatches=dispatches[index],
-                )
-            dispatches[index] += 1
-            units.append((index, dispatches[index], fault_plan.get(index, 0)))
-        worker.current = set(chunk)
+    def dispatch(worker: _Worker, index: int) -> None:
+        if dispatches[index] > retries:
+            raise WorkerCrashError(
+                f"task {index} lost its worker {dispatches[index]} time(s); "
+                f"retry limit ({retries}) exhausted",
+                index=index,
+                dispatches=dispatches[index],
+            )
+        dispatches[index] += 1
+        worker.current = index
         if task_timeout is not None:
             worker.deadline = time.monotonic() + task_timeout
-        worker.conn.send(units)
+        worker.conn.send((index, dispatches[index], fault_plan.get(index, 0)))
 
     def replace(slot: int) -> None:
         worker = crew[slot]
         worker.kill()
-        pending.appendleft(sorted(worker.current))
+        pending.appendleft(worker.current)
         crew[slot] = spawn()
 
-    if warm:
-        # Freeze the parent heap before forking: the fixtures and warm
-        # caches the workers inherit stop being traversed by their cyclic
-        # GC, so the shared pages stay copy-on-write-clean instead of being
-        # privately duplicated into every worker the first time its GC
-        # walks them.
-        gc.collect()  # don't freeze garbage into every child
-        gc.freeze()
     _TASKS = tasks
     crew = [spawn() for _ in range(min(workers, len(pending)))]
     done = 0
@@ -252,19 +232,18 @@ def _run_pool(
         while done < len(tasks):
             for slot, worker in enumerate(crew):
                 if worker.current is None and pending:
-                    chunk = pending.popleft()
+                    index = pending.popleft()
                     try:
-                        dispatch(worker, chunk)
+                        dispatch(worker, index)
                     except OSError:
-                        # The idle worker died between chunks; the chunk was
+                        # The idle worker died between tasks; the task was
                         # never received, so it keeps its dispatch budget.
-                        for index in chunk:
-                            dispatches[index] -= 1
+                        dispatches[index] -= 1
                         replace(slot)
             busy = [w for w in crew if w.current is not None]
             if not busy:
                 # Every dispatch of this pass failed on a dead pipe; loop
-                # back to hand the re-queued chunks to the fresh workers
+                # back to hand the re-queued tasks to the fresh workers
                 # instead of waiting on an empty pipe set (never wakes).
                 continue
             wait_for = None
@@ -288,100 +267,9 @@ def _run_pool(
                     raise payload
                 results[index] = payload
                 done += 1
-                worker.current.discard(index)
-                if not worker.current:
-                    worker.current = None
+                worker.current = None
     finally:
         _TASKS = None
-        if warm:
-            gc.unfreeze()
         for worker in crew:
             worker.shutdown()
     return results
-
-
-def fan_out(
-    tasks: Sequence[Callable[[], T]],
-    workers: int = 0,
-    *,
-    submission_order: "Sequence[int] | None" = None,
-    retries: int = 1,
-    task_timeout: "float | None" = None,
-    fault_plan: "dict[int, int] | None" = None,
-) -> list[T]:
-    """Run independent thunks, results in task order for any worker count.
-
-    The static policy of the pool loop: chunks of one task, cold workers
-    (every cache forked from the parent is dropped at worker start), and
-    an optional ``task_timeout``.
-
-    ``workers <= 1`` (or a single task, or a platform without ``fork``,
-    or a nested call from inside a worker) runs serially in-process —
-    the degenerate pool.  ``submission_order`` permutes the order tasks
-    are *handed to* the pool without affecting the order results are
-    *returned* in; it exists so the determinism tests can prove that
-    claim.
-
-    A task whose worker dies mid-run is re-dispatched to a fresh worker
-    up to ``retries`` extra times; ``task_timeout`` (real seconds per
-    dispatch) kills and re-dispatches stuck tasks the same way.  When a
-    task exhausts its dispatches, :class:`~repro.errors.WorkerCrashError`
-    is raised with the task index — the pool never hangs and never
-    silently drops a result.  ``fault_plan`` maps a task index to a
-    number of leading dispatches whose worker hard-crashes before running
-    it (the chaos hook; see :func:`repro.faults.injector.FaultInjector.
-    worker_kill_plan`).  Because results are slotted by index and each
-    re-run executes the identical thunk, crashes perturb scheduling only
-    — outputs are byte-identical to a crash-free run.
-    """
-    return _run_pool(
-        tasks,
-        workers,
-        chunk_size=1,
-        warm=False,
-        submission_order=submission_order,
-        retries=retries,
-        task_timeout=task_timeout,
-        fault_plan=fault_plan,
-    )
-
-
-def steal_map(
-    tasks: Sequence[Callable[[], T]],
-    workers: int = 0,
-    *,
-    chunk_size: int = 0,
-    warm: bool = True,
-    submission_order: "Sequence[int] | None" = None,
-    retries: int = 1,
-    fault_plan: "dict[int, int] | None" = None,
-) -> list[T]:
-    """Run thunks over a work-stealing pool; results in task order.
-
-    The stealing policy of the pool loop: the deque holds *chunks*
-    (``chunk_size`` task indexes each; default splits the workload about
-    four chunks per worker) and persistent workers pull the next chunk
-    the moment they finish one — so an unlucky worker stuck with a long
-    task no longer idles the rest of the pool the way a static split
-    does.  Workers fork **warm** by default (see :func:`_worker_main`):
-    the parent's caches are shared copy-on-write into every worker at
-    pool start, with the parent heap frozen out of their cyclic GC.
-
-    Determinism contract unchanged from :func:`fan_out`: results are
-    slotted by task index, so any chunking, any steal order, any
-    ``submission_order`` permutation, and any crash/retry interleaving
-    (``fault_plan``, ``retries``) produce the identical list.  A task
-    whose worker dies re-dispatches only the *unfinished* remainder of
-    the chunk; exhausted retries raise
-    :class:`~repro.errors.WorkerCrashError`.
-    """
-    return _run_pool(
-        tasks,
-        workers,
-        chunk_size=chunk_size,
-        warm=warm,
-        submission_order=submission_order,
-        retries=retries,
-        task_timeout=None,
-        fault_plan=fault_plan,
-    )

@@ -12,11 +12,10 @@ system deterministically on the other side:
 * :class:`SystemSpec` — a factory *name* from :mod:`repro.baselines` plus
   keyword options.  ``pool_fraction`` is resolved against the fixture's
   catalog size at build time (the only option that needs the fixture).
-* :class:`WorkloadSpec` — the seeded SDSS-mapped workload and an optional
-  ``[start, stop)`` slice, so one logical workload can be cut into
-  per-worker shards without shipping plan objects.
-* :class:`RunTask` — one (system variant × workload slice) unit: what
-  :func:`~repro.parallel.pool.fan_out` / ``steal_map`` run in parallel.
+* :class:`WorkloadSpec` — the seeded SDSS-mapped workload, rebuilt on
+  the worker without shipping plan objects.
+* :class:`RunTask` — one (system variant × workload) unit: what
+  :func:`~repro.parallel.pool.fan_out` runs in parallel.
 
 Everything here is frozen dataclasses of primitives, hashable and
 byte-stable, which also makes task identity usable as a dedup/cache key.
@@ -83,20 +82,17 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A seeded SDSS-mapped workload, optionally sliced to ``[start, stop)``."""
+    """A seeded SDSS-mapped workload."""
 
     n_queries: int
     seed: int = 2
-    start: int = 0
-    stop: "int | None" = None
 
     def build(self, fixture) -> "list[Plan]":
         from repro.workloads.generator import sdss_mapped_workload
 
-        plans = sdss_mapped_workload(
+        return sdss_mapped_workload(
             fixture.log, fixture.item_domain, n_queries=self.n_queries, seed=self.seed
         )
-        return plans[self.start : self.stop]
 
 
 @dataclass(frozen=True)
@@ -123,17 +119,12 @@ class RunTask:
     fixture: FixtureSpec
     workload: WorkloadSpec
     faults: "str | None" = None
-    # Logical-clock offset applied to the fresh system before the first
-    # query — what keeps a query-slice task's report indexes (and hit
-    # timestamps) identical to the same queries inside a whole run.
-    clock0: int = 0
     # Ingest scenario name (repro.bench.ingest_bench.SCENARIOS): when
     # set, the run interleaves that scenario's deterministic micro-batch
     # schedule with the workload — batch k applies to ``store_sales``
     # right before its scheduled query — against a *fork* of the fixture
     # catalog (fixtures are cached and shared; appends must not leak into
-    # other tasks).  Ingest tasks are stateful by construction and are
-    # never sliced.
+    # other tasks).
     ingest: "str | None" = None
 
     def __call__(self) -> "RunResult":
@@ -147,8 +138,6 @@ class RunTask:
         if self.ingest is not None:
             return self._run_with_ingest(fixture, plans)
         system = self.system.build(fixture)
-        if self.clock0:
-            system.clock = self.clock0
         if self.faults is not None:
             system.attach_faults(self.faults)
         return run_system(self.label, system, plans)
@@ -161,8 +150,6 @@ class RunTask:
 
         catalog = fixture.catalog.fork()
         system = self.system.build(_ForkedFixture(catalog, fixture.domains))
-        if self.clock0:
-            system.clock = self.clock0
         if self.faults is not None:
             system.attach_faults(self.faults)
         _, batches = scenario_schedule(
@@ -180,33 +167,3 @@ class RunTask:
             reports.append(system.execute(plan))
         events = system.faults.event_log() if system.faults is not None else ()
         return RunResult(self.label, reports, events)
-
-    def slices(self, n_slices: int) -> "list[RunTask]":
-        """Cut this run into contiguous query-slice tasks (stateless systems).
-
-        Only valid when per-query outputs do not depend on earlier
-        queries — the H baseline (``materialize=False``) never builds
-        state, so a fresh system whose clock starts at the slice offset
-        produces byte-identical reports for the slice's queries.  Tasks
-        with a fault schedule are never sliced (the injector's draws are
-        sequenced over the whole run), nor are workloads too small to
-        split; both fall back to ``[self]``.
-        """
-        start = self.workload.start
-        stop = self.workload.stop if self.workload.stop is not None else self.workload.n_queries
-        total = stop - start
-        if self.faults is not None or self.ingest is not None or n_slices <= 1 or total < 2:
-            return [self]
-        n_slices = min(n_slices, total)
-        per = total / n_slices
-        tasks = []
-        for i in range(n_slices):
-            lo = start + round(i * per)
-            hi = start + round((i + 1) * per) if i + 1 < n_slices else stop
-            if lo >= hi:
-                continue
-            workload = WorkloadSpec(self.workload.n_queries, self.workload.seed, lo, hi)
-            tasks.append(
-                RunTask(self.label, self.system, self.fixture, workload, clock0=lo)
-            )
-        return tasks

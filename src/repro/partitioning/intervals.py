@@ -253,10 +253,6 @@ class Interval:
             mask = np.ones(len(values), dtype=bool)
         return mask
 
-    def clamp(self, domain: "Interval") -> "Interval | None":
-        """Intersection with a bounding domain (alias with intent)."""
-        return self.intersect(domain)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lb = "(" if self.low_open else "["
         rb = ")" if self.high_open else "]"

@@ -70,26 +70,3 @@ def conjunction_mask(predicates: tuple[RangePredicate, ...], table: Table) -> np
         if not mask.any():
             break
     return mask
-
-
-def combine_ranges(predicates: tuple[RangePredicate, ...]) -> dict[str, Interval]:
-    """Per-attribute intersection of all range conjuncts.
-
-    Returns a mapping ``attr -> interval``.  Conjuncts over the same
-    attribute are intersected; an unsatisfiable conjunction raises
-    ``IntervalError`` upstream when the intersection is empty, which we
-    surface as ``None`` entries filtered by the caller.
-    """
-    ranges: dict[str, Interval] = {}
-    for pred in predicates:
-        if pred.attr in ranges:
-            merged = ranges[pred.attr].intersect(pred.interval)
-            if merged is None:
-                # Unsatisfiable conjunction: canonical impossible point at
-                # +inf — no finite value matches it, and unlike NaN it
-                # compares equal to itself so signatures stay comparable.
-                merged = Interval.point(float("inf"))
-            ranges[pred.attr] = merged
-        else:
-            ranges[pred.attr] = pred.interval
-    return ranges

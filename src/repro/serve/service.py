@@ -115,19 +115,6 @@ class QueryOutcome:
     used_view: bool = False
     table: "Table | None" = field(default=None, repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "status": self.status,
-            "latency_s": self.latency_s,
-            "sim_cost_s": self.sim_cost_s,
-            "epoch": self.epoch,
-            "retries": self.retries,
-            "degraded": self.degraded,
-            "error_kind": self.error_kind,
-            "used_view": self.used_view,
-        }
-
 
 class ServeTicket:
     """A client's handle on one admitted query."""

@@ -3,9 +3,9 @@
 Exactly one thread mutates the pool.  It consumes the admitted query
 stream (readers answer; the writer *learns*) and runs each query through
 the full DeepSea loop — matching, statistics, selection, materialization,
-refinement — under the service's plan lock, with ``always_journal`` set
-so every repartitioning step is an atomic begin/commit transaction even
-without chaos attached.  Snapshot readers rely on that atomicity: between
+refinement — under the service's plan lock.  Every repartitioning step is
+an atomic begin/commit transaction, chaos attached or not, and snapshot
+readers rely on that atomicity: between
 two plan-lock acquisitions the pool is always a committed configuration,
 and a crashed step's rollback restores the exact pre-step bytes and
 cover versions the readers' leases were promised.
@@ -55,7 +55,6 @@ class PoolWriter:
     def __init__(self, system: "DeepSea", plan_lock: threading.RLock, *, depth: int = 64):
         self.system = system
         self.plan_lock = plan_lock
-        system.always_journal = True
         self._feed: AdmissionQueue = AdmissionQueue(depth)
         self._thread = threading.Thread(
             target=self._loop, name="serve-writer", daemon=True
@@ -130,7 +129,7 @@ class PoolWriter:
                         self.steps += 1
                 except ReproError as exc:
                     # The writer must outlive any single bad step: the
-                    # hardened _crash_safe has already rolled the journal
+                    # repartitioner's crash_safe has already rolled the journal
                     # back, so the pool is a committed configuration and
                     # the next query can proceed.
                     self.errors.append(f"{type(exc).__name__}: {exc}")

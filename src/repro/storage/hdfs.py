@@ -141,9 +141,6 @@ class SimulatedHDFS:
         return self._get(path).table
 
     # ------------------------------------------------------------------
-    def size_of(self, path: str) -> float:
-        return self._get(path).size_bytes
-
     def exists(self, path: str) -> bool:
         return path in self._files
 

@@ -134,8 +134,6 @@ class DeltaMaintainer:
     # Ingest-rate observation and upkeep prediction (§7 integration)
     # ------------------------------------------------------------------
     def _observe(self, name: str, nrows: int, clock: float) -> None:
-        if getattr(self.system, "_retrying", False):
-            return  # crash-retry replays apply(); count the batch once
         stats = self._observed.get(name)
         if stats is None:
             self._observed[name] = [float(nrows), 1.0, clock]
@@ -192,8 +190,11 @@ class DeltaMaintainer:
     # ------------------------------------------------------------------
     # Batch application (runs inside an open pool transaction)
     # ------------------------------------------------------------------
-    def apply(self, name: str, rows, ledger: CostLedger) -> IngestReport:
+    def apply(self, name: str, rows, ledger: CostLedger, retry: bool) -> IngestReport:
         """Append one micro-batch and maintain every affected view.
+
+        ``retry`` says this call replays a batch whose first attempt
+        crashed and was rolled back: its rows are observed once.
 
         Must run inside an open pool transaction (``DeepSea.ingest``
         arranges this): the catalog append and every fragment patch are
@@ -207,7 +208,8 @@ class DeltaMaintainer:
         catalog = system.catalog
         clock = float(system.clock)
         batch = catalog.ingest(name, rows, journal=pool.journal)
-        self._observe(name, batch.nrows, clock)
+        if not retry:
+            self._observe(name, batch.nrows, clock)
         # Appending to the base table writes the batch bytes once,
         # regardless of what is materialized (H pays exactly this).
         ledger.charge_write(batch.size_bytes, nfiles=1)

@@ -203,9 +203,6 @@ class MaterializedViewPool:
         except KeyError:
             raise PoolError(f"unknown view: {view_id!r}") from None
 
-    def has_definition(self, view_id: str) -> bool:
-        return view_id in self._definitions
-
     # ------------------------------------------------------------------
     # Residency queries
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Tests for DeepSea's internal helpers: jitter estimation, piece widening,
-mean fragment width, view reconstruction, and admission feasibility."""
+"""Tests for Algorithm 1's collaborators, each in the module that owns the
+method: jitter estimation, piece widening and admission feasibility
+(selection), mean fragment width and Φ (valuation), view reconstruction
+and the step's cuts (repartition)."""
 
 import weakref
 
@@ -7,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.deepsea as deepsea_module
+import repro.core.selection as selection_module
 from repro import Catalog, DeepSea, Interval, Policy
 from repro.baselines import deepsea
 from repro.bench.harness import sdss_fixture
 from repro.core.admission import AdmissionController
-from repro.core.deepsea import _OWED, _Pieces, _piece_refinement_passes
+from repro.core.repartition import _Pieces
+from repro.core.selection import _piece_refinement_passes
+from repro.core.valuation import _OWED, Valuation
 from repro.costmodel.estimate import ResidentProfile
 from repro.costmodel.nectar import nectar_fragment_value, nectar_plus_fragment_value
 from repro.costmodel.value import fragment_value, partition_distribution
@@ -88,14 +92,14 @@ def the_partitioned_view(system):
 
 class TestObservedJitter:
     def test_no_stats_zero(self, system):
-        assert system._observed_jitter("ghost", "d_k", DOMAIN, DOMAIN) == 0.0
+        assert system.selection.observed_jitter("ghost", "d_k", DOMAIN, DOMAIN) == 0.0
 
     def test_repeated_identical_queries_zero_jitter(self, system):
         for _ in range(5):
             system.execute(query(100, 200))
         vid = the_partitioned_view(system)
         parent = system.tentative.intervals(vid, "d_k")[0]
-        jitter = system._observed_jitter(vid, "d_k", parent, Interval.closed(100, 200))
+        jitter = system.selection.observed_jitter(vid, "d_k", parent, Interval.closed(100, 200))
         assert jitter == pytest.approx(0.0)
 
     def test_drifting_queries_positive_jitter(self, system):
@@ -105,7 +109,7 @@ class TestObservedJitter:
         # use a parent that saw all the hits
         intervals = system.stats.intervals_for(vid, "d_k")
         jitters = [
-            system._observed_jitter(vid, "d_k", iv, Interval.closed(140, 240))
+            system.selection.observed_jitter(vid, "d_k", iv, Interval.closed(140, 240))
             for iv in intervals
         ]
         assert max(jitters) > 0.0
@@ -116,7 +120,7 @@ class TestObservedJitter:
             system.execute(query(0, 900))
         vid = the_partitioned_view(system)
         parent = system.stats.intervals_for(vid, "d_k")[0]
-        jitter = system._observed_jitter(vid, "d_k", parent, Interval.closed(100, 110))
+        jitter = system.selection.observed_jitter(vid, "d_k", parent, Interval.closed(100, 110))
         assert jitter == 0.0
 
 
@@ -125,7 +129,7 @@ class TestWidenPiece:
         theta = Interval.closed(100, 300)
         parent = Interval.closed(0, 1000)
         piece = Interval.closed(100, 300)
-        widened = system._widen_piece(piece, theta, parent, DOMAIN)
+        widened = system.selection.widen_piece(piece, theta, parent, DOMAIN)
         margin = system.policy.refinement_margin * theta.width
         assert widened.lo == pytest.approx(100 - margin)
         assert widened.hi == pytest.approx(300 + margin)
@@ -134,25 +138,25 @@ class TestWidenPiece:
         theta = Interval.closed(0, 400)
         parent = Interval.closed(0, 350)
         piece = Interval.closed(0, 350)
-        widened = system._widen_piece(piece, theta, parent, DOMAIN)
+        widened = system.selection.widen_piece(piece, theta, parent, DOMAIN)
         assert parent.contains(widened)
 
     def test_jitter_dominates_small_margin(self, system):
         theta = Interval.closed(100, 110)
         parent = Interval.closed(0, 1000)
         piece = Interval.closed(100, 110)
-        widened = system._widen_piece(piece, theta, parent, DOMAIN, jitter=50.0)
+        widened = system.selection.widen_piece(piece, theta, parent, DOMAIN, jitter=50.0)
         assert widened.width >= 100.0  # 2 * 2*jitter / sides
 
 
 class TestMeanFragmentWidth:
     def test_falls_back_to_domain(self, system):
-        assert system._mean_fragment_width("ghost", "d_k", DOMAIN) == DOMAIN.width
+        assert system.valuation.mean_fragment_width("ghost", "d_k") == DOMAIN.width
 
     def test_uses_resident_fragments(self, system):
         system.execute(query(100, 200))
         vid = the_partitioned_view(system)
-        width = system._mean_fragment_width(vid, "d_k", DOMAIN)
+        width = system.valuation.mean_fragment_width(vid, "d_k")
         intervals = system.pool.intervals_of(vid, "d_k")
         expected = sum(iv.width for iv in intervals) / len(intervals)
         assert width == pytest.approx(expected)
@@ -163,7 +167,7 @@ class TestReconstructView:
         system.execute(query(100, 200))
         vid = the_partitioned_view(system)
         ledger = CostLedger(system.cluster)
-        table = system._reconstruct_view(vid, ledger)
+        table = system.repartitioner.reconstruct_view(vid, ledger)
         assert table is not None
         assert ledger.bytes_read > 0
         # the reconstruction equals the defining plan's result
@@ -180,12 +184,12 @@ class TestReconstructView:
         entry = system.pool.fragments_of(vid, "d_k")[0]
         system.pool.evict(entry.fragment_id)
         ledger = CostLedger(system.cluster)
-        assert system._reconstruct_view(vid, ledger) is None
+        assert system.repartitioner.reconstruct_view(vid, ledger) is None
 
 
 class TestAdmissionFeasible:
     def test_unlimited_pool_always_feasible(self, system):
-        assert system._admission_feasible("anything", None, 1.0)
+        assert system.selection.admission_feasible("anything", None, 1.0)
 
     def test_small_pool_blocks_large_view(self, catalog):
         system = DeepSea(
@@ -198,7 +202,7 @@ class TestAdmissionFeasible:
         system.execute(query(100, 200))
         for view in system.stats.all_views():
             if system.tentative.attrs_of(view.view_id):
-                assert not system._admission_feasible(view.view_id, "d_k", 2.0)
+                assert not system.selection.admission_feasible(view.view_id, "d_k", 2.0)
                 break
         else:
             pytest.fail("no partitionable view registered")
@@ -216,8 +220,6 @@ class TestPieceRefinementMemo:
     ]
 
     def _call(self, piece, estimator, *, realizing=None, safety=1.0):
-        from repro.core.deepsea import _piece_refinement_passes
-
         sizes = {iv: s for iv, s in self.RESIDENT}
         return _piece_refinement_passes(
             piece,
@@ -288,9 +290,6 @@ class TestPieceRefinementMemo:
 
     def test_uncovered_piece_rejected(self):
         resident_half = [(Interval.closed(0, 500), 4e8)]
-        from repro.core.deepsea import _piece_refinement_passes
-        from repro.costmodel.estimate import ResidentProfile
-
         estimator = ResidentProfile(resident_half, self.DOMAIN, self._cluster())
         sizes = {iv: s for iv, s in resident_half}
         piece = Interval.closed(600, 700)  # hole: nothing resident to refine
@@ -311,12 +310,14 @@ class TestPieceRefinementMemo:
 # ----------------------------------------------------------------------
 # Tight-pool admission oracles (DESIGN.md §12): the valuation as it was
 # before Φ was valued once per partition — verbatim scalar code, compared
-# with ``==``.  The oracles read the same per-tick fit the system does
-# (``_partition_distribution`` is unchanged), so a differing float is a
-# differing computation, never a differing input.
+# with ``==``.  The oracles take the :class:`Valuation` and read the same
+# per-tick fit it does (``distribution`` is unchanged), so a differing
+# float is a differing computation, never a differing input.
 # ----------------------------------------------------------------------
-def scalar_mean_fragment_width(system, view_id, attr, domain):
-    intervals = system.pool.intervals_of(view_id, attr) or system.tentative.intervals(view_id, attr)
+def scalar_mean_fragment_width(valuation, view_id, attr, domain):
+    intervals = valuation.pool.intervals_of(view_id, attr) or valuation.tentative.intervals(
+        view_id, attr
+    )
     widths = [iv.intersect(domain).width for iv in intervals if iv.intersect(domain)]
     positive = [w for w in widths if w > 0]
     if not positive:
@@ -324,40 +325,41 @@ def scalar_mean_fragment_width(system, view_id, attr, domain):
     return sum(positive) / len(positive)
 
 
-def scalar_fragment_value(system, view_id, attr, interval, t):
-    vstats = system.stats.view(view_id)
+def scalar_fragment_value(valuation, view_id, attr, interval, t):
+    vstats = valuation.stats.view(view_id)
     if vstats is None:
         return 0.0
-    fstats = system.stats.ensure_fragment(view_id, attr, interval)
-    model = system.policy.value_model
+    fstats = valuation.stats.ensure_fragment(view_id, attr, interval)
+    model = valuation.policy.value_model
     if model == "nectar":
         return nectar_fragment_value(fstats, vstats, t)
     if model == "nectar+":
         return nectar_plus_fragment_value(fstats, vstats, t)
     hits_override = None
-    if system.policy.smoothing_enabled:
-        domain = system.domains(attr)
+    if valuation.policy.smoothing_enabled:
+        domain = valuation.domains(attr)
         if domain is not None:
-            dist = system._partition_distribution(view_id, attr, domain, t)
+            dist = valuation.distribution(view_id, attr, t)
             if dist is not None:
                 fitted, total = dist
                 hits_override = _scalar_adjusted_hits_density(
                     interval, fitted, total, domain,
-                    scalar_mean_fragment_width(system, view_id, attr, domain),
+                    scalar_mean_fragment_width(valuation, view_id, attr, domain),
                 )
-    return fragment_value(fstats, vstats, t, system.policy.effective_decay, hits_override)
+    return fragment_value(fstats, vstats, t, valuation.policy.effective_decay, hits_override)
 
 
-def scalar_entry_value(system, entry, t):
-    vstats = system.stats.view(entry.key.view_id)
+def scalar_entry_value(valuation, entry, t):
+    key = entry.key
+    vstats = valuation.stats.view(key.view_id)
     if vstats is None:
         return 0.0
-    if entry.key.attr is None:
-        return system._view_admission_value(vstats, t)
-    fstats = system.stats.ensure_fragment(entry.key.view_id, entry.key.attr, entry.key.interval)
+    if key.attr is None:
+        return valuation.view_admission_value(vstats, t)
+    fstats = valuation.stats.ensure_fragment(key.view_id, key.attr, key.interval)
     if not fstats.size_is_actual:
         fstats.set_actual_size(entry.size_bytes)
-    return scalar_fragment_value(system, entry.key.view_id, entry.key.attr, entry.key.interval, t)
+    return scalar_fragment_value(valuation, key.view_id, key.attr, key.interval, t)
 
 
 _bound = st.sampled_from([None, -50.0, 0.0, 100.0, 250.0, 400.0, 600.0, 850.0, 1000.0, 1300.0])
@@ -416,8 +418,9 @@ class TestMeanFragmentWidthOracle:
     @settings(max_examples=120, deadline=None)
     def test_memo_equals_scalar_loop_through_every_change(self, resident, design_cuts):
         system = valued_system(Policy(), resident, [])
-        check = lambda: system._mean_fragment_width("v", "d_k", DOMAIN) == (  # noqa: E731
-            scalar_mean_fragment_width(system, "v", "d_k", DOMAIN)
+        valuation = system.valuation
+        check = lambda domain=DOMAIN: valuation.mean_fragment_width("v", "d_k") == (  # noqa: E731
+            scalar_mean_fragment_width(valuation, "v", "d_k", domain)
         )
         assert check() and check()  # cold, then from the memo
         # the tentative design is what is read once nothing is resident;
@@ -435,9 +438,8 @@ class TestMeanFragmentWidthOracle:
             system.pool.evict(entry.fragment_id)  # a new cover version each time
             assert check()
         other = Interval.closed(0, 500)
-        assert system._mean_fragment_width("v", "d_k", other) == (
-            scalar_mean_fragment_width(system, "v", "d_k", other)
-        )
+        system.domains.declare("d_k", other)  # the record follows the domain too
+        assert check(other)
 
 
 class TestFragmentValuesOracle:
@@ -453,15 +455,33 @@ class TestFragmentValuesOracle:
         system = valued_system(VALUE_POLICIES[model], resident, hits)
         t = float(system.clock)
         intervals = resident + [iv for iv in extra if iv not in resident]
-        assert system._fragment_values("v", "d_k", intervals, t) == [
-            scalar_fragment_value(system, "v", "d_k", iv, t) for iv in intervals
+        valuation = system.valuation
+        assert valuation.fragment_values("v", "d_k", intervals, t) == [
+            scalar_fragment_value(valuation, "v", "d_k", iv, t) for iv in intervals
         ]
         for entry in system.pool.all_entries():
-            assert system._entry_value(entry, t) == scalar_entry_value(system, entry, t)
+            assert valuation.entry_value(entry, t) == scalar_entry_value(valuation, entry, t)
+
+    @pytest.mark.parametrize("model", sorted(VALUE_POLICIES))
+    def test_valuation_built_from_the_stores_alone_agrees_with_the_systems(self, model):
+        resident = [Interval.closed(0, 500), Interval.open_closed(500, 1000)]
+        system = valued_system(VALUE_POLICIES[model], resident, [(0, 3), (0, 5), (1, 7)])
+        alone = Valuation(  # no DeepSea: its own memos over the same stores
+            system.stats, system.pool, system.tentative, system.domains, system.policy,
+            system.cluster,
+        )
+        t = float(system.clock)
+        candidates = resident + [Interval.closed(100, 200), Interval.open(600, 1300)]
+        assert alone.fragment_values("v", "d_k", candidates, t) == (
+            system.valuation.fragment_values("v", "d_k", candidates, t)
+        )
+        for entry in system.pool.all_entries():
+            assert alone.entry_value(entry, t) == system.valuation.entry_value(entry, t)
+        assert all(alone.entry_value(e, t) for e in system.pool.all_entries())
 
     def test_unknown_view_is_worthless_and_untracked(self):
         system = valued_system(Policy(), [], [])
-        assert system._fragment_values("ghost", "d_k", [DOMAIN], 3.0) == [0.0]
+        assert system.valuation.fragment_values("ghost", "d_k", [DOMAIN], 3.0) == [0.0]
         assert system.stats.fragment("ghost", "d_k", DOMAIN) is None
 
     def test_entry_value_settles_the_size_before_valuing(self):
@@ -471,18 +491,19 @@ class TestFragmentValuesOracle:
         stats = [system.stats.fragment("v", "d_k", iv) for iv in resident]
         assert not any(s.size_is_actual for s in stats)
         entries = system.pool.fragments_of("v", "d_k")
-        values = [system._entry_value(e, t) for e in entries]
+        values = [system.valuation.entry_value(e, t) for e in entries]
         assert [s.size_bytes for s in stats] == [e.size_bytes for e in entries]
         assert all(s.size_is_actual for s in stats)
         # the value formed is the one over the settled size
-        assert values == [scalar_entry_value(system, e, t) for e in entries] and all(values)
+        assert values == [scalar_entry_value(system.valuation, e, t) for e in entries]
+        assert all(values)
 
     def test_token_follows_every_input_phi_reads(self):
         resident = [Interval.closed(0, 500), Interval.open_closed(500, 1000)]
         system = valued_system(Policy(), resident, [(0, 3), (1, 7)])
         t = float(system.clock)
         agree = lambda at: all(  # noqa: E731
-            system._entry_value(e, at) == scalar_entry_value(system, e, at)
+            system.valuation.entry_value(e, at) == scalar_entry_value(system.valuation, e, at)
             for e in system.pool.all_entries()
         )
         assert agree(t)
@@ -556,22 +577,23 @@ class TestFitShortCutsOracle:
             system.execute(query(lo, lo + 100))
         vid = the_partitioned_view(system)
         t = float(system.clock)
-        key = (system.clock, vid, "d_k")
-        system._dist_cache.pop(key, None)
+        valuation, key = system.valuation, (vid, "d_k")
+        valuation._fits.pop(key, None)
         before = partition_distribution(
             system.stats, vid, "d_k", DOMAIN, t, system.policy.effective_decay,
             system.policy.mle_parts,
         )
-        system._dist_cache.setdefault(key, _OWED)  # what the short-cut leaves
+        valuation.defer_fit(vid, "d_k", t)  # what the short-cut leaves
+        assert valuation._fits[key] is _OWED
         parent = next(
             iv for iv in system.stats.intervals_for(vid, "d_k")
             if system.stats.fragment(vid, "d_k", iv).hit_times
         )
         pieces = parent.split_before(parent.lo + 0.37 * parent.width)  # a cut no query made
         assert all(system.stats.fragment(vid, "d_k", p) is None for p in pieces)
-        system._inherit_fragment_stats(vid, "d_k", SplitCandidate(parent, pieces))
+        valuation.inherit_fragment_stats(vid, "d_k", SplitCandidate(parent, pieces), t)
         assert any(system.stats.fragment(vid, "d_k", p).hit_times for p in pieces)
-        assert system._dist_cache[key] == before
+        assert valuation._fits[key] == before
         after = partition_distribution(
             system.stats, vid, "d_k", DOMAIN, t, system.policy.effective_decay,
             system.policy.mle_parts,
@@ -616,10 +638,23 @@ class TestPiecesOracle:
             assert pieces[interval].to_rows() == expected.to_rows()
 
 
+def assert_mutations_journaled(pool):
+    """From now on, every mutation of ``pool`` must find a transaction open."""
+    for name in ("add_fragment", "add_whole_view", "patch_entry", "evict"):
+        mutate = getattr(pool, name)
+
+        def checked(*args, _mutate=mutate, _name=name, **kwargs):
+            assert pool.journal.journaling, f"{_name} outside a transaction"
+            return _mutate(*args, **kwargs)
+
+        setattr(pool, name, checked)
+
+
 def test_stateful_tight_pool_run(monkeypatch):
     """150 SDSS-mapped queries against the 10 % pool: after every query
-    every resident entry's Φ is the scalar oracle's and nothing cut for
-    the step outlives it; and the whole run — every ledger, decision and
+    every resident entry's Φ is the scalar oracle's, nothing cut for the
+    step outlives it, every pool mutation happened inside a transaction
+    and none is left open; and the whole run — every ledger, decision and
     answer — is the run of the pre-change code paths put back together."""
     fx = sdss_fixture(20.0)
     plans = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=150, seed=2)
@@ -638,13 +673,17 @@ def test_stateful_tight_pool_run(monkeypatch):
         return piece
 
     system = make()
+    assert_mutations_journaled(system.pool)
     with monkeypatch.context() as patched:
         patched.setattr(_Pieces, "__getitem__", tracking_cut)
         for plan in plans:
             system.execute(plan)
+            assert not system.pool.journal.journaling
             t = float(system.clock)
             for entry in system.pool.all_entries():
-                assert system._entry_value(entry, t) == scalar_entry_value(system, entry, t)
+                assert system.valuation.entry_value(entry, t) == scalar_entry_value(
+                    system.valuation, entry, t
+                )
             assert not any(ref() is not None for ref in step_scoped)
     assert step_scoped and sum(r.evictions for r in system.reports) > 0
 
@@ -653,9 +692,9 @@ def test_stateful_tight_pool_run(monkeypatch):
 
     twin = make()
     with monkeypatch.context() as patched:
-        patched.setattr(DeepSea, "_entry_value", scalar_entry_value)
-        patched.setattr(DeepSea, "_fragment_admission_value", scalar_fragment_value)
-        patched.setattr(deepsea_module, "_piece_refinement_passes", always_fit)
+        patched.setattr(Valuation, "entry_value", scalar_entry_value)
+        patched.setattr(Valuation, "fragment_value", scalar_fragment_value)
+        patched.setattr(selection_module, "_piece_refinement_passes", always_fit)
         patched.setattr(Fragmentation, "replace", _rebuilding_replace)
         patched.setattr(
             AdmissionController,
@@ -669,3 +708,24 @@ def test_stateful_tight_pool_run(monkeypatch):
     assert [report_fingerprint(r) for r in system.reports] == [
         report_fingerprint(r) for r in twin.reports
     ]
+
+
+def test_fits_of_earlier_ticks_are_not_retained():
+    """300 queries of the fig-5a stream at the 10 % pool: the valuation
+    holds the current tick's fits only — at most one per tracked
+    partition — however long the stream."""
+    fx = sdss_fixture(20.0)
+    plans = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=300, seed=2)
+    system = deepsea(
+        fx.catalog, domains=fx.domains, smax_bytes=0.10 * fx.catalog.total_size_bytes
+    )
+    fitted = 0
+    for plan in plans:
+        system.execute(plan)
+        valuation = system.valuation
+        assert valuation._tick in (None, float(system.clock))
+        partitions = {(v.view_id, a) for v in system.stats.all_views()
+                      for a in system.stats.partition_attrs(v.view_id)}
+        assert set(valuation._fits) <= partitions
+        fitted += len(valuation._fits)
+    assert fitted > len(plans) // 4  # the stream did fit, tick after tick

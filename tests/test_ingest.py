@@ -445,7 +445,7 @@ class TestCrashRollback:
                 # What the aborted attempt had done by the time it died.
                 seen["table"] = catalog.get("t")
                 seen["payload"] = payload
-            system._maybe_crash("ingest")
+            system.repartitioner.maybe_crash("ingest")
             return dropped
 
         system.faults = crash
@@ -457,6 +457,8 @@ class TestCrashRollback:
             system.maintenance._patch = real_patch
 
         assert crash.recovered[0] == "ingest"
+        # the replayed batch is observed once: two batches, not three
+        assert system.maintenance._observed["t"][:2] == [150.0 + 120.0, 2.0]
         assert catalog.version == pre_version + 2  # the aborted version is stranded
         assert report.fragments_patched >= 1
         assert repr(pool.configuration()) == pre_config
@@ -504,6 +506,40 @@ class TestCrashRollback:
         assert batches_pq > 0.0
         total_rows = system.maintenance._observed["t"][0]
         assert total_rows == 100.0
+
+
+class TestTransactionInvariant:
+    def test_every_mutation_of_an_ingest_mix_is_journaled_and_none_left_open(self):
+        """The drip schedule interleaved with the SDSS stream at the 10 %
+        pool: creations, refinements, evictions, patches and drops all
+        mutate inside a transaction, and none is open between two calls."""
+        from repro.baselines import deepsea
+        from repro.bench.harness import sdss_fixture
+        from repro.bench.ingest_bench import scenario_schedule
+        from repro.workloads.generator import sdss_mapped_workload
+        from tests.test_deepsea_internals import assert_mutations_journaled
+
+        fx = sdss_fixture(20.0)
+        catalog = fx.catalog.fork()  # fixtures are shared: appends must not leak
+        system = deepsea(
+            catalog, domains=fx.domains, smax_bytes=0.10 * catalog.total_size_bytes
+        )
+        assert_mutations_journaled(system.pool)
+        plans = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=120, seed=2)
+        _, batches = scenario_schedule("drip", len(plans), fx.item_domain, 2)
+        id0, journal = catalog.get("store_sales").nrows, system.pool.journal
+        for i, query in enumerate(plans):
+            for spec in (b for b in batches if b.at == i):
+                system.ingest("store_sales", spec.rows(id0))
+                assert not journal.journaling
+            system.execute(query)
+            assert not journal.journaling
+        ingests = system.maintenance.reports
+        assert sum(r.evictions for r in system.reports) > 0
+        assert sum(r.refinements for r in system.reports) > 0
+        assert sum(r.fragments_patched for r in ingests) > 0
+        assert sum(r.fragments_dropped for r in ingests) > 0
+        assert journal.committed > len(batches) and journal.rolled_back == 0
 
 
 class TestUpkeepGate:
@@ -651,37 +687,26 @@ class TestBitIdentityProperty:
 
 class TestSchedulerFingerprints:
     def test_ingest_task_fingerprints_identical_across_schedulers(self):
+        """Serial, and forked pool workers handed the tasks in reverse."""
         from repro.bench.harness import clear_caches
         from repro.parallel.determinism import fingerprint
-        from repro.parallel.pool import fan_out, steal_map
+        from repro.parallel.pool import fan_out
         from repro.parallel.tasks import FixtureSpec, RunTask, SystemSpec, WorkloadSpec
 
         tasks = [
             RunTask(
-                "DS+ingest",
+                label,
                 SystemSpec.of("deepsea"),
                 FixtureSpec("sdss", 2.0),
                 WorkloadSpec(10, seed=2),
                 ingest="drip",
             )
+            for label in ("DS+ingest", "twin")  # a single task would not fork
         ]
         clear_caches()
         serial = fingerprint({"DS+ingest": tasks[0].run()})
-        static = fingerprint({"DS+ingest": fan_out(tasks, 2)[0]})
-        steal = fingerprint({"DS+ingest": steal_map(tasks, 2, chunk_size=1)[0]})
-        assert serial == static == steal
-
-    def test_ingest_tasks_are_never_sliced(self):
-        from repro.parallel.tasks import FixtureSpec, RunTask, SystemSpec, WorkloadSpec
-
-        task = RunTask(
-            "DS+ingest",
-            SystemSpec.of("deepsea"),
-            FixtureSpec("sdss", 2.0),
-            WorkloadSpec(40, seed=2),
-            ingest="drip",
-        )
-        assert task.slices(4) == [task]
+        pooled = fan_out(tasks, 2, submission_order=[1, 0])
+        assert serial == fingerprint({"DS+ingest": pooled[0]})
 
 
 class TestServeFeedBatch:

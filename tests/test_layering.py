@@ -37,3 +37,27 @@ def test_lower_package_imports_nothing_from_its_drivers(package):
             if any(name == upper or name.startswith(upper + ".") for upper in UPPER):
                 offenders.append(f"{path.relative_to(SRC)} imports {name}")
     assert not offenders, "\n".join(offenders)
+
+
+CORE = SRC / "core"
+
+
+def test_only_the_coordinator_knows_the_coordinator():
+    """Valuation, selection and the repartitioner are built from stores,
+    never from (or with a reference back to) ``DeepSea``."""
+    offenders = [
+        path.name
+        for path in sorted(CORE.glob("*.py"))
+        if path.name != "deepsea.py" and "repro.core.deepsea" in imported_modules(path)
+    ]
+    assert not offenders, offenders
+
+
+def test_selection_decides_without_the_executor():
+    names = imported_modules(CORE / "selection.py")
+    assert not [n for n in names if n.startswith("repro.engine.executor")]
+
+
+def test_no_core_module_outgrows_600_lines():
+    sizes = {p.name: len(p.read_text().splitlines()) for p in CORE.glob("*.py")}
+    assert not {name: n for name, n in sizes.items() if n > 600}

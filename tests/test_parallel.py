@@ -2,7 +2,6 @@
 
 import gc
 import pickle
-from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from repro.parallel import (
     fan_out,
     fingerprint,
     result_fingerprint,
-    steal_map,
 )
 from repro.workloads.generator import sdss_mapped_workload
 
@@ -61,32 +59,42 @@ class TestFanOut:
         with pytest.raises(ValueError):
             fan_out([lambda: 1, lambda: 2], submission_order=[0, 0])
 
+    def test_workers_start_with_empty_caches(self):
+        # Worker isolation: whatever the parent cached before the fork, a
+        # worker starts from an empty result cache with zeroed counters.
+        def result_cache_on_entry():
+            return caches.cache_stats()["engine.result_cache"]
 
-class _CrashRecoveryCases:
-    """Crash / retry / error cases, run once per pool policy by the two
-    subclasses below (the loop is shared; the policies must not diverge)."""
+        fx = _fixture()
+        clear_caches()
+        system = _factories(fx)["H"]()
+        for plan in _plans(fx):
+            system.execute(plan)
+        assert result_cache_on_entry()["entries"] > 0
+        for seen in fan_out([result_cache_on_entry] * 4, workers=2):
+            assert (seen["entries"], seen["hits"], seen["misses"]) == (0, 0, 0)
 
-    run = None  # staticmethod: the pool entry point under test
 
+class TestWorkerCrashRecovery:
     def test_fault_plan_crash_then_retry_succeeds(self):
         tasks = [(lambda i=i: i * i) for i in range(6)]
-        out = self.run(tasks, workers=3, fault_plan={2: 1, 5: 1})
+        out = fan_out(tasks, workers=3, fault_plan={2: 1, 5: 1})
         assert out == [0, 1, 4, 9, 16, 25]
 
     def test_retry_budget_exhausted_raises_typed(self):
         tasks = [(lambda i=i: i) for i in range(4)]
         with pytest.raises(WorkerCrashError, match="retry limit") as caught:
-            self.run(tasks, workers=2, retries=1, fault_plan={1: 99})
+            fan_out(tasks, workers=2, retries=1, fault_plan={1: 99})
         assert caught.value.index == 1
         assert caught.value.dispatches == 2
 
     def test_retries_zero_fails_on_first_crash(self):
         with pytest.raises(WorkerCrashError):
-            self.run([lambda: 1, lambda: 2], workers=2, retries=0, fault_plan={0: 1})
+            fan_out([lambda: 1, lambda: 2], workers=2, retries=0, fault_plan={0: 1})
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries"):
-            self.run([lambda: 1, lambda: 2], workers=2, retries=-1)
+            fan_out([lambda: 1, lambda: 2], workers=2, retries=-1)
 
     def test_worker_death_mid_batch_recovered(self, tmp_path):
         # A task that hard-kills its own worker on the first dispatch
@@ -102,7 +110,7 @@ class _CrashRecoveryCases:
                 os._exit(23)
             return "survived"
 
-        out = self.run([lambda: "a", victim, lambda: "c"], workers=3)
+        out = fan_out([lambda: "a", victim, lambda: "c"], workers=3)
         assert out == ["a", "survived", "c"]
 
     def test_task_exception_propagates_to_caller(self):
@@ -110,7 +118,7 @@ class _CrashRecoveryCases:
             raise ValueError("boom in worker")
 
         with pytest.raises(ValueError, match="boom in worker"):
-            self.run([lambda: 1, boom, lambda: 3], workers=2)
+            fan_out([lambda: 1, boom, lambda: 3], workers=2)
 
     def test_crashes_do_not_change_engine_results(self):
         # Worker kills perturb scheduling only: a re-dispatched RunTask
@@ -122,14 +130,11 @@ class _CrashRecoveryCases:
             RunTask(label, SystemSpec.of(name), fixture, workload)
             for label, name in (("H", "hive"), ("DS", "deepsea"))
         ]
-        plain = self.run(tasks, workers=0)
-        crashed = self.run(tasks, workers=2, fault_plan={0: 1, 1: 1})
+        plain = fan_out(tasks, workers=0)
+        crashed = fan_out(tasks, workers=2, fault_plan={0: 1, 1: 1})
         for a, b in zip(plain, crashed):
             assert result_fingerprint(a) == result_fingerprint(b)
 
-
-class TestWorkerCrashRecovery(_CrashRecoveryCases):
-    run = staticmethod(fan_out)
 
     def test_task_timeout_kills_and_redispatches(self, tmp_path):
         marker = tmp_path / "slow-once"
@@ -144,10 +149,6 @@ class TestWorkerCrashRecovery(_CrashRecoveryCases):
 
         out = fan_out([slow_once, lambda: "fast"], workers=2, task_timeout=3.0)
         assert out == ["done", "fast"]
-
-
-class TestWorkerCrashRecoverySteal(_CrashRecoveryCases):
-    run = staticmethod(partial(steal_map, chunk_size=2))
 
 
 class TestTaskSpecs:
@@ -178,13 +179,6 @@ class TestTaskSpecs:
         fx = _fixture()
         system = SystemSpec.of("deepsea", pool_fraction=0.25).build(fx)
         assert system.pool.smax_bytes == pytest.approx(0.25 * fx.catalog.total_size_bytes)
-
-    def test_workload_slice(self):
-        fx = _fixture()
-        whole = WorkloadSpec(QUERIES).build(fx)
-        shard = WorkloadSpec(QUERIES, start=4, stop=8).build(fx)
-        assert len(whole) == QUERIES
-        assert len(shard) == 4
 
     def test_table_pickle_strips_lineage(self):
         schema = Schema.of(Column("a"), Column("b"))
@@ -322,143 +316,6 @@ class TestCliDeterminism:
         assert "identical" not in captured.out
 
 
-class TestStealMap:
-    def test_results_in_task_order(self):
-        tasks = [(lambda i=i: i * i) for i in range(9)]
-        assert steal_map(tasks, workers=0) == [i * i for i in range(9)]
-        assert steal_map(tasks, workers=3, chunk_size=2) == [i * i for i in range(9)]
-
-    def test_submission_order_permuted_results_unchanged(self):
-        tasks = [(lambda i=i: i + 10) for i in range(6)]
-        shuffled = steal_map(
-            tasks, workers=2, chunk_size=1, submission_order=[5, 3, 1, 0, 4, 2]
-        )
-        assert shuffled == [10, 11, 12, 13, 14, 15]
-
-    def test_submission_order_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            steal_map([lambda: 1, lambda: 2], workers=2, submission_order=[1, 1])
-
-    def test_task_exception_propagates(self):
-        def boom():
-            raise RuntimeError("task failed")
-
-        with pytest.raises(RuntimeError):
-            steal_map([lambda: 1, boom, lambda: 3], workers=2, chunk_size=1)
-
-    def test_crash_mid_chunk_redispatches_remainder(self):
-        tasks = [(lambda i=i: i * 3) for i in range(8)]
-        out = steal_map(
-            tasks, workers=2, chunk_size=4, fault_plan={0: 1, 5: 1}, retries=2
-        )
-        assert out == [i * 3 for i in range(8)]
-
-    def test_retry_budget_exhausted_raises_typed(self):
-        with pytest.raises(WorkerCrashError):
-            steal_map(
-                [lambda: 1, lambda: 2], workers=2, chunk_size=1,
-                fault_plan={0: 5}, retries=1,
-            )
-
-    def test_cold_workers_match_warm_workers(self):
-        fixture = FixtureSpec("sdss", 10.0, log_queries=500)
-        workload = WorkloadSpec(QUERIES)
-        tasks = [
-            RunTask(label, SystemSpec.of(name), fixture, workload)
-            for label, name in (("H", "hive"), ("DS", "deepsea"))
-        ]
-        warm = steal_map(tasks, workers=2, chunk_size=1, warm=True)
-        cold = steal_map(tasks, workers=2, chunk_size=1, warm=False)
-        for a, b in zip(warm, cold):
-            assert result_fingerprint(a) == result_fingerprint(b)
-
-    def test_cold_workers_start_empty_warm_workers_inherit(self):
-        # Worker isolation: whatever the parent cached before the fork, a
-        # cold worker starts from an empty result cache with zeroed
-        # counters; a warm steal worker keeps the parent's entries.
-        def result_cache_on_entry():
-            return caches.cache_stats()["engine.result_cache"]
-
-        fx = _fixture()
-        clear_caches()
-        system = _factories(fx)["H"]()
-        for plan in _plans(fx):
-            system.execute(plan)
-        parent = result_cache_on_entry()
-        assert parent["entries"] > 0
-        thunks = [result_cache_on_entry] * 4
-        for seen in fan_out(thunks, workers=2):
-            assert (seen["entries"], seen["hits"], seen["misses"]) == (0, 0, 0)
-        for seen in steal_map(thunks, workers=2, chunk_size=1, warm=True):
-            assert seen["entries"] == parent["entries"]
-
-
-class TestStealDeterminism:
-    """Serial, static fan-out, and work-stealing are fingerprint-identical."""
-
-    TASKS = [
-        RunTask(
-            label,
-            SystemSpec.of(name),
-            FixtureSpec("sdss", 10.0, log_queries=500),
-            WorkloadSpec(QUERIES),
-        )
-        for label, name in (("H", "hive"), ("NP", "non_partitioned"), ("DS", "deepsea"))
-    ]
-
-    def test_three_schedulers_agree(self):
-        serial = fan_out(self.TASKS, workers=0)
-        static = fan_out(self.TASKS, workers=2, submission_order=[2, 0, 1])
-        stolen = steal_map(self.TASKS, workers=2, chunk_size=1,
-                           submission_order=[2, 0, 1])
-        for a, b, c in zip(serial, static, stolen):
-            assert result_fingerprint(a) == result_fingerprint(b)
-            assert result_fingerprint(a) == result_fingerprint(c)
-
-    def test_sliced_stateless_run_matches_whole_run(self):
-        whole = self.TASKS[0]  # H: per-query outputs independent of history
-        parts = whole.slices(3)
-        assert len(parts) == 3
-        merged = []
-        for result in steal_map(parts, workers=2, chunk_size=1):
-            merged.extend(result.reports)
-        reference = whole.run()
-        assert fingerprint({"H": reference}) == fingerprint(
-            {"H": type(reference)("H", merged, ())}
-        )
-
-    def test_faulted_tasks_refuse_to_slice(self):
-        task = RunTask(
-            "H",
-            SystemSpec.of("hive"),
-            FixtureSpec("sdss", 10.0, log_queries=500),
-            WorkloadSpec(QUERIES),
-            faults="flaky-tasks",
-        )
-        assert task.slices(4) == [task]
-
-    def test_chaos_schedule_results_identical_under_stealing(self):
-        # The chaos harness invariant, re-run on the steal pool: fault
-        # schedules attached to the engine plus worker kills aimed at the
-        # pool itself never change a result byte.
-        from repro.faults import FaultSchedule
-
-        fixture = FixtureSpec("sdss", 10.0, log_queries=500)
-        workload = WorkloadSpec(QUERIES)
-        tasks = [
-            RunTask(label, SystemSpec.of(name), fixture, workload, faults="flaky-tasks")
-            for label, name in (("H", "hive"), ("DS", "deepsea"))
-        ]
-        sched = FaultSchedule.resolve("flaky-tasks")
-        kill_plan = sched.injector().worker_kill_plan(len(tasks)) if sched.rate(
-            "worker_kill"
-        ) > 0 else {0: 1}
-        serial = steal_map(tasks, workers=0)
-        stolen = steal_map(tasks, workers=2, chunk_size=1,
-                           fault_plan=kill_plan, retries=3)
-        for a, b in zip(serial, stolen):
-            assert result_fingerprint(a) == result_fingerprint(b)
-
 def _guarded(fn, timeout_s=60.0):
     """Run a pool call under a watchdog: a hang fails instead of wedging CI."""
     import threading
@@ -515,26 +372,12 @@ class TestPoolEdgeCases:
     def test_fan_out_zero_tasks(self):
         assert _guarded(lambda: fan_out([], workers=4)) == []
 
-    def test_steal_map_zero_tasks(self):
-        assert _guarded(lambda: steal_map([], workers=4)) == []
-
     def test_fan_out_more_workers_than_tasks(self):
         tasks = [(lambda i=i: i * 3) for i in range(2)]
         assert _guarded(lambda: fan_out(tasks, workers=8)) == [0, 3]
 
-    def test_steal_map_more_workers_than_chunks(self):
-        tasks = [(lambda i=i: i * 3) for i in range(3)]
-        out = _guarded(lambda: steal_map(tasks, workers=8, chunk_size=1, warm=False))
-        assert out == [0, 3, 6]
-
-    def test_steal_map_chunk_larger_than_tasks(self):
-        tasks = [(lambda i=i: i + 1) for i in range(3)]
-        out = _guarded(lambda: steal_map(tasks, workers=2, chunk_size=99, warm=False))
-        assert out == [1, 2, 3]
-
     def test_single_task_runs_serially_for_any_worker_count(self):
         assert _guarded(lambda: fan_out([lambda: 41], workers=16)) == [41]
-        assert _guarded(lambda: steal_map([lambda: 41], workers=16)) == [41]
 
     def test_fan_out_dead_idle_worker_redispatches(self, monkeypatch):
         # A worker that dies *between* tasks surfaces as a send failure on
@@ -550,11 +393,3 @@ class TestPoolEdgeCases:
         _poison_first_spawn(monkeypatch)
         tasks = [(lambda i=i: i + 7) for i in range(3)]
         assert _guarded(lambda: fan_out(tasks, workers=2, retries=0)) == [7, 8, 9]
-
-    def test_steal_map_dead_idle_worker_redispatches(self, monkeypatch):
-        _poison_first_spawn(monkeypatch)
-        tasks = [(lambda i=i: i * i) for i in range(4)]
-        out = _guarded(
-            lambda: steal_map(tasks, workers=2, chunk_size=1, warm=False, retries=0)
-        )
-        assert out == [0, 1, 4, 9]
