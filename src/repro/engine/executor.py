@@ -31,7 +31,7 @@ from repro.engine import result_cache
 from repro.matching import fragment_cache
 from repro.engine.catalog import Catalog
 from repro.engine.cost import ClusterSpec, CostLedger
-from repro.engine.indexes import join_probe
+from repro.engine.indexes import RowIdMatch, join_probe
 from repro.engine.schema import Column, Schema
 from repro.engine.table import JoinView, Table, TableView, lazy_views_enabled
 from repro.engine.types import ColumnKind, EncodedColumn, decoded, sort_key
@@ -290,37 +290,48 @@ def hash_join(left: Table, right: Table, left_attr: str, right_attr: str) -> Tab
     When the two key columns share a name, the right copy is dropped; any
     other name collision is an error (workload schemas use unique names).
 
-    The build side's stable argsort comes from the cross-query index cache
-    (:mod:`repro.engine.indexes`): base tables and resident fragments are
-    sorted once per column for the lifetime of the table object, not once
-    per join.  The cached order is exactly what was computed inline before,
-    so output rows (values *and* order) are unchanged.
+    The probe comes from the cross-query caches of
+    :mod:`repro.engine.indexes`.  A foreign-key join (distinct build-root
+    keys, pair seen before) arrives already resolved to row ids: the
+    matched probe rows and the build-root row each joins, gathered
+    directly.  Any other join arrives as per-probe-row match ranges into
+    the build side's stable sort order and is expanded here.  Either way
+    output rows (values *and* order: probe rows ascending, ties in build
+    order) are those of the uncached sort-and-search join.
     """
     collisions = (set(left.schema.names) & set(right.schema.names)) - {right_attr}
     if collisions:
         raise SchemaError(f"join would duplicate columns: {sorted(collisions)}")
     drop_right = {right_attr} if right_attr == left_attr else set()
-
-    starts, ends, order = join_probe(left, right, left_attr, right_attr)
-    counts = ends - starts
-    total = int(counts.sum())
     schema = left.schema.concat(right.schema, drop=drop_right)
-    if total == 0:
-        return Table.empty(schema, max(left.scale, right.scale))
+    scale = max(left.scale, right.scale)
 
-    if total == int(np.count_nonzero(counts)):
-        # Foreign-key fast path: every probe row matches at most one build
-        # row (the workload's fact⋈dim shape).  The general repeat/cumsum
-        # expansion degenerates to ``within ≡ 0``, so the match indices
-        # collapse to two direct gathers — bit-identical output order.
-        left_idx = np.flatnonzero(counts)
-        right_idx = order[starts[left_idx]]
+    probe = join_probe(left, right, left_attr, right_attr)
+    if isinstance(probe, RowIdMatch):
+        left_idx, rsrc, right_idx = probe
+        if len(left_idx) == 0:
+            return Table.empty(schema, scale)
     else:
-        left_idx = np.repeat(np.arange(left.nrows), counts)
-        offsets = np.zeros(left.nrows, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-        right_idx = order[np.repeat(starts, counts) + within]
+        starts, ends, order = probe
+        counts = ends - starts
+        total = int(counts.sum())
+        if total == 0:
+            return Table.empty(schema, scale)
+        if total == int(np.count_nonzero(counts)):
+            # Every probe row matches at most one build row: the general
+            # expansion degenerates to ``within ≡ 0``, so the match
+            # indices collapse to two direct gathers.
+            left_idx = np.flatnonzero(counts)
+            right_idx = order[starts[left_idx]]
+        else:
+            left_idx = np.repeat(np.arange(left.nrows), counts)
+            offsets = np.zeros(left.nrows, dtype=np.int64)
+            np.cumsum(counts[:-1], out=offsets[1:])
+            within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+            right_idx = order[np.repeat(starts, counts) + within]
+        rsrc, rrows = _gather_source(right)
+        if rrows is not None:
+            right_idx = rrows[right_idx]
 
     # Gather fusion: when an input is a late-materialized single-root
     # view, compose its selection vector with the join indices so output
@@ -329,11 +340,7 @@ def hash_join(left: Table, right: Table, left_attr: str, right_attr: str) -> Tab
     lsrc, lrows = _gather_source(left)
     if lrows is not None:
         left_idx = lrows[left_idx]
-    rsrc, rrows = _gather_source(right)
-    if rrows is not None:
-        right_idx = rrows[right_idx]
 
-    scale = max(left.scale, right.scale)
     if lazy_views_enabled():
         # The join output itself stays late-materialized: columns the
         # plan projects away downstream are never gathered at all.

@@ -20,6 +20,13 @@ exactly the ``np.argsort(keys, kind="stable")`` the executor used to run
 inline, so join outputs (row order included) and every simulated-cost
 ledger are byte-identical with the cache hot, cold, or disabled.
 
+Each index also records, once, whether its keys are all distinct.  A
+join whose build root has distinct keys is a foreign-key join: every
+probe row matches at most one build row, so the probe cache keeps, per
+probe-root row, the *row id* of that build row (or -1) instead of a
+match range, and a query's join is one gather of it and one membership
+test against the build side's selection (:func:`join_probe`).
+
 Appends do not start a table cold.  :meth:`Table.append` returns a new
 table object (a new identity, so no entry can go stale) that remembers
 the table it grew from, whose rows are its own first rows.  On a miss
@@ -27,13 +34,15 @@ both caches look for an entry of a live append-ancestor and extend it by
 the appended rows alone — a stable merge of the new keys into the sort
 order, a binary search of the new probe keys — which is integer index
 arithmetic over the same comparisons and therefore equal, element for
-element, to building the entry from scratch.
+element, to building the entry from scratch.  An appended duplicate key
+turns a grown index non-unique, and its joins take the general path.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,18 +51,38 @@ from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.engine.types import decoded, sort_key
 
-# A cached probe is held as a two-column table so that a grown root's
-# entry is its parent's entry plus Table.append: the same tail buffer
-# that lets table versions share rows lets their probes share them.
-_PROBE_SCHEMA = Schema.of(Column("starts"), Column("ends"))
+# A cached probe is held as a table so that a grown root's entry is its
+# parent's entry plus Table.append: the same tail buffer that lets table
+# versions share rows lets their probes share them.  Against a build root
+# with distinct keys the entry is the matched build row per probe row
+# (-1: none); otherwise it is each probe key's match range.
+_MATCH_SCHEMA = Schema.of(Column("match"))
+_RANGE_SCHEMA = Schema.of(Column("starts"), Column("ends"))
+
+
+def _strictly_increasing(sorted_keys: np.ndarray) -> bool:
+    # Conservative for NaN (compares False): a NaN key just means the
+    # general path, never a wrong answer.
+    return bool(np.all(sorted_keys[1:] > sorted_keys[:-1]))
 
 
 @dataclass(frozen=True)
 class SortIndex:
-    """Sorted-key index of one column: stable argsort order + sorted keys."""
+    """Sorted-key index of one column: stable argsort order + sorted keys,
+    and whether the keys are all distinct."""
 
     order: np.ndarray
     sorted_keys: np.ndarray
+    unique: bool
+
+    @classmethod
+    def build(cls, keys) -> "SortIndex":
+        # Encoded string columns sort by their int32 codes (sorted
+        # dictionary ⇒ identical order); sorted_keys stays decoded so
+        # probes from *other* dictionaries binary-search correctly.
+        order = np.argsort(sort_key(keys), kind="stable")
+        sorted_keys = decoded(keys)[order]
+        return cls(order, sorted_keys, _strictly_increasing(sorted_keys))
 
     def extended(self, keys, start: int) -> "SortIndex":
         """The index of ``keys``, given this index of ``keys[:start]``.
@@ -67,9 +96,11 @@ class SortIndex:
         tail_order = np.argsort(sort_key(tail), kind="stable")
         tail_sorted = decoded(tail)[tail_order]
         slots = np.searchsorted(self.sorted_keys, tail_sorted, side="right")
+        sorted_keys = np.insert(self.sorted_keys, slots, tail_sorted)
         return SortIndex(
             np.insert(self.order, slots, tail_order + start),
-            np.insert(self.sorted_keys, slots, tail_sorted),
+            sorted_keys,
+            self.unique and _strictly_increasing(sorted_keys),
         )
 
 
@@ -106,12 +137,7 @@ class IndexCache:
             keys = table.column(column)
             index = self._inherited(table, column, keys)
             if index is None:
-                # Encoded string columns sort by their int32 codes (sorted
-                # dictionary ⇒ identical order); sorted_keys stays decoded
-                # so probes from *other* dictionaries binary-search
-                # correctly.
-                order = np.argsort(sort_key(keys), kind="stable")
-                index = SortIndex(order, decoded(keys)[order])
+                index = SortIndex.build(keys)
             per_table[column] = index
         else:
             self.hits += 1
@@ -170,9 +196,12 @@ class ProbeCache:
 
         searchsorted(sk, root_keys)[rows] == searchsorted(sk, root_keys[rows])
 
-    elementwise, so cached probes are bit-identical to direct ones.  Both
-    ends of an entry are weakly referenced via the outer/inner weak dicts:
-    an entry dies with either table.
+    elementwise, so cached probes are bit-identical to direct ones.  An
+    entry is a one-column ``match`` table when the build root's keys are
+    distinct (the build-root row each probe-root row joins, or -1) and a
+    ``(starts, ends)`` range table otherwise.  Both ends of an entry are
+    weakly referenced via the outer/inner weak dicts: an entry dies with
+    either table.
 
     Admission is *two-strikes*: probing the full root column costs more
     than probing the query's selected rows, and many build sides are
@@ -186,17 +215,22 @@ class ProbeCache:
     stood: a cached probe is extended by a binary search of the appended
     keys only, and a first strike against the parent counts against the
     grown table too — to the workload they are one relation.
+
+    ``fk_rows`` counts joins :func:`join_probe` served by row id and
+    ``fk_fallback`` joins whose build key was not distinct.
     """
 
     def __init__(self) -> None:
         # root -> right -> {(left_attr, right_attr): None (seen once)
-        #                   | Table of (starts, ends) (cached)}
+        #                   | Table of (match) or (starts, ends) (cached)}
         self._probes: "weakref.WeakKeyDictionary[Table, weakref.WeakKeyDictionary]" = (
             weakref.WeakKeyDictionary()
         )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.fk_rows = 0
+        self.fk_fallback = 0
 
     def _on_pair_dead(self, box: "_PairBox") -> None:
         # Either end of a (probe root, build root) pair dying drops every
@@ -206,13 +240,12 @@ class ProbeCache:
             self.evictions += box.cached
             box.cached = 0
 
-    def starts_ends(
-        self, root: Table, left_attr: str, right: Table, right_attr: str,
-        sorted_rkeys: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray] | None":
-        """(starts, ends) of every root row's key in the build side's sorted
-        keys, or ``None`` on a pair's first sighting (caller probes directly).
-        """
+    def probe(
+        self, root: Table, left_attr: str, right: Table, right_attr: str, index: SortIndex
+    ) -> "Table | None":
+        """The cached probe of every root row against ``right``'s sort
+        ``index``, or ``None`` on a pair's first sighting (caller probes
+        directly)."""
         per_root = self._probes.get(root)
         if per_root is None:
             per_root = weakref.WeakKeyDictionary()
@@ -246,14 +279,7 @@ class ProbeCache:
         if entry is None or entry.nrows < root.nrows:
             self.misses += 1
             done = 0 if entry is None else entry.nrows
-            keys = decoded(root.column(left_attr)[done:])
-            probed = Table(
-                _PROBE_SCHEMA,
-                {
-                    "starts": np.searchsorted(sorted_rkeys, keys, side="left"),
-                    "ends": np.searchsorted(sorted_rkeys, keys, side="right"),
-                },
-            )
+            probed = _probe_rows(index, decoded(root.column(left_attr)[done:]))
             if entry is None:
                 box.cached += 1
                 entry = probed
@@ -262,7 +288,7 @@ class ProbeCache:
             per_right[attrs] = entry
         else:
             self.hits += 1
-        return entry.columns["starts"], entry.columns["ends"]
+        return entry
 
     def clear(self) -> None:
         # Disarm outstanding finalizers so cleared entries are not counted
@@ -276,6 +302,8 @@ class ProbeCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.fk_rows = 0
+        self.fk_fallback = 0
 
     def stats(self) -> dict:
         """Counter snapshot for :func:`repro.caches.cache_stats`."""
@@ -289,7 +317,21 @@ class ProbeCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "entries": entries,
+            "fk_rows": self.fk_rows,
+            "fk_fallback": self.fk_fallback,
         }
+
+
+def _probe_rows(index: SortIndex, keys: np.ndarray) -> Table:
+    """The probe-cache entry rows for probe ``keys`` against ``index``."""
+    starts = np.searchsorted(index.sorted_keys, keys, side="left")
+    ends = np.searchsorted(index.sorted_keys, keys, side="right")
+    if not index.unique:
+        return Table(_RANGE_SCHEMA, {"starts": starts, "ends": ends})
+    match = np.full(len(keys), -1, dtype=index.order.dtype)
+    found = ends > starts
+    match[found] = index.order[starts[found]]
+    return Table(_MATCH_SCHEMA, {"match": match})
 
 
 # One process-wide cache: tables are keyed by identity, so separate systems
@@ -304,29 +346,42 @@ def sort_index(table: Table, column: str) -> SortIndex:
     return _GLOBAL_CACHE.sort_index(table, column)
 
 
+class RowIdMatch(NamedTuple):
+    """A foreign-key join resolved by row id: probe row ``left_idx[i]``
+    (ascending) joins row ``rows[i]`` of the build root ``source``, whose
+    rows ``right`` selects."""
+
+    left_idx: np.ndarray
+    source: Table
+    rows: np.ndarray
+
+
 def join_probe(
     left: Table, right: Table, left_attr: str, right_attr: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Everything ``hash_join`` needs: per-probe-row (starts, ends) match
-    ranges into the build side's stable-sorted keys, plus the build side's
-    stable sort order (rank → build row).
+) -> "RowIdMatch | tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Everything ``hash_join`` needs to pair probe rows with build rows.
 
-    Both join inputs are resolved through their row lineage:
+    Both join inputs are resolved through their row lineage — ``left`` to
+    the long-lived root it selects rows of, ``right`` to its root when it
+    is that root's *monotonic* selection (filters/projections, the shape
+    every pushed-down dimension select has; a reordered subset is its own
+    root).  Once the pair is cached (:class:`ProbeCache`, two strikes):
 
-    * Probe side — when ``left`` selects rows of a long-lived root, the
-      root's full-column binary search against the build keys is cached
-      (two-strikes) and sliced per query, elementwise identical to probing
-      ``left`` directly.
-    * Build side — when ``right`` is a *monotonic* selection of a root
-      (filters/projections, the shape every pushed-down dimension select
-      has), the subset's stable sort order and the probe positions into it
-      are derived from the root's cached sort index and the cached
-      root-vs-root probe by pure integer arithmetic: a prefix sum of
-      subset membership in root-sorted order converts full-table match
-      counts into subset match counts.  Stable sort of a monotonic subset
-      preserves tie order, so the derived order equals the direct
-      ``np.argsort(keys, kind="stable")`` exactly — no float operation is
-      involved anywhere, making the fast path bit-identical.
+    * Distinct build-root keys return a :class:`RowIdMatch`.  The cached
+      ``match`` column sliced to ``left``'s rows names each probe row's
+      build-root row; a membership test against ``right``'s rows keeps
+      the probe rows whose partner ``right`` holds.  A ``member`` array
+      one slot longer than the root, last slot ``False``, absorbs the -1
+      of an unmatched key.  Probe rows stay ascending — exactly the rows
+      and order of the range expansion.
+    * Otherwise, when ``right`` is its whole root, the cached match ranges
+      sliced to ``left``'s rows plus the root's stable sort order:
+      per-probe-row ``(starts, ends, order)``.
+
+    Everything else — a first sighting, a subset of a non-distinct root —
+    probes ``right``'s own sort index directly and returns the same
+    triple, identical to the uncached executor.  No float operation is
+    involved anywhere, so every path is bit-identical to the others.
     """
     lin_l = left._lineage
     if lin_l is None:
@@ -335,51 +390,45 @@ def join_probe(
         lroot, lrows = lin_l[0], lin_l[1]
 
     lin_r = right._lineage
-    if lin_r is None:
-        rroot, rrows = right, None
+    if lin_r is None or (lin_r[1] is not None and not lin_r[2]):
+        rroot, rrows = right, None  # reordered subset: its own root
     else:
-        rroot, rrows, rmono = lin_r
-        if rrows is not None and not rmono:
-            rroot, rrows = right, None  # reordered subset: underivable
+        rroot, rrows = lin_r[0], lin_r[1]
 
     root_index = sort_index(rroot, right_attr)
-    entry = _PROBE_CACHE.starts_ends(lroot, left_attr, rroot, right_attr, root_index.sorted_keys)
+    if not root_index.unique:
+        _PROBE_CACHE.fk_fallback += 1
+    entry = None
+    if rrows is None or root_index.unique:
+        entry = _PROBE_CACHE.probe(lroot, left_attr, rroot, right_attr, root_index)
 
     if entry is None:
-        # First sighting of this (probe root, build root) pair: compute
-        # directly on the query's own tables — identical to the uncached
-        # executor.
-        if rrows is None:
-            order, sorted_rkeys = root_index.order, root_index.sorted_keys
-        else:
-            index = _GLOBAL_CACHE.sort_index(right, right_attr)
-            order, sorted_rkeys = index.order, index.sorted_keys
+        index = root_index if rrows is None else sort_index(right, right_attr)
         keys = decoded(left.column(left_attr))
         return (
-            np.searchsorted(sorted_rkeys, keys, side="left"),
-            np.searchsorted(sorted_rkeys, keys, side="right"),
-            order,
+            np.searchsorted(index.sorted_keys, keys, side="left"),
+            np.searchsorted(index.sorted_keys, keys, side="right"),
+            index.order,
         )
 
-    starts_full, ends_full = entry
-    if lrows is not None:
-        starts_full, ends_full = starts_full[lrows], ends_full[lrows]
-    if rrows is None:
-        return starts_full, ends_full, root_index.order
+    if not root_index.unique:
+        starts, ends = entry.columns["starts"], entry.columns["ends"]
+        if lrows is not None:
+            starts, ends = starts[lrows], ends[lrows]
+        return starts, ends, root_index.order
 
-    # Derive the subset probe: cum[j] = how many of the first j root-sorted
-    # keys belong to the subset, so a "matches among root keys < x" count
-    # becomes a "matches among subset keys < x" count.
-    member = np.zeros(rroot.nrows, dtype=bool)
-    member[rrows] = True
-    member_sorted = member[root_index.order]
-    cum = np.zeros(rroot.nrows + 1, dtype=np.int64)
-    np.cumsum(member_sorted, out=cum[1:])
-    starts = cum[starts_full]
-    ends = cum[ends_full]
-    # rank in subset-sorted order -> row of `right`
-    order = np.searchsorted(rrows, root_index.order[member_sorted])
-    return starts, ends, order
+    match = entry.columns["match"]
+    if lrows is not None:
+        match = match[lrows]
+    if rrows is None:
+        keep = match >= 0
+    else:
+        member = np.zeros(rroot.nrows + 1, dtype=bool)
+        member[rrows] = True
+        keep = member[match]
+    left_idx = np.flatnonzero(keep)
+    _PROBE_CACHE.fk_rows += 1
+    return RowIdMatch(left_idx, rroot, match[left_idx])
 
 
 def cache_stats() -> tuple[int, int]:

@@ -204,7 +204,7 @@ class Table:
         # the join-key probe cache (repro.engine.indexes) can reuse
         # per-root-table binary-search results across queries.  The flag
         # records that the row indices are strictly increasing (pure
-        # selections), which build-side index derivation relies on.
+        # selections), which the row-id join's membership test relies on.
         # Purely an acceleration hint — never consulted for semantics.
         self._lineage: "tuple[Table, np.ndarray | None, bool] | None" = None
 

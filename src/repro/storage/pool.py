@@ -133,6 +133,7 @@ class MaterializedViewPool:
         self._views: dict[str, _PooledView] = {}
         self._definitions: dict[str, ViewDefinition] = {}
         self._fragments: dict[str, FragmentEntry] = {}
+        self._used_memo: tuple[int, float] = (-1, 0.0)  # (epoch, used_bytes)
         # Keyed lookup index: FragmentKey -> fragment_id.  Replaces the
         # linear interval scan in find_fragment, which sits on the hot
         # path of refinement planning and re-creation checks.
@@ -260,7 +261,15 @@ class MaterializedViewPool:
 
     @property
     def used_bytes(self) -> float:
-        return sum(f.size_bytes for f in self._fragments.values())
+        # Every residency mutation bumps the epoch, so the sum is redone
+        # once per pool change rather than once per query report.  Not a
+        # running total: re-associated float additions would drift from
+        # this sum, and pool_bytes reaches the determinism fingerprints.
+        epoch, used = self._used_memo
+        if epoch != self.epoch:
+            used = sum(f.size_bytes for f in self._fragments.values())
+            self._used_memo = (self.epoch, used)
+        return used
 
     def fits(self, extra_bytes: float) -> bool:
         if self.smax_bytes is None:

@@ -140,7 +140,8 @@ class TestJoinCaches:
         assert tables_equal(cold, hash_join(sales_table, item_table, "s_item_sk", "i_item_sk"))
 
     def test_derived_build_side_identical_to_cold(self, sales_table, item_table):
-        """A filtered (monotonic-subset) build side hits the derivation path."""
+        """A filtered (monotonic-subset) build side of a distinct-key root
+        is served by row id: a membership test against the subset."""
         sub = item_table.filter(item_table.column("i_category") < 4)
         results = [hash_join(sales_table, sub, "s_item_sk", "i_item_sk") for _ in range(3)]
         clear_caches()

@@ -120,6 +120,51 @@ class TestCheckFragmentPrune:
         assert "pruned-row fraction" in proc.stderr
 
 
+class TestCheckJoinFastPath:
+    """The verdict on synthetic ``cache_stats()`` snapshots, then one live run."""
+
+    @staticmethod
+    def problems(probe: "dict | None", floor: float = 0.9) -> list[str]:
+        spec = importlib.util.spec_from_file_location(
+            "check_join_fast_path", CHECKS / "check_join_fast_path.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        stats = {} if probe is None else {"engine.indexes.probe": probe}
+        return module.check(stats, floor)
+
+    @staticmethod
+    def probe(fk_rows: int, fk_fallback: int) -> dict:
+        return {"hits": 9, "misses": 1, "evictions": 0, "entries": 1,
+                "fk_rows": fk_rows, "fk_fallback": fk_fallback}
+
+    def test_passes_at_and_above_floor(self):
+        assert self.problems(self.probe(90, 10)) == []
+        assert self.problems(self.probe(143, 0)) == []
+        proc = run_check("check_join_fast_path.py", "--queries", "40", "--instance-gb", "5")
+        assert proc.returncode == 0, proc.stderr
+        assert "fk_rows" in proc.stdout
+
+    def test_fails_below_floor_with_observed_share(self):
+        (problem,) = self.problems(self.probe(89, 11))
+        assert "0.890" in problem
+
+    def test_fails_without_counters_or_joins(self):
+        (missing,) = self.problems(None)
+        assert "not in cache stats" in missing
+        (counters,) = self.problems({"hits": 1, "misses": 1, "evictions": 0, "entries": 1})
+        assert "row-id join counters" in counters
+        (idle,) = self.problems(self.probe(0, 0))
+        assert "no cached joins" in idle
+
+    def test_floor_flag(self):
+        proc = run_check(
+            "check_join_fast_path.py", "--queries", "40", "--instance-gb", "5", "--floor", "1.01"
+        )
+        assert proc.returncode == 1
+        assert "below floor" in proc.stderr
+
+
 def serve_phase(**over) -> dict:
     base = {
         "offered": 20, "answered": 20, "shed": 0, "timed_out": 0,

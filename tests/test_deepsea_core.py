@@ -238,6 +238,30 @@ class TestPoolBound:
             system.execute(template(lo, lo + 50))
             assert system.pool.used_bytes <= smax + 1e-6
 
+    def test_used_bytes_memo_equals_a_fresh_sum_at_every_step(self, catalog):
+        """A 10 % pool: after every admit and evict, and after every
+        query, the memoized total is exactly (same float) the sum over
+        the resident entries."""
+        smax = catalog.total_size_bytes * 0.10
+        system = deepsea(catalog, domains=DOMAINS, smax_bytes=smax, evidence_factor=0.0)
+        pool = system.pool
+        kinds = []
+
+        def fresh_sum():
+            return sum(e.size_bytes for e in pool.all_entries())
+
+        def check(delta):
+            kinds.append(delta.kind)
+            assert pool.used_bytes == fresh_sum()
+
+        pool.subscribe(check)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            lo = int(rng.integers(0, 900))
+            system.execute(template(lo, lo + int(rng.integers(20, 200))))
+            assert pool.used_bytes == fresh_sum()
+        assert {"admit", "evict"} <= set(kinds)
+
     def test_eviction_happens_under_pressure(self, catalog):
         """A fresh hot view displaces decayed views when space runs out."""
         from repro.core.policies import Policy

@@ -344,3 +344,175 @@ class TestMultiKeyBincount:
         fast = aggregate(t, ("g1", "g2"), aggs)
         slow = self._sorted_reference(t, ("g1", "g2"), aggs)
         self._assert_bit_identical(fast, slow)
+
+
+# ----------------------------------------------------------------------
+# hash_join through the probe caches == the range-expansion join
+# ----------------------------------------------------------------------
+def _direct_index(table, attr):
+    keys = table.column(attr)
+    order = np.argsort(sort_key(keys), kind="stable")
+    return order, decoded(keys)[order]
+
+
+def oracle_join_probe(left, right, left_attr, right_attr):
+    """The range probe with a derived build subset, its cache lookups
+    replaced by the direct computations they are equal to."""
+    lin_l = left._lineage
+    if lin_l is None:
+        lroot, lrows = left, None
+    else:
+        lroot, lrows = lin_l[0], lin_l[1]
+
+    lin_r = right._lineage
+    if lin_r is None:
+        rroot, rrows = right, None
+    else:
+        rroot, rrows, rmono = lin_r
+        if rrows is not None and not rmono:
+            rroot, rrows = right, None  # reordered subset: underivable
+
+    root_order, root_sorted = _direct_index(rroot, right_attr)
+    keys = decoded(lroot.column(left_attr))
+    starts_full = np.searchsorted(root_sorted, keys, side="left")
+    ends_full = np.searchsorted(root_sorted, keys, side="right")
+    if lrows is not None:
+        starts_full, ends_full = starts_full[lrows], ends_full[lrows]
+    if rrows is None:
+        return starts_full, ends_full, root_order
+
+    member = np.zeros(rroot.nrows, dtype=bool)
+    member[rrows] = True
+    member_sorted = member[root_order]
+    cum = np.zeros(rroot.nrows + 1, dtype=np.int64)
+    np.cumsum(member_sorted, out=cum[1:])
+    starts = cum[starts_full]
+    ends = cum[ends_full]
+    order = np.searchsorted(rrows, root_order[member_sorted])
+    return starts, ends, order
+
+
+def oracle_hash_join(left, right, left_attr, right_attr):
+    """Range probe + repeat/cumsum expansion, gathered eagerly."""
+    drop_right = {right_attr} if right_attr == left_attr else set()
+    starts, ends, order = oracle_join_probe(left, right, left_attr, right_attr)
+    counts = ends - starts
+    total = int(counts.sum())
+    schema = left.schema.concat(right.schema, drop=drop_right)
+    if total == 0:
+        return Table.empty(schema, max(left.scale, right.scale))
+    if total == int(np.count_nonzero(counts)):
+        left_idx = np.flatnonzero(counts)
+        right_idx = order[starts[left_idx]]
+    else:
+        left_idx = np.repeat(np.arange(left.nrows), counts)
+        offsets = np.zeros(left.nrows, dtype=np.int64)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+        right_idx = order[np.repeat(starts, counts) + within]
+    cols = {name: left.column(name)[left_idx] for name in left.schema.names}
+    for name in right.schema.names:
+        if name not in drop_right:
+            cols[name] = right.column(name)[right_idx]
+    return Table(schema, cols, max(left.scale, right.scale))
+
+
+@st.composite
+def join_cases(draw):
+    n_build = draw(st.integers(0, 12))
+    unique = draw(st.booleans())
+    build = draw(
+        st.lists(
+            st.integers(0, 16 if unique else 6),
+            min_size=n_build, max_size=n_build, unique=unique,
+        )
+    )
+    case = {
+        "strings": draw(st.booleans()),
+        "build": build,
+        "probe": draw(st.lists(st.integers(0, 20), max_size=30)),  # > 16: no partner
+        "batch": draw(st.lists(st.integers(0, 20), max_size=6)),
+        "probe_mask": draw(st.none() | st.lists(st.booleans(), min_size=40, max_size=40)),
+        "lazy": draw(st.booleans()),
+    }
+    shape = draw(st.sampled_from(["whole", "project", "filter", "reordered"]))
+    if shape == "filter":
+        case["build_rows"] = draw(st.lists(st.booleans(), min_size=n_build, max_size=n_build))
+    elif shape == "reordered":
+        perm = draw(st.permutations(range(n_build)))
+        case["build_rows"] = list(perm[: draw(st.integers(0, n_build))])
+    case["shape"] = shape
+    return case
+
+
+class TestJoinKernelOracle:
+    FACT = Schema.of(Column("k"), Column("v", ColumnKind.FLOAT64))
+    DIM = Schema.of(Column("d"), Column("label"))
+    SFACT = Schema.of(Column("k", ColumnKind.STRING), Column("v", ColumnKind.FLOAT64))
+    SDIM = Schema.of(Column("d", ColumnKind.STRING), Column("label"))
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.schema == want.schema and got.nrows == want.nrows
+        for name in want.schema.names:
+            g, w = got.column(name), want.column(name)
+            assert type(g) is type(w)
+            g, w = decoded(g), decoded(w)
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    def tables(self, case):
+        def key(values):
+            return [f"key{k:02d}" for k in values] if case["strings"] else values
+
+        fact_schema = self.SFACT if case["strings"] else self.FACT
+        dim_schema = self.SDIM if case["strings"] else self.DIM
+
+        def fact(keys):
+            return Table.from_dict(fact_schema, {"k": key(keys), "v": [k / 8 for k in keys]})
+
+        dim = Table.from_dict(  # encoded on its own: another dictionary
+            dim_schema, {"d": key(case["build"]), "label": range(len(case["build"]))}
+        )
+        shape = case["shape"]
+        if shape == "whole":
+            right = dim
+        elif shape == "project":
+            right = dim.project(["d"])
+        elif shape == "filter":
+            right = dim.filter(np.array(case["build_rows"], dtype=bool))
+        else:
+            right = dim.take(np.array(case["build_rows"], dtype=np.int64))
+        return fact(case["probe"]), fact(case["batch"]), dim, right
+
+    def probe_side(self, case, fact):
+        mask = case["probe_mask"]
+        if mask is None:
+            return fact
+        return fact.filter(np.array(mask[: fact.nrows], dtype=bool))
+
+    @settings(max_examples=200, deadline=None)
+    @given(join_cases())
+    def test_equals_range_expansion_cold_and_warm(self, case):
+        from repro.engine import indexes
+        from repro.engine.table import set_lazy_views
+
+        previous = set_lazy_views(case["lazy"])
+        try:
+            indexes.clear_caches()
+            fact, batch, _dim, right = self.tables(case)
+
+            def check(probe_root):
+                left = self.probe_side(case, probe_root)
+                want = oracle_hash_join(left, right, "k", "d")
+                self.assert_same(hash_join(left, right, "k", "d").materialize(), want)
+
+            check(fact)  # cold: first strike
+            check(fact)  # second: pays the full-root probe
+            check(fact)  # warm: third sighting, served from the cache
+            grown = fact.append(batch)
+            check(grown)  # the cached probe extended by the batch alone
+            check(grown)
+        finally:
+            set_lazy_views(previous)
+            indexes.clear_caches()

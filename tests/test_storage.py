@@ -251,6 +251,30 @@ class TestPoolJournal:
         assert pool.read_entry(victim.fragment_id).nrows == 3
         assert len(pool.fragments_of("v1", "v")) == 2
 
+    def test_used_bytes_memo_follows_every_mutation(self, small_table):
+        pool = self.make_pool()
+        pool.define_view("v2", Relation("item"))
+        wide = Table.from_dict(small_table.schema, {"v": list(range(7))})
+
+        def fresh_sum():
+            return sum(e.size_bytes for e in pool.all_entries())
+
+        assert pool.used_bytes == fresh_sum() == 0
+        a = pool.add_fragment("v1", "v", Interval.closed(0, 10), small_table)
+        assert pool.used_bytes == fresh_sum()
+        pool.add_whole_view("v2", wide)
+        assert pool.used_bytes == fresh_sum()
+        a = pool.patch_entry(a.fragment_id, wide)
+        assert pool.used_bytes == fresh_sum()
+        pool.begin("repartition")
+        pool.evict(a.fragment_id)
+        pool.add_fragment("v1", "v", Interval.open_closed(10, 20), small_table)
+        assert pool.used_bytes == fresh_sum()
+        pool.rollback()
+        assert pool.used_bytes == fresh_sum() == 2 * wide.size_bytes
+        pool.evict(a.fragment_id)
+        assert pool.used_bytes == fresh_sum() == wide.size_bytes
+
     def test_rollback_replay_cost_lands_on_ledger(self, small_table):
         pool = self.make_pool()
         victim = pool.add_fragment("v1", "v", Interval.closed(0, 10), small_table)

@@ -303,6 +303,15 @@ class TestSortIndexInheritance:
         np.testing.assert_array_equal(got.sorted_keys, want.sorted_keys)
         assert got.order.dtype == want.order.dtype
         assert got.sorted_keys.dtype == want.sorted_keys.dtype
+        assert got.unique is want.unique is False
+
+    @pytest.mark.parametrize("batch, unique", [([41, 3, 45], True), ([41, 8], False)])
+    def test_extended_uniqueness_equals_cold_build(self, batch, unique):
+        parent = make(range(0, 40, 2))
+        assert indexes.sort_index(parent, "k").unique
+        child = parent.append(make(batch))  # 8 is already a key
+        got = indexes.sort_index(child, "k")
+        assert got.unique is cold_sort_index(child, "k").unique is unique
 
     def test_new_string_batch_still_inherits(self):
         parent = make(range(50))
@@ -347,27 +356,54 @@ class TestProbeInheritance:
         keys = np.repeat(np.arange(0, 40, 2), 2)  # duplicates: multi-match probes
         return Table.from_dict(self.DIM, {"d": keys, "label": np.arange(len(keys))})
 
+    def unique_dim(self):
+        keys = np.arange(0, 40, 2)  # distinct: the probe caches row ids
+        return Table.from_dict(self.DIM, {"d": keys, "label": np.arange(len(keys))})
+
     def probe(self, left, dim):
-        return indexes._PROBE_CACHE.starts_ends(
-            left, "k", dim, "d", indexes.sort_index(dim, "d").sorted_keys
-        )
+        return indexes._PROBE_CACHE.probe(left, "k", dim, "d", indexes.sort_index(dim, "d"))
 
     def test_extended_probe_equals_cold_probe(self, monkeypatch):
         dim = self.dim()
         parent = make(np.random.default_rng(1).integers(0, 45, 500))
         assert self.probe(parent, dim) is None  # first strike
         cached = self.probe(parent, dim)  # second: full-root probe
-        assert len(cached[0]) == 500
+        assert cached.schema.names == ("starts", "ends") and cached.nrows == 500
         child = parent.append(make([4, 4, 41, 0]))
         searches = Recorder(monkeypatch, "searchsorted", arg=1)
         got = self.probe(child, dim)
         assert searches.sizes == [4, 4]  # starts and ends of the new keys only
         monkeypatch.undo()
         keys, sorted_d = child.column("k"), indexes.sort_index(dim, "d").sorted_keys
-        np.testing.assert_array_equal(got[0], np.searchsorted(sorted_d, keys, side="left"))
-        np.testing.assert_array_equal(got[1], np.searchsorted(sorted_d, keys, side="right"))
-        assert self.probe(child, dim)[0] is got[0]  # and a plain hit from now on
-        assert len(self.probe(parent, dim)[0]) == 500  # the parent's entry is its own
+        np.testing.assert_array_equal(
+            got.column("starts"), np.searchsorted(sorted_d, keys, side="left")
+        )
+        np.testing.assert_array_equal(
+            got.column("ends"), np.searchsorted(sorted_d, keys, side="right")
+        )
+        assert self.probe(child, dim) is got  # and a plain hit from now on
+        assert self.probe(parent, dim).nrows == 500  # the parent's entry is its own
+
+    def test_extended_match_equals_cold_build(self, monkeypatch):
+        dim = self.unique_dim()
+        parent = make(np.random.default_rng(1).integers(0, 45, 500))
+        self.probe(parent, dim)
+        assert self.probe(parent, dim).schema.names == ("match",)
+        child = parent.append(make([4, 4, 41, 0]))
+        searches = Recorder(monkeypatch, "searchsorted", arg=1)
+        got = self.probe(child, dim).column("match")
+        assert searches.sizes == [4, 4]  # the new keys only
+        monkeypatch.undo()
+        indexes.clear_caches()
+        fresh = pickle.loads(pickle.dumps(child))  # no parent link, no entry
+        self.probe(fresh, dim)
+        cold = self.probe(fresh, dim).column("match")
+        np.testing.assert_array_equal(got, cold)
+        assert got.dtype == cold.dtype
+        keys = child.column("k")
+        want = np.where(keys % 2 == 0, keys // 2, -1)  # -1: 41 and odd keys
+        want[keys >= 40] = -1
+        np.testing.assert_array_equal(got, want)
 
     def test_a_strike_against_the_parent_carries_over(self):
         dim = self.dim()
@@ -375,7 +411,7 @@ class TestProbeInheritance:
         assert self.probe(parent, dim) is None
         child = parent.append(make([2]))
         entry = self.probe(child, dim)  # no second first-strike
-        assert entry is not None and len(entry[0]) == 101
+        assert entry is not None and entry.nrows == 101
 
     def test_no_ancestor_no_shortcut(self):
         dim = self.dim()
@@ -383,7 +419,12 @@ class TestProbeInheritance:
         assert self.probe(child, dim) is None
 
     def test_join_over_a_grown_table_is_identical_warm_or_cold(self):
-        dim = self.dim()
+        self.check_grown_join(self.dim())
+
+    def test_row_id_join_over_a_grown_table_is_identical_warm_or_cold(self):
+        self.check_grown_join(self.unique_dim())
+
+    def check_grown_join(self, dim):
         table = make(np.random.default_rng(2).integers(0, 45, 300))
         versions = []  # a reader may hold any of them; a dead parent hands nothing down
         for step in range(4):
@@ -400,3 +441,90 @@ class TestProbeInheritance:
             np.testing.assert_array_equal(
                 decoded(warm.column(name)), decoded(cold.column(name))
             )
+
+
+class TestDimensionIngest:
+    """Batches appended to a *dimension* (the build side of fact ⋈ dim):
+    uniqueness is re-decided for the grown root, and answers never move."""
+
+    DIM = Schema.of(Column("d"), Column("label"))
+    CAT = Schema.of(Column("c"), Column("name", ColumnKind.STRING))
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        indexes.clear_caches()
+        yield
+        indexes.clear_caches()
+
+    def catalog(self):
+        from repro.engine.catalog import Catalog
+
+        catalog = Catalog()
+        keys = np.arange(0, 60, 2)
+        catalog.register(
+            "dim", Table.from_dict(self.DIM, {"d": keys, "label": keys % 7})
+        )
+        catalog.register(
+            "cat", Table.from_dict(self.CAT, {"c": np.arange(7), "name": list("abcdefg")})
+        )
+        return catalog
+
+    @staticmethod
+    def joins(fact, dim):
+        """Three sightings (the third is a cache hit) of whole and
+        filtered build sides, each checked against a cold join."""
+        sub = dim.filter(dim.column("label") < 4)
+        warm = [hash_join(fact, side, "k", "d") for side in (dim, sub) for _ in range(3)]
+        indexes.clear_caches()
+        cold = [
+            hash_join(fact.materialize(), side.materialize(), "k", "d")
+            for side in (dim, sub) for _ in range(3)
+        ]
+        for w, c in zip(warm, cold):
+            assert w.schema.names == c.schema.names and w.nrows == c.nrows
+            for name in w.schema.names:
+                want = decoded(c.column(name))
+                got = decoded(w.column(name))
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    def fact(self):
+        return make(np.random.default_rng(4).integers(0, 70, 400))
+
+    def test_duplicate_key_falls_back_to_the_general_path(self):
+        catalog = self.catalog()
+        assert indexes.sort_index(catalog.get("dim"), "d").unique
+        catalog.ingest("dim", {"d": [10, 61], "label": [1, 2]})  # 10 is resident
+        grown = catalog.get("dim")
+        assert not indexes.sort_index(grown, "d").unique
+        fact = self.fact()
+        before = indexes._PROBE_CACHE.stats()
+        self.joins(fact, grown)
+        assert before["fk_rows"] == 0 and indexes._PROBE_CACHE.fk_rows == 0
+        assert indexes._PROBE_CACHE.fk_fallback == 6  # the cold pass after the clear
+
+    def test_fresh_keys_keep_the_row_id_path(self, monkeypatch):
+        catalog = self.catalog()
+        dim = catalog.get("dim")
+        indexes.sort_index(dim, "d")
+        for _ in range(2):
+            hash_join(dim, catalog.get("cat"), "label", "c")  # dim as probe root
+        catalog.ingest("dim", {"d": [61, 63, 65], "label": [3, 5, 6]})
+        grown = catalog.get("dim")
+        sorts = Recorder(monkeypatch, "argsort")
+        searches = Recorder(monkeypatch, "searchsorted", arg=1)
+        index = indexes.sort_index(grown, "d")
+        entry = indexes._PROBE_CACHE.probe(
+            grown, "label", catalog.get("cat"), "c", indexes.sort_index(catalog.get("cat"), "c")
+        )
+        assert sorts.sizes == [3] and searches.sizes[-2:] == [3, 3]  # the batch alone
+        monkeypatch.undo()
+        assert index.unique and entry.schema.names == ("match",)
+        np.testing.assert_array_equal(entry.column("match"), grown.column("label"))
+        fact = self.fact()
+        hash_join(fact, grown, "k", "d")
+        hash_join(fact, grown, "k", "d")
+        served = indexes._PROBE_CACHE.fk_rows
+        hash_join(fact, grown, "k", "d")
+        assert indexes._PROBE_CACHE.fk_rows == served + 1
+        self.joins(fact, grown)
