@@ -54,8 +54,8 @@ def co_access_fraction(a: FragmentStats, b: FragmentStats, t_now: float, decay: 
     both.  The fraction is taken against the *busier* fragment, so a hot
     fragment is never merged into a cold neighbour it rarely drags along.
     """
-    times_a = set(a.hit_times)
-    times_b = set(b.hit_times)
+    times_a = set(a.times_array().tolist())
+    times_b = set(b.times_array().tolist())
     if not times_a or not times_b:
         return 0.0
     shared = times_a & times_b
@@ -121,7 +121,7 @@ def find_merge_candidates(
         fraction = co_access_fraction(sa, sb, t_now, decay)
         if fraction < threshold:
             continue
-        shared = set(sa.hit_times) & set(sb.hit_times)
+        shared = set(sa.times_array().tolist()) & set(sb.times_array().tolist())
         shared_weight = sum(decay(t_now, t) for t in shared)
         if shared_weight < min_shared_hits:
             continue

@@ -329,17 +329,14 @@ class Repartitioner:
         ledger.charge_read(left.size_bytes, nfiles=1)
         ledger.charge_read(right.size_bytes, nfiles=1)
         merged_table = left_table.concat(right_table)
-        # union the pair's hit history into the merged fragment's stats
+        # the merged fragment holds the pair's hit history
         merged_stats = self.stats.ensure_fragment(merge.view_id, merge.attr, merge.merged)
-        if not merged_stats.hit_times:
+        if not merged_stats.hit_count():
             self.valuation.settle_fit(merge.view_id, merge.attr, t)
-            events = set()
-            for interval in (merge.left, merge.right):
-                source = self.stats.fragment(merge.view_id, merge.attr, interval)
-                if source is not None:
-                    events.update(zip(source.hit_times, source.hit_ranges))
-            for time, theta in sorted(events, key=lambda e: e[0]):
-                merged_stats.record_hit(time, theta)
+            merged_stats.union_hits(
+                self.stats.fragment(merge.view_id, merge.attr, merge.left),
+                self.stats.fragment(merge.view_id, merge.attr, merge.right),
+            )
         merged_stats.set_actual_size(merged_table.size_bytes)
         self.pool.evict(left.fragment_id)
         self.pool.evict(right.fragment_id)

@@ -338,7 +338,7 @@ class Selection:
         half_width = 0.5 * theta_width
         tl, tu = theta._lkey, theta._ukey
         mids = []
-        for rng in parent_stats.hit_ranges[-30:]:
+        for rng in parent_stats.recent_ranges(30):
             if rng is None:
                 continue
             lk, uk = rng._lkey, rng._ukey

@@ -201,13 +201,14 @@ class Valuation:
         """Track split pieces in PSTAT, giving them the parent's hit history.
 
         Each piece inherits the hits whose recorded query range touched it
-        (hits without a range are copied wholesale); decay and the MLE
-        smoothing keep any residual over-count from distorting values.
+        (hits without a range wholesale) — a membership in the partition's
+        hit log, not a copy; decay and the MLE smoothing keep any residual
+        over-count from distorting values.
         """
         parent = self.stats.fragment(view_id, attr, candidate.parent)
         for piece in candidate.pieces:
             piece_stats = self.stats.ensure_fragment(view_id, attr, piece)
-            if parent is not None and not piece_stats.hit_times:
+            if parent is not None and not piece_stats.hit_count():
                 self.settle_fit(view_id, attr, t)
                 piece_stats.inherit_hits(parent, piece)
 

@@ -111,47 +111,30 @@ def spread_hits(
     contains: ``H(p_i) = Σ_{I ∋ p_i} H(I) / #I`` (Definition of H(p) in
     §7.1).  Returns (part midpoints, per-part hit weights).
     """
-    mids, mids_arr = _mids_for(domain, n_parts)
+    mids, _ = _mids_for(domain, n_parts)
     if not fragments:
         return mids, [0.0] * n_parts
-    keys = np.array([iv._lkey + iv._ukey for iv, _ in fragments], dtype=np.float64)
+    lower = np.array([iv._lkey for iv, _ in fragments], dtype=np.float64)
+    upper = np.array([iv._ukey for iv, _ in fragments], dtype=np.float64)
     hits_arr = np.fromiter((h for _, h in fragments), dtype=np.float64, count=len(fragments))
-    weights = _spread_hits_arrays(
-        domain,
-        mids_arr,
-        keys[:, 0],
-        keys[:, 2],
-        keys[:, 1] == 1.0,
-        keys[:, 3] == -1.0,
-        hits_arr,
-    )
-    return mids, weights.tolist()
+    start, end = part_runs(domain, lower, upper, n_parts)
+    return mids, _spread_over_runs(n_parts, start, end, hits_arr).tolist()
 
 
-def _spread_hits_arrays(
-    domain: Interval,
-    mids_arr: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    lo_open: np.ndarray,
-    hi_open: np.ndarray,
-    hits_arr: np.ndarray,
-) -> np.ndarray:
-    """:func:`spread_hits` over prebuilt per-fragment bound arrays.
+def part_runs(
+    domain: Interval, lower_keys: np.ndarray, upper_keys: np.ndarray, n_parts: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Each fragment's run ``[start, end)`` of parts whose midpoint it contains.
 
-    ``lows``/``highs`` carry ±inf for unbounded ends (the interval bound
-    keys), so the searchsorted runs need no None special case.  Callers
-    holding cached bound arrays (``StatisticsStore.partition_bounds``)
-    skip the per-call Python attribute walk entirely.
+    ``lower_keys``/``upper_keys`` are ``[n, 2]`` ``(value, openness flag)``
+    bound keys with ±inf for unbounded ends (``StatisticsStore.
+    partition_bounds``), so the searchsorted runs need no None special
+    case.  A run depends on one fragment's bounds and the grid only, so
+    the runs of a fragment list can be kept while the list stands.
     """
-    weights = np.zeros(mids_arr.size, dtype=np.float64)
-    keep = np.flatnonzero(hits_arr > 0)
-    if keep.size == 0:
-        return weights
-    if keep.size != hits_arr.size:
-        hits_arr = hits_arr[keep]
-        lows, highs = lows[keep], highs[keep]
-        lo_open, hi_open = lo_open[keep], hi_open[keep]
+    _, mids_arr = _mids_for(domain, n_parts)
+    lows, highs = lower_keys[:, 0], upper_keys[:, 0]
+    lo_open, hi_open = lower_keys[:, 1] == 1.0, upper_keys[:, 1] == -1.0
     # The midpoints are sorted, so the parts a fragment contains form a
     # contiguous run mapped by binary search: searchsorted side "left" is
     # bisect_left and "right" is bisect_right, reproducing the open/closed
@@ -167,13 +150,26 @@ def _spread_hits_arrays(
         np.searchsorted(mids_arr, highs, side="left"),
         np.searchsorted(mids_arr, highs, side="right"),
     )
-    # Degenerate fragments narrower than a part charge the nearest part;
-    # argmin matches min()'s first-of-ties choice.  Rare, so the handful
-    # of them keep the original scalar computation verbatim.
-    for i in np.flatnonzero(end <= start):
-        anchor = min(max(lows[i], domain.lo), domain.hi)
-        idx = int(np.argmin(np.abs(mids_arr - anchor)))
-        start[i], end[i] = idx, idx + 1
+    # Degenerate fragments narrower than a part charge the nearest part to
+    # their clamped lower bound; argmin matches min()'s first-of-ties choice.
+    degenerate = np.flatnonzero(end <= start)
+    if degenerate.size:
+        anchors = np.minimum(np.maximum(lows[degenerate], domain.lo), domain.hi)
+        nearest = np.abs(mids_arr[None, :] - anchors[:, None]).argmin(axis=1)
+        start[degenerate], end[degenerate] = nearest, nearest + 1
+    return start, end
+
+
+def _spread_over_runs(
+    n_parts: int, start: np.ndarray, end: np.ndarray, hits_arr: np.ndarray
+) -> np.ndarray:
+    """Per-part hit weights: each fragment's hits spread evenly over its run."""
+    weights = np.zeros(n_parts, dtype=np.float64)
+    keep = np.flatnonzero(hits_arr > 0)
+    if keep.size == 0:
+        return weights
+    if keep.size != hits_arr.size:
+        hits_arr, start, end = hits_arr[keep], start[keep], end[keep]
     # Scatter each fragment's equal share over its part run.  np.add.at is
     # unbuffered and applies the additions in index order, so every part
     # accumulates its shares in the same fragment order with the same IEEE
@@ -258,17 +254,20 @@ def fit_partition_bounds(
     Same floats, same order, no per-call interval-object walk — results
     are bit-identical to the fragment-list path (tests/test_mle.py).
     """
+    start, end = part_runs(domain, lower_keys, upper_keys, n_parts)
+    return fit_partition_runs(domain, start, end, hits_arr, n_parts)
+
+
+def fit_partition_runs(
+    domain: Interval,
+    start: np.ndarray,
+    end: np.ndarray,
+    hits_arr: np.ndarray,
+    n_parts: int = 256,
+) -> FittedNormal | None:
+    """:func:`fit_partition_bounds` over the fragments' :func:`part_runs`."""
     mids, mids_arr = _mids_for(domain, n_parts)
-    weights = _spread_hits_arrays(
-        domain,
-        mids_arr,
-        lower_keys[:, 0],
-        upper_keys[:, 0],
-        lower_keys[:, 1] == 1.0,
-        upper_keys[:, 1] == -1.0,
-        hits_arr,
-    )
-    return _fit_normal_arrays(mids_arr, weights, mids)
+    return _fit_normal_arrays(mids_arr, _spread_over_runs(n_parts, start, end, hits_arr), mids)
 
 
 def adjusted_hits(

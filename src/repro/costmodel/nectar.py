@@ -48,7 +48,7 @@ def nectar_fragment_value(fragment: FragmentStats, view: ViewStats, t_now: float
 
 def nectar_plus_fragment_value(fragment: FragmentStats, view: ViewStats, t_now: float) -> float:
     """Nectar+ for fragments: §7.1 formulas with DEC removed."""
-    hits = float(len(fragment.hit_times))
+    hits = float(fragment.hit_count())
     view_size = max(view.size_bytes, _EPS_BYTES)
     benefit = hits * (fragment.size_bytes / view_size) * view.creation_cost_s
     size = max(fragment.size_bytes, _EPS_BYTES)

@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.costmodel.decay import Decay
-from repro.costmodel.mle import FittedNormal, adjusted_hits_many, fit_partition_bounds
+from repro.costmodel.mle import FittedNormal, adjusted_hits_many, fit_partition_runs
 from repro.costmodel.stats import FragmentStats, StatisticsStore, ViewStats
-from repro.partitioning.intervals import Interval
+from repro.partitioning.intervals import Interval, complex_keys, keys_overlapping
 
 _EPS_BYTES = 1.0
 
@@ -58,20 +58,12 @@ def view_value(view: ViewStats, t_now: float, decay: Decay) -> float:
 def fragment_hits(fragment: FragmentStats, t_now: float, decay: Decay) -> float:
     """Decayed hit count ``H(I)`` (vectorized, bit-equal to the event loop).
 
-    Memoized per ``(decay, t_now)`` on the stats object: one selection or
-    refinement step evaluates the same fragment against many candidates at
-    a fixed logical time.  ``record_hit`` invalidates the memo.
+    Taken from the partition's one pass over its hit log, memoized per
+    ``(decay, t_now)`` until a hit list of the partition changes: one
+    selection or refinement step evaluates many fragments against many
+    candidates at a fixed logical time.
     """
-    memo = fragment._hits_memo
-    if memo is not None and memo[1] == t_now and memo[0] == decay:
-        return memo[2]
-    times = fragment.times_array()
-    if times.size == 0:
-        value = 0.0
-    else:
-        value = sum(decay.weights(t_now, times).tolist())
-    fragment._hits_memo = (decay, t_now, value)
-    return value
+    return fragment.decayed_hits(decay, t_now)
 
 
 def fragment_weighted_hits(
@@ -85,7 +77,7 @@ def fragment_weighted_hits(
     """
     total = 0.0
     width = piece.width
-    for t, theta in zip(fragment.hit_times, fragment.hit_ranges):
+    for t, theta in fragment.hits():
         if theta is None:
             total += decay(t_now, t)
             continue
@@ -114,7 +106,7 @@ def realizing_hits(
     endpoints from carving an endless stream of boundary slivers.
     """
     total = 0.0
-    for t, theta in zip(parent.hit_times, parent.hit_ranges):
+    for t, theta in parent.hits():
         if theta is None:
             continue
         needed = theta.intersect(parent_interval)
@@ -130,19 +122,13 @@ class RealizingHitsIndex:
     piece of a split candidate against the same parent fragment.  The
     per-hit work that does not depend on the piece — intersecting each
     recorded query range with the parent interval and decaying the hit
-    timestamps — happens once here; :meth:`hits_for` is then a vectorized
-    containment test plus a left-to-right sum of exactly the decayed
-    weights the scalar loop would have added, in the same order.
-
-    Most candidates have exactly one hot piece, so the index builds its
-    arrays *lazily*: the first :meth:`hits_for` call runs the scalar loop
-    (nothing to amortize), and only a second call — same parent, more
-    pieces — pays the one-time array construction that makes every later
-    piece a few vectorized compares.  Both paths produce bit-identical
-    sums (tests/test_value_functions.py).
+    timestamps — happens once, over the parent's ranged hits as arrays, at
+    the first :meth:`hits_for`; each call is then a vectorized containment
+    test plus a left-to-right sum of exactly the decayed weights the
+    scalar loop adds, in the same order (tests/test_value_functions.py).
     """
 
-    __slots__ = ("_parent", "_interval", "_t_now", "_decay", "_calls", "_weights", "_lk", "_uk")
+    __slots__ = ("_parent", "_interval", "_t_now", "_decay", "_weights", "_lk", "_uk")
 
     def __init__(
         self,
@@ -155,45 +141,29 @@ class RealizingHitsIndex:
         self._interval = parent_interval
         self._t_now = t_now
         self._decay = decay
-        self._calls = 0
         self._weights = None
 
     def _build(self) -> None:
-        lower_keys: list[tuple] = []
-        upper_keys: list[tuple] = []
-        times: list[float] = []
-        for t, theta in zip(self._parent.hit_times, self._parent.hit_ranges):
-            if theta is None:
-                continue
-            needed = theta.intersect(self._interval)
-            if needed is None:
-                continue
-            lower_keys.append(needed._lkey)
-            upper_keys.append(needed._ukey)
-            times.append(t)
-        if times:
-            self._weights = self._decay.weights(self._t_now, np.array(times, dtype=np.float64))
-            self._lk = np.array(lower_keys, dtype=np.float64)
-            self._uk = np.array(upper_keys, dtype=np.float64)
-        else:
-            self._weights = np.empty(0, dtype=np.float64)
+        times, lower, upper = self._parent.ranged_hit_keys()
+        # θ ∩ parent, as Interval.intersect forms it: empty exactly when the
+        # two do not overlap, and otherwise bounded by the later lower key
+        # and the earlier upper key (nested operands included).
+        meets = keys_overlapping(lower, upper, self._interval)
+        lower, upper = complex_keys(lower)[meets], complex_keys(upper)[meets]
+        self._lk = np.maximum(lower, complex(*self._interval._lkey))
+        self._uk = np.minimum(upper, complex(*self._interval._ukey))
+        self._weights = self._decay.weights(self._t_now, times[meets])
 
     def hits_for(self, piece: Interval) -> float:
         """Bit-identical to ``realizing_hits(parent, parent_interval, piece, …)``."""
-        self._calls += 1
-        if self._calls == 1:
-            return realizing_hits(self._parent, self._interval, piece, self._t_now, self._decay)
         if self._weights is None:
             self._build()
         if not self._weights.size:
             return 0.0
-        pl, pu = piece._lkey, piece._ukey
-        lk, uk = self._lk, self._uk
-        # piece.contains(needed) as two lexicographic key comparisons:
-        # piece._lkey <= needed._lkey and needed._ukey <= piece._ukey.
-        lo_ok = (pl[0] < lk[:, 0]) | ((pl[0] == lk[:, 0]) & (pl[1] <= lk[:, 1]))
-        hi_ok = (uk[:, 0] < pu[0]) | ((uk[:, 0] == pu[0]) & (uk[:, 1] <= pu[1]))
-        return sum(self._weights[lo_ok & hi_ok].tolist())
+        # piece.contains(needed): piece._lkey <= needed._lkey and
+        # needed._ukey <= piece._ukey, as complex keys
+        contained = (complex(*piece._lkey) <= self._lk) & (self._uk <= complex(*piece._ukey))
+        return sum(self._weights[contained].tolist())
 
 
 def fragment_benefit(
@@ -229,65 +199,28 @@ def partition_distributions(
     decay: Decay,
     n_parts: int = 256,
 ) -> "dict[tuple[str, str], tuple[FittedNormal, float] | None]":
-    """Batched MLE fits for several ``(view_id, attr, domain)`` partitions.
+    """MLE fits for several ``(view_id, attr, domain)`` partitions.
 
-    One ``decay.weights`` call covers every partition's concatenated
-    fragment hit times *and* distinct hit times, instead of two calls per
-    partition: the weight ops are elementwise, so each partition's slices
-    are bitwise the arrays the one-at-a-time path would compute, and the
-    per-fragment / per-partition scalar sums accumulate the identical
-    floats in the identical order.  A partition with no hit mass maps to
-    ``None`` (nothing to fit; callers fall back to raw hits).
+    A partition's decayed fragment hits and H_total — "the total number of
+    queries that used at least one fragment" (§7.1), each hit time counted
+    once however many fragments it touched — come from one pass over its
+    hit log (:meth:`~repro.costmodel.stats.HitLog.decayed_hits`), and its
+    fragments' part runs are kept with its fragment list
+    (``StatisticsStore.partition_runs``), so this is
+    ``fit_partition_distribution(domain, [(f.interval, H(f)) ...],
+    n_parts)`` without re-walking hits or intervals.  A partition with no
+    hit mass maps to ``None`` (nothing to fit; callers fall back to raw
+    hits).
     """
-    prepared = []
-    segments = []
-    for view_id, attr, domain in partitions:
-        frags, lens, concat, distinct = stats.partition_times(view_id, attr)
-        _, lk, uk = stats.partition_bounds(view_id, attr)
-        prepared.append((view_id, attr, domain, frags, lens, concat, distinct, lk, uk))
-        if concat.size:
-            segments.append(concat)
-        if distinct.size:
-            segments.append(distinct)
-    if segments:
-        w_all = decay.weights(
-            t_now, np.concatenate(segments) if len(segments) > 1 else segments[0]
-        )
     results: "dict[tuple[str, str], tuple[FittedNormal, float] | None]" = {}
-    off = 0
-    for view_id, attr, domain, frags, lens, concat, distinct, lk, uk in prepared:
-        if not frags:
-            results[(view_id, attr)] = None
-            continue
-        w_list = w_all[off : off + concat.size].tolist() if concat.size else []
-        off += concat.size
-        values = []
-        frag_off = 0
-        for f, n in zip(frags, lens):
-            if n == 0:
-                value = 0.0
-            else:
-                value = sum(w_list[frag_off : frag_off + n])
-                frag_off += n
-            f._hits_memo = (decay, t_now, value)
-            values.append(value)
-        # H_total is "the total number of queries that used at least one
-        # fragment" (§7.1): count each hit timestamp once even when it
-        # touched several (possibly overlapping) fragments.
-        if distinct.size:
-            total = sum(w_all[off : off + distinct.size].tolist())
-            off += distinct.size
-        else:
-            total = 0.0
-        if total <= 0:
-            results[(view_id, attr)] = None
-            continue
-        # The cached bound-key arrays parallel ``frags`` element for
-        # element, so this is fit_partition_distribution(domain,
-        # [(f.interval, v) ...], n_parts) without re-walking the intervals.
-        fitted: FittedNormal | None = fit_partition_bounds(
-            domain, lk, uk, np.asarray(values, dtype=np.float64), n_parts
-        )
+    for view_id, attr, domain in partitions:
+        log = stats.hit_log(view_id, attr)
+        fitted: FittedNormal | None = None
+        if log is not None:
+            per_row, total = log.decayed_hits(decay, t_now)
+            if total > 0:
+                start, end = stats.partition_runs(view_id, attr, domain, n_parts)
+                fitted = fit_partition_runs(domain, start, end, per_row[log.rows()], n_parts)
         results[(view_id, attr)] = None if fitted is None else (fitted, total)
     return results
 

@@ -266,6 +266,29 @@ def sort_key(interval: Interval) -> tuple:
     return interval._lkey + interval._ukey
 
 
+def complex_keys(keys: np.ndarray) -> np.ndarray:
+    """``[n, 2]`` ``(value, openness flag)`` bound keys as ``n`` complex numbers.
+
+    NumPy orders complex numbers lexicographically — real part, then
+    imaginary part — so comparing ``value + flag·j`` is comparing the
+    Python tuples ``(value, flag)``, in one operation instead of three.
+    (It differs only for NaN, which no bound key holds.)  A view, no copy,
+    of a C-ordered float64 array.
+    """
+    return np.ascontiguousarray(keys, dtype=np.float64).view(np.complex128)[:, 0]
+
+
+def keys_overlapping(lower: np.ndarray, upper: np.ndarray, interval: Interval) -> np.ndarray:
+    """Which intervals, given as ``[n, 2]`` bound-key arrays, overlap ``interval``.
+
+    ``Interval.overlaps`` row by row: two intervals overlap exactly when
+    each one's lower key is lexicographically ≤ the other's upper key.
+    """
+    return (complex_keys(lower) <= complex(*interval._ukey)) & (
+        complex(*interval._lkey) <= complex_keys(upper)
+    )
+
+
 class IntervalIndex:
     """A bisect-searchable ordering of a fragment-interval list.
 

@@ -165,6 +165,32 @@ class TestCheckJoinFastPath:
         assert "below floor" in proc.stderr
 
 
+class TestCheckHitLog:
+    """The verdict on synthetic log lengths, then one live run."""
+
+    @staticmethod
+    def problems(entries: dict, queries: int) -> list[str]:
+        spec = importlib.util.spec_from_file_location("check_hit_log", CHECKS / "check_hit_log.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.check(entries, queries)
+
+    def test_passes_at_and_below_one_entry_per_query(self):
+        assert self.problems({"v_a/x": 40, "v_b/x": 0}, 40) == []
+        proc = run_check("check_hit_log.py", "--queries", "40", "--instance-gb", "5")
+        assert proc.returncode == 0, proc.stderr
+        assert "log entries" in proc.stdout
+
+    def test_fails_naming_the_partition_that_holds_copies(self):
+        (problem,) = self.problems({"v_a/x": 12, "v_b/x": 137}, 40)
+        assert "v_b/x" in problem and "137" in problem
+
+    def test_fails_when_nothing_was_recorded(self):
+        (problem,) = self.problems({"v_a/x": 0}, 40)
+        assert "no partition recorded a hit" in problem
+        assert self.problems({}, 40)
+
+
 def serve_phase(**over) -> dict:
     base = {
         "offered": 20, "answered": 20, "shed": 0, "timed_out": 0,

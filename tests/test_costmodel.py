@@ -126,37 +126,43 @@ class TestStatisticsCaches:
         b.record_hit(4.0)
         return store
 
-    def test_partition_times_matches_naive(self):
-        import numpy as np
-
+    def test_partition_log_matches_naive(self):
         store = self._store()
-        frags, lens, concat, distinct = store.partition_times("v", "a")
-        assert [f.interval for f in frags] == store.intervals_for("v", "a")
-        assert lens == [len(f.hit_times) for f in frags]
-        assert concat.tolist() == [t for f in frags for t in f.hit_times]
-        assert set(distinct.tolist()) == {t for f in frags for t in f.hit_times}
-        assert distinct.size == len(set(concat.tolist()))
-        assert concat.dtype == np.float64
+        log = store.hit_log("v", "a")
+        frags = store.fragments_for("v", "a")
+        assert [f.times_array().tolist() for f in frags] == [[1.0, 2.0, 3.0], [2.0, 4.0], []]
+        assert len(log) == 5  # one entry per recorded hit
+        per_row, total = log.decayed_hits(NoDecay(), 10.0)
+        assert per_row[log.rows()].tolist() == [3.0, 2.0, 0.0]
+        assert total == 4.0  # distinct times: the shared 2.0 counts once
 
-    def test_partition_times_cached_until_next_hit(self):
+    def test_partition_log_cached_until_next_hit(self):
         store = self._store()
-        first = store.partition_times("v", "a")
-        again = store.partition_times("v", "a")
-        assert all(x is y for x, y in zip(first, again))  # cache hit: same objects
-        store.fragments_for("v", "a")[0].record_hit(9.0)
-        frags, lens, concat, _ = store.partition_times("v", "a")
-        assert concat is not first[2]
-        assert 9.0 in concat.tolist()
+        log = store.hit_log("v", "a")
+        decay = ProportionalDecay(t_max=100)
+        first, _ = log.decayed_hits(decay, 10.0)
+        assert log.decayed_hits(decay, 10.0)[0] is first  # memo hit: same object
+        hot = store.fragments_for("v", "a")[0]
+        hot.record_hit(9.0)
+        per_row, _ = log.decayed_hits(decay, 10.0)
+        assert per_row is not first
+        assert per_row[hot._row] == sum(decay.weights(10.0, hot.times_array()).tolist())
+        assert hot.times_array().tolist()[-1] == 9.0
 
-    def test_partition_times_invalidated_by_fragment_changes(self):
+    def test_partition_log_invalidated_by_fragment_changes(self):
         store = self._store()
-        store.partition_times("v", "a")
+        log = store.hit_log("v", "a")
+        log.decayed_hits(NoDecay(), 10.0)
         store.ensure_fragment("v", "a", Interval.open_closed(100, 200))
-        frags, lens, _, _ = store.partition_times("v", "a")
-        assert len(frags) == 4 and lens[-1] == 0
+        per_row, _ = log.decayed_hits(NoDecay(), 10.0)
+        assert len(log.rows()) == 4 and per_row[log.rows()[-1]] == 0.0
         store.drop_fragment("v", "a", Interval.open_closed(100, 200))
-        frags, _, _, _ = store.partition_times("v", "a")
-        assert len(frags) == 3
+        assert len(log.rows()) == 3
+        dropped = store.fragment("v", "a", Interval.closed(0, 10))
+        store.drop_fragment("v", "a", Interval.closed(0, 10))
+        per_row, total = log.decayed_hits(NoDecay(), 10.0)
+        assert per_row[log.rows()].tolist() == [2.0, 0.0] and total == 2.0
+        assert dropped.times_array().tolist() == [1.0, 2.0, 3.0]  # keeps what it read
 
     def test_partition_bounds_parallel_intervals(self):
         store = self._store()
@@ -192,11 +198,12 @@ class TestStatisticsCaches:
     def test_hit_cell_shared_across_partition(self):
         store = self._store()
         frags = store.fragments_for("v", "a")
-        cells = {id(f._hit_cell) for f in frags}
-        assert len(cells) == 1  # one revision cell per partition
-        before = frags[0]._hit_cell[0]
+        assert {id(f._log) for f in frags} == {id(store.hit_log("v", "a"))}  # one log
+        before = store.hit_revision("v", "a")
         frags[1].record_hit(7.0)
-        assert frags[0]._hit_cell[0] == before + 1
+        assert store.hit_revision("v", "a") == before + 1
+        store.ensure_fragment("v", "a", Interval.open_closed(100, 200))  # holds no hit
+        assert store.hit_revision("v", "a") == before + 1
 
 
 # ----------------------------------------------------------------------

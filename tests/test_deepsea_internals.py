@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.selection as selection_module
+import repro.core.valuation as valuation_module
+import repro.costmodel.value as value_module
 from repro import Catalog, DeepSea, Interval, Policy
 from repro.baselines import deepsea
 from repro.bench.harness import sdss_fixture
@@ -29,6 +31,7 @@ from repro.partitioning.fragmentation import Fragmentation
 from repro.query.algebra import Aggregate, AggSpec, Join, Relation, Select
 from repro.query.predicates import between
 from repro.workloads.generator import sdss_mapped_workload
+from tests import list_pstat
 from tests.test_core_components import _double_evaluating_plan_eviction
 from tests.test_fragmentation import _rebuilding_replace
 from tests.test_value_functions import _scalar_adjusted_hits_density
@@ -587,12 +590,12 @@ class TestFitShortCutsOracle:
         assert valuation._fits[key] is _OWED
         parent = next(
             iv for iv in system.stats.intervals_for(vid, "d_k")
-            if system.stats.fragment(vid, "d_k", iv).hit_times
+            if system.stats.fragment(vid, "d_k", iv).hit_count()
         )
         pieces = parent.split_before(parent.lo + 0.37 * parent.width)  # a cut no query made
         assert all(system.stats.fragment(vid, "d_k", p) is None for p in pieces)
         valuation.inherit_fragment_stats(vid, "d_k", SplitCandidate(parent, pieces), t)
-        assert any(system.stats.fragment(vid, "d_k", p).hit_times for p in pieces)
+        assert any(system.stats.fragment(vid, "d_k", p).hit_count() for p in pieces)
         assert valuation._fits[key] == before
         after = partition_distribution(
             system.stats, vid, "d_k", DOMAIN, t, system.policy.effective_decay,
@@ -650,11 +653,44 @@ def assert_mutations_journaled(pool):
         setattr(pool, name, checked)
 
 
+def list_store_of(stats, partitions):
+    """The per-fragment-list store holding what ``stats`` holds for ``partitions``."""
+    lists = list_pstat.StatisticsStore()
+    for view_id, attr, _domain in partitions:
+        for fragment in stats.fragments_for(view_id, attr):
+            copy = lists.ensure_fragment(view_id, attr, fragment.interval)
+            for t, theta in fragment.hits():
+                copy.record_hit(t, theta)
+    return lists
+
+
+def fits_checked_against_the_lists(fits, taken):
+    """``partition_distributions`` that also fits the lists' way and compares."""
+
+    def checked(stats, partitions, t_now, decay, n_parts=256):
+        got = fits(stats, partitions, t_now, decay, n_parts)
+        lists = list_store_of(stats, partitions)
+        want = list_pstat.partition_distributions(lists, partitions, t_now, decay, n_parts)
+        for key, fit in got.items():
+            assert (fit is None) == (want[key] is None)
+            if fit is not None:
+                assert (fit[0].mu, fit[0].sigma2, fit[1]) == (
+                    want[key][0].mu,
+                    want[key][0].sigma2,
+                    want[key][1],
+                )
+        taken.append(len(got))
+        return got
+
+    return checked
+
+
 def test_stateful_tight_pool_run(monkeypatch):
     """150 SDSS-mapped queries against the 10 % pool: after every query
-    every resident entry's Φ is the scalar oracle's, nothing cut for the
-    step outlives it, every pool mutation happened inside a transaction
-    and none is left open; and the whole run — every ledger, decision and
+    every resident entry's Φ is the scalar oracle's, every MLE fit taken is
+    the one the per-fragment hit lists gave, nothing cut for the step
+    outlives it, every pool mutation happened inside a transaction and
+    none is left open; and the whole run — every ledger, decision and
     answer — is the run of the pre-change code paths put back together."""
     fx = sdss_fixture(20.0)
     plans = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=150, seed=2)
@@ -672,10 +708,21 @@ def test_stateful_tight_pool_run(monkeypatch):
         step_scoped.extend((weakref.ref(self), weakref.ref(piece)))
         return piece
 
+    fits_taken: list[int] = []
     system = make()
     assert_mutations_journaled(system.pool)
     with monkeypatch.context() as patched:
         patched.setattr(_Pieces, "__getitem__", tracking_cut)
+        patched.setattr(
+            value_module,
+            "partition_distributions",
+            fits_checked_against_the_lists(value_module.partition_distributions, fits_taken),
+        )
+        patched.setattr(
+            valuation_module,
+            "partition_distributions",
+            fits_checked_against_the_lists(valuation_module.partition_distributions, fits_taken),
+        )
         for plan in plans:
             system.execute(plan)
             assert not system.pool.journal.journaling
@@ -686,6 +733,7 @@ def test_stateful_tight_pool_run(monkeypatch):
                 )
             assert not any(ref() is not None for ref in step_scoped)
     assert step_scoped and sum(r.evictions for r in system.reports) > 0
+    assert sum(fits_taken) > len(plans) // 4  # the run did fit, tick after tick
 
     def always_fit(piece, *, defer_fn=None, dist_fn, **rest):
         return _piece_refinement_passes(piece, dist_fn=dist_fn, defer_fn=dist_fn, **rest)

@@ -58,6 +58,26 @@ def test_selection_decides_without_the_executor():
     assert not [n for n in names if n.startswith("repro.engine.executor")]
 
 
+HIT_LISTS = ("hit_times", "hit_ranges")
+
+
+def test_only_the_statistics_module_reads_raw_hit_lists():
+    """A fragment's hits are its membership in its partition's log
+    (``costmodel/stats.py``); every other module reads them through that
+    module's accessors, so no reader depends on how they are stored."""
+    owner = SRC / "costmodel" / "stats.py"
+    offenders = sorted(
+        {
+            str(path.relative_to(SRC))
+            for path in SRC.rglob("*.py")
+            if path != owner
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr in HIT_LISTS
+        }
+    )
+    assert not offenders, offenders
+
+
 def test_no_core_module_outgrows_600_lines():
     sizes = {p.name: len(p.read_text().splitlines()) for p in CORE.glob("*.py")}
     assert not {name: n for name, n in sizes.items() if n > 600}

@@ -15,6 +15,7 @@ from repro.costmodel.mle import (
 from repro.costmodel.stats import FragmentStats, StatisticsStore
 from repro.costmodel.value import (
     RealizingHitsIndex,
+    fragment_hits,
     fragment_weighted_hits,
     partition_distribution,
     partition_distributions,
@@ -170,7 +171,7 @@ class TestRealizingHitsIndexOracle:
         t_now = float(len(ranges) + 2)
         decay = ProportionalDecay(t_max=1000)
         index = RealizingHitsIndex(parent, self.PARENT, t_now, decay)
-        for piece in pieces:  # call 1 exercises the scalar path, 2+ the arrays
+        for piece in pieces:  # call 1 builds the arrays, 2+ reuse them
             expected = realizing_hits(parent, self.PARENT, piece, t_now, decay)
             assert index.hits_for(piece) == expected
         # re-query after the arrays exist: still exact
@@ -183,8 +184,8 @@ class TestRealizingHitsIndexOracle:
         parent = self._parent_with([None, None])
         index = RealizingHitsIndex(parent, self.PARENT, 5.0, DEC)
         piece = Interval.closed(0, 50)
-        assert index.hits_for(piece) == 0.0  # scalar path
-        assert index.hits_for(piece) == 0.0  # empty-array path
+        assert index.hits_for(piece) == 0.0  # builds empty arrays
+        assert index.hits_for(piece) == 0.0  # and reads them
 
     def test_parent_interval_clamping_matches(self):
         parent_iv = Interval.closed(0, 30)
@@ -270,11 +271,9 @@ class TestPartitionDistributionsOracle:
         results = partition_distributions(store, partitions, t_now, decay)
         for view_id, attr, domain in partitions:
             frags = store.fragments_for(view_id, attr)
-            values = [
-                sum(decay(t_now, t) for t in f.hit_times) if f.hit_times else 0.0
-                for f in frags
-            ]
-            distinct = {t for f in frags for t in f.hit_times}
+            hit_times = [f.times_array().tolist() for f in frags]
+            values = [sum(decay(t_now, t) for t in times) if times else 0.0 for times in hit_times]
+            distinct = {t for times in hit_times for t in times}
             total = sum(decay(t_now, t) for t in sorted(distinct))
             got = results[(view_id, attr)]
             if total <= 0:
@@ -302,14 +301,20 @@ class TestPartitionDistributionsOracle:
                 assert got[0] == single[0]  # FittedNormal dataclass: exact fields
                 assert got[1] == single[1]
 
-    def test_seeds_fragment_hits_memo(self):
+    def test_seeds_fragment_hits_memo(self, monkeypatch):
         store = self._store()
         decay = ProportionalDecay(t_max=50)
         partition_distributions(store, [("v1", "a", DOMAIN)], 10.0, decay)
+        expected = {
+            f.interval: sum(decay.weights(10.0, f.times_array()).tolist())
+            if f.hit_count()
+            else 0.0
+            for f in store.fragments_for("v1", "a")
+        }
+
+        def no_recompute(self, t_now, times):
+            raise AssertionError("fragment_hits recomputed what the fit already summed")
+
+        monkeypatch.setattr(ProportionalDecay, "weights", no_recompute)
         for f in store.fragments_for("v1", "a"):
-            memo = f._hits_memo
-            assert memo is not None and memo[0] == decay and memo[1] == 10.0
-            if f.hit_times:
-                assert memo[2] == sum(decay.weights(10.0, f.times_array()).tolist())
-            else:
-                assert memo[2] == 0.0
+            assert fragment_hits(f, 10.0, decay) == expected[f.interval]
