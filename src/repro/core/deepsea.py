@@ -50,7 +50,7 @@ from repro.engine.cost import ClusterSpec, CostLedger
 from repro.engine.executor import ExecutionContext, Executor
 from repro.matching.filter_tree import FilterTree
 from repro.matching.matcher import partition_attr_ranges
-from repro.matching.rewriter import Rewriter, ViewMatch
+from repro.matching.rewriter import QueryPlan, Rewriter, ViewMatch
 from repro.partitioning.candidates import partition_candidates
 from repro.partitioning.intervals import Interval
 from repro.query.algebra import Plan, replace_subplan
@@ -96,8 +96,22 @@ class DeepSea:
         # _update_match_statistics has nothing to add.
         self._pstat_synced: dict = {}
         self.schemas = {n: catalog.get(n).schema.names for n in catalog.names}
+        stats, tentative = self.stats, self.tentative
+
+        def saving_inputs(view_id: str):
+            vstats = stats.view(view_id)
+            if vstats is None:
+                return None
+            return vstats.size_bytes, tuple(tentative.attrs_of(view_id))
+
         self.rewriter = rewriter = Rewriter(
-            self.schemas, self.filter_tree, self.pool, catalog, self.cluster, self.domains
+            self.schemas,
+            self.filter_tree,
+            self.pool,
+            catalog,
+            self.cluster,
+            self.domains,
+            saving_inputs,
         )
         self.executor = Executor(ExecutionContext(catalog, self.pool, self.cluster))
         self.clock = 0
@@ -199,13 +213,13 @@ class DeepSea:
                 # its own evidence — the paper's final UPDATESTATS folded forward.
                 candidates = self._register_candidates(plan, t)
 
-                # 1-2. Matching and statistics.
-                matches = self.rewriter.find_matches(plan)
-                self._update_match_statistics(plan, matches, t)
+                # 1 and 3. Matches, their savings, and Q_best.
+                planned = self.rewriter.plan(plan)
+                matches, rewritings, chosen = planned.matches, planned.rewritings, planned.chosen
 
-                # 3. Choose Q_best.
-                rewritings = self.rewriter.build_rewritings(plan, matches)
-                chosen = self.rewriter.best_rewriting(plan, rewritings)
+                # 2. Statistics: benefit events and PSTAT hits, which planning
+                # never reads — so it may follow step 3.
+                self._update_match_statistics(planned, t)
 
             with self._stage("selection"):
                 # 5. Selection: creations and refinements.
@@ -384,20 +398,15 @@ class DeepSea:
     # ------------------------------------------------------------------
     # Statistics update (§8.4)
     # ------------------------------------------------------------------
-    def _update_match_statistics(
-        self, plan: Plan, matches: list[ViewMatch], t: float
-    ) -> None:
+    def _update_match_statistics(self, planned: QueryPlan, t: float) -> None:
         # A view often matches several subqueries of the same query (e.g.
         # the bare join and the selection above it).  The view's best use
         # is the one with the largest saving; record exactly one benefit
         # event and one round of fragment hits per view per query.
         best: dict[str, tuple[float, ViewMatch]] = {}
-        for match in matches:
-            vstats = self.stats.view(match.view_id)
-            if vstats is None:
-                continue
-            attrs = self.tentative.attrs_of(match.view_id)
-            saving = self.rewriter.estimate_saving(plan, match, vstats.size_bytes, attrs)
+        for match, saving in zip(planned.matches, planned.savings):
+            if saving is None:
+                continue  # the view has no statistics
             current = best.get(match.view_id)
             specificity = len(match.attr_ranges)
             if current is None or (saving, specificity) > (

@@ -21,9 +21,13 @@ class DomainResolver:
     def __init__(self, catalog: Catalog, declared: dict[str, Interval] | None = None):
         self._catalog = catalog
         self._cache: dict[str, Interval | None] = dict(declared or {})
+        # Moves whenever an answer may change: on ``declare``.  A derived
+        # domain is cached at its first lookup and never changes after.
+        self.version = 0
 
     def declare(self, attr: str, domain: Interval) -> None:
         self._cache[attr] = domain
+        self.version += 1
 
     def __call__(self, attr: str) -> Interval | None:
         if attr in self._cache:

@@ -30,7 +30,7 @@ from repro.engine.cost import ClusterSpec
 from repro.matching.partition_match import greedy_cover
 from repro.matching.rewriter import ViewMatch
 from repro.partitioning.candidates import SplitCandidate, partition_candidates
-from repro.partitioning.intervals import Interval
+from repro.partitioning.intervals import Interval, IntervalIndex
 from repro.query.algebra import Plan
 from repro.storage.pool import FragmentKey, MaterializedViewPool
 
@@ -60,7 +60,7 @@ def _piece_refinement_passes(
     *,
     estimator: ResidentProfile,
     resident_sizes: dict[Interval, float],
-    resident_intervals: list[Interval],
+    resident_index: IntervalIndex,
     domain: Interval,
     cluster: ClusterSpec,
     realizing: "RealizingHitsIndex | None",
@@ -87,7 +87,7 @@ def _piece_refinement_passes(
         _, size_est, cost_est, saving_per_hit = pre
     else:
         size_est, cost_est = estimator.estimate(piece)
-        cover = greedy_cover(piece, resident_intervals)
+        cover = greedy_cover(piece, [], index=resident_index)
         if cover is None:
             # hole in the partition: nothing to refine from
             estimator.piece_memo[piece] = (False, 0.0, 0.0, 0.0)
@@ -408,7 +408,7 @@ class Selection:
             _piece_refinement_passes,
             estimator=part.profile,
             resident_sizes=part.sizes,
-            resident_intervals=part.intervals,
+            resident_index=part.cover_index,
             domain=part.domain,
             cluster=self.cluster,
             realizing=(

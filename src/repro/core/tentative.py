@@ -16,6 +16,8 @@ progressively:
 
 from __future__ import annotations
 
+from bisect import insort
+
 from repro.errors import PartitionError
 from repro.partitioning.candidates import SplitCandidate
 from repro.partitioning.fragmentation import Fragmentation
@@ -27,6 +29,9 @@ class TentativePartitions:
 
     def __init__(self) -> None:
         self._designs: dict[tuple[str, str], Fragmentation] = {}
+        # view -> its attributes with a design, sorted: read for every match
+        # of every query, so not a scan over every design.
+        self._attrs: dict[str, list[str]] = {}
 
     def get(self, view_id: str, attr: str) -> Fragmentation | None:
         return self._designs.get((view_id, attr))
@@ -35,15 +40,20 @@ class TentativePartitions:
         design = self._designs.get((view_id, attr))
         if design is None:
             design = Fragmentation.single(attr, domain)
-            self._designs[(view_id, attr)] = design
+            self._install(view_id, attr, design)
         return design
+
+    def _install(self, view_id: str, attr: str, design: Fragmentation) -> None:
+        if (view_id, attr) not in self._designs:
+            insort(self._attrs.setdefault(view_id, []), attr)
+        self._designs[(view_id, attr)] = design
 
     def intervals(self, view_id: str, attr: str) -> list[Interval]:
         design = self._designs.get((view_id, attr))
         return list(design.intervals) if design else []
 
     def attrs_of(self, view_id: str) -> list[str]:
-        return sorted(a for (v, a) in self._designs if v == view_id)
+        return list(self._attrs.get(view_id, ()))
 
     # ------------------------------------------------------------------
     def apply_split(self, view_id: str, attr: str, candidate: SplitCandidate) -> None:
@@ -64,4 +74,4 @@ class TentativePartitions:
 
     def replace_design(self, view_id: str, attr: str, design: Fragmentation) -> None:
         """Install a full design (used by the equi-depth policy)."""
-        self._designs[(view_id, attr)] = design
+        self._install(view_id, attr, design)

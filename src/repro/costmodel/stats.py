@@ -120,6 +120,7 @@ class HitLog:
         self._first = np.empty(16, dtype=np.intp)  # first holder in partition order, or -1
         self._ranges: list[Interval | None] = []
         self._member = np.zeros((16, 8), dtype=bool)  # [entry, row]
+        self._held_count = np.zeros(8, dtype=np.intp)  # entries each row holds
         self._rows = np.empty(0, dtype=np.intp)  # rows in partition (interval) order
         self._pos = np.zeros(8, dtype=np.intp)  # each owned row's index in _rows
         self._next_row = 0
@@ -144,6 +145,9 @@ class HitLog:
                 grown[:, :row] = self._member
                 self._member = grown
                 self._pos = np.concatenate((self._pos, np.zeros(row, dtype=np.intp)))
+                self._held_count = np.concatenate(
+                    (self._held_count, np.zeros(row, dtype=np.intp))
+                )
                 self._decayed = None  # its per-row array no longer spans the rows
         rows = np.empty(self._rows.size + 1, dtype=np.intp)
         rows[:pos], rows[pos], rows[pos + 1 :] = self._rows[:pos], row, self._rows[pos:]
@@ -155,6 +159,7 @@ class HitLog:
     def remove_row(self, row: int) -> None:
         n = self._n
         self._member[:n, row] = False
+        self._held_count[row] = 0
         pos = self._pos[row]
         self._rows = np.concatenate((self._rows[:pos], self._rows[pos + 1 :]))
         self._pos[self._rows[pos:]] -= 1
@@ -190,6 +195,7 @@ class HitLog:
         self._ranged[e] = theta is not None
         self._ranges.append(theta)
         self._member[e, rows] = True
+        self._held_count[rows] += 1  # once per distinct row, as the membership
         self._first[e] = rows[self._pos[rows].argmin()] if rows.size else -1
         self._n = e + 1
         self.revision += 1
@@ -220,6 +226,7 @@ class HitLog:
         new = taken[~held[taken]]
         if new.size:
             held[new] = True
+            self._held_count[row] += new.size
             first = self._first[new]
             ahead = (first < 0) | (self._pos[first] > self._pos[row])
             self._first[new[ahead]] = row
@@ -228,6 +235,11 @@ class HitLog:
     def entries(self, row: int) -> np.ndarray:
         """The entries ``row`` holds, in log order."""
         return np.flatnonzero(self._member[: self._n, row])
+
+    def held_count(self, row: int) -> int:
+        """How many entries ``row`` holds: ``len(entries(row))``, kept as the
+        membership changes."""
+        return int(self._held_count[row])
 
     # ------------------------------------------------------------------
     # Readers
@@ -354,8 +366,7 @@ class FragmentStats:
         log.union(self._row, *rows)
 
     def hit_count(self) -> int:
-        log = self._hits()
-        return int(np.count_nonzero(log._member[: len(log), self._row]))
+        return self._hits().held_count(self._row)
 
     def times_array(self) -> np.ndarray:
         """The hit times, in the order they were recorded."""

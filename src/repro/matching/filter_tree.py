@@ -67,6 +67,12 @@ class FilterTree:
         self._root: dict = {}
         self._signatures: dict[str, Signature] = {}
         self.stats = FilterTreeStats()
+        # ``version`` moves on every add and remove, ``removals`` on removes
+        # only.  Between removals a bucket only ever grows at its end, so a
+        # reader that saw a bucket's first n views needs to look at the
+        # views appended after them and nothing else (Rewriter.plan).
+        self.version = 0
+        self.removals = 0
 
     # ------------------------------------------------------------------
     # Residency statistics (delta-fed, never rescans the pool)
@@ -102,6 +108,7 @@ class FilterTree:
         level3[view_id] = signature
         self._signatures[view_id] = signature
         self.stats.views_indexed += 1
+        self.version += 1
 
     def remove(self, view_id: str) -> None:
         signature = self._signatures.pop(view_id, None)
@@ -118,17 +125,24 @@ class FilterTree:
         if not level1:
             del self._root[signature.relations]
         self.stats.views_indexed -= 1
+        self.version += 1
+        self.removals += 1
+
+    def bucket(self, query_sig: Signature) -> "dict[str, Signature] | None":
+        """The live bucket of views agreeing with the query on all indexed
+        levels, in insertion order, or ``None`` (uncounted; don't mutate)."""
+        level1 = self._root.get(query_sig.relations)
+        if level1 is None:
+            return None
+        level2 = level1.get(query_sig.join_classes)
+        if level2 is None:
+            return None
+        return level2.get(query_sig.agg_key)
 
     def candidates(self, query_sig: Signature) -> list[tuple[str, Signature]]:
         """Views agreeing with the query on all indexed levels."""
         self.stats.lookups += 1
-        level1 = self._root.get(query_sig.relations)
-        if level1 is None:
-            return []
-        level2 = level1.get(query_sig.join_classes)
-        if level2 is None:
-            return []
-        level3 = level2.get(query_sig.agg_key)
+        level3 = self.bucket(query_sig)
         if level3 is None:
             return []
         out = list(level3.items())

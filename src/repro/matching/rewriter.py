@@ -1,6 +1,7 @@
 """Query rewriting using (partitioned) materialized views (§8).
 
-The rewriter drives three things per query:
+:meth:`Rewriter.plan` is Algorithm 1's steps 1 and 3 for one query, and
+the one entry point callers use.  It drives:
 
 * :meth:`Rewriter.find_matches` — every view in the statistics index whose
   signature matches some subquery of Q, *resident or not*.  Non-resident
@@ -8,15 +9,21 @@ The rewriter drives three things per query:
   been used" (§8.4).
 * :meth:`Rewriter.build_rewritings` — executable plans for matches whose
   view (or a fragment cover of the query's range) is resident in the
-  pool, with estimated costs.
-* :func:`estimate_plan_cost` — a cheap cost estimate used to rank
-  rewritings and to compute benefit events (COST(Q) − COST(Q/V)).
+  pool, with estimated costs; :meth:`Rewriter.best_rewriting` picks Q_best.
+* :meth:`Rewriter.estimate_saving` — each match's benefit event
+  (COST(Q) − COST(Q/V)), from :meth:`Rewriter.estimate_plan_cost`, a cheap
+  cost estimate also used to rank rewritings.
+
+A query planned twice keeps a record of the answer, reused while nothing
+it read has moved (:class:`_PlanRecord`).
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable
 
 from repro.caches import register_cache
@@ -38,7 +45,7 @@ from repro.query.algebra import (
     Select,
     replace_subplan,
 )
-from repro.query.analysis import SchemaMap, analyze_plan, job_boundaries
+from repro.query.analysis import SchemaMap, analyze_plan
 from repro.query.optimizer import push_down
 from repro.query.predicates import RangePredicate
 from repro.query.signature import Signature, compute_signature
@@ -46,6 +53,9 @@ from repro.query.subqueries import unique_subplans
 from repro.storage.pool import MaterializedViewPool
 
 DomainLookup = Callable[[str], "Interval | None"]
+# view id -> what its saving reads besides the query: (S(V), its tentative
+# partition attributes), or None for a view without statistics.
+ViewInputs = Callable[[str], "tuple[float, tuple[str, ...]] | None"]
 
 # Crude per-operator output-size factors for the estimator. Ranking only:
 # rewritings differ mainly in leaf read volume and job count, which the
@@ -54,29 +64,54 @@ _SELECT_FACTOR = 0.2
 _PROJECT_FACTOR = 0.8
 _AGG_FACTOR = 0.05
 
+# Bounds of the per-rewriter memos, least recently used out first: an entry
+# stamped with a superseded catalog or cover version can never hit again,
+# and a long-lived service would otherwise keep every one.
+_ESTIMATE_MEMO_MAX = 4_096
+_PLAN_RECORD_MAX = 1_024
+# Plans sighted once and not (yet) recorded; first in, first out.
+_PLAN_SIGHTED_MAX = 4_096
+
 # Live rewriter instances, for registry-driven clearing of the
-# per-instance plan-cost memos (worker isolation, cold/warm tests).
+# per-instance memos (worker isolation, cold/warm tests).
 _REWRITERS: "weakref.WeakSet[Rewriter]" = weakref.WeakSet()
-_ESTIMATE_MEMO_STATS = {"hits": 0, "misses": 0}
+_ESTIMATE_MEMO_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+_PLAN_RECORD_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def _clear_estimate_memos() -> None:
     for rewriter in _REWRITERS:
         rewriter._estimate_memo.clear()
-    _ESTIMATE_MEMO_STATS["hits"] = 0
-    _ESTIMATE_MEMO_STATS["misses"] = 0
+    _ESTIMATE_MEMO_STATS.update(hits=0, misses=0, evictions=0)
 
 
 def _estimate_memo_stats() -> dict:
     return {
-        "hits": _ESTIMATE_MEMO_STATS["hits"],
-        "misses": _ESTIMATE_MEMO_STATS["misses"],
-        "evictions": 0,
+        **_ESTIMATE_MEMO_STATS,
         "entries": sum(len(r._estimate_memo) for r in _REWRITERS),
     }
 
 
+def _clear_plan_records() -> None:
+    for rewriter in _REWRITERS:
+        rewriter._records.clear()
+        rewriter._sighted.clear()
+    _PLAN_RECORD_STATS.update(hits=0, misses=0, evictions=0)
+
+
+def _plan_record_stats() -> dict:
+    return {
+        **_PLAN_RECORD_STATS,
+        "entries": sum(len(r._records) for r in _REWRITERS),
+    }
+
+
 register_cache("matching.estimate_memo", _clear_estimate_memos, _estimate_memo_stats)
+register_cache("matching.plan_record", _clear_plan_records, _plan_record_stats)
+
+
+def _no_view_inputs(view_id: str) -> None:
+    return None
 
 
 @dataclass(frozen=True)
@@ -117,6 +152,52 @@ class PlanEstimate:
     jobs: int
 
 
+@dataclass(frozen=True)
+class QueryPlan:
+    """One query's Algorithm 1 steps 1 and 3 (:meth:`Rewriter.plan`).
+
+    Every caller that plans the query at the same state shares one
+    instance, so it is read-only.
+    """
+
+    matches: tuple[ViewMatch, ...]
+    rewritings: tuple[Rewriting, ...]
+    chosen: Rewriting | None  # Q_best; None = run the direct plan
+    # estimate_saving of each match; None where the view has no statistics
+    savings: tuple[float | None, ...]
+
+
+@dataclass(eq=False, slots=True)
+class _PlanRecord:
+    """A :class:`QueryPlan` and everything it read that can move.
+
+    * ``catalog_version`` — base-relation sizes, read by every estimate;
+    * ``domains_version`` — the partition-attribute domains that clamp
+      covers and savings;
+    * ``covers`` — each matched view's cover version: its residency, its
+      fragments and their sizes, hence its rewritings and their costs;
+    * ``probes`` — for each subplan ``find_matches`` probed, its signature
+      and the length of the filter-tree bucket it read.  A bucket grows
+      only at its end between removals (``tree`` holds the tree's version
+      and removal count last checked), and a view appended since that
+      matches none of the record's subplans leaves ``find_matches``'
+      output unchanged, element for element;
+    * ``inputs`` — per match, the view's S(V) and tentative attributes its
+      saving read (with the catalog version and the domains, all it reads).
+
+    Nothing else is read: signatures, matching and pushdown are pure in
+    the plans, and the cluster and schemas are fixed per rewriter.
+    """
+
+    planned: QueryPlan
+    catalog_version: int
+    domains_version: int
+    covers: tuple[tuple[str, int], ...]
+    tree: tuple[int, int]
+    probes: list[list]  # [subplan signature, bucket length seen]
+    inputs: tuple
+
+
 class Rewriter:
     def __init__(
         self,
@@ -126,30 +207,137 @@ class Rewriter:
         catalog: Catalog,
         cluster: ClusterSpec,
         domain_lookup: DomainLookup,
+        view_inputs: ViewInputs = _no_view_inputs,
     ) -> None:
+        """``domain_lookup`` may carry a ``version`` that moves whenever an
+        answer may change (:class:`~repro.core.domains.DomainResolver`); a
+        plain function is taken to answer the same forever.  ``view_inputs``
+        gives a view's S(V) and tentative attributes for its saving."""
         self.schemas = schemas
         self.filter_tree = filter_tree
         self.pool = pool
         self.catalog = catalog
         self.cluster = cluster
         self.domain_lookup = domain_lookup
-        self._signature_cache: dict[Plan, Signature] = {}
+        self.view_inputs = view_inputs
         # Greedy-cover memo invalidated by pool cover deltas (per-view
         # versions), shared with DeepSea's reconstruction planning.
         self.cover_cache = CoverCache(pool)
         # Plan-cost memo keyed on everything the estimate reads: the plan,
         # the catalog version, and the cover versions of the views its
         # MaterializedScan leaves resolve against (see estimate_plan_cost).
-        self._estimate_memo: dict[tuple, PlanEstimate] = {}
+        self._estimate_memo: OrderedDict[tuple, PlanEstimate] = OrderedDict()
+        # query -> its planning record, and the queries sighted once (plan).
+        self._records: OrderedDict[Plan, _PlanRecord] = OrderedDict()
+        self._sighted: dict[Plan, None] = {}
         _REWRITERS.add(self)
 
     # ------------------------------------------------------------------
     def signature_of(self, plan: Plan) -> Signature:
-        sig = self._signature_cache.get(plan)
-        if sig is None:
-            sig = compute_signature(plan, self.schemas)
-            self._signature_cache[plan] = sig
-        return sig
+        return compute_signature(plan, self.schemas)
+
+    # ------------------------------------------------------------------
+    # Planning (Algorithm 1, steps 1 and 3)
+    # ------------------------------------------------------------------
+    def plan(self, query: Plan) -> QueryPlan:
+        """The query's matches, rewritings, Q_best and each match's saving.
+
+        Computed by :meth:`find_matches`, :meth:`build_rewritings`,
+        :meth:`best_rewriting` and :meth:`estimate_saving`, or read from the
+        query's record while nothing the record read has moved
+        (:class:`_PlanRecord`); a saving is recomputed alone when only its
+        view's inputs moved.  A record is made at a query's second sighting
+        (two strikes, as the probe cache admits joins), so a stream that
+        never repeats a query keeps none.
+        """
+        record = self._records.get(query)
+        if record is not None and self._still_valid(record):
+            self._records.move_to_end(query)
+            _PLAN_RECORD_STATS["hits"] += 1
+            return self._with_current_savings(query, record)
+        _PLAN_RECORD_STATS["misses"] += 1
+        matches = self.find_matches(query)
+        rewritings = self.build_rewritings(query, matches)
+        chosen = self.best_rewriting(query, rewritings)
+        inputs = tuple(self.view_inputs(m.view_id) for m in matches)
+        planned = QueryPlan(
+            tuple(matches),
+            tuple(rewritings),
+            chosen,
+            tuple(self._saving(query, m, i) for m, i in zip(matches, inputs)),
+        )
+        if record is not None or query in self._sighted:
+            self._record(query, planned, inputs)
+        else:
+            self._sighted[query] = None
+            if len(self._sighted) > _PLAN_SIGHTED_MAX:
+                del self._sighted[next(iter(self._sighted))]
+        return planned
+
+    def _saving(self, query: Plan, match: ViewMatch, inputs) -> float | None:
+        if inputs is None:
+            return None
+        return self.estimate_saving(query, match, *inputs)
+
+    def _record(self, query: Plan, planned: QueryPlan, inputs: tuple) -> None:
+        self._sighted.pop(query, None)
+        probes = []
+        for sub in unique_subplans(query):
+            if not isinstance(sub, (Relation, MaterializedScan)):
+                sig = self.signature_of(sub)
+                probes.append([sig, len(self.filter_tree.bucket(sig) or ())])
+        view_ids = dict.fromkeys(m.view_id for m in planned.matches)
+        records = self._records
+        records[query] = _PlanRecord(
+            planned,
+            self.catalog.version,
+            getattr(self.domain_lookup, "version", 0),
+            tuple((v, self.pool.cover_version(v)) for v in view_ids),
+            (self.filter_tree.version, self.filter_tree.removals),
+            probes,
+            inputs,
+        )
+        records.move_to_end(query)
+        if len(records) > _PLAN_RECORD_MAX:
+            records.popitem(last=False)
+            _PLAN_RECORD_STATS["evictions"] += 1
+
+    def _still_valid(self, record: _PlanRecord) -> bool:
+        if record.catalog_version != self.catalog.version:
+            return False
+        if record.domains_version != getattr(self.domain_lookup, "version", 0):
+            return False
+        cover_version = self.pool.cover_version
+        if any(cover_version(v) != version for v, version in record.covers):
+            return False
+        tree = self.filter_tree
+        if record.tree != (tree.version, tree.removals):
+            if record.tree[1] != tree.removals:
+                return False
+            for probe in record.probes:
+                sig, seen = probe
+                bucket = tree.bucket(sig)
+                if bucket is None or len(bucket) == seen:
+                    continue
+                if any(match_view(v, sig) is not None for v in islice(bucket.values(), seen, None)):
+                    return False
+                probe[1] = len(bucket)
+            record.tree = (tree.version, tree.removals)
+        return True
+
+    def _with_current_savings(self, query: Plan, record: _PlanRecord) -> QueryPlan:
+        planned = record.planned
+        inputs = tuple(self.view_inputs(m.view_id) for m in planned.matches)
+        if inputs != record.inputs:
+            savings = tuple(
+                saving if now == then else self._saving(query, match, now)
+                for match, saving, now, then in zip(
+                    planned.matches, planned.savings, inputs, record.inputs
+                )
+            )
+            record.planned = planned = replace(planned, savings=savings)
+            record.inputs = inputs
+        return planned
 
     # ------------------------------------------------------------------
     # Matching
@@ -279,7 +467,8 @@ class Rewriter:
         matching version pins every ``get_fragment``/``whole_view_entry``
         resolution).  Matching and statistics re-cost the same plans many
         times per query — and a memo hit replays the identical floats, so
-        the simulated economics are unchanged.
+        the simulated economics are unchanged.  The memo keeps the
+        ``_ESTIMATE_MEMO_MAX`` most recently used estimates.
         """
         analysis = analyze_plan(plan)
         key = (
@@ -290,6 +479,7 @@ class Rewriter:
         memo = self._estimate_memo
         est = memo.get(key)
         if est is not None:
+            memo.move_to_end(key)
             _ESTIMATE_MEMO_STATS["hits"] += 1
             return est
         _ESTIMATE_MEMO_STATS["misses"] += 1
@@ -297,6 +487,9 @@ class Rewriter:
         if est.jobs == 0:
             est = PlanEstimate(est.bytes_out, est.cost_s + self.cluster.job_overhead_s, 1)
         memo[key] = est
+        if len(memo) > _ESTIMATE_MEMO_MAX:
+            memo.popitem(last=False)
+            _ESTIMATE_MEMO_STATS["evictions"] += 1
         return est
 
     def _estimate(self, plan: Plan, boundaries: set[Plan]) -> PlanEstimate:

@@ -67,25 +67,28 @@ class Signature:
 # for the same subplans — by candidate registration, matching, and benefit
 # estimation within a single query, and across queries for recurring plan
 # shapes.  Memoize on plan identity (structural hash of the frozen plan
-# tree) plus a hashable snapshot of the schema map.
+# tree) plus a small id naming the schema map's contents.
 _SIGNATURE_CACHE: dict[tuple, Signature] = {}
 _SIGNATURE_CACHE_MAX = 65_536
+_SIGNATURE_EVICTIONS = [0]
 
-# Hashable snapshots of schema maps, keyed by dict identity.  Holding a
-# strong reference to the snapshotted dict pins its id (no reuse after
-# GC), and the ``is`` check rejects id collisions outright, so the only
-# way to observe a stale snapshot is in-place mutation of a schema map —
-# which no caller does (schema maps are built once per catalog).  This
-# turns the per-call ``tuple(sorted(schemas.items()))`` into a dict hit.
-_SCHEMA_SNAPSHOTS: dict[int, tuple[SchemaMap, tuple]] = {}
+# Schema maps by dict identity -> the id of their contents, interned so that
+# equal maps share memo entries and a key hashes two cached values instead
+# of a snapshot of every column name.  Holding a strong reference to the
+# dict pins its id (no reuse after GC), and the ``is`` check rejects id
+# collisions outright, so the only way to observe a stale id is in-place
+# mutation of a schema map — which no caller does (schema maps are built
+# once per catalog).
+_SCHEMA_IDS: dict[int, tuple[SchemaMap, int]] = {}
+_SNAPSHOT_IDS: dict[tuple, int] = {}
 
 
-def _schema_snapshot(schemas: SchemaMap) -> tuple:
-    entry = _SCHEMA_SNAPSHOTS.get(id(schemas))
+def _schema_id(schemas: SchemaMap) -> int:
+    entry = _SCHEMA_IDS.get(id(schemas))
     if entry is None or entry[0] is not schemas:
         snapshot = tuple(sorted(schemas.items()))
-        _SCHEMA_SNAPSHOTS[id(schemas)] = (schemas, snapshot)
-        return snapshot
+        entry = (schemas, _SNAPSHOT_IDS.setdefault(snapshot, len(_SNAPSHOT_IDS)))
+        _SCHEMA_IDS[id(schemas)] = entry
     return entry[1]
 
 
@@ -96,13 +99,14 @@ def compute_signature(plan: Plan, schemas: SchemaMap) -> Signature:
     only computed over *definitions* (queries and candidate views), never
     over already-rewritten plans.
     """
-    key = (plan, _schema_snapshot(schemas))
+    key = (plan, _schema_id(schemas))
     cached = _SIGNATURE_CACHE.get(key)
     if cached is not None:
         return cached
     signature = _compute_signature(plan, schemas)
     if len(_SIGNATURE_CACHE) >= _SIGNATURE_CACHE_MAX:
         _SIGNATURE_CACHE.pop(next(iter(_SIGNATURE_CACHE)))
+        _SIGNATURE_EVICTIONS[0] += 1
     _SIGNATURE_CACHE[key] = signature
     return signature
 
@@ -153,7 +157,9 @@ def view_id_for(plan: Plan) -> str:
 def clear_signature_caches() -> None:
     """Drop memoized signatures and view ids (tests / long-lived sessions)."""
     _SIGNATURE_CACHE.clear()
-    _SCHEMA_SNAPSHOTS.clear()
+    _SIGNATURE_EVICTIONS[0] = 0
+    _SCHEMA_IDS.clear()
+    _SNAPSHOT_IDS.clear()
     view_id_for.cache_clear()
 
 
@@ -162,7 +168,7 @@ def _signature_cache_stats() -> dict:
     return {
         "hits": info.hits,
         "misses": info.misses,
-        "evictions": 0,
+        "evictions": _SIGNATURE_EVICTIONS[0],
         "entries": len(_SIGNATURE_CACHE) + info.currsize,
     }
 

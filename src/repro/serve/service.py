@@ -374,11 +374,12 @@ class QueryService:
 
         Planning trouble is never fatal — it degrades to direct execution,
         which the matching layer already treats as the universal fallback.
+        Readers and the writer plan through the one ``Rewriter.plan`` under
+        the same lock, so a query already planned at this state is a lookup
+        of its record.
         """
         try:
-            rewriter = self.system.rewriter
-            rewritings = rewriter.build_rewritings(plan, rewriter.find_matches(plan))
-            return rewriter.best_rewriting(plan, rewritings)
+            return self.system.rewriter.plan(plan).chosen
         except ReproError:
             return None
 

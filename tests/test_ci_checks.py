@@ -191,6 +191,56 @@ class TestCheckHitLog:
         assert self.problems({}, 40)
 
 
+class TestCheckPlanRecord:
+    """The verdict on synthetic record counters, then one live run."""
+
+    @staticmethod
+    def problems(repeat: dict, calls: int, unique: dict, floor: float = 0.7) -> list[str]:
+        spec = importlib.util.spec_from_file_location(
+            "check_plan_record", CHECKS / "check_plan_record.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.check(repeat, calls, unique, floor)
+
+    @staticmethod
+    def counters(hits: int, misses: int, entries: int = 0, evictions: int = 0) -> dict:
+        return {"hits": hits, "misses": misses, "evictions": evictions, "entries": entries}
+
+    def test_passes_at_and_above_floor(self):
+        assert self.problems(self.counters(70, 30, 20), 30, self.counters(0, 50)) == []
+        proc = run_check(
+            "check_plan_record.py", "--queries", "200", "--plans", "20", "--instance-gb", "5"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "from a record" in proc.stdout
+
+    def test_fails_below_floor_with_observed_share(self):
+        (problem,) = self.problems(self.counters(69, 31, 20), 31, self.counters(0, 50))
+        assert "0.690" in problem
+
+    def test_fails_when_find_matches_runs_beside_the_record(self):
+        (problem,) = self.problems(self.counters(80, 20, 20), 25, self.counters(0, 50))
+        assert "25 times for 20 record misses" in problem
+
+    def test_fails_when_a_unique_stream_admits_records(self):
+        (problem,) = self.problems(self.counters(80, 20), 20, self.counters(0, 50, 1, 2))
+        assert "3 records admitted" in problem
+        assert self.problems(self.counters(80, 20), 20, self.counters(1, 49))
+
+    def test_fails_when_nothing_was_planned(self):
+        (problem,) = self.problems(self.counters(0, 0), 0, self.counters(0, 0))
+        assert "checked nothing" in problem
+
+    def test_floor_flag(self):
+        proc = run_check(
+            "check_plan_record.py",
+            *("--queries", "200", "--plans", "20", "--instance-gb", "5", "--floor", "0.99"),
+        )
+        assert proc.returncode == 1
+        assert "below floor" in proc.stderr
+
+
 def serve_phase(**over) -> dict:
     base = {
         "offered": 20, "answered": 20, "shed": 0, "timed_out": 0,

@@ -28,6 +28,7 @@ from repro.engine.table import Table
 from repro.parallel.determinism import report_fingerprint
 from repro.partitioning.candidates import SplitCandidate
 from repro.partitioning.fragmentation import Fragmentation
+from repro.partitioning.intervals import IntervalIndex
 from repro.query.algebra import Aggregate, AggSpec, Join, Relation, Select
 from repro.query.predicates import between
 from repro.workloads.generator import sdss_mapped_workload
@@ -228,7 +229,7 @@ class TestPieceRefinementMemo:
             piece,
             estimator=estimator,
             resident_sizes=sizes,
-            resident_intervals=list(sizes),
+            resident_index=IntervalIndex(list(sizes)),
             domain=self.DOMAIN,
             cluster=self._cluster(),
             realizing=realizing,
@@ -300,7 +301,7 @@ class TestPieceRefinementMemo:
             piece,
             estimator=estimator,
             resident_sizes=sizes,
-            resident_intervals=list(sizes),
+            resident_index=IntervalIndex(list(sizes)),
             domain=self.DOMAIN,
             cluster=self._cluster(),
             realizing=None,
@@ -560,7 +561,7 @@ class TestFitShortCutsOracle:
             piece,
             estimator=estimator,
             resident_sizes={},
-            resident_intervals=[],
+            resident_index=IntervalIndex([]),
             domain=DOMAIN,
             cluster=ClusterSpec(),
             realizing=Realizing(),

@@ -6,7 +6,7 @@ them.  A random interleaving of every write (tracking a fragment, a
 query's hits, a single fragment's hit, a split's inheritance, a merge's
 union, dropping a fragment, the clock moving on) is applied to both
 stores, and after every step every reader of raw hits must agree bit for
-bit: each fragment's hit times, ranges and last access, ``fragment_hits``,
+bit: each fragment's hit times, ranges, count and last access, ``fragment_hits``,
 the realizing hits (both calls of an index, against both paths of the
 old one), the observed jitter, co-access, and the partition's MLE fit
 (per-fragment values, H_total, μ, σ²).
@@ -175,6 +175,12 @@ def test_every_reader_sees_the_lists_it_saw_before(script, decay):
         assert_same_readings(new, old, t, decay)
         for n, o in dropped:
             assert_same_hits(n, o)
+        for attr in ATTRS:  # the kept counts, freed rows included, are the membership's
+            log = new.hit_log("v", attr)
+            if log is not None:
+                width = log._next_row
+                held = log._member[: len(log), :width].sum(axis=0)
+                assert [log.held_count(row) for row in range(width)] == held.tolist()
     for attr in ATTRS:
         log = new.hit_log("v", attr)
         assert log is None or len(log) <= writes  # one entry per recorded query at most
