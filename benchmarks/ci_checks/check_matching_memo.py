@@ -1,16 +1,10 @@
 """CI gate: the matching-stage memo hit rate must clear a checked-in floor.
 
-The cover-delta invalidation work keys `match_view` skeletons on
-range-free signature shapes and greedy covers on per-view cover versions,
-so pool mutations of one view no longer flush everyone else's entries.
-On the fig-5a smoke this pushes the `matching.match_view` hit rate from
-~55% (whole-cover invalidation) to >95%; the floor locks the property in
-and fails with the observed rate so a regression is diagnosable from the
-CI log alone.
-
-The gate also requires the `matching.cover_cache` per-view invalidation
-counters to be present in :func:`repro.caches.cache_stats` — they are the
-observable part of the delta protocol.
+The `match_view` memo keys skeletons on range-free signature shapes, so
+pool mutations never flush it.  On the fig-5a smoke this puts the
+`matching.match_view` hit rate above 95% (from ~55% when the key held
+whole signatures); the floor locks the property in and fails with the
+observed rate so a regression is diagnosable from the CI log alone.
 
 Runs the H / NP / DS systems over a small fig-5a workload in-process and
 reads the cache registry.  Runnable locally:
@@ -31,11 +25,6 @@ def check(stats: dict, floor: float) -> list[str]:
     memo = stats.get("matching.match_view")
     if memo is None:
         return ["matching.match_view not in cache stats"]
-    cover = stats.get("matching.cover_cache")
-    if cover is None:
-        return ["matching.cover_cache not in cache stats"]
-    if "invalidations" not in cover or "by_view" not in cover:
-        return [f"matching.cover_cache lacks per-view invalidation counters: {sorted(cover)}"]
     calls = memo["hits"] + memo["misses"]
     if calls == 0:
         return ["no match_view calls recorded — the workload ran no matching"]
@@ -73,8 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         plans,
     )
     stats = caches.cache_stats()
-    for name in ("matching.match_view", "matching.cover_cache"):
-        print(f"{name}: {stats.get(name)}")
+    print(f"matching.match_view: {stats.get('matching.match_view')}")
     problems = check(stats, args.floor)
     for problem in problems:
         print(f"FAIL {problem}", file=sys.stderr)

@@ -4,7 +4,7 @@ Replays the same workload twice against one system instance: on the
 second pass every query's plan, catalog version, and pool epoch are
 unchanged, so it must be served from the result cache.  Zero hits means
 the cache key or the epoch protocol broke (e.g. an epoch bump on a
-non-mutation, which the cover-delta work specifically must not introduce).
+non-mutation, which the per-view cover versions must not introduce).
 
 Runnable locally:
 

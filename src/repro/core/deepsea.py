@@ -84,9 +84,6 @@ class DeepSea:
         self.pool = MaterializedViewPool(smax_bytes, SimulatedHDFS())
         self.stats = StatisticsStore()
         self.filter_tree = FilterTree()
-        # §8.3: the filter tree is also the statistics registry; its
-        # per-view residency counters ride the pool's delta stream.
-        self.filter_tree.subscribe_to(self.pool)
         self.domains = DomainResolver(catalog, domains)
         self.tentative = TentativePartitions()
         # (view, attr) -> the exact Fragmentation whose intervals have

@@ -295,14 +295,13 @@ class Repartitioner:
             domain = self.domains(attr)
             if domain is None:
                 continue
-            by_interval = {e.key.interval: e for e in self.pool.fragments_of(view_id, attr)}
-            cover = greedy_cover(domain, list(by_interval))
+            cover = greedy_cover(domain, [], index=self.pool.cover_index(view_id, attr))
             if cover is None:
                 continue
             pieces = []
             total = 0.0
             for covered in cover:
-                entry = by_interval[covered.interval]
+                entry = self.pool.find_fragment(FragmentKey(view_id, attr, covered.interval))
                 total += entry.size_bytes
                 piece = self.pool.read_entry(entry.fragment_id, ledger)
                 if covered.clip is not None:

@@ -408,7 +408,7 @@ class Selection:
             _piece_refinement_passes,
             estimator=part.profile,
             resident_sizes=part.sizes,
-            resident_index=part.cover_index,
+            resident_index=self.pool.cover_index(view_id, attr),
             domain=part.domain,
             cluster=self.cluster,
             realizing=(

@@ -43,7 +43,7 @@ from repro.costmodel.value import (
 from repro.engine.cost import ClusterSpec
 from repro.partitioning.candidates import SplitCandidate
 from repro.partitioning.fragmentation import Fragmentation
-from repro.partitioning.intervals import Interval, IntervalIndex
+from repro.partitioning.intervals import Interval
 from repro.storage.pool import FragmentEntry, MaterializedViewPool
 
 # Fit marker: the tick's fit was asked for and found unnecessary.
@@ -70,7 +70,6 @@ class ResidentPartition:
     # (what Φ read besides this record, {interval: Φ}); see entry_value
     values: tuple | None = None
     _profile: ResidentProfile | None = None
-    _cover_index: IntervalIndex | None = None
 
     def __post_init__(self) -> None:
         self.intervals = list(self.sizes)
@@ -81,14 +80,6 @@ class ResidentPartition:
         if self._profile is None:
             self._profile = ResidentProfile(list(self.sizes.items()), self.domain, self.cluster)
         return self._profile
-
-    @property
-    def cover_index(self) -> IntervalIndex:
-        """The resident intervals indexed for ``greedy_cover``; the pool keeps
-        them in canonical order, so no sort."""
-        if self._cover_index is None:
-            self._cover_index = IntervalIndex.from_sorted(self.intervals)
-        return self._cover_index
 
 
 @dataclass(eq=False)

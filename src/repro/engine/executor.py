@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine import result_cache
-from repro.matching import fragment_cache
+from repro.engine import prune, result_cache
 from repro.engine.catalog import Catalog
 from repro.engine.cost import ClusterSpec, CostLedger
 from repro.engine.indexes import RowIdMatch, join_probe
@@ -80,6 +79,7 @@ class Executor:
         self._capture_targets: set[Plan] = set()
         self._captured: dict[Plan, Table] = {}
         self._boundaries: frozenset[Plan] = frozenset()
+        self.pruning = prune.PruneCounters()
 
     # ------------------------------------------------------------------
     def execute(
@@ -181,17 +181,17 @@ class Executor:
         raise PlanError(f"cannot execute node of type {type(plan).__name__}")
 
     def _fused_materialized_select(self, plan: Select, ledger: CostLedger) -> "Table | None":
-        """Selection fused into a fragment scan via the fragment cache.
+        """Selection fused into a pruned fragment scan (:mod:`repro.engine.prune`).
 
         ``Select`` directly over a fragmented ``MaterializedScan`` is the
         shape every partition rewriting produces.  The seed evaluation
         reads every fragment payload, clips each piece, concatenates, and
         then evaluates the selection conjunction over the concatenation.
-        The fragment cache classifies each piece against the predicate
-        intersection instead: ``EMPTY`` pieces skip the payload read
-        entirely, ``FULL`` pieces skip masking, and ``PARTIAL`` pieces
-        get one fused (predicates ∧ clip) mask — so each surviving row is
-        tested once, at the scan.
+        Here each piece is classified against the predicate intersection
+        instead: ``EMPTY`` pieces skip the payload read entirely, ``FULL``
+        pieces skip masking, and ``PARTIAL`` pieces get one fused
+        (predicates ∧ clip) mask — so each surviving row is tested once,
+        at the scan.
 
         Wall-clock only: the ledger charge is identical to the seed path
         (all fragment bytes, all files — see the charging invariant in
@@ -211,26 +211,28 @@ class Executor:
         pool = self.context.pool
         if pool is None:
             raise PlanError("MaterializedScan requires a pool")
-        cache = fragment_cache.GLOBAL
-        decisions = cache.classify(pool, scan, plan.predicates)
+        decisions = prune.classify(pool, scan, plan.predicates)
         if decisions is None:
             return None
         total_bytes = 0.0
         pieces: list[Table] = []
+        pruned = scanned = kept = 0
         for fid, decision in zip(scan.fragment_ids, decisions):
             entry = pool.get_fragment(fid)
             total_bytes += entry.size_bytes
-            if decision.state == fragment_cache.EMPTY:
-                cache.note_empty()
+            if decision.state == prune.EMPTY:
+                pruned += 1
                 continue
             piece = pool.read_entry(fid, ledger)
-            if decision.state == fragment_cache.FULL:
-                cache.note_rows(piece.nrows, piece.nrows)
-                pieces.append(piece)
-                continue
-            masked = piece.filter(decision.eff.mask(piece.column(scan.attr)))
-            cache.note_rows(piece.nrows, masked.nrows)
-            pieces.append(masked)
+            scanned += piece.nrows
+            if decision.state == prune.PARTIAL:
+                piece = piece.filter(decision.eff.mask(piece.column(scan.attr)))
+            kept += piece.nrows
+            pieces.append(piece)
+        counters = self.pruning
+        counters.pruned_fragments += pruned
+        counters.rows_scanned += scanned
+        counters.rows_pruned += scanned - kept
         ledger.charge_read(total_bytes, nfiles=len(scan.fragment_ids))
         if not pieces:
             # All pieces pruned: an empty selection over the first

@@ -9,40 +9,14 @@ projection checks of the matcher.
 
 The tree also doubles as the registry of statistics-tracked view
 candidates (§8.3: "we also use this index to keep the statistics for view
-and partition candidates").  Per-view *residency* statistics are kept
-current by subscribing to the pool's :class:`~repro.storage.pool.
-CoverDelta` stream (:meth:`FilterTree.subscribe_to`): every admit /
-evict / restore updates one counter cell, so the registry never has to
-rescan the pool's entry table after a mutation — the same
-incremental-invalidation contract the cover-cache memo rides on.
+and partition candidates").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.query.signature import Signature
-
-if TYPE_CHECKING:
-    from repro.storage.pool import CoverDelta, MaterializedViewPool
-
-
-@dataclass
-class ViewResidency:
-    """Residency counters for one view, fed by the pool's delta stream.
-
-    ``resident_fragments`` counts entries currently in the pool for the
-    view (whole-view entries included); the traffic counters accumulate
-    over the run.  Journal rollbacks arrive as ordinary ``evict`` /
-    ``restore`` deltas, so the gauge stays exact across aborted
-    transactions without any snapshot/restore logic here.
-    """
-
-    resident_fragments: int = 0
-    admits: int = 0
-    evicts: int = 0
-    restores: int = 0
 
 
 @dataclass
@@ -52,12 +26,6 @@ class FilterTreeStats:
     lookups: int = 0
     candidates_returned: int = 0
     views_indexed: int = 0
-    deltas_applied: int = 0
-    residency: dict[str, ViewResidency] = field(default_factory=dict)
-
-    @property
-    def resident_views(self) -> int:
-        return sum(1 for r in self.residency.values() if r.resident_fragments > 0)
 
 
 class FilterTree:
@@ -73,31 +41,6 @@ class FilterTree:
         # views appended after them and nothing else (Rewriter.plan).
         self.version = 0
         self.removals = 0
-
-    # ------------------------------------------------------------------
-    # Residency statistics (delta-fed, never rescans the pool)
-    # ------------------------------------------------------------------
-    def subscribe_to(self, pool: "MaterializedViewPool") -> None:
-        """Keep per-view residency stats current from ``pool``'s deltas."""
-        pool.subscribe(self._on_delta)
-
-    def _on_delta(self, delta: "CoverDelta") -> None:
-        cell = self.stats.residency.get(delta.view_id)
-        if cell is None:
-            cell = self.stats.residency[delta.view_id] = ViewResidency()
-        if delta.kind == "evict":
-            cell.evicts += 1
-            cell.resident_fragments -= 1
-        elif delta.kind == "restore":
-            cell.restores += 1
-            cell.resident_fragments += 1
-        else:  # "admit"
-            cell.admits += 1
-            cell.resident_fragments += 1
-        self.stats.deltas_applied += 1
-
-    def residency(self, view_id: str) -> "ViewResidency | None":
-        return self.stats.residency.get(view_id)
 
     def add(self, view_id: str, signature: Signature) -> None:
         if view_id in self._signatures:

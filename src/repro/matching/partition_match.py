@@ -54,9 +54,10 @@ def greedy_cover(
 
     ``index`` optionally supplies a prebuilt :class:`IntervalIndex` over
     the fragments (``fragments`` is then ignored).  The index is read-only
-    here — per-call scan state lives in the local ``jump`` list — so a
-    caller-side cache (:mod:`repro.matching.cover_cache`) can reuse one
-    index across calls.
+    here — per-call scan state lives in the local ``jump`` list — so the
+    pool's per-partition index
+    (:meth:`~repro.storage.pool.MaterializedViewPool.cover_index`) serves
+    every call until the partition changes.
     """
     target_hi = theta._upper_key()
     lo_key = theta._lower_key()

@@ -30,10 +30,9 @@ from repro.caches import register_cache
 from repro.engine.catalog import Catalog
 from repro.engine.cost import ClusterSpec
 from repro.errors import MatchError
-from repro.matching import fragment_cache
-from repro.matching.cover_cache import CoverCache
 from repro.matching.filter_tree import FilterTree
 from repro.matching.matcher import Compensation, match_view, partition_attr_ranges
+from repro.matching.partition_match import greedy_cover
 from repro.partitioning.intervals import Interval
 from repro.query.algebra import (
     Aggregate,
@@ -50,7 +49,7 @@ from repro.query.optimizer import push_down
 from repro.query.predicates import RangePredicate
 from repro.query.signature import Signature, compute_signature
 from repro.query.subqueries import unique_subplans
-from repro.storage.pool import MaterializedViewPool
+from repro.storage.pool import FragmentKey, MaterializedViewPool
 
 DomainLookup = Callable[[str], "Interval | None"]
 # view id -> what its saving reads besides the query: (S(V), its tentative
@@ -220,9 +219,6 @@ class Rewriter:
         self.cluster = cluster
         self.domain_lookup = domain_lookup
         self.view_inputs = view_inputs
-        # Greedy-cover memo invalidated by pool cover deltas (per-view
-        # versions), shared with DeepSea's reconstruction planning.
-        self.cover_cache = CoverCache(pool)
         # Plan-cost memo keyed on everything the estimate reads: the plan,
         # the catalog version, and the cover versions of the views its
         # MaterializedScan leaves resolve against (see estimate_plan_cost).
@@ -411,9 +407,6 @@ class Rewriter:
         )
 
     def _partition_rewriting(self, query: Plan, match: ViewMatch, attr: str) -> Rewriting | None:
-        entries = self.pool.fragments_of(match.view_id, attr)
-        if not entries:
-            return None
         theta = match.attr_ranges.get(attr)
         domain = self.domain_lookup(attr)
         if theta is None:
@@ -426,23 +419,13 @@ class Rewriter:
             if clamped is None:
                 return None  # selection entirely outside the domain
             theta = clamped
-        cover = self.cover_cache.cover(match.view_id, attr, theta)
+        cover = greedy_cover(theta, [], index=self.pool.cover_index(match.view_id, attr))
         if cover is None:
             return None  # eviction holes: the partition cannot answer this
-        by_interval = {e.key.interval: e for e in entries}
-        fids = tuple(by_interval[c.interval].fragment_id for c in cover)
+        find = self.pool.find_fragment
+        fids = tuple(find(FragmentKey(match.view_id, attr, c.interval)).fragment_id for c in cover)
         clips = tuple(c.clip for c in cover)
         scan = MaterializedScan(match.view_id, fids, attr, clips)
-        # Intersect the cached per-conjunct fragment sets before costing:
-        # the compensating selection is the conjunction the executor will
-        # evaluate over this scan, so classifying it here fills the
-        # fragment cache (one miss); the execution of the winning
-        # rewriting — and every later query with the same conjunct shape
-        # and constants at this cover version — is a pure hit.  Pruning
-        # is wall-clock-only: the estimate below still costs the full
-        # cover, keeping the simulated economics byte-identical.
-        if match.compensation.selections:
-            fragment_cache.GLOBAL.classify(self.pool, scan, match.compensation.selections)
         replacement = self._compensated(scan, match.compensation)
         plan = replace_subplan(query, match.subplan, replacement)
         return Rewriting(

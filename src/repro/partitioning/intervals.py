@@ -314,8 +314,8 @@ class IntervalIndex:
     def from_sorted(cls, intervals: list[Interval]) -> "IntervalIndex":
         """Index a list already in canonical :func:`sort_key` order.
 
-        Skips the O(n log n) sort — the caller (an incrementally patched
-        cover index) maintains the order with bisected insertions, so the
+        Skips the O(n log n) sort — the caller (the pool's per-partition
+        fragment list) maintains the order with bisected insertions, so the
         resulting index is byte-identical to ``IntervalIndex(intervals)``
         (``sort_key`` is injective over distinct intervals, hence a sorted
         list has exactly one canonical order).

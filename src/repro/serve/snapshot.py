@@ -45,7 +45,7 @@ class LeasedPoolView:
     Exposes exactly the surface the executor and the execution-side
     caches consult — ``uid``/``epoch``/``cover_version`` for cache keys,
     ``get_fragment``/``read_entry``/``whole_view_entry`` for evaluation,
-    ``hdfs`` for the fragment cache's min/max peeks — resolving entry
+    ``hdfs`` for the prune classifier's min/max peeks — resolving entry
     lookups against the pinned snapshot and payload reads against
     live-file-then-retained.
     """

@@ -23,10 +23,10 @@ Two maintenance paths:
   (:meth:`Table.append`: O(slice), the old payload's storage shared, not
   copied).  A patch is a journaled evict + re-admit under
   the same :class:`~repro.storage.pool.FragmentKey` — never an in-place
-  overwrite — so payload-immutability invariants (prune-cache min/max
-  sidecars, epoch-pinned snapshot leases) hold and cache subscribers see
-  the ordinary admit/evict CoverDelta pair: every tier invalidates by
-  exact version, nothing flushes globally.
+  overwrite — so payload-immutability invariants (an entry's observed
+  min/max, epoch-pinned snapshot leases) hold, and the patched view's
+  cover version moves like any other admit/evict: every memo invalidates
+  by exact version, nothing flushes globally.
 * **Rebuild from base** — the always-correct fallback for aggregates,
   build-side and self joins, and forced-rebuild benchmarking: re-run the
   defining plan

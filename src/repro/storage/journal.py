@@ -61,7 +61,7 @@ class Transaction:
     seq: int
     ops: list[JournalOp] = field(default_factory=list)
     # Per-view cover versions at begin(): rollback restores them exactly,
-    # re-validating matching-stage memo entries computed before the step.
+    # re-validating version-keyed memo entries computed before the step.
     cover_versions: dict[str, int] = field(default_factory=dict)
 
 

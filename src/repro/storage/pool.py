@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.engine.table import Table
 from repro.errors import BlockLostError, PoolError, RecoveryError
-from repro.partitioning.intervals import Interval, sort_key
+from repro.partitioning.intervals import Interval, IntervalIndex, sort_key
 from repro.query.algebra import Plan
 from repro.storage.hdfs import SimulatedHDFS
 from repro.storage.journal import PoolJournal
@@ -36,26 +36,6 @@ if TYPE_CHECKING:
     from repro.faults.recovery import FragmentRecovery
 
 WHOLE_VIEW_ATTR = None
-
-
-@dataclass(frozen=True)
-class CoverDelta:
-    """One fine-grained pool residency change, published to subscribers.
-
-    ``kind`` is ``"admit"`` (a new entry became resident), ``"evict"`` (an
-    entry left, including rollback undoing an admit), or ``"restore"``
-    (journal rollback re-registered an evicted entry).  ``version`` is the
-    view's cover version *after* the mutation — subscribers key memo
-    entries on it, so a delta for view V invalidates only V's entries.
-    ``attr``/``interval`` are ``None`` for whole-view entries.
-    """
-
-    kind: str
-    view_id: str
-    attr: str | None
-    interval: Interval | None
-    fragment_id: str
-    version: int
 
 
 @dataclass(frozen=True)
@@ -82,6 +62,11 @@ class FragmentEntry:
     key: FragmentKey
     path: str
     size_bytes: float
+    # [min, max] of the payload on the partition attribute, filled by the
+    # first pruned scan that needs it (repro.engine.prune).  A payload never
+    # changes under its fragment id, so the slot lives and dies with the
+    # entry; leases share entry objects, so concurrent fills agree.
+    observed: "Interval | None" = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -100,6 +85,8 @@ class _PooledView:
     # attr -> list of fragment_ids, kept sorted by interval
     partitions: dict[str, list[str]] = field(default_factory=dict)
     whole_id: str | None = None
+    # attr -> (cover version, IntervalIndex over the partition's intervals)
+    indexes: dict[str, tuple[int, IntervalIndex]] = field(default_factory=dict)
 
 
 class MaterializedViewPool:
@@ -120,16 +107,12 @@ class MaterializedViewPool:
         # Per-view cover versions: the epoch value of the view's last
         # residency mutation.  Every bump feeds the global epoch (a view
         # mutation is also a pool mutation — the result cache's epoch key
-        # stays authoritative), but matching-stage memos key on the
-        # *per-view* version so a mutation of view V invalidates only V's
-        # entries.  Version values are epochs, hence globally unique:
-        # after a rollback restores a view's pre-transaction version, no
-        # later mutation can re-issue a mid-transaction value.
+        # stays authoritative), but memos key on the *per-view* version so
+        # a mutation of view V invalidates only V's entries.  Version
+        # values are epochs, hence globally unique: after a rollback
+        # restores a view's pre-transaction version, no later mutation can
+        # re-issue a mid-transaction value.
         self._cover_versions: dict[str, int] = {}
-        # Delta subscribers (repro.matching.cover_cache): each residency
-        # mutation publishes one CoverDelta so downstream indexes are
-        # patched in place instead of rebuilt from a pool scan.
-        self._subscribers: list[Callable[[CoverDelta], None]] = []
         self._views: dict[str, _PooledView] = {}
         self._definitions: dict[str, ViewDefinition] = {}
         self._fragments: dict[str, FragmentEntry] = {}
@@ -156,7 +139,7 @@ class MaterializedViewPool:
         self.retention: "Callable[[FragmentEntry, Table], None] | None" = None
 
     # ------------------------------------------------------------------
-    # Cover-delta protocol (per-view versions + subscriber deltas)
+    # Per-view cover versions
     # ------------------------------------------------------------------
     def cover_version(self, view_id: str) -> int:
         """The view's cover version: epoch of its last residency mutation.
@@ -168,21 +151,10 @@ class MaterializedViewPool:
         """
         return self._cover_versions.get(view_id, 0)
 
-    def subscribe(self, callback: Callable[[CoverDelta], None]) -> None:
-        """Register a callback invoked with one delta per residency mutation."""
-        self._subscribers.append(callback)
-
-    def _bump(self, kind: str, entry: FragmentEntry) -> None:
-        """Advance the epoch and the view's version; publish the delta."""
+    def _bump(self, view_id: str) -> None:
+        """Advance the epoch and stamp it as the view's cover version."""
         self.epoch += 1
-        key = entry.key
-        self._cover_versions[key.view_id] = self.epoch
-        if self._subscribers:
-            delta = CoverDelta(
-                kind, key.view_id, key.attr, key.interval, entry.fragment_id, self.epoch
-            )
-            for callback in self._subscribers:
-                callback(delta)
+        self._cover_versions[view_id] = self.epoch
 
     # ------------------------------------------------------------------
     # View definitions (exist independently of residency)
@@ -233,6 +205,24 @@ class MaterializedViewPool:
 
     def intervals_of(self, view_id: str, attr: str) -> list[Interval]:
         return [f.key.interval for f in self.fragments_of(view_id, attr)]
+
+    def cover_index(self, view_id: str, attr: str) -> IntervalIndex:
+        """``P(view, attr)`` indexed for ``greedy_cover``.
+
+        Built without a sort (the partition list is kept in ``sort_key``
+        order) and reused while the view's cover version stands.  A
+        rollback restores the pre-transaction versions, so an index built
+        before the transaction is valid again.
+        """
+        view = self._views.get(view_id)
+        if view is None or attr not in view.partitions:
+            return IntervalIndex.from_sorted([])
+        version = self.cover_version(view_id)
+        memo = view.indexes.get(attr)
+        if memo is None or memo[0] != version:
+            index = IntervalIndex.from_sorted(self.intervals_of(view_id, attr))
+            memo = view.indexes[attr] = (version, index)
+        return memo[1]
 
     def get_fragment(self, fragment_id: str) -> FragmentEntry:
         try:
@@ -308,13 +298,11 @@ class MaterializedViewPool:
 
         Delta maintenance (repro.storage.ingest) appends ingested rows to
         the fragments they route to.  The replacement is deliberately an
-        evict + re-admit — never an in-place overwrite — because three
-        subsystems rely on payload immutability per fragment id: the
-        fragment prune cache's min/max sidecar, epoch-pinned snapshot
-        leases, and the cover-delta subscribers (which see the ordinary
-        evict/admit pair and need no new delta kind).  The new entry gets
-        a fresh fragment id and path; rollback restores the old entry via
-        the standard journal replay.
+        evict + re-admit — never an in-place overwrite — because two
+        things rely on payload immutability per fragment id: the entry's
+        ``observed`` min/max and epoch-pinned snapshot leases.  The new
+        entry gets a fresh fragment id and path; rollback restores the old
+        entry via the standard journal replay.
         """
         entry = self.get_fragment(fragment_id)
         if self.journal.journaling:
@@ -340,7 +328,7 @@ class MaterializedViewPool:
         self.hdfs.delete(entry.path)
         del self._fragments[entry.fragment_id]
         self._by_key.pop(entry.key, None)
-        self._bump("evict", entry)
+        self._bump(entry.key.view_id)
 
     def read_entry(self, fragment_id: str, ledger: "CostLedger | None" = None) -> Table:
         """Payload of an entry, without charging the base read (executor charges).
@@ -369,9 +357,9 @@ class MaterializedViewPool:
         The per-view cover versions are snapshotted into the transaction:
         a rollback restores the exact pre-step configuration, so it must
         restore the exact pre-step versions too — anything keyed on them
-        (matching-stage memos) becomes valid again, and mid-transaction
-        versions are never re-issued because versions are drawn from the
-        monotonic epoch.
+        (cover indexes, estimate and result memos) becomes valid again,
+        and mid-transaction versions are never re-issued because versions
+        are drawn from the monotonic epoch.
         """
         self.journal.begin(tag, cover_versions=dict(self._cover_versions))
 
@@ -418,7 +406,7 @@ class MaterializedViewPool:
                 key=lambda f: sort_key(self._fragments[f].key.interval),
             )
             self._by_key[entry.key] = entry.fragment_id
-        self._bump("restore", entry)
+        self._bump(entry.key.view_id)
         if ledger is not None:
             ledger.charge_write(entry.size_bytes, nfiles=1)
 
@@ -449,7 +437,7 @@ class MaterializedViewPool:
             # insertion instead of re-sorting the whole list on every admit.
             insort(ids, fid, key=lambda f: sort_key(self._fragments[f].key.interval))
             self._by_key[key] = fid
-        self._bump("admit", entry)
+        self._bump(key.view_id)
         self.journal.record_admit(entry)
         return entry
 

@@ -250,17 +250,22 @@ class TestPoolBound:
         def fresh_sum():
             return sum(e.size_bytes for e in pool.all_entries())
 
-        def check(delta):
-            kinds.append(delta.kind)
-            assert pool.used_bytes == fresh_sum()
+        for name in ("add_fragment", "add_whole_view", "patch_entry", "evict", "rollback"):
+            mutate = getattr(pool, name)
 
-        pool.subscribe(check)
+            def checked(*args, _mutate=mutate, _name=name, **kwargs):
+                out = _mutate(*args, **kwargs)
+                kinds.append(_name)
+                assert pool.used_bytes == fresh_sum()
+                return out
+
+            setattr(pool, name, checked)
         rng = np.random.default_rng(11)
         for _ in range(40):
             lo = int(rng.integers(0, 900))
             system.execute(template(lo, lo + int(rng.integers(20, 200))))
             assert pool.used_bytes == fresh_sum()
-        assert {"admit", "evict"} <= set(kinds)
+        assert {"add_fragment", "evict"} <= set(kinds)
 
     def test_eviction_happens_under_pressure(self, catalog):
         """A fresh hot view displaces decayed views when space runs out."""

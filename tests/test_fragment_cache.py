@@ -1,33 +1,34 @@
-"""Tests for fragment-level prune decisions (repro/matching/fragment_cache).
+"""Tests for fragment-level prune decisions (repro/engine/prune.py).
 
 The contract under test:
 
 * pruning is wall-clock only — for any fragment layout, clips, and
   conjunction, the pruned executor path returns tables and ledgers
   bit-identical to the unpruned seed path;
-* entries validate against per-view cover versions from the pool's
-  CoverDelta stream: repartitioning view V invalidates exactly V's
-  entries while other views' entries — and result-cache entries of plans
-  not reading V — stay live;
-* a journal rollback restores the prior versions, so entries recorded
-  before the transaction re-validate for free;
-* the cache registers with :mod:`repro.caches`, so its counters surface
-  in :func:`repro.caches.cache_stats`.
+* a fragment's observed min/max lives on its pool entry and leaves with
+  it: ingest patches mint new entries, and evicted ones take their range
+  with them;
+* per-view cover versions keep result-cache entries of plans that do not
+  read a repartitioned view live, and a journal rollback re-validates
+  pre-transaction entries.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import caches
+from repro.engine import prune
 from repro.engine.catalog import Catalog
 from repro.engine.cost import CostLedger
 from repro.engine.executor import ExecutionContext, Executor
+from repro.engine.prune import EMPTY, FULL, PARTIAL
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.engine.types import ColumnKind
-from repro.matching import fragment_cache
-from repro.matching.fragment_cache import EMPTY, FULL, PARTIAL, FragmentPruneCache
 from repro.partitioning.intervals import Interval
 from repro.query.algebra import MaterializedScan, Relation, Select
 from repro.query.predicates import between
@@ -86,14 +87,14 @@ def partitioned_pool(cuts: "list[float]", view_id: str = "v") -> "tuple[Material
     return pool, tuple(fids)
 
 
-def run_plan(pool, plan, *, pruned: bool):
-    """Execute ``plan`` from cold caches with pruning on or off."""
+def run_plan(pool, plan, *, pruned: bool, executor: "Executor | None" = None):
+    """Execute ``plan`` from cold caches; unpruned, the classifier declines."""
     caches.clear_all_caches()
-    fragment_cache.GLOBAL.enabled = pruned
-    try:
-        return Executor(ExecutionContext(CATALOG, pool)).execute(plan)
-    finally:
-        fragment_cache.GLOBAL.enabled = True
+    executor = executor or Executor(ExecutionContext(CATALOG, pool))
+    with pytest.MonkeyPatch.context() as patched:
+        if not pruned:
+            patched.setattr(prune, "classify", lambda pool, scan, predicates: None)
+        return executor.execute(plan)
 
 
 def assert_tables_identical(a: Table, b: Table) -> None:
@@ -158,11 +159,10 @@ def test_pruned_execution_is_bit_identical_to_unpruned(case):
 class TestClassification:
     def setup_method(self):
         self.pool, self.fids = partitioned_pool([50.0])
-        self.cache = FragmentPruneCache()
 
     def _classify(self, predicates, clips=()):
         scan = MaterializedScan("v", self.fids, "s_item_sk", clips)
-        return self.cache.classify(self.pool, scan, predicates)
+        return prune.classify(self.pool, scan, predicates)
 
     def test_disjoint_predicate_is_empty(self):
         decisions = self._classify((between("s_item_sk", 60.0, 70.0),))
@@ -192,16 +192,15 @@ class TestClassification:
             "w", "s_item_sk", Interval.closed(0.0, 100.0), SALES.filter(narrow.mask(col))
         )
         scan = MaterializedScan("w", (entry.fragment_id,), "s_item_sk")
-        decisions = self.cache.classify(pool, scan, (between("s_item_sk", 50.0, 60.0),))
+        decisions = prune.classify(pool, scan, (between("s_item_sk", 50.0, 60.0),))
         assert decisions[0].state == EMPTY
+        assert entry.observed == Interval.closed(
+            float(SALES.filter(narrow.mask(col)).column("s_item_sk").min()), 9.0
+        )
 
     def test_multi_attribute_conjunction_not_prunable(self):
         preds = (between("s_item_sk", 0.0, 50.0), between("s_qty", 1.0, 5.0))
         assert self._classify(preds) is None
-
-    def test_disabled_cache_declines(self):
-        self.cache.enabled = False
-        assert self._classify((between("s_item_sk", 0.0, 100.0),)) is None
 
 
 # ----------------------------------------------------------------------
@@ -212,8 +211,9 @@ def test_pruned_scan_still_charges_all_fragment_bytes():
     entries = [pool.get_fragment(fid) for fid in fids]
     # [60, 70] misses the [0, 50] fragment entirely: it is pruned...
     plan = Select(MaterializedScan("v", fids, "s_item_sk"), (between("s_item_sk", 60.0, 70.0),))
-    result = run_plan(pool, plan, pruned=True)
-    assert fragment_cache.GLOBAL.stats()["pruned_fragments"] == 1
+    executor = Executor(ExecutionContext(CATALOG, pool))
+    result = run_plan(pool, plan, pruned=True, executor=executor)
+    assert executor.pruning.pruned_fragments == 1
 
     # ...yet the ledger charges both fragments' bytes in one batched
     # read, exactly like the unpruned path (economics are simulated; the
@@ -243,31 +243,6 @@ def two_view_setup():
 
 
 class TestCoverDeltaInvalidation:
-    def test_repartitioning_one_view_invalidates_only_its_entries(self):
-        caches.clear_all_caches()
-        pool, plans = two_view_setup()
-        executor = Executor(ExecutionContext(CATALOG, pool))
-        executor.execute(plans["va"])
-        executor.execute(plans["vb"])
-        cache = fragment_cache.GLOBAL
-        assert cache.stats()["misses"] == 2
-        assert cache.stats()["invalidations"] == 0
-
-        # Repartition vb: admit a fragment → vb's cover version bumps.
-        extra = Interval.open_closed(100.0, 200.0)
-        pool.add_fragment("vb", "s_item_sk", extra, SALES.filter(extra.mask(SALES.column("s_item_sk"))))
-
-        scan_a, scan_b = plans["va"].child, plans["vb"].child
-        assert cache.classify(pool, scan_a, plans["va"].predicates) is not None
-        stats = cache.stats()
-        assert stats["hits"] >= 1  # va entry survived the vb mutation
-        assert stats["invalidations"] == 0
-
-        assert cache.classify(pool, scan_b, plans["vb"].predicates) is not None
-        stats = cache.stats()
-        assert stats["invalidations"] == 1
-        assert stats["invalidations_by_view"] == {"vb": 1}
-
     def test_result_cache_entries_for_other_views_stay_live(self):
         caches.clear_all_caches()
         pool, plans = two_view_setup()
@@ -293,7 +268,6 @@ class TestCoverDeltaInvalidation:
         pool, plans = two_view_setup()
         executor = Executor(ExecutionContext(CATALOG, pool))
         before = executor.execute(plans["vb"])
-        cache = fragment_cache.GLOBAL
         versions = pool.cover_version("vb")
 
         pool.begin("step")
@@ -303,15 +277,7 @@ class TestCoverDeltaInvalidation:
         pool.rollback()
         assert pool.cover_version("vb") == versions
 
-        # Fragment-cache entry recorded before the transaction is valid
-        # again — a hit, not an invalidation.
-        hits = cache.stats()["hits"]
-        assert cache.classify(pool, plans["vb"].child, plans["vb"].predicates) is not None
-        stats = cache.stats()
-        assert stats["hits"] == hits + 1
-        assert stats["invalidations"] == 0
-
-        # And the result cache replays the pre-transaction entry.
+        # The result cache replays the pre-transaction entry.
         from repro.engine.result_cache import GLOBAL as results
 
         rc_hits = results.stats()["hits"]
@@ -321,39 +287,51 @@ class TestCoverDeltaInvalidation:
 
 
 # ----------------------------------------------------------------------
-# Registry integration.
+# The observed min/max lives and dies with its pool entry.
 # ----------------------------------------------------------------------
-def test_fragment_cache_registered_in_registry():
-    caches.clear_all_caches()
-    pool, fids = partitioned_pool([50.0])
-    plan = Select(MaterializedScan("v", fids, "s_item_sk"), (between("s_item_sk", 10.0, 90.0),))
-    Executor(ExecutionContext(CATALOG, pool)).execute(plan)
-    stats = caches.cache_stats()["matching.fragment_cache"]
-    for key in (
-        "hits", "misses", "evictions", "entries", "invalidations",
-        "invalidations_by_view", "pruned_fragments", "rows_pruned", "rows_scanned",
-    ):
-        assert key in stats
-    assert stats["misses"] >= 1
-    assert stats["rows_scanned"] > 0
+def test_observed_range_leaves_with_patched_and_evicted_entries():
+    """200 drip batches against the 10 % pool, drip queries interleaved with
+    fig-5a ones: every entry still holding an observed min/max is resident
+    (nothing is retained without a lease).  A sidecar keyed on fragment ids
+    kept 41 ranges here for 5 resident fragments."""
+    from repro.baselines import deepsea
+    from repro.bench.harness import sdss_fixture
+    from repro.bench.ingest_bench import BatchSpec, scenario_plans, scenario_schedule
+    from repro.workloads.generator import sdss_mapped_workload
 
+    fx = sdss_fixture(2.0)
+    catalog = fx.catalog.fork()
+    domains = dict(fx.domains)
+    domains["ss_item_sk"] = fx.item_domain
+    system = deepsea(catalog, domains=domains, smax_bytes=catalog.total_size_bytes * 0.10)
+    pool = system.pool
+    admitted = []
+    admit = pool._admit
 
-def test_plan_pure_tier_fills_on_use_and_clears_with_registry():
-    caches.clear_all_caches()
-    assert fragment_cache.normalize_conjuncts.cache_info().currsize == 0
-    pool, fids = partitioned_pool([50.0])
-    plan = Select(MaterializedScan("v", fids, "s_item_sk"), (between("s_item_sk", 10.0, 90.0),))
-    Executor(ExecutionContext(CATALOG, pool)).execute(plan)
-    assert fragment_cache.normalize_conjuncts.cache_info().currsize >= 1
-    caches.clear_all_caches()
-    assert fragment_cache.normalize_conjuncts.cache_info().currsize == 0
+    def tracked_admit(key, table):
+        entry = admit(key, table)
+        admitted.append(weakref.ref(entry))
+        return entry
 
+    pool._admit = tracked_admit
+    ranges, batches = scenario_schedule("drip", 400, fx.item_domain, seed=1)
+    drip = scenario_plans(ranges, "drip")
+    mapped = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=200, seed=2)
+    plans = [drip[i // 2] if i % 2 == 0 else mapped[i // 2] for i in range(400)]
+    by_index: dict[int, list[BatchSpec]] = {}
+    for spec in batches:
+        by_index.setdefault(spec.at, []).append(spec)
+    id0 = catalog.get("store_sales").nrows
+    for i, plan in enumerate(plans):
+        for spec in by_index.get(i, ()):
+            system.ingest("store_sales", spec.rows(id0))
+        system.execute(plan)
+    assert len(system.maintenance.reports) == 200
+    assert sum(r.fragments_patched for r in system.maintenance.reports) > 0
 
-def test_clear_resets_counters_but_not_enabled():
-    cache = FragmentPruneCache()
-    cache.enabled = False
-    cache.hits = 3
-    cache.clear()
-    assert cache.stats()["hits"] == 0
-    assert cache.enabled is False
-    cache.enabled = True
+    gc.collect()
+    alive = [ref() for ref in admitted]
+    observed = [entry for entry in alive if entry is not None and entry.observed]
+    assert observed, "no pruned scan filled a min/max"
+    resident = {id(entry) for entry in pool.all_entries()}
+    assert [e.fragment_id for e in observed if id(e) not in resident] == []

@@ -53,6 +53,17 @@ def test_only_the_coordinator_knows_the_coordinator():
     assert not offenders, offenders
 
 
+def test_engine_imports_nothing_from_matching():
+    """The executor runs plans; choosing them is the matching layer's job."""
+    offenders = [
+        f"{path.relative_to(SRC)} imports {name}"
+        for path in sorted((SRC / "engine").rglob("*.py"))
+        for name in imported_modules(path)
+        if name == "repro.matching" or name.startswith("repro.matching.")
+    ]
+    assert not offenders, offenders
+
+
 def test_selection_decides_without_the_executor():
     names = imported_modules(CORE / "selection.py")
     assert not [n for n in names if n.startswith("repro.engine.executor")]
