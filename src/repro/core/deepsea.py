@@ -184,6 +184,7 @@ class DeepSea:
         """Process one query (Algorithm 1) and return its report."""
         self.clock += 1
         t = float(self.clock)
+        self.valuation.open_tick(t)
         exec_ledger = CostLedger(self.cluster)
         creation_ledger = CostLedger(self.cluster)
         if self._pending_maintenance is not None:

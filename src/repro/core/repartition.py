@@ -295,7 +295,7 @@ class Repartitioner:
             domain = self.domains(attr)
             if domain is None:
                 continue
-            cover = greedy_cover(domain, [], index=self.pool.cover_index(view_id, attr))
+            cover = greedy_cover(domain, self.pool.cover_index(view_id, attr))
             if cover is None:
                 continue
             pieces = []

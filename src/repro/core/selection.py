@@ -87,7 +87,7 @@ def _piece_refinement_passes(
         _, size_est, cost_est, saving_per_hit = pre
     else:
         size_est, cost_est = estimator.estimate(piece)
-        cover = greedy_cover(piece, [], index=resident_index)
+        cover = greedy_cover(piece, resident_index)
         if cover is None:
             # hole in the partition: nothing to refine from
             estimator.piece_memo[piece] = (False, 0.0, 0.0, 0.0)
@@ -246,15 +246,6 @@ class Selection:
     def plan_refinements(self, matches: list[ViewMatch], t: float) -> list[Refinement]:
         if self.policy.partitioning != "adaptive":
             return []
-        if self.policy.smoothing_enabled:
-            # Every resident partition this step will consult is known up
-            # front from the matches: fit them in one batch.
-            touched = {
-                (match.view_id, attr): None
-                for match, attr in self._touched_partitions(matches)
-                if match.attr_ranges.get(attr) is not None and self.domains(attr) is not None
-            }
-            self.valuation.prefetch_fits(list(touched), t)
         refinements: list[Refinement] = []
         seen: set[tuple[str, str, Interval]] = set()
         for match, attr in self._touched_partitions(matches):

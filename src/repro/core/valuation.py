@@ -37,7 +37,6 @@ from repro.costmodel.stats import StatisticsStore, ViewStats
 from repro.costmodel.value import (
     fragment_value,
     partition_distribution,
-    partition_distributions,
     view_value,
 )
 from repro.engine.cost import ClusterSpec
@@ -139,15 +138,16 @@ class Valuation:
     # ------------------------------------------------------------------
     # The tick's MLE fits (§7.1)
     # ------------------------------------------------------------------
-    def _tick_fits(self, t: float) -> dict:
-        """This tick's fits; an earlier tick's can never be read again."""
+    def open_tick(self, t: float) -> dict:
+        """Open tick ``t`` and return its fits; an earlier tick's are dropped,
+        as they can never be read again."""
         if t != self._tick:
             self._tick, self._fits = t, {}
         return self._fits
 
     def distribution(self, view_id: str, attr: str, t: float):
         """The partition's hit distribution over its domain, fitted once per tick."""
-        fits = self._tick_fits(t)
+        fits = self.open_tick(t)
         fit = fits.get((view_id, attr), _OWED)
         if fit is _OWED:
             fit = fits[(view_id, attr)] = partition_distribution(
@@ -161,30 +161,9 @@ class Valuation:
             )
         return fit
 
-    def prefetch_fits(self, partitions: list[tuple[str, str]], t: float) -> None:
-        """Batch a step's MLE fits into one decay pass (§7.1, vectorized).
-
-        ``partitions`` are the (view, attr) pairs the step will consult;
-        those not yet fitted this tick are computed with a single
-        concatenated ``decay.weights`` call via
-        :func:`partition_distributions`, each entry bit-identical to what
-        the on-demand :meth:`distribution` would have produced.  A step
-        touching a single partition gains nothing from batching and may
-        not even evaluate a candidate, so it is left to the on-demand path.
-        """
-        fits = self._tick_fits(t)
-        pairs = [(v, a, self.domains(a)) for v, a in partitions if (v, a) not in fits]
-        if len(pairs) < 2:
-            return
-        fitted = partition_distributions(
-            self.stats, pairs, t, self.policy.effective_decay, self.policy.mle_parts
-        )
-        for view_id, attr, _domain in pairs:
-            fits[(view_id, attr)] = fitted[(view_id, attr)]
-
     def defer_fit(self, view_id: str, attr: str, t: float) -> None:
         """Note that the tick's fit was asked for and could not matter."""
-        self._tick_fits(t).setdefault((view_id, attr), _OWED)
+        self.open_tick(t).setdefault((view_id, attr), _OWED)
 
     def settle_fit(self, view_id: str, attr: str, t: float) -> None:
         """Compute a fit :meth:`defer_fit` left owing, before a hit list it reads changes.
@@ -192,7 +171,7 @@ class Valuation:
         A tick's fit is taken over the hit lists as they stand at its first
         demand; a skipped demand must not move that moment past a mutation.
         """
-        if self._tick_fits(t).get((view_id, attr)) is _OWED:
+        if self.open_tick(t).get((view_id, attr)) is _OWED:
             self.distribution(view_id, attr, t)
 
     def inherit_fragment_stats(

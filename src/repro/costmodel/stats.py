@@ -124,7 +124,6 @@ class HitLog:
         self._rows = np.empty(0, dtype=np.intp)  # rows in partition (interval) order
         self._pos = np.zeros(8, dtype=np.intp)  # each owned row's index in _rows
         self._next_row = 0
-        self._free: list[int] = []
         # Moves whenever any fragment's hit list changes.
         self.revision = 0
         self._history: tuple | None = None  # (revision, held entries, distinct times)
@@ -135,43 +134,21 @@ class HitLog:
     # ------------------------------------------------------------------
     def add_row(self, pos: int) -> int:
         """A row for a new fragment at partition position ``pos``; it holds nothing."""
-        if self._free:
-            row = self._free.pop()
-        else:
-            row = self._next_row
-            self._next_row += 1
-            if row == self._member.shape[1]:
-                grown = np.zeros((self._member.shape[0], 2 * row), dtype=bool)
-                grown[:, :row] = self._member
-                self._member = grown
-                self._pos = np.concatenate((self._pos, np.zeros(row, dtype=np.intp)))
-                self._held_count = np.concatenate(
-                    (self._held_count, np.zeros(row, dtype=np.intp))
-                )
-                self._decayed = None  # its per-row array no longer spans the rows
+        row = self._next_row
+        self._next_row += 1
+        if row == self._member.shape[1]:
+            grown = np.zeros((self._member.shape[0], 2 * row), dtype=bool)
+            grown[:, :row] = self._member
+            self._member = grown
+            self._pos = np.concatenate((self._pos, np.zeros(row, dtype=np.intp)))
+            self._held_count = np.concatenate((self._held_count, np.zeros(row, dtype=np.intp)))
+            self._decayed = None  # its per-row array no longer spans the rows
         rows = np.empty(self._rows.size + 1, dtype=np.intp)
         rows[:pos], rows[pos], rows[pos + 1 :] = self._rows[:pos], row, self._rows[pos:]
         self._rows = rows
         self._pos[rows[pos + 1 :]] += 1
         self._pos[row] = pos
         return row
-
-    def remove_row(self, row: int) -> None:
-        n = self._n
-        self._member[:n, row] = False
-        self._held_count[row] = 0
-        pos = self._pos[row]
-        self._rows = np.concatenate((self._rows[:pos], self._rows[pos + 1 :]))
-        self._pos[self._rows[pos:]] -= 1
-        self._free.append(row)
-        self.revision += 1
-        orphans = np.flatnonzero(self._first[:n] == row)
-        if orphans.size:
-            # entries whose first holder left: the next holder in order, if any
-            ranks = np.where(self._member[orphans], self._pos, self._rows.size)
-            best = ranks.argmin(axis=1)
-            held = ranks[np.arange(orphans.size), best] < self._rows.size
-            self._first[orphans] = np.where(held, best, -1)
 
     def rows(self) -> np.ndarray:
         """The fragments' rows in partition order (don't mutate)."""
@@ -431,11 +408,11 @@ class StatisticsStore:
         # (view_id, attr) -> set of intervals with stats (PSTAT(V, A))
         self._partitions: dict[tuple[str, str], list[Interval]] = {}
         # (view_id, attr) -> (interval snapshot, lower keys [n,2], upper
-        # keys [n,2]) for the vectorized overlap scan; rebuilt lazily after
-        # any partition-list mutation.
+        # keys [n,2]) for the vectorized overlap scan; built lazily and
+        # patched when a fragment is added.
         self._bounds_cache: dict[tuple[str, str], tuple] = {}
-        # (view_id, attr) -> fragment-stats list in partition order; popped
-        # alongside the bounds cache on any fragment-list mutation.
+        # (view_id, attr) -> fragment-stats list in partition order; patched
+        # alongside the bounds cache when a fragment is added.
         self._frags_cache: dict[tuple[str, str], list[FragmentStats]] = {}
         # (view_id, attr) -> the partition's hit log, rows in partition order.
         self._logs: dict[tuple[str, str], HitLog] = {}
@@ -506,25 +483,6 @@ class StatisticsStore:
                 self._frags_cache[cache_key] = frags
         return stats
 
-    def drop_fragment(self, view_id: str, attr: str, interval: Interval) -> None:
-        """Forget a fragment's statistics (used when a split retires a parent).
-
-        The dropped object keeps its hits in a private log of its own, so a
-        caller still holding it reads what it read before.
-        """
-        key = (view_id, attr, interval)
-        stats = self._fragments.pop(key, None)
-        if stats is not None:
-            self._partitions[(view_id, attr)].remove(interval)
-            self._bounds_cache.pop((view_id, attr), None)
-            self._frags_cache.pop((view_id, attr), None)
-            log, row = stats._log, stats._row
-            hits = stats.hits()
-            log.remove_row(row)
-            stats._log = None
-            for t, theta in hits:
-                stats.record_hit(t, theta)
-
     def intervals_for(self, view_id: str, attr: str) -> list[Interval]:
         """PSTAT(V, A): all fragment intervals tracked for this partition."""
         return list(self._partitions.get((view_id, attr), []))
@@ -537,7 +495,7 @@ class StatisticsStore:
         The arrays parallel :meth:`intervals_for` (and therefore
         :meth:`fragments_for`) element for element; they change only when
         the fragment list itself does, so the cache entry survives hit
-        recording and is replaced by ``ensure_fragment``/``drop_fragment``.
+        recording and is patched by ``ensure_fragment``.
         """
         key = (view_id, attr)
         cached = self._bounds_cache.get(key)
@@ -596,7 +554,7 @@ class StatisticsStore:
         """Fragment stats in :meth:`intervals_for` order (shared list — don't mutate).
 
         Cached with the same lifetime as the bound arrays: the list changes
-        only when a fragment is added or dropped, never on recorded hits.
+        only when a fragment is added, never on recorded hits.
         """
         key = (view_id, attr)
         frags = self._frags_cache.get(key)

@@ -192,39 +192,6 @@ def fragment_value(
     return view.creation_cost_s * benefit / size
 
 
-def partition_distributions(
-    stats: StatisticsStore,
-    partitions: "list[tuple[str, str, Interval]]",
-    t_now: float,
-    decay: Decay,
-    n_parts: int = 256,
-) -> "dict[tuple[str, str], tuple[FittedNormal, float] | None]":
-    """MLE fits for several ``(view_id, attr, domain)`` partitions.
-
-    A partition's decayed fragment hits and H_total — "the total number of
-    queries that used at least one fragment" (§7.1), each hit time counted
-    once however many fragments it touched — come from one pass over its
-    hit log (:meth:`~repro.costmodel.stats.HitLog.decayed_hits`), and its
-    fragments' part runs are kept with its fragment list
-    (``StatisticsStore.partition_runs``), so this is
-    ``fit_partition_distribution(domain, [(f.interval, H(f)) ...],
-    n_parts)`` without re-walking hits or intervals.  A partition with no
-    hit mass maps to ``None`` (nothing to fit; callers fall back to raw
-    hits).
-    """
-    results: "dict[tuple[str, str], tuple[FittedNormal, float] | None]" = {}
-    for view_id, attr, domain in partitions:
-        log = stats.hit_log(view_id, attr)
-        fitted: FittedNormal | None = None
-        if log is not None:
-            per_row, total = log.decayed_hits(decay, t_now)
-            if total > 0:
-                start, end = stats.partition_runs(view_id, attr, domain, n_parts)
-                fitted = fit_partition_runs(domain, start, end, per_row[log.rows()], n_parts)
-        results[(view_id, attr)] = None if fitted is None else (fitted, total)
-    return results
-
-
 def partition_distribution(
     stats: StatisticsStore,
     view_id: str,
@@ -236,11 +203,26 @@ def partition_distribution(
 ) -> tuple[FittedNormal, float] | None:
     """The MLE-fitted access distribution of a partition and its H_total.
 
-    Returns ``None`` when the partition has no hit mass yet (nothing to
-    fit), in which case callers fall back to raw hits.
+    The partition's decayed fragment hits and H_total — "the total number
+    of queries that used at least one fragment" (§7.1), each hit time
+    counted once however many fragments it touched — come from one pass
+    over its hit log (:meth:`~repro.costmodel.stats.HitLog.decayed_hits`),
+    and its fragments' part runs are kept with its fragment list
+    (``StatisticsStore.partition_runs``), so this is
+    ``fit_partition_distribution(domain, [(f.interval, H(f)) ...],
+    n_parts)`` without re-walking hits or intervals.  Returns ``None``
+    when the partition has no hit mass yet (nothing to fit), in which
+    case callers fall back to raw hits.
     """
-    fits = partition_distributions(stats, [(view_id, attr, domain)], t_now, decay, n_parts)
-    return fits[(view_id, attr)]
+    log = stats.hit_log(view_id, attr)
+    if log is None:
+        return None
+    per_row, total = log.decayed_hits(decay, t_now)
+    if total <= 0:
+        return None
+    start, end = stats.partition_runs(view_id, attr, domain, n_parts)
+    fitted = fit_partition_runs(domain, start, end, per_row[log.rows()], n_parts)
+    return None if fitted is None else (fitted, total)
 
 
 def partition_adjusted_hits(

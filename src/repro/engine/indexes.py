@@ -27,15 +27,13 @@ probe-root row, the *row id* of that build row (or -1) instead of a
 match range, and a query's join is one gather of it and one membership
 test against the build side's selection (:func:`join_probe`).
 
-Appends do not start a table cold.  :meth:`Table.append` returns a new
+Appends do not start a probe cold.  :meth:`Table.append` returns a new
 table object (a new identity, so no entry can go stale) that remembers
-the table it grew from, whose rows are its own first rows.  On a miss
-both caches look for an entry of a live append-ancestor and extend it by
-the appended rows alone — a stable merge of the new keys into the sort
-order, a binary search of the new probe keys — which is integer index
-arithmetic over the same comparisons and therefore equal, element for
-element, to building the entry from scratch.  An appended duplicate key
-turns a grown index non-unique, and its joins take the general path.
+the table it grew from, whose rows are its own first rows.  On a miss the
+probe cache looks for an entry of a live append-ancestor and extends it
+by a binary search of the appended probe keys alone, which equals,
+element for element, probing the grown table from scratch.  A grown
+build side's sort index is built afresh by :meth:`SortIndex.build`.
 """
 
 from __future__ import annotations
@@ -84,25 +82,6 @@ class SortIndex:
         sorted_keys = decoded(keys)[order]
         return cls(order, sorted_keys, _strictly_increasing(sorted_keys))
 
-    def extended(self, keys, start: int) -> "SortIndex":
-        """The index of ``keys``, given this index of ``keys[:start]``.
-
-        A stable sort puts an appended row after every older row with an
-        equal key (``side="right"``) and keeps appended rows with equal
-        keys in row order (their own stable sort; ``np.insert`` keeps the
-        given order among values bound for one slot).
-        """
-        tail = keys[start:]
-        tail_order = np.argsort(sort_key(tail), kind="stable")
-        tail_sorted = decoded(tail)[tail_order]
-        slots = np.searchsorted(self.sorted_keys, tail_sorted, side="right")
-        sorted_keys = np.insert(self.sorted_keys, slots, tail_sorted)
-        return SortIndex(
-            np.insert(self.order, slots, tail_order + start),
-            sorted_keys,
-            self.unique and _strictly_increasing(sorted_keys),
-        )
-
 
 class IndexCache:
     """Per-``(table, column)`` sort indexes, weakly keyed by table identity."""
@@ -134,22 +113,10 @@ class IndexCache:
         index = per_table.get(column)
         if index is None:
             self.misses += 1
-            keys = table.column(column)
-            index = self._inherited(table, column, keys)
-            if index is None:
-                index = SortIndex.build(keys)
-            per_table[column] = index
+            index = per_table[column] = SortIndex.build(table.column(column))
         else:
             self.hits += 1
         return index
-
-    def _inherited(self, table: Table, column: str, keys) -> "SortIndex | None":
-        """The nearest append-ancestor's index grown by the appended rows."""
-        for ancestor in table.append_ancestors():
-            index = self._indexes.get(ancestor, {}).get(column)
-            if index is not None:
-                return index.extended(keys, ancestor.nrows)
-        return None
 
     def clear(self) -> None:
         # Empty the inner dicts so outstanding finalizers (which hold

@@ -30,11 +30,7 @@ class CoveredFragment:
     clip: Interval | None  # None: read the whole fragment
 
 
-def greedy_cover(
-    theta: Interval,
-    fragments: list[Interval],
-    index: IntervalIndex | None = None,
-) -> list[CoveredFragment] | None:
+def greedy_cover(theta: Interval, index: IntervalIndex) -> list[CoveredFragment] | None:
     """Algorithm 2.  Returns ``None`` when no cover of θ exists.
 
     A fragment qualifies while the next uncovered point of θ lies inside
@@ -52,8 +48,7 @@ def greedy_cover(
     constant).  Chosen fragments and clips are identical to the naive
     implementation's.
 
-    ``index`` optionally supplies a prebuilt :class:`IntervalIndex` over
-    the fragments (``fragments`` is then ignored).  The index is read-only
+    The fragments come as an :class:`IntervalIndex`.  It is read-only
     here — per-call scan state lives in the local ``jump`` list — so the
     pool's per-partition index
     (:meth:`~repro.storage.pool.MaterializedViewPool.cover_index`) serves
@@ -65,8 +60,6 @@ def greedy_cover(
     # (v, flag) with flag 0 = v covered, -1 = v excluded.
     covered = (lo_key[0], -1 if lo_key[1] == 0 else 0)
     chosen: list[CoveredFragment] = []
-    if index is None:
-        index = IntervalIndex(fragments)
     # jump[p] = rightmost not-consumed position ≤ p (with path compression);
     # jump[0] == -1 means everything to the left is consumed.
     jump = list(range(-1, len(index)))  # position p maps to slot p + 1
@@ -87,7 +80,7 @@ def greedy_cover(
         if best_pos is None:
             return None
         jump[best_pos + 1] = best_pos - 1  # consume
-        best = index.at(best_pos)
+        best = index.intervals[best_pos]
         clip = None
         if chosen:
             # exclude everything at or below the covered upper bound

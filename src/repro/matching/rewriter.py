@@ -419,7 +419,7 @@ class Rewriter:
             if clamped is None:
                 return None  # selection entirely outside the domain
             theta = clamped
-        cover = greedy_cover(theta, [], index=self.pool.cover_index(match.view_id, attr))
+        cover = greedy_cover(theta, self.pool.cover_index(match.view_id, attr))
         if cover is None:
             return None  # eviction holes: the partition cannot answer this
         find = self.pool.find_fragment

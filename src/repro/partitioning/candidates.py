@@ -20,13 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.partitioning.intervals import Interval
-
-# Below this many fragments the scalar loop beats the cost of building
-# the bound-key arrays; above it the vectorized case discrimination wins.
-_VECTOR_MIN_FRAGMENTS = 16
 
 
 @dataclass(frozen=True)
@@ -86,73 +80,11 @@ def partition_candidates(
     clamped = selection.intersect(domain)
     if clamped is None:
         return []
-    if len(fragments) < _VECTOR_MIN_FRAGMENTS:
-        candidates = []
-        for fragment in fragments:
-            cand = split_fragment(fragment, clamped)
-            if cand is not None:
-                candidates.append(cand)
-        return candidates
-    return _partition_candidates_vector(clamped, fragments)
-
-
-def _partition_candidates_vector(
-    clamped: Interval, fragments: list[Interval]
-) -> list[SplitCandidate]:
-    """Definition 7 with the per-fragment case tests as array ops.
-
-    The five cases of :func:`split_fragment` reduce to lexicographic
-    comparisons over the fragments' ``(value, openness)`` bound keys —
-    evaluated here as vectorized two-component compares over all fragments
-    at once (the float comparisons match Python tuple comparison bit for
-    bit).  Only the fragments that actually split construct interval
-    objects, via the same ``split_before`` / ``split_after`` calls in the
-    same fragment order, so the candidate list is element-for-element the
-    scalar loop's.
-    """
-    keys = np.array([f._lkey + f._ukey for f in fragments], dtype=np.float64)
-    lk, uk = keys[:, :2], keys[:, 2:]
-    sl, su = clamped._lkey, clamped._ukey
-    # case 1 — disjoint: no overlap between fragment and selection.
-    overlaps = ((lk[:, 0] < su[0]) | ((lk[:, 0] == su[0]) & (lk[:, 1] <= su[1]))) & (
-        (sl[0] < uk[:, 0]) | ((sl[0] == uk[:, 0]) & (sl[1] <= uk[:, 1]))
-    )
-    # case 2 — fragment ⊆ selection.
-    contained = ((sl[0] < lk[:, 0]) | ((sl[0] == lk[:, 0]) & (sl[1] <= lk[:, 1]))) & (
-        (uk[:, 0] < su[0]) | ((uk[:, 0] == su[0]) & (uk[:, 1] <= su[1]))
-    )
-    splittable = overlaps & ~contained
-    lo_inside = np.zeros(len(fragments), dtype=bool)
-    hi_inside = np.zeros(len(fragments), dtype=bool)
-    if clamped.low is not None:
-        x = clamped.lo
-        # _can_split_before: fragment.contains_point(x) and fragment.lo < x
-        # (the openness flag of the scalar `_lower_key() < (x, 0)` test can
-        # never decide it, so it reduces to the bound comparison).
-        inside = ~((x < lk[:, 0]) | ((x == lk[:, 0]) & (lk[:, 1] == 1.0))) & ~(
-            (x > uk[:, 0]) | ((x == uk[:, 0]) & (uk[:, 1] == -1.0))
-        )
-        lo_inside = inside & (lk[:, 0] < x)
-    if clamped.high is not None:
-        x = clamped.hi
-        # _can_split_after: fragment.contains_point(x) and x < fragment.hi.
-        inside = ~((x < lk[:, 0]) | ((x == lk[:, 0]) & (lk[:, 1] == 1.0))) & ~(
-            (x > uk[:, 0]) | ((x == uk[:, 0]) & (uk[:, 1] == -1.0))
-        )
-        hi_inside = inside & (x < uk[:, 0])
     candidates = []
-    for i in np.flatnonzero(splittable & (lo_inside | hi_inside)):
-        fragment = fragments[i]
-        if lo_inside[i] and hi_inside[i]:  # case 5
-            left, rest = fragment.split_before(clamped.lo)
-            middle, right = rest.split_after(clamped.hi)
-            candidates.append(SplitCandidate(fragment, (left, middle, right)))
-        elif lo_inside[i]:  # case 4
-            left, right = fragment.split_before(clamped.lo)
-            candidates.append(SplitCandidate(fragment, (left, right)))
-        else:  # case 3
-            left, right = fragment.split_after(clamped.hi)
-            candidates.append(SplitCandidate(fragment, (left, right)))
+    for fragment in fragments:
+        cand = split_fragment(fragment, clamped)
+        if cand is not None:
+            candidates.append(cand)
     return candidates
 
 

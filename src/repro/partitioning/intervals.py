@@ -290,25 +290,20 @@ def keys_overlapping(lower: np.ndarray, upper: np.ndarray, interval: Interval) -
 
 
 class IntervalIndex:
-    """A bisect-searchable ordering of a fragment-interval list.
+    """Fragment intervals in canonical :func:`sort_key` order, bisect-searchable.
 
     Greedy cover matching and pool lookups repeatedly ask "which intervals
     start at or before this point?" — a linear scan per step in the naive
-    implementation.  This index sorts the intervals once by canonical key
-    and answers the question with a binary search over the lower-bound
-    keys, turning Algorithm 2 from O(n²) into O(n log n).
-
-    ``positions`` are indexes into the sorted order; ``original_index``
-    maps a position back to the caller's list.
+    implementation.  This index keeps the intervals sorted by canonical
+    key and answers the question with a binary search over the lower-bound
+    keys, turning Algorithm 2 from O(n²) into O(n log n).  A position is
+    an index into ``intervals``.
     """
 
-    __slots__ = ("intervals", "order", "lower_keys", "upper_keys")
+    __slots__ = ("intervals", "lower_keys", "upper_keys")
 
     def __init__(self, intervals: list[Interval]):
-        self.intervals = list(intervals)
-        self.order = sorted(range(len(self.intervals)), key=lambda i: sort_key(self.intervals[i]))
-        self.lower_keys = [self.intervals[i]._lower_key() for i in self.order]
-        self.upper_keys = [self.intervals[i]._upper_key() for i in self.order]
+        self._fill(sorted(intervals, key=sort_key))
 
     @classmethod
     def from_sorted(cls, intervals: list[Interval]) -> "IntervalIndex":
@@ -316,30 +311,25 @@ class IntervalIndex:
 
         Skips the O(n log n) sort — the caller (the pool's per-partition
         fragment list) maintains the order with bisected insertions, so the
-        resulting index is byte-identical to ``IntervalIndex(intervals)``
+        resulting index is identical to ``IntervalIndex(intervals)``
         (``sort_key`` is injective over distinct intervals, hence a sorted
         list has exactly one canonical order).
         """
         index = cls.__new__(cls)
-        index.intervals = list(intervals)
-        index.order = list(range(len(index.intervals)))
-        index.lower_keys = [iv._lower_key() for iv in index.intervals]
-        index.upper_keys = [iv._upper_key() for iv in index.intervals]
+        index._fill(list(intervals))
         return index
 
+    def _fill(self, ordered: list[Interval]) -> None:
+        self.intervals = ordered
+        self.lower_keys = [iv._lkey for iv in ordered]
+        self.upper_keys = [iv._ukey for iv in ordered]
+
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.intervals)
 
     def prefix_starting_at_or_before(self, lower_key: tuple[float, int]) -> int:
         """Number of intervals whose lower-bound key is ≤ ``lower_key``."""
         return bisect_right(self.lower_keys, lower_key)
-
-    def at(self, position: int) -> Interval:
-        """The interval at a sorted position."""
-        return self.intervals[self.order[position]]
-
-    def original_index(self, position: int) -> int:
-        return self.order[position]
 
 
 def total_covered_width(intervals: list[Interval]) -> float:

@@ -8,6 +8,7 @@ generation.  They need to know base-table schemas, supplied as a mapping
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +27,38 @@ from repro.query.algebra import (
 )
 
 SchemaMap = dict[str, tuple[str, ...]]
+
+# Schema maps by dict identity -> the id of their contents, interned so that
+# equal maps share memo entries (signatures, pushdown) and a memo key hashes
+# a small int instead of a snapshot of every column name.  Holding a strong
+# reference to the dict pins its id (no reuse after GC), and the ``is``
+# check rejects id collisions outright, so the only way to observe a stale
+# id is in-place mutation of a schema map — which no caller does (schema
+# maps are built once per catalog).  A content's id is never reused, so the
+# memos keyed on ids need no common reset; clearing drops only the identity
+# table, which re-derives the same ids.
+_SCHEMA_IDS: dict[int, tuple[SchemaMap, int]] = {}
+_SNAPSHOT_IDS: dict[tuple, int] = {}
+_INTERNED: list[SchemaMap] = []  # id -> the first map seen with its contents
+_INTERN_LOCK = threading.Lock()
+
+
+def schema_id(schemas: SchemaMap) -> int:
+    """A small int naming the contents of ``schemas``; equal maps share it."""
+    entry = _SCHEMA_IDS.get(id(schemas))
+    if entry is None or entry[0] is not schemas:
+        with _INTERN_LOCK:
+            snapshot = tuple(sorted(schemas.items()))
+            sid = _SNAPSHOT_IDS.setdefault(snapshot, len(_INTERNED))
+            if sid == len(_INTERNED):
+                _INTERNED.append(schemas)
+            entry = _SCHEMA_IDS[id(schemas)] = (schemas, sid)
+    return entry[1]
+
+
+def interned_schemas(sid: int) -> SchemaMap:
+    """A schema map whose contents :func:`schema_id` named ``sid``."""
+    return _INTERNED[sid]
 
 
 def output_columns(plan: Plan, schemas: SchemaMap) -> tuple[str, ...]:
@@ -195,6 +228,8 @@ def job_boundaries(plan: Plan) -> frozenset[Plan]:
 def clear_analysis_cache() -> None:
     """Drop memoized plan analyses (tests / long-lived sessions)."""
     analyze_plan.cache_clear()
+    with _INTERN_LOCK:
+        _SCHEMA_IDS.clear()
 
 
 def _analysis_cache_stats() -> dict:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.caches import register_cache
-from repro.query.algebra import Aggregate, Join, Plan, Project, Relation, Select
-from repro.query.analysis import SchemaMap, output_columns
+from repro.query.algebra import Aggregate, Join, Plan, Project, Select
+from repro.query.analysis import SchemaMap, interned_schemas, output_columns, schema_id
 from repro.query.predicates import RangePredicate
 
 
@@ -23,15 +23,15 @@ def push_down(plan: Plan, schemas: SchemaMap) -> Plan:
     """Push every range selection as close to the leaves as possible.
 
     Pushdown is pure and plans are immutable, so results are memoized per
-    ``(plan, schemas)`` — each system optimizes the same query plan several
-    times (cost estimation, instrumentation, direct execution).
+    ``(plan, schema_id(schemas))`` — each system optimizes the same query
+    plan several times (cost estimation, instrumentation, direct execution).
     """
-    return _push_down_cached(plan, tuple(sorted(schemas.items())))
+    return _push_down_cached(plan, schema_id(schemas))
 
 
 @lru_cache(maxsize=16384)
-def _push_down_cached(plan: Plan, schemas_key: tuple) -> Plan:
-    schemas = dict(schemas_key)
+def _push_down_cached(plan: Plan, sid: int) -> Plan:
+    schemas = interned_schemas(sid)
     changed = True
     while changed:
         plan, changed = _push_once(plan, schemas)
@@ -111,6 +111,4 @@ def _push_select(select: Select, schemas: SchemaMap) -> tuple[Plan, bool]:
         new_proj = Project(_with_select(child.child, movable), child.columns)
         return _with_select(new_proj, stay), True
 
-    if isinstance(child, Relation):
-        return select, False
     return select, False

@@ -25,6 +25,7 @@ from repro.query.analysis import (
     collect_ranges,
     join_equivalence_classes,
     output_columns,
+    schema_id,
 )
 from repro.query.algebra import base_relations
 
@@ -72,25 +73,6 @@ _SIGNATURE_CACHE: dict[tuple, Signature] = {}
 _SIGNATURE_CACHE_MAX = 65_536
 _SIGNATURE_EVICTIONS = [0]
 
-# Schema maps by dict identity -> the id of their contents, interned so that
-# equal maps share memo entries and a key hashes two cached values instead
-# of a snapshot of every column name.  Holding a strong reference to the
-# dict pins its id (no reuse after GC), and the ``is`` check rejects id
-# collisions outright, so the only way to observe a stale id is in-place
-# mutation of a schema map — which no caller does (schema maps are built
-# once per catalog).
-_SCHEMA_IDS: dict[int, tuple[SchemaMap, int]] = {}
-_SNAPSHOT_IDS: dict[tuple, int] = {}
-
-
-def _schema_id(schemas: SchemaMap) -> int:
-    entry = _SCHEMA_IDS.get(id(schemas))
-    if entry is None or entry[0] is not schemas:
-        snapshot = tuple(sorted(schemas.items()))
-        entry = (schemas, _SNAPSHOT_IDS.setdefault(snapshot, len(_SNAPSHOT_IDS)))
-        _SCHEMA_IDS[id(schemas)] = entry
-    return entry[1]
-
 
 def compute_signature(plan: Plan, schemas: SchemaMap) -> Signature:
     """Build the signature of a plan over base relations (memoized).
@@ -99,7 +81,7 @@ def compute_signature(plan: Plan, schemas: SchemaMap) -> Signature:
     only computed over *definitions* (queries and candidate views), never
     over already-rewritten plans.
     """
-    key = (plan, _schema_id(schemas))
+    key = (plan, schema_id(schemas))
     cached = _SIGNATURE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -158,8 +140,6 @@ def clear_signature_caches() -> None:
     """Drop memoized signatures and view ids (tests / long-lived sessions)."""
     _SIGNATURE_CACHE.clear()
     _SIGNATURE_EVICTIONS[0] = 0
-    _SCHEMA_IDS.clear()
-    _SNAPSHOT_IDS.clear()
     view_id_for.cache_clear()
 
 

@@ -268,16 +268,6 @@ class StatisticsStore:
                 self._times_cache[cache_key] = (rev, tfrags, lens, concat, distinct)
         return stats
 
-    def drop_fragment(self, view_id: str, attr: str, interval: Interval) -> None:
-        """Forget a fragment's statistics (used when a split retires a parent)."""
-        key = (view_id, attr, interval)
-        if key in self._fragments:
-            del self._fragments[key]
-            self._partitions[(view_id, attr)].remove(interval)
-            self._bounds_cache.pop((view_id, attr), None)
-            self._times_cache.pop((view_id, attr), None)
-            self._frags_cache.pop((view_id, attr), None)
-
     def intervals_for(self, view_id: str, attr: str) -> list[Interval]:
         """PSTAT(V, A): all fragment intervals tracked for this partition."""
         return list(self._partitions.get((view_id, attr), []))
@@ -290,7 +280,7 @@ class StatisticsStore:
         The arrays parallel :meth:`intervals_for` (and therefore
         :meth:`fragments_for`) element for element; they change only when
         the fragment list itself does, so the cache entry survives hit
-        recording and is popped by ``ensure_fragment``/``drop_fragment``.
+        recording and is popped by ``ensure_fragment``.
         """
         key = (view_id, attr)
         cached = self._bounds_cache.get(key)
@@ -354,7 +344,7 @@ class StatisticsStore:
         """Fragment stats in :meth:`intervals_for` order (shared list — don't mutate).
 
         Cached with the same lifetime as the bound arrays: the list changes
-        only when a fragment is added or dropped, never on recorded hits.
+        only when a fragment is added, never on recorded hits.
         """
         key = (view_id, attr)
         frags = self._frags_cache.get(key)

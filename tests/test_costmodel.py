@@ -91,12 +91,6 @@ class TestStatisticsStore:
         assert ivs[0] == Interval.closed(0, 10)  # sorted
         assert store.partition_attrs("v1") == ["a"]
 
-    def test_drop_fragment(self):
-        store = StatisticsStore()
-        store.ensure_fragment("v1", "a", Interval.closed(0, 10))
-        store.drop_fragment("v1", "a", Interval.closed(0, 10))
-        assert store.intervals_for("v1", "a") == []
-
     def test_record_benefit_updates_last_access(self):
         stats = ViewStats("v", Relation("t"))
         stats.record_benefit(5.0, 100.0)
@@ -156,13 +150,6 @@ class TestStatisticsCaches:
         store.ensure_fragment("v", "a", Interval.open_closed(100, 200))
         per_row, _ = log.decayed_hits(NoDecay(), 10.0)
         assert len(log.rows()) == 4 and per_row[log.rows()[-1]] == 0.0
-        store.drop_fragment("v", "a", Interval.open_closed(100, 200))
-        assert len(log.rows()) == 3
-        dropped = store.fragment("v", "a", Interval.closed(0, 10))
-        store.drop_fragment("v", "a", Interval.closed(0, 10))
-        per_row, total = log.decayed_hits(NoDecay(), 10.0)
-        assert per_row[log.rows()].tolist() == [2.0, 0.0] and total == 2.0
-        assert dropped.times_array().tolist() == [1.0, 2.0, 3.0]  # keeps what it read
 
     def test_partition_bounds_parallel_intervals(self):
         store = self._store()

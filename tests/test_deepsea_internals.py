@@ -654,33 +654,30 @@ def assert_mutations_journaled(pool):
         setattr(pool, name, checked)
 
 
-def list_store_of(stats, partitions):
-    """The per-fragment-list store holding what ``stats`` holds for ``partitions``."""
+def list_store_of(stats, view_id, attr):
+    """The per-fragment-list store holding what ``stats`` holds for one partition."""
     lists = list_pstat.StatisticsStore()
-    for view_id, attr, _domain in partitions:
-        for fragment in stats.fragments_for(view_id, attr):
-            copy = lists.ensure_fragment(view_id, attr, fragment.interval)
-            for t, theta in fragment.hits():
-                copy.record_hit(t, theta)
+    for fragment in stats.fragments_for(view_id, attr):
+        copy = lists.ensure_fragment(view_id, attr, fragment.interval)
+        for t, theta in fragment.hits():
+            copy.record_hit(t, theta)
     return lists
 
 
-def fits_checked_against_the_lists(fits, taken):
-    """``partition_distributions`` that also fits the lists' way and compares."""
+def fits_checked_against_the_lists(fit, taken):
+    """``partition_distribution`` that also fits the lists' way and compares."""
 
-    def checked(stats, partitions, t_now, decay, n_parts=256):
-        got = fits(stats, partitions, t_now, decay, n_parts)
-        lists = list_store_of(stats, partitions)
-        want = list_pstat.partition_distributions(lists, partitions, t_now, decay, n_parts)
-        for key, fit in got.items():
-            assert (fit is None) == (want[key] is None)
-            if fit is not None:
-                assert (fit[0].mu, fit[0].sigma2, fit[1]) == (
-                    want[key][0].mu,
-                    want[key][0].sigma2,
-                    want[key][1],
-                )
-        taken.append(len(got))
+    def checked(stats, view_id, attr, domain, t_now, decay, n_parts=256):
+        got = fit(stats, view_id, attr, domain, t_now, decay, n_parts)
+        lists = list_store_of(stats, view_id, attr)
+        fits = list_pstat.partition_distributions(
+            lists, [(view_id, attr, domain)], t_now, decay, n_parts
+        )
+        want = fits[(view_id, attr)]
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got[0].mu, got[0].sigma2, got[1]) == (want[0].mu, want[0].sigma2, want[1])
+        taken.append(1)
         return got
 
     return checked
@@ -714,15 +711,11 @@ def test_stateful_tight_pool_run(monkeypatch):
     assert_mutations_journaled(system.pool)
     with monkeypatch.context() as patched:
         patched.setattr(_Pieces, "__getitem__", tracking_cut)
-        patched.setattr(
-            value_module,
-            "partition_distributions",
-            fits_checked_against_the_lists(value_module.partition_distributions, fits_taken),
-        )
+        # the one site a tick's fit is taken from
         patched.setattr(
             valuation_module,
-            "partition_distributions",
-            fits_checked_against_the_lists(valuation_module.partition_distributions, fits_taken),
+            "partition_distribution",
+            fits_checked_against_the_lists(value_module.partition_distribution, fits_taken),
         )
         for plan in plans:
             system.execute(plan)

@@ -4,7 +4,7 @@
 ``hit_ranges`` pair of lists per fragment — with the readers that walked
 them.  A random interleaving of every write (tracking a fragment, a
 query's hits, a single fragment's hit, a split's inheritance, a merge's
-union, dropping a fragment, the clock moving on) is applied to both
+union, the clock moving on) is applied to both
 stores, and after every step every reader of raw hits must agree bit for
 bit: each fragment's hit times, ranges, count and last access, ``fragment_hits``,
 the realizing hits (both calls of an index, against both paths of the
@@ -24,7 +24,7 @@ from repro.costmodel.stats import StatisticsStore
 from repro.costmodel.value import (
     RealizingHitsIndex,
     fragment_hits,
-    partition_distributions,
+    partition_distribution,
     realizing_hits,
 )
 from repro.partitioning.candidates import SplitCandidate
@@ -67,7 +67,6 @@ steps = st.builds(
                 st.just("inherit"), _attr, _pick, st.lists(intervals(), min_size=1, max_size=3)
             ),
             st.tuples(st.just("merge"), _attr, _pick, _pick),
-            st.tuples(st.just("drop"), _attr, _pick),
             st.tuples(st.just("tick"), _attr),
         ),
         min_size=8,
@@ -107,12 +106,6 @@ def apply(step, new, old, t):
         if not merged.hit_count():  # Repartitioner.apply_merge
             merged.union_hits(new.fragment("v", attr, left), new.fragment("v", attr, right))
         list_pstat.merge_hits(old, "v", attr, left, right, left.hull(right))
-    elif kind == "drop":
-        interval = tracked[step[2] % len(tracked)]
-        dropped = (new.fragment("v", attr, interval), old.fragment("v", attr, interval))
-        new.drop_fragment("v", attr, interval)
-        old.drop_fragment("v", attr, interval)
-        return dropped
 
 
 def assert_same_hits(n, o):
@@ -146,10 +139,9 @@ def assert_same_readings(new, old, t, decay):
                 oa, ob, t, decay
             )
         # the fit, and the per-fragment values and H_total it was taken over
-        key = ("v", attr)
         partition = [("v", attr, DOMAIN)]
-        got = partition_distributions(new, partition, t, decay, N_PARTS)[key]
-        want = list_pstat.partition_distributions(old, partition, t, decay, N_PARTS)[key]
+        got = partition_distribution(new, "v", attr, DOMAIN, t, decay, N_PARTS)
+        want = list_pstat.partition_distributions(old, partition, t, decay, N_PARTS)[("v", attr)]
         assert (got is None) == (want is None)
         if got is not None:
             assert (got[0].mu, got[0].sigma2, got[1]) == (want[0].mu, want[0].sigma2, want[1])
@@ -166,16 +158,12 @@ def test_every_reader_sees_the_lists_it_saw_before(script, decay):
     new, old = StatisticsStore(), list_pstat.StatisticsStore()
     t = 0.0
     writes = 0
-    dropped = []  # a dropped fragment's stats still read what they read
     for step in script:
         t += STRIDE
-        gone = apply(step, new, old, t)
-        dropped += [gone] if gone else []
+        apply(step, new, old, t)
         writes += step[0] in ("record", "hit")
         assert_same_readings(new, old, t, decay)
-        for n, o in dropped:
-            assert_same_hits(n, o)
-        for attr in ATTRS:  # the kept counts, freed rows included, are the membership's
+        for attr in ATTRS:  # the kept counts are the membership's
             log = new.hit_log("v", attr)
             if log is not None:
                 width = log._next_row

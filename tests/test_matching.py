@@ -3,7 +3,7 @@
 from repro.matching.filter_tree import FilterTree
 from repro.matching.matcher import match_view, partition_attr_ranges
 from repro.matching.partition_match import covered_bytes, greedy_cover
-from repro.partitioning.intervals import Interval
+from repro.partitioning.intervals import Interval, IntervalIndex
 from repro.query.algebra import Aggregate, AggSpec, Join, Project, Relation, Select
 from repro.query.predicates import between
 from repro.query.signature import compute_signature
@@ -166,7 +166,7 @@ class TestGreedyCover:
             Interval.open_closed(10, 20),
             Interval.open_closed(20, 30),
         ]
-        cover = greedy_cover(Interval.closed(5, 25), frags)
+        cover = greedy_cover(Interval.closed(5, 25), IntervalIndex(frags))
         assert cover is not None
         assert [c.interval for c in cover] == frags
         assert cover[0].clip is None
@@ -174,14 +174,14 @@ class TestGreedyCover:
 
     def test_single_fragment_suffices(self):
         frags = [Interval.closed(0, 30), Interval.closed(5, 10)]
-        cover = greedy_cover(Interval.closed(6, 9), frags)
+        cover = greedy_cover(Interval.closed(6, 9), IntervalIndex(frags))
         assert cover is not None
         # greedy prefers the largest lower bound: the small hot fragment
         assert [c.interval for c in cover] == [Interval.closed(5, 10)]
 
     def test_overlapping_fragments_clipped(self):
         frags = [Interval.closed(0, 10), Interval.closed(8, 20)]
-        cover = greedy_cover(Interval.closed(0, 15), frags)
+        cover = greedy_cover(Interval.closed(0, 15), IntervalIndex(frags))
         assert cover is not None
         assert [c.interval for c in cover] == frags
         # second fragment must exclude everything ≤ 10
@@ -189,25 +189,25 @@ class TestGreedyCover:
 
     def test_gap_returns_none(self):
         frags = [Interval.closed(0, 10), Interval.closed(15, 30)]
-        assert greedy_cover(Interval.closed(5, 20), frags) is None
+        assert greedy_cover(Interval.closed(5, 20), IntervalIndex(frags)) is None
 
     def test_point_gap_returns_none(self):
         frags = [Interval.closed_open(0, 10), Interval.open_closed(10, 20)]
-        assert greedy_cover(Interval.closed(5, 15), frags) is None
+        assert greedy_cover(Interval.closed(5, 15), IntervalIndex(frags)) is None
 
     def test_open_theta_lower_bound(self):
         frags = [Interval.open_closed(10, 20)]
-        assert greedy_cover(Interval.open_closed(10, 20), frags) is not None
-        assert greedy_cover(Interval.closed(10, 20), frags) is None
+        assert greedy_cover(Interval.open_closed(10, 20), IntervalIndex(frags)) is not None
+        assert greedy_cover(Interval.closed(10, 20), IntervalIndex(frags)) is None
 
     def test_covered_bytes(self):
         frags = [Interval.closed(0, 10), Interval.open_closed(10, 20)]
-        cover = greedy_cover(Interval.closed(0, 20), frags)
+        cover = greedy_cover(Interval.closed(0, 20), IntervalIndex(frags))
         sizes = {frags[0]: 100.0, frags[1]: 50.0}
         assert covered_bytes(cover, sizes) == 150.0
 
     def test_prefers_fewer_wasted_bytes(self):
         """Greedy picks the fragment with the largest lower bound (least waste)."""
         frags = [Interval.closed(0, 100), Interval.closed(40, 60)]
-        cover = greedy_cover(Interval.closed(50, 55), frags)
+        cover = greedy_cover(Interval.closed(50, 55), IntervalIndex(frags))
         assert [c.interval for c in cover] == [Interval.closed(40, 60)]

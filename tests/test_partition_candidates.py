@@ -126,51 +126,69 @@ def test_pieces_tile_parent(fl, fh, sl, sh):
 
 
 # ----------------------------------------------------------------------
-# Oracle: the vectorized case discrimination emits element-for-element the
-# scalar loop's candidates (same pieces, same order), on both sides of the
-# dispatch threshold.
+# Property: Definition 7 over open, closed, half-open and unbounded
+# fragments and selections, stated without reference to how the split is
+# computed.
 # ----------------------------------------------------------------------
 _kinds = st.sampled_from(["closed", "open", "open_closed", "closed_open"])
 
 
 @st.composite
-def _grid_interval(draw):
-    lo = draw(st.integers(0, 29))
-    hi = draw(st.integers(lo + 1, 30))
-    return getattr(Interval, draw(_kinds))(float(lo), float(hi))
+def _any_interval(draw):
+    lo = draw(st.one_of(st.none(), st.integers(-5, 34)))
+    hi = draw(st.one_of(st.none(), st.integers(-5, 34)))
+    if lo is not None and hi is not None:
+        lo, hi = min(lo, hi), max(lo, hi)
+        if lo == hi:
+            return Interval.point(float(lo))
+    kind = draw(_kinds)
+    return Interval(
+        None if lo is None else float(lo),
+        None if hi is None else float(hi),
+        lo is not None and kind in ("open", "open_closed"),
+        hi is not None and kind in ("open", "closed_open"),
+    )
+
+
+def _closed_ends(interval: Interval) -> bool:
+    return (interval.low is None or not interval.low_open) and (
+        interval.high is None or not interval.high_open
+    )
 
 
 @given(
-    st.lists(_grid_interval(), min_size=1, max_size=24),
-    _grid_interval(),
+    st.lists(_any_interval(), min_size=1, max_size=24),
+    _any_interval(),
+    st.sampled_from([DOMAIN, Interval.unbounded()]),
 )
-@settings(max_examples=200, deadline=None)
-def test_vector_path_matches_scalar_loop(fragments, selection):
-    from repro.partitioning.candidates import _partition_candidates_vector
-
-    clamped = selection.intersect(DOMAIN)
-    scalar = [c for c in (split_fragment(f, clamped) for f in fragments) if c is not None]
-    assert _partition_candidates_vector(clamped, fragments) == scalar
-
-
-def test_vector_path_handles_unbounded_fragments():
-    from repro.partitioning.candidates import _partition_candidates_vector
-
-    fragments = [
-        Interval.unbounded(),
-        Interval.at_least(10.0),
-        Interval.closed(0, 30),
-        Interval.point(15.0),
-    ]
-    selection = Interval.closed(5, 15)
-    scalar = [c for c in (split_fragment(f, selection) for f in fragments) if c is not None]
-    assert _partition_candidates_vector(selection, fragments) == scalar
-
-
-def test_dispatch_agrees_across_threshold():
-    """partition_candidates gives the same answer for 15 vs 16+ fragments."""
-    fragments = [Interval.closed_open(float(i), float(i + 1)) for i in range(20)]
-    selection = Interval.closed(3.5, 17.5)
-    wide = partition_candidates(selection, fragments, DOMAIN)
-    narrow = partition_candidates(selection, fragments[:15], DOMAIN)
-    assert narrow == [c for c in wide if c.parent in fragments[:15]]
+@settings(max_examples=300, deadline=None)
+def test_definition7_pieces_tile_and_respect_the_selection(fragments, selection, domain):
+    candidates = partition_candidates(selection, fragments, domain)
+    clamped = selection.intersect(domain)
+    if clamped is None:
+        assert candidates == []
+        return
+    by_parent = {c.parent: c.pieces for c in candidates}
+    assert [c.parent for c in candidates] == [f for f in fragments if f in by_parent]
+    for fragment in fragments:
+        cases_1_2 = not fragment.overlaps(clamped) or clamped.contains(fragment)
+        if cases_1_2:
+            assert fragment not in by_parent
+        elif _closed_ends(clamped):
+            # a closed selection end inside the fragment always splits it
+            assert fragment in by_parent
+        if fragment not in by_parent:
+            continue
+        pieces = list(by_parent[fragment])
+        assert len(pieces) in (2, 3)
+        assert union_covers(pieces, fragment)
+        assert pairwise_disjoint(pieces)
+        assert all(fragment.contains(piece) for piece in pieces)
+        # every clamped endpoint strictly inside the fragment is a piece
+        # boundary, and at most one piece straddles the selection's ends
+        bounds = {p.lo for p in pieces} | {p.hi for p in pieces}
+        for end in (clamped.lo, clamped.hi):
+            if fragment.lo < end < fragment.hi:
+                assert end in bounds
+        if _closed_ends(clamped):
+            assert all(clamped.contains(p) or not p.overlaps(clamped) for p in pieces)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.matching.partition_match import greedy_cover
 from repro.partitioning.fragmentation import union_covers
-from repro.partitioning.intervals import Interval
+from repro.partitioning.intervals import Interval, IntervalIndex
 
 bound = st.integers(0, 60)
 
@@ -39,7 +39,7 @@ def thetas(draw):
 @settings(max_examples=300, deadline=None)
 def test_greedy_cover_succeeds_iff_union_covers(fragments, theta):
     """Completeness: greedy finds a cover exactly when one exists."""
-    cover = greedy_cover(theta, fragments)
+    cover = greedy_cover(theta, IntervalIndex(fragments))
     coverable = union_covers(fragments, theta)
     assert (cover is not None) == coverable
 
@@ -47,7 +47,7 @@ def test_greedy_cover_succeeds_iff_union_covers(fragments, theta):
 @given(fragments=interval_sets(), theta=thetas())
 @settings(max_examples=300, deadline=None)
 def test_cover_union_contains_theta(fragments, theta):
-    cover = greedy_cover(theta, fragments)
+    cover = greedy_cover(theta, IntervalIndex(fragments))
     if cover is None:
         return
     assert union_covers([c.interval for c in cover], theta)
@@ -58,7 +58,7 @@ def test_cover_union_contains_theta(fragments, theta):
 def test_clipped_regions_are_disjoint_and_cover_theta(fragments, theta):
     """The clips disjointify the cover: every point of θ belongs to exactly
     one (fragment ∩ clip) region."""
-    cover = greedy_cover(theta, fragments)
+    cover = greedy_cover(theta, IntervalIndex(fragments))
     if cover is None:
         return
     # sample many points of theta and count which clipped fragments own them
@@ -88,7 +88,7 @@ def test_clipped_regions_are_disjoint_and_cover_theta(fragments, theta):
 @given(fragments=interval_sets(), theta=thetas())
 @settings(max_examples=200, deadline=None)
 def test_cover_uses_each_fragment_at_most_once(fragments, theta):
-    cover = greedy_cover(theta, fragments)
+    cover = greedy_cover(theta, IntervalIndex(fragments))
     if cover is None:
         return
     seen = [c.interval for c in cover]

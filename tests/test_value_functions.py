@@ -18,7 +18,6 @@ from repro.costmodel.value import (
     fragment_hits,
     fragment_weighted_hits,
     partition_distribution,
-    partition_distributions,
     realizing_hits,
 )
 from repro.partitioning.intervals import Interval
@@ -268,14 +267,13 @@ class TestPartitionDistributionsOracle:
         decay = ProportionalDecay(t_max=50)
         t_now = 10.0
         partitions = [("v1", "a", DOMAIN), ("v1", "b", DOMAIN), ("v2", "a", DOMAIN)]
-        results = partition_distributions(store, partitions, t_now, decay)
         for view_id, attr, domain in partitions:
             frags = store.fragments_for(view_id, attr)
             hit_times = [f.times_array().tolist() for f in frags]
             values = [sum(decay(t_now, t) for t in times) if times else 0.0 for times in hit_times]
             distinct = {t for times in hit_times for t in times}
             total = sum(decay(t_now, t) for t in sorted(distinct))
-            got = results[(view_id, attr)]
+            got = partition_distribution(store, view_id, attr, domain, t_now, decay)
             if total <= 0:
                 assert got is None
                 continue
@@ -287,24 +285,10 @@ class TestPartitionDistributionsOracle:
             assert fitted.mu == pytest.approx(expected.mu)
             assert fitted.sigma2 == pytest.approx(expected.sigma2)
 
-    def test_batched_equals_one_at_a_time(self):
-        decay = ProportionalDecay(t_max=50)
-        partitions = [("v1", "a", DOMAIN), ("v1", "b", DOMAIN), ("v2", "a", DOMAIN)]
-        batched = partition_distributions(self._store(), partitions, 10.0, decay)
-        store = self._store()  # fresh store: no memo cross-talk
-        for view_id, attr, domain in partitions:
-            single = partition_distribution(store, view_id, attr, domain, 10.0, decay)
-            got = batched[(view_id, attr)]
-            if single is None:
-                assert got is None
-            else:
-                assert got[0] == single[0]  # FittedNormal dataclass: exact fields
-                assert got[1] == single[1]
-
     def test_seeds_fragment_hits_memo(self, monkeypatch):
         store = self._store()
         decay = ProportionalDecay(t_max=50)
-        partition_distributions(store, [("v1", "a", DOMAIN)], 10.0, decay)
+        partition_distribution(store, "v1", "a", DOMAIN, 10.0, decay)
         expected = {
             f.interval: sum(decay.weights(10.0, f.times_array()).tolist())
             if f.hit_count()
