@@ -24,7 +24,7 @@ Quickstart::
 
 from repro.core.deepsea import DeepSea
 from repro.core.policies import Policy
-from repro.core.reports import QueryReport, WorkloadSummary
+from repro.core.reports import QueryReport
 from repro.engine.catalog import Catalog
 from repro.engine.cost import ClusterSpec, CostLedger
 from repro.engine.schema import Column, Schema
@@ -50,6 +50,5 @@ __all__ = [
     "Schema",
     "SizeBounds",
     "Table",
-    "WorkloadSummary",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Per-query execution reports and workload summaries."""
+"""Per-query execution reports."""
 
 from __future__ import annotations
 
@@ -42,39 +42,3 @@ class QueryReport:
     @property
     def reused_view(self) -> bool:
         return self.view_used is not None
-
-
-@dataclass
-class WorkloadSummary:
-    """Aggregates over a sequence of reports."""
-
-    reports: list[QueryReport]
-
-    @property
-    def total_s(self) -> float:
-        return sum(r.total_s for r in self.reports)
-
-    @property
-    def execution_s(self) -> float:
-        return sum(r.execution_s for r in self.reports)
-
-    @property
-    def creation_s(self) -> float:
-        return sum(r.creation_s for r in self.reports)
-
-    @property
-    def cumulative_s(self) -> list[float]:
-        out: list[float] = []
-        acc = 0.0
-        for r in self.reports:
-            acc += r.total_s
-            out.append(acc)
-        return out
-
-    @property
-    def reuse_count(self) -> int:
-        return sum(1 for r in self.reports if r.reused_view)
-
-    @property
-    def map_tasks(self) -> int:
-        return sum(r.execution_ledger.map_tasks + r.creation_ledger.map_tasks for r in self.reports)

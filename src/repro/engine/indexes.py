@@ -27,13 +27,9 @@ probe-root row, the *row id* of that build row (or -1) instead of a
 match range, and a query's join is one gather of it and one membership
 test against the build side's selection (:func:`join_probe`).
 
-Appends do not start a probe cold.  :meth:`Table.append` returns a new
-table object (a new identity, so no entry can go stale) that remembers
-the table it grew from, whose rows are its own first rows.  On a miss the
-probe cache looks for an entry of a live append-ancestor and extends it
-by a binary search of the appended probe keys alone, which equals,
-element for element, probing the grown table from scratch.  A grown
-build side's sort index is built afresh by :meth:`SortIndex.build`.
+:meth:`Table.append` returns a new table object, a new identity, so no
+entry can go stale: a grown table's probes and sort indexes are built
+afresh, exactly as for any other table.
 """
 
 from __future__ import annotations
@@ -49,11 +45,9 @@ from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.engine.types import decoded, sort_key
 
-# A cached probe is held as a table so that a grown root's entry is its
-# parent's entry plus Table.append: the same tail buffer that lets table
-# versions share rows lets their probes share them.  Against a build root
-# with distinct keys the entry is the matched build row per probe row
-# (-1: none); otherwise it is each probe key's match range.
+# A cached probe is a table.  Against a build root with distinct keys it
+# holds the matched build row per probe row (-1: none); otherwise each
+# probe key's match range.
 _MATCH_SCHEMA = Schema.of(Column("match"))
 _RANGE_SCHEMA = Schema.of(Column("starts"), Column("ends"))
 
@@ -178,10 +172,8 @@ class ProbeCache:
     a pair seen twice pays the one-time full-root probe and serves every
     later join from the cache.
 
-    A root grown by :meth:`Table.append` takes over where its parent
-    stood: a cached probe is extended by a binary search of the appended
-    keys only, and a first strike against the parent counts against the
-    grown table too — to the workload they are one relation.
+    A root grown by :meth:`Table.append` is a new table and starts cold:
+    its own two strikes, then one full-root probe.
 
     ``fk_rows`` counts joins :func:`join_probe` served by row id and
     ``fk_fallback`` joins whose build key was not distinct.
@@ -229,30 +221,13 @@ class ProbeCache:
         per_right, box = pair
         attrs = (left_attr, right_attr)
         if attrs not in per_right:
-            for ancestor in root.append_ancestors():
-                known = self._probes.get(ancestor, {}).get(right)
-                if known is not None and attrs in known[0]:
-                    # What the table this root grew from knew of the pair
-                    # carries over: its strike (None), or its probe —
-                    # valid as it stands for this root's first rows.
-                    per_right[attrs] = known[0][attrs]
-                    if per_right[attrs] is not None:
-                        box.cached += 1
-                    break
-            else:
-                per_right[attrs] = None  # first strike: probe directly
-                return None
+            per_right[attrs] = None  # first strike: probe directly
+            return None
         entry = per_right[attrs]
-        if entry is None or entry.nrows < root.nrows:
+        if entry is None:
             self.misses += 1
-            done = 0 if entry is None else entry.nrows
-            probed = _probe_rows(index, decoded(root.column(left_attr)[done:]))
-            if entry is None:
-                box.cached += 1
-                entry = probed
-            else:
-                entry = entry.append(probed)
-            per_right[attrs] = entry
+            box.cached += 1
+            entry = per_right[attrs] = _probe_rows(index, decoded(root.column(left_attr)))
         else:
             self.hits += 1
         return entry

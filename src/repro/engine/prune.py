@@ -66,9 +66,8 @@ def classify(pool, scan, predicates: "tuple[RangePredicate, ...]") -> "list[Piec
     """One decision per fragment of ``scan`` under ``predicates``, or ``None``.
 
     ``None`` means the scan is not prunable (no fragment list, no
-    partition attribute, a conjunct on another attribute, or a payload
-    evicted since a lease pinned its entry) and the caller must use the
-    unpruned path.
+    partition attribute, a conjunct on another attribute, or a fragment
+    id the pool does not know) and the caller must use the unpruned path.
     """
     attr = scan.attr
     if not scan.fragment_ids or attr is None or not predicates:
@@ -85,14 +84,14 @@ def classify(pool, scan, predicates: "tuple[RangePredicate, ...]") -> "list[Piec
     clips = scan.clips or (None,) * len(scan.fragment_ids)
     try:
         return [
-            _decide(pool, attr, pool.get_fragment(fid), clip, intersection)
+            _decide(attr, pool.get_fragment(fid), clip, intersection)
             for fid, clip in zip(scan.fragment_ids, clips)
         ]
     except PoolError:
         return None
 
 
-def _decide(pool, attr: str, entry, clip, intersection) -> PieceDecision:
+def _decide(attr: str, entry, clip, intersection) -> PieceDecision:
     eff = intersection
     if eff is not None and clip is not None:
         eff = eff.intersect(clip)
@@ -107,7 +106,7 @@ def _decide(pool, attr: str, entry, clip, intersection) -> PieceDecision:
             return _FULL
     observed = entry.observed
     if observed is None:
-        payload = pool.hdfs.peek(entry.path)
+        payload = entry.stored.table
         if payload.nrows == 0 or attr not in payload.schema:
             return _FULL  # nothing to mask, nothing to prune
         values = payload.column(attr)

@@ -31,7 +31,6 @@ happens only in :meth:`to_rows` and at pickle boundaries.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -209,12 +208,8 @@ class Table:
         self._lineage: "tuple[Table, np.ndarray | None, bool] | None" = None
 
     # Set by :meth:`append` on the tables it returns: the shared tail
-    # buffer the columns are views of, and a weak reference to the table
-    # appended to (whose rows are this table's first rows — what lets
-    # repro.engine.indexes extend the parent's indexes instead of
-    # rebuilding them).  Both are in-process only, like lineage.
+    # buffer the columns are views of.  In-process only, like lineage.
     _tail: ClassVar["_TailBuffer | None"] = None
-    _append_parent: ClassVar["weakref.ref[Table] | None"] = None
 
     def __getstate__(self) -> dict:
         """Pickle without lineage and with strings decoded.
@@ -233,9 +228,8 @@ class Table:
         state["_lineage"] = None
         # An appended table ships its visible rows only: numpy pickles a
         # view by content, and the buffer (with every later version's
-        # rows) and the parent link stay behind.
+        # rows) stays behind.
         state.pop("_tail", None)
-        state.pop("_append_parent", None)
         state["columns"] = {name: decoded(col) for name, col in self.columns.items()}
         return state
 
@@ -407,19 +401,7 @@ class Table:
             like, scale = grown.columns, grown.scale
         out = Table(self.schema, tail.visible(like, total), scale)
         out._tail = tail
-        out._append_parent = weakref.ref(self)
         return out
-
-    def append_ancestors(self):
-        """The live tables this one was grown from by :meth:`append`,
-        nearest first; each one's rows are a prefix of this table's."""
-        ref = self._append_parent
-        while ref is not None:
-            parent = ref()
-            if parent is None:
-                return
-            yield parent
-            ref = parent._append_parent
 
     def distinct(self) -> "Table":
         """Remove duplicate rows (used for overlapping-fragment unions)."""

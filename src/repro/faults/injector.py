@@ -9,10 +9,19 @@ makes ``workers=1`` and ``workers=2`` chaos runs byte-identical.
 Every fired fault and every completed recovery appends one line to the
 event log; the determinism harness asserts the logs are identical across
 worker counts, and the chaos CLI prints the counts.
+
+The serving layer shares one injector between its reader threads and the
+writer, so every draw site holds the injector's lock for its whole draw:
+numpy's ``Generator`` is not thread-safe, and an event's ``seq`` must be
+its index in the log.  Draw *order* across threads is then scheduling-
+dependent, which is fine there — the serving invariant is checked on
+answers, not on event logs.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,6 +49,17 @@ class InjectedEvent:
         return f"{self.seq}:{self.site}:{self.kind}:{self.detail}"
 
 
+def _serialized(draw):
+    """Run one draw site under the injector's lock."""
+
+    @functools.wraps(draw)
+    def locked(self, *args):
+        with self._lock:
+            return draw(self, *args)
+
+    return locked
+
+
 class FaultInjector:
     """Draws fault decisions for every injection site, logging each one."""
 
@@ -48,6 +68,18 @@ class FaultInjector:
         self._rng = np.random.Generator(np.random.PCG64(schedule.seed))
         self._rates = {spec.kind: spec.rate for spec in schedule.specs}
         self.events: list[InjectedEvent] = []
+        self._lock = threading.Lock()
+
+    # Ledgers carry their injector, and fan-out workers pickle ledgers
+    # back to the parent: the lock stays behind and a fresh one is made.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _record(self, site: str, kind: str, detail: str) -> None:
@@ -63,6 +95,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Injection sites
     # ------------------------------------------------------------------
+    @_serialized
     def map_task_faults(self, tasks: int) -> tuple[list[int], int]:
         """Failures and stragglers among ``tasks`` map tasks of one scan.
 
@@ -98,6 +131,7 @@ class FaultInjector:
                 )
         return chains, stragglers
 
+    @_serialized
     def block_read_faults(self, path: str, size_bytes: float, ledger: "CostLedger") -> None:
         """Replica-level damage on one file read, charged to ``ledger``.
 
@@ -117,6 +151,7 @@ class FaultInjector:
             )
             self._record("storage.read", "block_corruption", path)
 
+    @_serialized
     def lose_fragment(self, n_candidates: int) -> int | None:
         """Index of the pool entry losing all replicas this query, if any."""
         rate = self._rates.get("fragment_loss", 0.0)
@@ -128,6 +163,7 @@ class FaultInjector:
         self._record("pool", "fragment_loss", f"entry {index} of {n_candidates}")
         return index
 
+    @_serialized
     def controller_crash(self, site: str) -> bool:
         """Does the controller die at this repartitioning step?"""
         rate = self._rates.get("controller_crash", 0.0)
@@ -136,6 +172,7 @@ class FaultInjector:
         self._record(site, "controller_crash", "died before commit")
         return True
 
+    @_serialized
     def worker_crash(self, site: str) -> bool:
         """One executor-worker death draw at the ``worker_kill`` rate.
 
@@ -152,6 +189,7 @@ class FaultInjector:
         self._record(site, "worker_kill", "executor worker died mid-query")
         return True
 
+    @_serialized
     def worker_kill_plan(self, n_tasks: int) -> dict[int, int]:
         """Which fan-out tasks get their first attempt's worker killed.
 
@@ -171,5 +209,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Recovery bookkeeping (logged so the chaos report shows both sides)
     # ------------------------------------------------------------------
+    @_serialized
     def record_recovery(self, site: str, detail: str) -> None:
         self._record(site, "recovery", detail)

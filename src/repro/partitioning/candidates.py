@@ -14,6 +14,11 @@ splits:
 * both endpoints inside → three pieces ``[l', l)``, ``[l, u]``, ``(u, u']``
   (case 5);
 * disjoint or fragment ⊆ query (cases 1–2) → no candidates.
+
+An open selection end cuts on its other side: ``(l, ...`` splits with
+``split_after(l)`` into ``[l', l]`` and ``(l, u']``, and ``..., u)`` with
+``split_before(u)``, so the piece boundary always falls where the
+selection's does and ``(l, u]`` over ``[l, u']`` is split too.
 """
 
 from __future__ import annotations
@@ -53,18 +58,21 @@ def split_fragment(fragment: Interval, selection: Interval) -> SplitCandidate | 
         return None  # case 1
     if selection.contains(fragment):
         return None  # case 2
-    lo_inside = selection.low is not None and _can_split_before(fragment, selection.lo)
-    hi_inside = selection.high is not None and _can_split_after(fragment, selection.hi)
+    # An open selection end cuts on its other side (module docstring).
+    split_lo = Interval.split_after if selection.low_open else Interval.split_before
+    split_hi = Interval.split_before if selection.high_open else Interval.split_after
+    can_lo = _can_split_after if selection.low_open else _can_split_before
+    can_hi = _can_split_before if selection.high_open else _can_split_after
+    lo_inside = selection.low is not None and can_lo(fragment, selection.lo)
+    hi_inside = selection.high is not None and can_hi(fragment, selection.hi)
     if lo_inside and hi_inside:  # case 5
-        left, rest = fragment.split_before(selection.lo)
-        middle, right = rest.split_after(selection.hi)
+        left, rest = split_lo(fragment, selection.lo)
+        middle, right = split_hi(rest, selection.hi)
         return SplitCandidate(fragment, (left, middle, right))
     if lo_inside:  # case 4 (selection overlaps from the right)
-        left, right = fragment.split_before(selection.lo)
-        return SplitCandidate(fragment, (left, right))
+        return SplitCandidate(fragment, split_lo(fragment, selection.lo))
     if hi_inside:  # case 3 (selection overlaps from the left)
-        left, right = fragment.split_after(selection.hi)
-        return SplitCandidate(fragment, (left, right))
+        return SplitCandidate(fragment, split_hi(fragment, selection.hi))
     return None
 
 

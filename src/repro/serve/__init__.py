@@ -12,9 +12,10 @@ the existing engine:
   an unbounded queue or a blocking put.
 * :mod:`repro.serve.snapshot` — **epoch-pinned snapshot leases** over the
   view pool.  A reader plans and executes against the exact pool
-  configuration of one epoch; fragments evicted mid-read are served from
-  retained payloads, so readers never block on the writer and never see a
-  half-applied repartitioning.
+  configuration of one epoch; a lease holds its entries and each entry
+  holds its immutable file, so a fragment evicted mid-read is still read
+  from the file the lease holds.  Readers never block on the writer and
+  never see a half-applied repartitioning.
 * :mod:`repro.serve.writer` — the **single writer**: one thread applying
   repartitioning steps as journaled transactions (the PR-3 WAL), feeding
   DeepSea's adaptive loop with the admitted query stream.

@@ -68,13 +68,14 @@ def run_phase(
     from repro.baselines import deepsea
 
     system = deepsea(fixture.catalog, domains=fixture.domains)
+    if name == "chaos":
+        system.attach_faults(chaos_schedule)
     service = QueryService(
         system,
         workers=workers,
         queue_depth=queue_depth,
         deadline_s=deadline_s,
         retries=retries,
-        faults=chaos_schedule if name == "chaos" else None,
     ).start()
     rng = np.random.default_rng(arrival_seed)
     burst_size = queue_depth * 3

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 from repro.engine.cost import CostLedger
 from repro.engine.executor import ExecutionContext, Executor
 from repro.errors import DeadlineExceeded, ReproError, WorkerCrashError
-from repro.faults.injector import FaultInjector
 from repro.query.optimizer import push_down
 from repro.serve.queue import AdmissionQueue
 from repro.serve.snapshot import SnapshotManager
@@ -53,49 +52,6 @@ if TYPE_CHECKING:
 
 # How long a blocked reader waits before re-checking for shutdown.
 _POLL_S = 0.05
-
-
-class LockedInjector(FaultInjector):
-    """A :class:`FaultInjector` safe to share across service threads.
-
-    numpy's ``Generator`` is not thread-safe, and the injector's event
-    log is an append-heavy list — so every draw site takes one lock.
-    Draw *order* across threads is scheduling-dependent, which is fine:
-    the serving invariant is checked on answers (digests against the
-    serial fault-free run), not on event-log byte-equality.
-    """
-
-    def __init__(self, schedule) -> None:
-        super().__init__(schedule)
-        self._draw_lock = threading.Lock()
-
-    def map_task_faults(self, tasks):
-        with self._draw_lock:
-            return super().map_task_faults(tasks)
-
-    def block_read_faults(self, path, size_bytes, ledger):
-        with self._draw_lock:
-            return super().block_read_faults(path, size_bytes, ledger)
-
-    def lose_fragment(self, n_candidates):
-        with self._draw_lock:
-            return super().lose_fragment(n_candidates)
-
-    def controller_crash(self, site):
-        with self._draw_lock:
-            return super().controller_crash(site)
-
-    def worker_crash(self, site):
-        with self._draw_lock:
-            return super().worker_crash(site)
-
-    def worker_kill_plan(self, n_tasks):
-        with self._draw_lock:
-            return super().worker_kill_plan(n_tasks)
-
-    def record_recovery(self, site, detail):
-        with self._draw_lock:
-            return super().record_recovery(site, detail)
 
 
 @dataclass
@@ -137,12 +93,10 @@ class ServeTicket:
 class QueryService:
     """A bounded-queue, N-reader, single-writer serving layer.
 
-    Chaos is opted into via ``faults`` (a schedule name, JSON, or
-    :class:`~repro.faults.schedule.FaultSchedule`): the service mints a
-    :class:`LockedInjector` and attaches it to the system, so storage
-    damage, controller crashes, and per-attempt reader deaths all draw
-    from one thread-safe stream.  Attach chaos through this parameter —
-    not ``system.attach_faults`` — when using more than one worker.
+    Chaos is the system's: with a :meth:`~repro.core.deepsea.DeepSea.attach_faults`
+    injector attached, storage damage, controller crashes and per-attempt
+    reader deaths all draw from its one stream, which serializes its own
+    draws.
     """
 
     def __init__(
@@ -154,7 +108,6 @@ class QueryService:
         deadline_s: "float | None" = None,
         retries: int = 2,
         backoff_s: float = 0.005,
-        faults=None,
         adapt: bool = True,
     ):
         if workers < 1:
@@ -168,11 +121,6 @@ class QueryService:
         self.plan_lock = threading.RLock()
         self.queue = AdmissionQueue(queue_depth)
         self.snapshots = SnapshotManager(system.pool)
-        if faults is not None:
-            from repro.faults.schedule import FaultSchedule
-
-            system.attach_faults(LockedInjector(FaultSchedule.resolve(faults)))
-        self._injector = system.faults
         self.writer = PoolWriter(system, self.plan_lock, depth=queue_depth * 4) if adapt else None
         self._readers = [
             threading.Thread(target=self._reader_loop, name=f"serve-reader-{i}", daemon=True)
@@ -232,7 +180,6 @@ class QueryService:
                 thread.join(timeout)
         if self.writer is not None:
             self.writer.stop(drain=drain_writer, timeout=timeout)
-        self.snapshots.detach()
 
     def __enter__(self) -> "QueryService":
         return self.start()
@@ -252,17 +199,13 @@ class QueryService:
                 "degraded_direct": self.degraded_direct,
                 "via_view": self.via_view,
             }
+        faults = self.system.faults
         out = {
             "offered": self.queue.offered,
             "shed": self.queue.shed,
             **counts,
             "pool_epoch": self.system.pool.epoch,
-            "snapshots": {
-                "retained_total": self.snapshots.retained_total,
-                "served_from_retained": self.snapshots.served_from_retained,
-                "retained_now": self.snapshots.retained_count,
-            },
-            "fault_events": self._injector.fired if self._injector is not None else 0,
+            "fault_events": faults.fired if faults is not None else 0,
         }
         if self.writer is not None:
             out["writer"] = {
@@ -351,11 +294,11 @@ class QueryService:
             chosen = self._plan(plan)
             lease = self.snapshots.acquire()
         try:
-            if self._injector is not None and self._injector.worker_crash("serve.reader"):
+            faults = self.system.faults
+            if faults is not None and faults.worker_crash("serve.reader"):
                 raise WorkerCrashError("injected reader death mid-query")
             ledger = CostLedger(self.system.cluster)
-            if self._injector is not None:
-                ledger.faults = self._injector
+            ledger.faults = faults
             to_run = (
                 chosen.plan
                 if chosen is not None

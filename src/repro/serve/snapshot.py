@@ -2,27 +2,22 @@
 
 A reader that plans a rewriting against the pool must be able to finish
 executing it even while the single writer repartitions the very views it
-is reading.  The pool already provides the two halves of an MVCC story:
-a monotonic ``epoch`` bumped on every residency mutation, and immutable
-``FragmentEntry`` records whose payloads never change in place (evict +
-re-admit, never overwrite).  A lease therefore only needs to pin three
-cheap things at acquire time — the epoch, a shallow copy of the
-fragment-id map, and the per-view cover versions — and to guarantee that
-payloads of entries that *leave* the pool remain readable while any lease
-that could reference them is alive.
+is reading.  The pool provides everything that takes: a monotonic
+``epoch`` bumped on every residency mutation, and ``FragmentEntry``
+records that each hold the immutable file written at admission (evict +
+re-admit, never overwrite).  A lease pins the epoch, a shallow copy of
+the fragment-id map and the per-view cover versions.  Holding an entry
+holds its payload, so a payload the writer evicts stays readable for
+exactly as long as some lease that pinned it is held, and becomes
+garbage when the last one is released.
 
-That guarantee is the :class:`SnapshotManager`'s retention store: the
-pool's ``retention`` hook offers every departing entry's payload before
-its file is deleted, and the manager keeps it for exactly as long as some
-active lease predates the eviction.  Reads prefer the live file (so the
-common, race-free case costs nothing extra) and fall back to the
-retained payload — byte-identical by construction — only when the writer
-won the race.
+Reads prefer the live file, so replica damage and recovery are charged
+to the reader's ledger as on the batch path, and fall back to the
+entry's own file — the same bytes — when the writer won the race.
 
 Locking: ``acquire`` must run under the service's plan lock (so the
 snapshot is consistent with the plan just built against the live pool);
-the manager's own lock protects the lease table and retention store,
-which the writer thread mutates through the hook.
+the manager's own lock guards only the set of live lease ids.
 """
 
 from __future__ import annotations
@@ -44,10 +39,8 @@ class LeasedPoolView:
 
     Exposes exactly the surface the executor and the execution-side
     caches consult — ``uid``/``epoch``/``cover_version`` for cache keys,
-    ``get_fragment``/``read_entry``/``whole_view_entry`` for evaluation,
-    ``hdfs`` for the prune classifier's min/max peeks — resolving entry
-    lookups against the pinned snapshot and payload reads against
-    live-file-then-retained.
+    ``get_fragment``/``read_entry``/``whole_view_entry`` for evaluation —
+    resolving entry lookups against the pinned snapshot.
     """
 
     def __init__(self, lease: "EpochLease"):
@@ -67,10 +60,6 @@ class LeasedPoolView:
     def epoch(self) -> int:
         return self._lease.epoch
 
-    @property
-    def hdfs(self):
-        return self._pool.hdfs
-
     def cover_version(self, view_id: str) -> int:
         return self._lease.cover_versions.get(view_id, 0)
 
@@ -89,12 +78,10 @@ class LeasedPoolView:
         """The entry's payload as of the pinned epoch.
 
         Resolution ladder: live file (with the pool's recompute-from-base
-        recovery if every replica is lost) → retained payload (the writer
-        evicted the entry after this lease was acquired) → a typed
-        :class:`RecoveryError` for the service's degradation ladder.
-        Every successful rung returns byte-identical rows: files are
-        immutable, retention copies the exact departing payload, and
-        recovery is already required to reproduce equivalent bytes.
+        recovery if every replica is lost) → the entry's own file (the
+        writer evicted it, or deleted it mid-recovery, after this lease
+        was acquired).  Every rung returns the same rows: files are
+        immutable, and recovery is required to reproduce them.
         """
         entry = self.get_fragment(fragment_id)
         pool = self._pool
@@ -105,16 +92,10 @@ class LeasedPoolView:
                 try:
                     return pool.recovery.recover(pool, entry, ledger)
                 except (PoolError, RecoveryError):
-                    pass  # writer deleted the file mid-recovery; try retention
+                    pass  # writer deleted the file mid-recovery
         except PoolError:
-            pass  # evicted after the lease was acquired; try retention
-        table = self._lease.manager.retained_read(fragment_id)
-        if table is None:
-            raise RecoveryError(
-                f"entry {fragment_id!r} of epoch-{self._lease.epoch} snapshot is "
-                f"neither live nor retained"
-            )
-        return table
+            pass  # evicted after the lease was acquired
+        return entry.stored.table
 
 
 class EpochLease:
@@ -139,8 +120,11 @@ class EpochLease:
         return LeasedPoolView(self)
 
     def release(self) -> None:
+        """Unpin: the lease drops its entries, and with them every payload
+        the writer evicted since it was acquired and no other lease holds."""
         if not self._released:
             self._released = True
+            self.entries = {}
             self.manager.release(self)
 
     def __enter__(self) -> "EpochLease":
@@ -151,88 +135,32 @@ class EpochLease:
 
 
 class SnapshotManager:
-    """Mints epoch leases and retains payloads their snapshots still need."""
+    """Mints epoch leases and counts the live ones."""
 
     def __init__(self, pool: "MaterializedViewPool"):
         self.pool = pool
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
-        # lease id -> pinned epoch
-        self._active: dict[int, int] = {}
-        # fragment id -> (epoch at eviction, departing payload)
-        self._retained: dict[str, tuple[int, "Table"]] = {}
-        self.retained_total = 0
-        self.served_from_retained = 0
-        pool.retention = self._retain
+        self._active: set[int] = set()
 
-    def detach(self) -> None:
-        """Unhook from the pool and drop every retained payload."""
-        # Note ``==`` not ``is``: bound methods are minted per access.
-        if self.pool.retention == self._retain:
-            self.pool.retention = None
-        with self._lock:
-            self._retained.clear()
-
-    # ------------------------------------------------------------------
     def acquire(self) -> EpochLease:
         """Pin the current pool configuration.  Call under the plan lock."""
         with self._lock:
             lease_id = next(self._ids)
-            epoch = self.pool.epoch
-            self._active[lease_id] = epoch
+            self._active.add(lease_id)
         return EpochLease(
             self,
             lease_id,
-            epoch,
+            self.pool.epoch,
             self.pool.entries_snapshot(),
             self.pool.cover_versions_snapshot(),
         )
 
     def release(self, lease: EpochLease) -> None:
         with self._lock:
-            self._active.pop(lease.lease_id, None)
-            self._prune_locked()
+            self._active.discard(lease.lease_id)
 
     @property
     def active_leases(self) -> int:
         with self._lock:
             return len(self._active)
-
-    # ------------------------------------------------------------------
-    def _retain(self, entry: "FragmentEntry", payload: "Table") -> None:
-        """Pool retention hook: runs in the writer thread, mid-eviction."""
-        with self._lock:
-            if not self._active:
-                return  # nobody could reference this payload; drop it
-            self._retained[entry.fragment_id] = (self.pool.epoch, payload)
-            self.retained_total += 1
-
-    def retained_read(self, fragment_id: str) -> "Table | None":
-        with self._lock:
-            item = self._retained.get(fragment_id)
-            if item is None:
-                return None
-            self.served_from_retained += 1
-            return item[1]
-
-    def _prune_locked(self) -> None:
-        """Drop payloads no active lease can reference.
-
-        A lease pinned at epoch ``e`` can only reference entries resident
-        at ``e``, so a payload evicted at epoch ``r`` is needed exactly
-        while some active lease has ``e <= r`` — once every pin is newer
-        than the eviction, the payload is garbage.
-        """
-        if not self._retained:
-            return
-        if not self._active:
-            self._retained.clear()
-            return
-        oldest = min(self._active.values())
-        for fid in [f for f, (r, _) in self._retained.items() if r < oldest]:
-            del self._retained[fid]
-
-    @property
-    def retained_count(self) -> int:
-        with self._lock:
-            return len(self._retained)

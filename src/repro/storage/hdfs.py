@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoredFile:
     """One immutable file: its payload and nominal size."""
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.engine.table import Table
 from repro.errors import BlockLostError, PoolError, RecoveryError
 from repro.partitioning.intervals import Interval, IntervalIndex, sort_key
 from repro.query.algebra import Plan
-from repro.storage.hdfs import SimulatedHDFS
+from repro.storage.hdfs import SimulatedHDFS, StoredFile
 from repro.storage.journal import PoolJournal
 
 # Process-unique pool identities for result-cache keys (see
@@ -62,6 +62,10 @@ class FragmentEntry:
     key: FragmentKey
     path: str
     size_bytes: float
+    # The immutable file written at admission.  After an eviction deletes
+    # the file, the entry still holds its payload: a snapshot lease that
+    # pinned the entry reads the exact bytes for as long as it is held.
+    stored: StoredFile = field(compare=False, repr=False)
     # [min, max] of the payload on the partition attribute, filled by the
     # first pruned scan that needs it (repro.engine.prune).  A payload never
     # changes under its fragment id, so the slot lives and dies with the
@@ -130,13 +134,6 @@ class MaterializedViewPool:
         # repro.faults.recovery.FragmentRecovery recomputes the payload
         # from base tables.  None (the default) surfaces the loss.
         self.recovery: "FragmentRecovery | None" = None
-        # Retention hook for snapshot readers (repro.serve.snapshot): if
-        # set, every entry leaving the pool is offered — with its payload —
-        # to the hook *before* the file is deleted, so a reader pinned to
-        # an older epoch can still produce the byte-identical bytes the
-        # epoch promised.  The hook must not raise and must not touch the
-        # pool (it runs mid-mutation).
-        self.retention: "Callable[[FragmentEntry, Table], None] | None" = None
 
     # ------------------------------------------------------------------
     # Per-view cover versions
@@ -242,7 +239,8 @@ class MaterializedViewPool:
 
     def entries_snapshot(self) -> dict[str, FragmentEntry]:
         """Shallow copy of the fragment-id → entry map, for epoch-pinned
-        readers (entries are immutable records, so sharing them is safe)."""
+        readers: each entry holds its immutable file, so the copy keeps
+        every pinned payload readable for as long as it is held."""
         return dict(self._fragments)
 
     def cover_versions_snapshot(self) -> dict[str, int]:
@@ -320,11 +318,6 @@ class MaterializedViewPool:
                 del view.partitions[entry.key.attr]
         if view.whole_id is None and not view.partitions:
             del self._views[entry.key.view_id]
-        if self.retention is not None:
-            # Offer the payload to snapshot retention before the bytes
-            # vanish (peek, not read: retention is recovery machinery and
-            # must see the payload even when every replica is lost).
-            self.retention(entry, self.hdfs.peek(entry.path))
         self.hdfs.delete(entry.path)
         del self._fragments[entry.fragment_id]
         self._by_key.pop(entry.key, None)
@@ -423,8 +416,7 @@ class MaterializedViewPool:
             raise PoolError(f"admitting {size:.0f} bytes would exceed S_max={self.smax_bytes}")
         fid = f"frag-{next(self._counter)}"
         path = f"/pool/{key.view_id}/{key.attr or '_whole'}/{fid}"
-        self.hdfs.write(path, table)
-        entry = FragmentEntry(fid, key, path, size)
+        entry = FragmentEntry(fid, key, path, size, self.hdfs.write(path, table))
         self._fragments[fid] = entry
         view = self._views.setdefault(key.view_id, _PooledView(self.definition(key.view_id)))
         if key.attr is None:

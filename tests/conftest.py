@@ -1,12 +1,30 @@
-"""Shared fixtures: a small star schema used across engine/matching tests."""
+"""Shared fixtures: a small star schema used across engine/matching tests.
+
+Also the Hypothesis profiles.  ``dev`` (the default) is tier-1's; ``deep``
+(``HYPOTHESIS_PROFILE=deep`` or ``--hypothesis-profile=deep``) is the CI
+job that runs the slowest properties at their full search.  Those
+properties take their example count from :func:`examples`.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.engine.catalog import Catalog
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.engine.types import ColumnKind
+
+settings.register_profile("dev")
+settings.register_profile("deep")
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+def examples(*, dev: int, deep: int) -> int:
+    """A slow property's example count under the loaded profile."""
+    return deep if settings.default is settings.get_profile("deep") else dev
 
 
 @pytest.fixture

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.harness import RunResult
 from repro.core.admission import AdmissionController
 from repro.core.domains import DomainResolver
 from repro.core.policies import Policy
-from repro.core.reports import QueryReport, WorkloadSummary
+from repro.core.reports import QueryReport
 from repro.core.simulator import (
     RegressionFit,
     TemplateRegression,
@@ -308,8 +309,10 @@ class TestReports:
         assert r.total_s == pytest.approx(12.0)
 
     def test_summary_aggregates(self):
-        summary = WorkloadSummary([self.make_report(1), self.make_report(2, view="v")])
+        summary = RunResult("DS", [self.make_report(1), self.make_report(2, view="v")])
         assert summary.total_s == pytest.approx(24.0)
+        assert summary.execution_s == pytest.approx(20.0)
+        assert summary.creation_s == pytest.approx(4.0)
         assert summary.reuse_count == 1
         assert summary.cumulative_s == [pytest.approx(12.0), pytest.approx(24.0)]
 

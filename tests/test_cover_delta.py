@@ -19,6 +19,7 @@ from repro.matching.partition_match import greedy_cover
 from repro.partitioning.intervals import Interval, IntervalIndex, sort_key
 from repro.query.algebra import Relation
 from repro.storage.pool import FragmentKey, MaterializedViewPool
+from tests.conftest import examples
 
 
 def payload(nrows: int = 3) -> Table:
@@ -214,7 +215,7 @@ def assert_indexes_equal_oracle(pool, theta: Interval) -> None:
 
 
 @given(ops=op_sequences())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(dev=30, deep=150), deadline=None)
 def test_interleaved_mutations_and_matches_equal_oracle(ops):
     pool = make_pool(*VIEWS)
     for kind, view_id, attr, lo, hi, salt in ops:

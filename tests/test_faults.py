@@ -7,6 +7,8 @@ costlier and its event log non-empty.
 """
 
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -139,6 +141,39 @@ class TestFaultInjector:
         crashes = [injector.controller_crash("repartition") for _ in range(8)]
         plan = injector.worker_kill_plan(12)
         return injector.event_log(), sites, crashes, plan, ledger.fault_s
+
+    def test_threads_share_one_injector(self):
+        # The serving layer's readers and writer draw from one injector:
+        # every event keeps its index in the log as its number.
+        injector = FaultSchedule.of("kills", seed=3, worker_kill=0.5).injector()
+        start = threading.Barrier(8)
+        fired = []
+
+        def draw():
+            start.wait()
+            fired.append(sum(injector.worker_crash("serve.reader") for _ in range(500)))
+
+        threads = [threading.Thread(target=draw) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [event.seq for event in injector.events] == list(range(len(injector.events)))
+        assert len(injector.events) == sum(fired) > 0
+
+    def test_pickled_injector_draws_on(self):
+        sched = FaultSchedule.resolve(STORM)
+        injector = sched.injector()
+        injector.map_task_faults(40)
+        restored = pickle.loads(pickle.dumps(injector))
+        assert restored.event_log() == injector.event_log()
+        assert self._drive(restored) == self._drive(injector)
 
     def test_same_seed_same_decisions(self):
         sched = FaultSchedule.resolve(STORM)

@@ -30,6 +30,7 @@ from repro.costmodel.value import (
 from repro.partitioning.candidates import SplitCandidate
 from repro.partitioning.intervals import Interval
 from tests import list_pstat
+from tests.conftest import examples
 
 DOMAIN = Interval.closed(0, 100)
 N_PARTS = 32
@@ -153,7 +154,7 @@ def assert_same_readings(new, old, t, decay):
 
 
 @given(steps, decays)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(dev=30, deep=300), deadline=None)
 def test_every_reader_sees_the_lists_it_saw_before(script, decay):
     new, old = StatisticsStore(), list_pstat.StatisticsStore()
     t = 0.0

@@ -9,6 +9,7 @@ from repro.partitioning.candidates import (
 )
 from repro.partitioning.fragmentation import pairwise_disjoint, union_covers
 from repro.partitioning.intervals import Interval
+from tests.conftest import examples
 
 DOMAIN = Interval.closed(0, 30)
 
@@ -54,6 +55,30 @@ class TestSplitFragment:
         cand = split_fragment(Interval.closed(0, 10), Interval.closed(5, 10))
         assert cand is not None
         assert cand.pieces == (Interval.closed_open(0, 5), Interval.closed(5, 10))
+
+    def test_open_low_end_on_fragment_low(self):
+        # (10, 20] over [10, 20]: the fragment's point 10 lies outside
+        cand = split_fragment(Interval.closed(10, 20), Interval.open_closed(10, 20))
+        assert cand is not None
+        assert cand.pieces == (Interval.point(10), Interval.open_closed(10, 20))
+
+    def test_open_high_end_on_fragment_high(self):
+        cand = split_fragment(Interval.closed(0, 20), Interval.closed_open(5, 20))
+        assert cand is not None
+        assert cand.pieces == (
+            Interval.closed_open(0, 5),
+            Interval.closed_open(5, 20),
+            Interval.point(20),
+        )
+
+    def test_open_selection_inside_fragment(self):
+        cand = split_fragment(Interval.closed(0, 30), Interval.open(5, 25))
+        assert cand is not None
+        assert cand.pieces == (
+            Interval.closed(0, 5),
+            Interval.open(5, 25),
+            Interval.closed(25, 30),
+        )
 
 
 class TestExample3:
@@ -150,18 +175,12 @@ def _any_interval(draw):
     )
 
 
-def _closed_ends(interval: Interval) -> bool:
-    return (interval.low is None or not interval.low_open) and (
-        interval.high is None or not interval.high_open
-    )
-
-
 @given(
     st.lists(_any_interval(), min_size=1, max_size=24),
     _any_interval(),
     st.sampled_from([DOMAIN, Interval.unbounded()]),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(dev=60, deep=300), deadline=None)
 def test_definition7_pieces_tile_and_respect_the_selection(fragments, selection, domain):
     candidates = partition_candidates(selection, fragments, domain)
     clamped = selection.intersect(domain)
@@ -172,12 +191,9 @@ def test_definition7_pieces_tile_and_respect_the_selection(fragments, selection,
     assert [c.parent for c in candidates] == [f for f in fragments if f in by_parent]
     for fragment in fragments:
         cases_1_2 = not fragment.overlaps(clamped) or clamped.contains(fragment)
+        # a candidate in every other case: open and closed ends alike
+        assert (fragment in by_parent) != cases_1_2
         if cases_1_2:
-            assert fragment not in by_parent
-        elif _closed_ends(clamped):
-            # a closed selection end inside the fragment always splits it
-            assert fragment in by_parent
-        if fragment not in by_parent:
             continue
         pieces = list(by_parent[fragment])
         assert len(pieces) in (2, 3)
@@ -185,10 +201,9 @@ def test_definition7_pieces_tile_and_respect_the_selection(fragments, selection,
         assert pairwise_disjoint(pieces)
         assert all(fragment.contains(piece) for piece in pieces)
         # every clamped endpoint strictly inside the fragment is a piece
-        # boundary, and at most one piece straddles the selection's ends
+        # boundary, and no piece straddles the selection's ends
         bounds = {p.lo for p in pieces} | {p.hi for p in pieces}
         for end in (clamped.lo, clamped.hi):
             if fragment.lo < end < fragment.hi:
                 assert end in bounds
-        if _closed_ends(clamped):
-            assert all(clamped.contains(p) or not p.overlaps(clamped) for p in pieces)
+        assert all(clamped.contains(p) or not p.overlaps(clamped) for p in pieces)

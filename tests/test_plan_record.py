@@ -35,6 +35,7 @@ from repro.parallel.determinism import report_fingerprint
 from repro.query.algebra import Aggregate, AggSpec, Join, Project, Relation, Select
 from repro.query.predicates import between
 from repro.workloads.generator import sdss_mapped_workload
+from tests.conftest import examples
 
 DOMAIN = Interval.closed(0, 1000)
 
@@ -218,7 +219,7 @@ class PlanRecordMachine(RuleBasedStateMachine):
 
 
 PlanRecordMachine.TestCase.settings = settings(
-    max_examples=50, stateful_step_count=25, deadline=None
+    max_examples=examples(dev=10, deep=50), stateful_step_count=25, deadline=None
 )
 test_plan_record_state_machine = PlanRecordMachine.TestCase
 

@@ -6,8 +6,10 @@ compared as sorted-row digests against serial, fault-free, direct
 execution of the same plans.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.engine.types import ColumnKind
-from repro.errors import DeadlineExceeded, Overloaded, RecoveryError
+from repro.errors import DeadlineExceeded, Overloaded
 from repro.faults.schedule import FaultSchedule
 from repro.partitioning.intervals import Interval
 from repro.query.algebra import Relation
@@ -126,6 +128,12 @@ def snapshot_pool(small=3):
     return pool, SnapshotManager(pool), a, b
 
 
+def unheld_snapshot_pool():
+    """``snapshot_pool`` minus the entries: only leases pin a payload."""
+    pool, snaps, a, _ = snapshot_pool()
+    return pool, snaps, a.fragment_id
+
+
 class TestSnapshotLeases:
     def test_lease_pins_epoch_and_entries(self):
         pool, snaps, a, b = snapshot_pool()
@@ -137,36 +145,46 @@ class TestSnapshotLeases:
             before = view.read_entry(a.fragment_id).sorted_rows()
             pool.evict(a.fragment_id)  # writer races the reader
             assert view.read_entry(a.fragment_id).sorted_rows() == before
-            assert snaps.served_from_retained == 1
+            assert snaps.active_leases == 1
+        assert snaps.active_leases == 0
 
     def test_eviction_with_no_lease_retains_nothing(self):
-        pool, snaps, a, _ = snapshot_pool()
-        pool.evict(a.fragment_id)
-        assert snaps.retained_total == 0
-        assert snaps.retained_count == 0
+        pool, snaps, fid = unheld_snapshot_pool()
+        payload = weakref.ref(pool.read_entry(fid))
+        pool.evict(fid)
+        assert payload() is None  # dead at once, no collection needed
 
     def test_release_prunes_retained_payloads(self):
-        pool, snaps, a, _ = snapshot_pool()
+        pool, snaps, fid = unheld_snapshot_pool()
+        payload = weakref.ref(pool.read_entry(fid))
         lease = snaps.acquire()
-        pool.evict(a.fragment_id)
-        assert snaps.retained_count == 1
+        pool.evict(fid)
+        gc.collect()
+        assert payload() is not None
         lease.release()
-        assert snaps.retained_count == 0
+        gc.collect()
+        assert payload() is None
         assert snaps.active_leases == 0
 
     def test_older_lease_keeps_payload_alive(self):
-        pool, snaps, a, _ = snapshot_pool()
+        pool, snaps, fid = unheld_snapshot_pool()
+        rows = pool.read_entry(fid).sorted_rows()
+        payload = weakref.ref(pool.read_entry(fid))
         old = snaps.acquire()
-        pool.evict(a.fragment_id)
+        pool.evict(fid)
         new = snaps.acquire()  # pinned after the eviction
         new.release()
-        assert snaps.retained_count == 1  # old lease may still read it
+        gc.collect()
+        assert payload() is not None  # the old lease may still read it
+        assert old.pool_view().read_entry(fid).sorted_rows() == rows
         old.release()
-        assert snaps.retained_count == 0
+        gc.collect()
+        assert payload() is None
 
     def test_lost_then_evicted_entry_still_readable(self):
-        # Retention peeks past replica loss, so a fragment that was lost
-        # *and* evicted is still served byte-identical from the snapshot.
+        # The entry holds its file past replica loss, so a fragment that
+        # was lost *and* evicted is still served byte-identical from the
+        # snapshot.
         pool, snaps, a, _ = snapshot_pool()
         with snaps.acquire() as lease:
             view = lease.pool_view()
@@ -174,15 +192,6 @@ class TestSnapshotLeases:
             pool.hdfs.lose_replicas(a.path)
             pool.evict(a.fragment_id)
             assert view.read_entry(a.fragment_id).sorted_rows() == before
-
-    def test_vanished_without_retention_raises_typed(self):
-        pool, snaps, a, _ = snapshot_pool()
-        lease = snaps.acquire()
-        view = lease.pool_view()
-        snaps.detach()  # retention unhooked: eviction drops the payload
-        pool.evict(a.fragment_id)
-        with pytest.raises(RecoveryError):
-            view.read_entry(a.fragment_id)
 
     def test_rollback_mid_read_keeps_prestep_bytes(self):
         # Satellite: a reader holding a lease across a journal rollback
@@ -201,7 +210,7 @@ class TestSnapshotLeases:
                 Table.from_dict(schema, {"v": [7, 8, 9]}),
             )
             # Mid-transaction: the lease still serves the pre-step bytes
-            # (the evicted payload from retention, the survivor live).
+            # (the evicted entry from its own file, the survivor live).
             assert view.read_entry(a.fragment_id).sorted_rows() == before_a
             assert view.read_entry(b.fragment_id).sorted_rows() == before_b
             pool.rollback()
@@ -254,9 +263,8 @@ class TestQueryService:
 
     def test_chaos_answers_byte_identical_with_retries(self, fx, plans, digests):
         system = deepsea(fx.catalog, domains=fx.domains)
-        svc = QueryService(
-            system, workers=3, queue_depth=64, faults="perfect-storm"
-        ).start()
+        system.attach_faults("perfect-storm")
+        svc = QueryService(system, workers=3, queue_depth=64).start()
         outs = drain(svc, plans)
         svc.stop()
         assert all(o is not None and o.status == "answered" for o in outs)
@@ -309,9 +317,9 @@ class TestQueryService:
         # query must walk the full ladder and answer from the base tables.
         always = FaultSchedule.of("always-kill", seed=5, worker_kill=1.0)
         system = deepsea(fx.catalog, domains=fx.domains)
+        system.attach_faults(always)
         svc = QueryService(
-            system, workers=2, queue_depth=64, retries=1,
-            backoff_s=0.0, faults=always, adapt=False,
+            system, workers=2, queue_depth=64, retries=1, backoff_s=0.0, adapt=False
         ).start()
         outs = drain(svc, plans[:10])
         svc.stop()
@@ -352,12 +360,14 @@ class TestQueryService:
         assert (m["offered"], m["failed"], m["answered"]) == (2, 1, 1)
         assert m["accounting_ok"]
 
-    def test_stop_is_idempotent_and_detaches_retention(self, fx):
+    def test_stop_is_idempotent(self, fx, plans, digests):
         system = deepsea(fx.catalog, domains=fx.domains)
         svc = QueryService(system, workers=1).start()
+        (out,) = drain(svc, plans[:1])
         svc.stop()
         svc.stop()
-        assert system.pool.retention is None
+        assert answer_digest(out.table) == digests[0]
+        assert svc.snapshots.active_leases == 0
 
     def test_constructor_validation(self, fx):
         system = hive(fx.catalog, domains=fx.domains)

@@ -324,8 +324,8 @@ class TestPoolJournal:
             pool.read_entry(entry.fragment_id)
 
 
-class TestPoolRetention:
-    """The retention hook: departing payloads offered before deletion."""
+class TestEntryHoldsItsFile:
+    """An entry keeps the immutable file written at its admission."""
 
     def make_pool(self, small_table):
         pool = MaterializedViewPool()
@@ -333,37 +333,27 @@ class TestPoolRetention:
         entry = pool.add_fragment("v1", "v", Interval.closed(0, 10), small_table)
         return pool, entry
 
-    def test_hook_sees_departing_payload(self, small_table):
+    def test_evicted_entry_keeps_its_admitted_payload(self, small_table):
         pool, entry = self.make_pool(small_table)
-        seen = []
-        pool.retention = lambda e, table: seen.append((e, table.sorted_rows()))
+        assert entry.stored.table is pool.hdfs.peek(entry.path)
         pool.evict(entry.fragment_id)
-        assert seen == [(entry, small_table.sorted_rows())]
+        assert entry.stored.table.sorted_rows() == small_table.sorted_rows()
 
-    def test_hook_fires_even_when_replicas_lost(self, small_table):
-        # peek() ignores replica loss, so retention still gets the bytes a
-        # snapshot reader was promised even for a lost-then-evicted entry.
+    def test_lost_then_evicted_entry_keeps_its_payload(self, small_table):
         pool, entry = self.make_pool(small_table)
-        seen = []
-        pool.retention = lambda e, table: seen.append(table.sorted_rows())
         pool.hdfs.lose_replicas(entry.path)
         pool.evict(entry.fragment_id)
-        assert seen == [small_table.sorted_rows()]
+        assert entry.stored.table.sorted_rows() == small_table.sorted_rows()
 
-    def test_hook_fires_inside_transactions_not_on_rollback(self, small_table):
-        # The journaled evict offers the payload once; the rollback that
-        # re-admits the entry is a restore, not a departure.
+    def test_rollback_restores_the_entry_with_its_payload(self, small_table):
         pool, entry = self.make_pool(small_table)
-        calls = []
-        pool.retention = lambda e, table: calls.append(e.fragment_id)
         pool.begin("repartition")
         pool.evict(entry.fragment_id)
         pool.rollback()
-        assert calls == [entry.fragment_id]
+        assert pool.get_fragment(entry.fragment_id) is entry
         assert pool.read_entry(entry.fragment_id).sorted_rows() == small_table.sorted_rows()
 
-    def test_no_hook_no_behavior_change(self, small_table):
+    def test_eviction_deletes_the_file(self, small_table):
         pool, entry = self.make_pool(small_table)
-        assert pool.retention is None
         pool.evict(entry.fragment_id)
         assert not pool.hdfs.exists(entry.path)

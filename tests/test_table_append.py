@@ -253,7 +253,7 @@ class TestPickling:
         assert in_place(v1, v2)
         restored = pickle.loads(pickle.dumps(v1))
         assert_same(restored, Table.concat_many([make(range(1000)), make([1])]))
-        assert restored._tail is None and restored._append_parent is None
+        assert restored._tail is None
         plain = pickle.dumps(Table.concat_many([make(range(1000)), make([1])]))
         assert len(pickle.dumps(v1)) == len(plain)
 
@@ -309,7 +309,6 @@ class TestSortIndexInheritance:
 
     def test_dead_parent_means_a_cold_build(self):
         child = make(range(20)).append(make([3]))  # parent already collected
-        assert list(child.append_ancestors()) == []
         got = indexes.sort_index(child, "k")
         np.testing.assert_array_equal(
             got.order, np.argsort(child.column("k"), kind="stable")
@@ -339,13 +338,13 @@ class TestProbeInheritance:
     def test_extended_probe_equals_cold_probe(self, monkeypatch):
         dim = self.dim()
         parent = make(np.random.default_rng(1).integers(0, 45, 500))
-        assert self.probe(parent, dim) is None  # first strike
-        cached = self.probe(parent, dim)  # second: full-root probe
-        assert cached.schema.names == ("starts", "ends") and cached.nrows == 500
+        self.probe(parent, dim)
+        assert self.probe(parent, dim).schema.names == ("starts", "ends")
         child = parent.append(make([4, 4, 41, 0]))
+        assert self.probe(child, dim) is None  # a new table: its own strikes
         searches = Recorder(monkeypatch, "searchsorted", arg=1)
         got = self.probe(child, dim)
-        assert searches.sizes == [4, 4]  # starts and ends of the new keys only
+        assert searches.sizes == [504, 504]  # the grown root, probed whole
         monkeypatch.undo()
         keys, sorted_d = child.column("k"), indexes.sort_index(dim, "d").sorted_keys
         np.testing.assert_array_equal(
@@ -357,18 +356,16 @@ class TestProbeInheritance:
         assert self.probe(child, dim) is got  # and a plain hit from now on
         assert self.probe(parent, dim).nrows == 500  # the parent's entry is its own
 
-    def test_extended_match_equals_cold_build(self, monkeypatch):
+    def test_extended_match_equals_cold_build(self):
         dim = self.unique_dim()
         parent = make(np.random.default_rng(1).integers(0, 45, 500))
         self.probe(parent, dim)
         assert self.probe(parent, dim).schema.names == ("match",)
         child = parent.append(make([4, 4, 41, 0]))
-        searches = Recorder(monkeypatch, "searchsorted", arg=1)
+        self.probe(child, dim)
         got = self.probe(child, dim).column("match")
-        assert searches.sizes == [4, 4]  # the new keys only
-        monkeypatch.undo()
         indexes.clear_caches()
-        fresh = pickle.loads(pickle.dumps(child))  # no parent link, no entry
+        fresh = pickle.loads(pickle.dumps(child))  # no buffer, no entry
         self.probe(fresh, dim)
         cold = self.probe(fresh, dim).column("match")
         np.testing.assert_array_equal(got, cold)
@@ -378,12 +375,13 @@ class TestProbeInheritance:
         want[keys >= 40] = -1
         np.testing.assert_array_equal(got, want)
 
-    def test_a_strike_against_the_parent_carries_over(self):
+    def test_a_grown_table_counts_its_own_strikes(self):
         dim = self.dim()
         parent = make(range(100))
         assert self.probe(parent, dim) is None
         child = parent.append(make([2]))
-        entry = self.probe(child, dim)  # no second first-strike
+        assert self.probe(child, dim) is None  # the parent's strike is not its
+        entry = self.probe(child, dim)
         assert entry is not None and entry.nrows == 101
 
     def test_no_ancestor_no_shortcut(self):
@@ -399,12 +397,14 @@ class TestProbeInheritance:
 
     def check_grown_join(self, dim):
         table = make(np.random.default_rng(2).integers(0, 45, 300))
-        versions = []  # a reader may hold any of them; a dead parent hands nothing down
+        versions = []  # a reader may hold any of them
         for step in range(4):
             hash_join(table, dim, "k", "d")
             hash_join(table.filter(table.column("k") > 10), dim, "k", "d")
             versions.append(table)
             table = table.append(make(np.random.default_rng(step).integers(0, 45, 25)))
+        hash_join(table, dim, "k", "d")
+        hash_join(table, dim, "k", "d")  # the grown root's own two strikes
         selected = table.filter(table.column("k") % 3 == 0)
         warm = hash_join(selected, dim, "k", "d").materialize()
         assert indexes.probe_cache_stats()[0] > 0
@@ -484,12 +484,13 @@ class TestDimensionIngest:
             hash_join(dim, catalog.get("cat"), "label", "c")  # dim as probe root
         catalog.ingest("dim", {"d": [61, 63, 65], "label": [3, 5, 6]})
         grown = catalog.get("dim")
-        searches = Recorder(monkeypatch, "searchsorted", arg=1)
         index = indexes.sort_index(grown, "d")
-        entry = indexes._PROBE_CACHE.probe(
-            grown, "label", catalog.get("cat"), "c", indexes.sort_index(catalog.get("cat"), "c")
-        )
-        assert searches.sizes[-2:] == [3, 3]  # the probe searched the batch alone
+        cat = catalog.get("cat")
+        cat_index = indexes.sort_index(cat, "c")
+        assert indexes._PROBE_CACHE.probe(grown, "label", cat, "c", cat_index) is None
+        searches = Recorder(monkeypatch, "searchsorted", arg=1)
+        entry = indexes._PROBE_CACHE.probe(grown, "label", cat, "c", cat_index)
+        assert searches.sizes == [33, 33]  # the grown root, probed whole
         monkeypatch.undo()
         assert index.unique and entry.schema.names == ("match",)
         np.testing.assert_array_equal(entry.column("match"), grown.column("label"))
