@@ -1,8 +1,9 @@
-"""CI gate: a repeated query is planned once, a unique stream keeps no record.
+"""CI gate: a repeated query is planned once, a served query is planned and run once.
 
-``Rewriter.plan`` (``repro/matching/rewriter.py``) answers a query it has
-planned before from the query's record while nothing the record read has
-moved, and makes a record only at a query's second sighting.  Two runs
+``Rewriter.plan`` (``repro/matching/rewriter.py``) records every query it
+plans and answers the query from that record while nothing the record
+read has moved; a view registered since that the query could use but is
+not resident extends the record instead of replanning it.  Two runs
 check both halves:
 
 * **Repeat-heavy.**  DS over ``--queries`` draws, Zipf(1.1), from
@@ -11,8 +12,14 @@ check both halves:
   exactly once per record miss.  A validity token that moves when nothing
   changed (or a record that stops being admitted) drops the share; a
   second planning path shows up as extra ``find_matches`` calls.
-* **Unique ranges.**  DS over as many plans, each distinct.  No record may
-  be admitted: two strikes keep a stream without repeats free of them.
+* **Served once.**  A fault-free ``QueryService`` (two readers and the
+  writer) over a stream without repeats.  A reader and the writer plan
+  each query once between them: ``find_matches`` may run once per
+  answered query plus once per record a pool move invalidated (a matched
+  view's cover version moved, or a view that matches became resident;
+  the stream has no ingest and no domain change, so nothing else can).
+  And the writer learns without answering: its executor may run only in
+  steps where ``plan_view_creations`` returned a creation to capture.
 
 Runnable locally:
 
@@ -24,10 +31,14 @@ from __future__ import annotations
 import argparse
 import sys
 
+# Tickets kept outstanding by the served run's closed loop.
+_CLIENTS = 2
 
-def check(repeat: dict, find_matches_calls: int, unique: dict, floor: float) -> list[str]:
-    """Violations of the gate, given both runs' ``matching.plan_record``
-    counters and the repeat run's ``find_matches`` calls (empty = pass)."""
+
+def check(repeat: dict, find_matches_calls: int, served: dict, floor: float) -> list[str]:
+    """Violations of the gate, given the repeat run's ``matching.plan_record``
+    counters and ``find_matches`` calls, and the served run's counts
+    (empty = pass)."""
     problems = []
     planned = repeat.get("hits", 0) + repeat.get("misses", 0)
     if not planned:
@@ -39,9 +50,20 @@ def check(repeat: dict, find_matches_calls: int, unique: dict, floor: float) -> 
         problems.append(
             f"find_matches ran {find_matches_calls} times for {repeat['misses']} record misses"
         )
-    admitted = unique.get("entries", 0) + unique.get("evictions", 0)
-    if admitted or unique.get("hits", 0):
-        problems.append(f"{admitted} records admitted on a stream without repeats")
+    if not served.get("answered", 0):
+        return problems + ["no query was served — the served run checked nothing"]
+    allowed = served["answered"] + served["invalidations"]
+    if served["find_matches"] > allowed:
+        problems.append(
+            f"served: find_matches ran {served['find_matches']} times for "
+            f"{served['answered']} answered queries and {served['invalidations']} "
+            "invalidated records"
+        )
+    if served["executes_without_creation"]:
+        problems.append(
+            f"served: the writer executed {served['executes_without_creation']} queries "
+            "in steps that selected nothing to capture"
+        )
     return problems
 
 
@@ -62,6 +84,71 @@ def _run(fx, plans) -> "tuple[dict, int]":
     for plan in plans:
         system.execute(plan)
     return caches.cache_stats()["matching.plan_record"], calls[0]
+
+
+def _serve(fx, plans) -> dict:
+    """Serve ``plans`` in a closed loop; count planning and writer runs.
+
+    Every wrapped call runs under the service's plan lock (readers plan
+    there, the writer steps there), so the counters need no lock."""
+    from collections import deque
+
+    from repro import caches
+    from repro.baselines import deepsea
+    from repro.serve import QueryService
+
+    caches.clear_all_caches()
+    system = deepsea(fx.catalog, domains=fx.domains)
+    rewriter, selection, executor = system.rewriter, system.selection, system.executor
+    counts = {"find_matches": 0, "invalidations": 0, "executes": 0, "executes_without_creation": 0}
+    step = {"creations": 0}
+    find_matches, plan, select, execute = (
+        rewriter.find_matches,
+        rewriter.plan,
+        selection.plan_view_creations,
+        executor.execute,
+    )
+
+    def counted_find_matches(query):
+        counts["find_matches"] += 1
+        return find_matches(query)
+
+    def counted_plan(query):
+        had_record, before = query in rewriter._records, counts["find_matches"]
+        planned = plan(query)
+        counts["invalidations"] += had_record and counts["find_matches"] > before
+        return planned
+
+    def counted_select(*args, **kwargs):
+        creations = select(*args, **kwargs)
+        step["creations"] = len(creations)
+        return creations
+
+    def counted_execute(*args, **kwargs):
+        counts["executes"] += 1
+        counts["executes_without_creation"] += not step["creations"]
+        return execute(*args, **kwargs)
+
+    rewriter.find_matches, rewriter.plan = counted_find_matches, counted_plan
+    selection.plan_view_creations, executor.execute = counted_select, counted_execute
+    service = QueryService(system, workers=_CLIENTS, queue_depth=4 * _CLIENTS).start()
+    outstanding: deque = deque()
+    try:
+        for query in plans:
+            outstanding.append(service.submit(query))
+            if len(outstanding) == _CLIENTS:
+                outstanding.popleft().result(timeout=120.0)
+        for ticket in outstanding:
+            ticket.result(timeout=120.0)
+    finally:
+        service.stop(timeout=120.0)
+    metrics = service.metrics()
+    return {
+        **counts,
+        "answered": metrics["answered"],
+        "steps": metrics["writer"]["steps"],
+        "views_created": sum(len(r.views_created) for r in system.reports),
+    }
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -85,15 +172,16 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     repeat, calls = _run(fx, [distinct[i] for i in draws])
     stream = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=args.queries, seed=3)
-    unique_plans = list(dict.fromkeys(stream))
-    unique, _ = _run(fx, unique_plans)
+    served = _serve(fx, list(dict.fromkeys(stream)))
     print(
         f"repeat-heavy: {repeat['hits']} of {args.queries} queries from a record, "
         f"{calls} find_matches calls for {repeat['misses']} misses, "
-        f"{repeat['entries']} records; unique ranges: {len(unique_plans)} queries, "
-        f"{unique['entries']} records"
+        f"{repeat['entries']} records; served once: {served['answered']} answered, "
+        f"{served['find_matches']} find_matches calls, {served['invalidations']} invalidated "
+        f"records, writer executed {served['executes']} of {served['steps']} steps "
+        f"({served['views_created']} views created)"
     )
-    problems = check(repeat, calls, unique, args.floor)
+    problems = check(repeat, calls, served, args.floor)
     for problem in problems:
         print(f"FAIL {problem}", file=sys.stderr)
     return 1 if problems else 0

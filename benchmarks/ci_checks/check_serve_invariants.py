@@ -8,6 +8,7 @@ the report cannot pass the check):
 * the accounting invariant held — ``answered + shed + timed_out +
   failed == offered`` in every phase, nothing vanished into the queue,
 * no query failed outright and no ticket went unresolved,
+* the writer failed no step (``writer.errors`` is 0 in every phase),
 * the burst phase actually shed load (admission control fired),
 * the chaos phase actually retried readers, applied writer steps, and
   advanced the pool epoch (degradation raced real repartitioning).

@@ -180,8 +180,14 @@ class DeepSea:
         self.pool.recovery = FragmentRecovery(self.catalog, self.cluster, injector)
         return injector
 
-    def execute(self, plan: Plan) -> QueryReport:
-        """Process one query (Algorithm 1) and return its report."""
+    def execute(self, plan: Plan, *, answer: bool = True) -> QueryReport:
+        """Process one query (Algorithm 1) and return its report.
+
+        ``answer=False`` is for a caller that has the answer already (the
+        serving writer learns from queries its readers answered): step 6
+        runs the query only when step 7 has an intermediate to capture,
+        and the report keeps no result table.
+        """
         self.clock += 1
         t = float(self.clock)
         self.valuation.open_tick(t)
@@ -197,13 +203,14 @@ class DeepSea:
         if self.profiler is not None:
             self.profiler.queries += 1
 
-        chosen = None
+        chosen = result = None
         views_created: list[str] = []
         applied_refinements = evictions = 0
         if not self.policy.materialize:
             # The H baseline: vanilla execution, no pool.
-            with self._stage("execution"):
-                result = self.executor.execute(push_down(plan, self.schemas), exec_ledger)
+            if answer:
+                with self._stage("execution"):
+                    result = self.executor.execute(push_down(plan, self.schemas), exec_ledger)
         else:
             selection, repartitioner = self.selection, self.repartitioner
             with self._stage("matching"):
@@ -248,9 +255,11 @@ class DeepSea:
                     if chosen is not None and chosen.replaced is not None:
                         target = replace_subplan(target, chosen.replaced, chosen.replacement)
                     target_map[creation.view_id] = target
-                result, captured = self.executor.execute_with_capture(
-                    plan_to_run, list(target_map.values()), exec_ledger
-                )
+                captured = {}
+                if answer or target_map:
+                    result, captured = self.executor.execute_with_capture(
+                        plan_to_run, list(target_map.values()), exec_ledger
+                    )
 
             # 7. Materialize and refine: each step one journaled transaction.
             def step(site: str, apply, *decision):
@@ -283,7 +292,7 @@ class DeepSea:
         report = QueryReport(
             index=self.clock,
             plan=plan,
-            result=result.table,
+            result=result.table if answer else None,
             execution_ledger=exec_ledger,
             creation_ledger=creation_ledger,
             view_used=chosen.view_id if chosen is not None else None,

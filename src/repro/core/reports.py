@@ -15,7 +15,7 @@ class QueryReport:
 
     index: int
     plan: Plan
-    result: Table
+    result: Table | None  # None when the caller asked for no answer
     execution_ledger: CostLedger
     creation_ledger: CostLedger
     view_used: str | None = None

@@ -14,8 +14,9 @@ the one entry point callers use.  It drives:
   (COST(Q) − COST(Q/V)), from :meth:`Rewriter.estimate_plan_cost`, a cheap
   cost estimate also used to rank rewritings.
 
-A query planned twice keeps a record of the answer, reused while nothing
-it read has moved (:class:`_PlanRecord`).
+Every planned query keeps a record of the answer, reused while nothing it
+read has moved, and extended when a view it cannot use yet is registered
+(:class:`_PlanRecord`).
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ _AGG_FACTOR = 0.05
 # and a long-lived service would otherwise keep every one.
 _ESTIMATE_MEMO_MAX = 4_096
 _PLAN_RECORD_MAX = 1_024
-# Plans sighted once and not (yet) recorded; first in, first out.
-_PLAN_SIGHTED_MAX = 4_096
 
 # Live rewriter instances, for registry-driven clearing of the
 # per-instance memos (worker isolation, cold/warm tests).
@@ -94,7 +93,6 @@ def _estimate_memo_stats() -> dict:
 def _clear_plan_records() -> None:
     for rewriter in _REWRITERS:
         rewriter._records.clear()
-        rewriter._sighted.clear()
     _PLAN_RECORD_STATS.update(hits=0, misses=0, evictions=0)
 
 
@@ -175,12 +173,14 @@ class _PlanRecord:
       covers and savings;
     * ``covers`` — each matched view's cover version: its residency, its
       fragments and their sizes, hence its rewritings and their costs;
-    * ``probes`` — for each subplan ``find_matches`` probed, its signature
-      and the length of the filter-tree bucket it read.  A bucket grows
-      only at its end between removals (``tree`` holds the tree's version
-      and removal count last checked), and a view appended since that
-      matches none of the record's subplans leaves ``find_matches``'
-      output unchanged, element for element;
+    * ``probes`` — for each subplan ``find_matches`` probed, its signature,
+      the length of the filter-tree bucket it read, and the subplan.  A
+      bucket grows only at its end between removals (``tree`` holds the
+      tree's version and removal count last checked), so ``find_matches``
+      now would return the record's matches with the appended views'
+      matches of each subplan after that subplan's own: a non-resident
+      one yields no rewriting and extends the record in place
+      (:meth:`Rewriter._extend`), a resident one replans;
     * ``inputs`` — per match, the view's S(V) and tentative attributes its
       saving read (with the catalog version and the domains, all it reads).
 
@@ -193,7 +193,7 @@ class _PlanRecord:
     domains_version: int
     covers: tuple[tuple[str, int], ...]
     tree: tuple[int, int]
-    probes: list[list]  # [subplan signature, bucket length seen]
+    probes: list[list]  # [subplan signature, bucket length seen, subplan]
     inputs: tuple
 
 
@@ -223,9 +223,8 @@ class Rewriter:
         # the catalog version, and the cover versions of the views its
         # MaterializedScan leaves resolve against (see estimate_plan_cost).
         self._estimate_memo: OrderedDict[tuple, PlanEstimate] = OrderedDict()
-        # query -> its planning record, and the queries sighted once (plan).
+        # query -> its planning record (plan).
         self._records: OrderedDict[Plan, _PlanRecord] = OrderedDict()
-        self._sighted: dict[Plan, None] = {}
         _REWRITERS.add(self)
 
     # ------------------------------------------------------------------
@@ -242,12 +241,15 @@ class Rewriter:
         :meth:`best_rewriting` and :meth:`estimate_saving`, or read from the
         query's record while nothing the record read has moved
         (:class:`_PlanRecord`); a saving is recomputed alone when only its
-        view's inputs moved.  A record is made at a query's second sighting
-        (two strikes, as the probe cache admits joins), so a stream that
-        never repeats a query keeps none.
+        view's inputs moved, and a view registered since that matches the
+        query but is not resident joins the record's matches.  Every
+        planned query is recorded (the ``_PLAN_RECORD_MAX`` most recently
+        used), so a serving reader and the writer plan a query once
+        between them: whichever comes second reads the first one's record,
+        extended by the candidates the writer registered for it.
         """
         record = self._records.get(query)
-        if record is not None and self._still_valid(record):
+        if record is not None and self._still_valid(query, record):
             self._records.move_to_end(query)
             _PLAN_RECORD_STATS["hits"] += 1
             return self._with_current_savings(query, record)
@@ -262,12 +264,7 @@ class Rewriter:
             chosen,
             tuple(self._saving(query, m, i) for m, i in zip(matches, inputs)),
         )
-        if record is not None or query in self._sighted:
-            self._record(query, planned, inputs)
-        else:
-            self._sighted[query] = None
-            if len(self._sighted) > _PLAN_SIGHTED_MAX:
-                del self._sighted[next(iter(self._sighted))]
+        self._record(query, planned, inputs)
         return planned
 
     def _saving(self, query: Plan, match: ViewMatch, inputs) -> float | None:
@@ -276,12 +273,11 @@ class Rewriter:
         return self.estimate_saving(query, match, *inputs)
 
     def _record(self, query: Plan, planned: QueryPlan, inputs: tuple) -> None:
-        self._sighted.pop(query, None)
         probes = []
         for sub in unique_subplans(query):
             if not isinstance(sub, (Relation, MaterializedScan)):
                 sig = self.signature_of(sub)
-                probes.append([sig, len(self.filter_tree.bucket(sig) or ())])
+                probes.append([sig, len(self.filter_tree.bucket(sig) or ()), sub])
         view_ids = dict.fromkeys(m.view_id for m in planned.matches)
         records = self._records
         records[query] = _PlanRecord(
@@ -298,7 +294,9 @@ class Rewriter:
             records.popitem(last=False)
             _PLAN_RECORD_STATS["evictions"] += 1
 
-    def _still_valid(self, record: _PlanRecord) -> bool:
+    def _still_valid(self, query: Plan, record: _PlanRecord) -> bool:
+        """Whether the record still answers ``query``; matches of views
+        appended since that are not resident are added to it on the way."""
         if record.catalog_version != self.catalog.version:
             return False
         if record.domains_version != getattr(self.domain_lookup, "version", 0):
@@ -310,16 +308,54 @@ class Rewriter:
         if record.tree != (tree.version, tree.removals):
             if record.tree[1] != tree.removals:
                 return False
-            for probe in record.probes:
-                sig, seen = probe
+            appended: dict[int, list[ViewMatch]] = {}
+            for i, probe in enumerate(record.probes):
+                sig, seen, sub = probe
                 bucket = tree.bucket(sig)
                 if bucket is None or len(bucket) == seen:
                     continue
-                if any(match_view(v, sig) is not None for v in islice(bucket.values(), seen, None)):
-                    return False
+                for view_id, view_sig in islice(bucket.items(), seen, None):
+                    compensation = match_view(view_sig, sig)
+                    if compensation is None:
+                        continue
+                    if self.pool.is_resident(view_id):
+                        return False  # it may rewrite the query: replan
+                    ranges = partition_attr_ranges(view_sig, sig)
+                    appended.setdefault(i, []).append(ViewMatch(view_id, sub, compensation, ranges))
                 probe[1] = len(bucket)
+            if appended:
+                self._extend(query, record, appended)
             record.tree = (tree.version, tree.removals)
         return True
+
+    def _extend(
+        self, query: Plan, record: _PlanRecord, appended: dict[int, list[ViewMatch]]
+    ) -> None:
+        """Put the matches of views appended to the probed buckets where
+        :meth:`find_matches` would: after the earlier matches of their
+        subplan, before those of later subplans.  Their views are not
+        resident, so rewritings and Q_best stand; each adds its saving,
+        its inputs and its cover version."""
+        planned = record.planned
+        old = list(zip(planned.matches, planned.savings, record.inputs))
+        merged, k = [], 0
+        for i, probe in enumerate(record.probes):
+            # The record's matches and probes come from one walk of one
+            # query object, so a match's subplan *is* its probe's.
+            while k < len(old) and old[k][0].subplan is probe[2]:
+                merged.append(old[k])
+                k += 1
+            for match in appended.get(i, ()):
+                inputs = self.view_inputs(match.view_id)
+                merged.append((match, self._saving(query, match, inputs), inputs))
+        matches, savings, inputs = zip(*merged)
+        record.planned = replace(planned, matches=matches, savings=savings)
+        record.inputs = inputs
+        covers = dict(record.covers)
+        for match in matches:
+            if match.view_id not in covers:
+                covers[match.view_id] = self.pool.cover_version(match.view_id)
+        record.covers = tuple(covers.items())
 
     def _with_current_savings(self, query: Plan, record: _PlanRecord) -> QueryPlan:
         planned = record.planned

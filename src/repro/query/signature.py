@@ -58,10 +58,19 @@ class Signature:
 
     @property
     def agg_key(self) -> tuple:
-        """Hashable aggregation shape, used as a filter-tree level."""
-        if self.group_by is None:
-            return ("none",)
-        return (tuple(sorted(self.group_by)), tuple(sorted(self.aggregates, key=repr)))
+        """Hashable aggregation shape, used as a filter-tree level.
+
+        Built once per instance, like ``range_map``: every filter-tree
+        lookup reads it, and sorting the aggregates by ``repr`` is dear.
+        """
+        cached = self.__dict__.get("_agg_key")
+        if cached is None:
+            if self.group_by is None:
+                cached = ("none",)
+            else:
+                cached = (tuple(sorted(self.group_by)), tuple(sorted(self.aggregates, key=repr)))
+            self.__dict__["_agg_key"] = cached
+        return cached
 
 
 # Signature computation is pure in (plan, schemas) and called repeatedly

@@ -147,6 +147,8 @@ def check_gates(phases: dict[str, dict]) -> list[str]:
             problems.append(f"{name}: {phase['failed']} queries failed outright")
         if phase["unresolved"]:
             problems.append(f"{name}: {phase['unresolved']} tickets never resolved")
+        if phase.get("writer", {}).get("errors", 0):
+            problems.append(f"{name}: {phase['writer']['errors']} writer steps failed")
     if "burst" in phases and phases["burst"]["shed"] == 0:
         problems.append("burst: no queries were shed — admission control never fired")
     if "chaos" in phases:

@@ -12,6 +12,8 @@ instance into a long-lived concurrent service:
   serialized there), pins an epoch lease, and executes *outside* the lock
   against the leased snapshot — readers never block on the writer for the
   expensive part, and never observe a half-applied repartitioning.
+  Readers answer; the writer learns from the same query without
+  answering it, reading the plan record the reader left.
 * **Deadlines.**  A ticket whose deadline passes while queued or between
   retries resolves as :class:`~repro.errors.DeadlineExceeded` — typed,
   counted, never a hang.
@@ -318,8 +320,10 @@ class QueryService:
         Planning trouble is never fatal — it degrades to direct execution,
         which the matching layer already treats as the universal fallback.
         Readers and the writer plan through the one ``Rewriter.plan`` under
-        the same lock, so a query already planned at this state is a lookup
-        of its record.
+        the same lock, and it records every query it plans: whichever of
+        the two comes second reads the first one's record, extended by the
+        candidates the writer registered for the query, so a served query
+        is planned once.
         """
         try:
             return self.system.rewriter.plan(plan).chosen

@@ -1,9 +1,14 @@
 """The single writer: adaptation applied as journaled transactions.
 
 Exactly one thread mutates the pool.  It consumes the admitted query
-stream (readers answer; the writer *learns*) and runs each query through
+stream (readers answer; the writer *learns*) and takes each query through
 the full DeepSea loop — matching, statistics, selection, materialization,
-refinement — under the service's plan lock.  Every repartitioning step is
+refinement — under the service's plan lock, without answering it
+(``DeepSea.execute(plan, answer=False)``).  It plans the query through
+the same ``Rewriter.plan`` record the reader made, extended by the
+candidates the writer just registered for it, so a query is planned once
+between them; and it runs the query only when a selected view is to be
+captured from its execution.  Every repartitioning step is
 an atomic begin/commit transaction, chaos attached or not, and snapshot
 readers rely on that atomicity: between
 two plan-lock acquisitions the pool is always a committed configuration,
@@ -20,10 +25,11 @@ degradation the serving layer promises.
 from __future__ import annotations
 
 import threading
+import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import Overloaded, ReproError
+from repro.errors import Overloaded
 from repro.serve.queue import AdmissionQueue
 
 if TYPE_CHECKING:
@@ -123,13 +129,15 @@ class PoolWriter:
                         self.batches += 1
                     else:
                         # A reader answered this query; the writer only learns
-                        # from it, so its copy of the answer is not kept — a
-                        # long-lived service would retain one table per query.
-                        self.system.execute(plan).result = None
+                        # from it.
+                        self.system.execute(plan, answer=False)
                         self.steps += 1
-                except ReproError as exc:
-                    # The writer must outlive any single bad step: the
-                    # repartitioner's crash_safe has already rolled the journal
-                    # back, so the pool is a committed configuration and
-                    # the next query can proceed.
-                    self.errors.append(f"{type(exc).__name__}: {exc}")
+                except Exception as exc:
+                    # The writer must outlive any single bad step, a bug
+                    # included: the repartitioner's crash_safe has already
+                    # rolled the journal back, so the pool is a committed
+                    # configuration and the next query can proceed.  The
+                    # error is counted, so a gate reading metrics() sees it.
+                    self.errors.append(
+                        f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+                    )

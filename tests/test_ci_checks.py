@@ -169,45 +169,65 @@ class TestCheckHitLog:
 
 
 class TestCheckPlanRecord:
-    """The verdict on synthetic record counters, then one live run."""
+    """The verdict on synthetic counters, then one live run."""
 
     @staticmethod
-    def problems(repeat: dict, calls: int, unique: dict, floor: float = 0.7) -> list[str]:
+    def problems(repeat: dict, calls: int, served: dict, floor: float = 0.7) -> list[str]:
         spec = importlib.util.spec_from_file_location(
             "check_plan_record", CHECKS / "check_plan_record.py"
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return module.check(repeat, calls, unique, floor)
+        return module.check(repeat, calls, served, floor)
 
     @staticmethod
     def counters(hits: int, misses: int, entries: int = 0, evictions: int = 0) -> dict:
         return {"hits": hits, "misses": misses, "evictions": evictions, "entries": entries}
 
+    @staticmethod
+    def served(**over) -> dict:
+        base = {
+            "answered": 50,
+            "find_matches": 53,
+            "invalidations": 3,
+            "executes": 4,
+            "executes_without_creation": 0,
+        }
+        base.update(over)
+        return base
+
     def test_passes_at_and_above_floor(self):
-        assert self.problems(self.counters(70, 30, 20), 30, self.counters(0, 50)) == []
+        assert self.problems(self.counters(70, 30, 20), 30, self.served()) == []
+        assert self.problems(self.counters(70, 30, 20), 30, self.served(find_matches=40)) == []
         proc = run_check(
             "check_plan_record.py", "--queries", "200", "--plans", "20", "--instance-gb", "5"
         )
         assert proc.returncode == 0, proc.stderr
         assert "from a record" in proc.stdout
+        assert "served once" in proc.stdout
 
     def test_fails_below_floor_with_observed_share(self):
-        (problem,) = self.problems(self.counters(69, 31, 20), 31, self.counters(0, 50))
+        (problem,) = self.problems(self.counters(69, 31, 20), 31, self.served())
         assert "0.690" in problem
 
     def test_fails_when_find_matches_runs_beside_the_record(self):
-        (problem,) = self.problems(self.counters(80, 20, 20), 25, self.counters(0, 50))
+        (problem,) = self.problems(self.counters(80, 20, 20), 25, self.served())
         assert "25 times for 20 record misses" in problem
 
-    def test_fails_when_a_unique_stream_admits_records(self):
-        (problem,) = self.problems(self.counters(80, 20), 20, self.counters(0, 50, 1, 2))
-        assert "3 records admitted" in problem
-        assert self.problems(self.counters(80, 20), 20, self.counters(1, 49))
+    def test_fails_when_a_served_query_is_planned_twice(self):
+        (problem,) = self.problems(self.counters(80, 20), 20, self.served(find_matches=54))
+        assert "54 times for 50 answered queries and 3 invalidated records" in problem
+
+    def test_fails_when_the_writer_runs_a_query_to_capture_nothing(self):
+        served = self.served(executes_without_creation=2)
+        (problem,) = self.problems(self.counters(80, 20), 20, served)
+        assert "the writer executed 2 queries" in problem
 
     def test_fails_when_nothing_was_planned(self):
-        (problem,) = self.problems(self.counters(0, 0), 0, self.counters(0, 0))
+        (problem,) = self.problems(self.counters(0, 0), 0, self.served())
         assert "checked nothing" in problem
+        (problem,) = self.problems(self.counters(80, 20), 20, self.served(answered=0))
+        assert "served run checked nothing" in problem
 
     def test_floor_flag(self):
         proc = run_check(
@@ -276,6 +296,13 @@ class TestServeInvariantsGate:
         proc = run_check("check_serve_invariants.py", write_serve_report(tmp_path, phases))
         assert proc.returncode == 1
         assert "retries" in proc.stderr or "retry" in proc.stderr
+
+    def test_fails_when_the_writer_failed_a_step(self, tmp_path):
+        phases = self.good_phases()
+        phases["steady"] = serve_phase(writer={"steps": 9, "errors": 1})
+        proc = run_check("check_serve_invariants.py", write_serve_report(tmp_path, phases))
+        assert proc.returncode == 1
+        assert "1 writer steps failed" in proc.stderr
 
     def test_fails_on_empty_report(self, tmp_path):
         proc = run_check("check_serve_invariants.py", write_serve_report(tmp_path, {}))

@@ -1,7 +1,8 @@
 """``Rewriter.plan``'s record against planning from scratch.
 
-A query planned twice is answered from its record while nothing the record
-read has moved (``repro/matching/rewriter.py``, ``_PlanRecord``).  The
+A planned query is answered from its record while nothing the record read
+has moved, and a view registered since that it cannot use yet extends the
+record (``repro/matching/rewriter.py``, ``_PlanRecord``).  The
 oracle here is the four calls the record stands for — ``find_matches``,
 ``estimate_saving`` per match, ``build_rewritings``, ``best_rewriting`` —
 made afresh, and compared with ``==``: view ids, subplans, compensations,
@@ -14,7 +15,8 @@ and savings.
 * Twin runs, with the record and with planning from scratch, must give
   equal reports on repeat-heavy and unique-range streams, unbounded and at
   a 10 % pool.
-* Unit tests pin each validity token and the two-strike admission.
+* Unit tests pin each validity token, the extension, and admission at a
+  query's first sighting within a bounded record.
 """
 
 import numpy as np
@@ -134,12 +136,35 @@ class PlanRecordMachine(RuleBasedStateMachine):
         self.next_id = 10_000
 
     def run(self, query):
-        self.system.execute(query)
+        """Execute ``query``, checking the plan its step 3 used on the spot:
+        by the next invariant a view that extended the record may have
+        been materialized, and the record replanned."""
+        rewriter, used = self.system.rewriter, []
+
+        def checked(q):
+            planned = Rewriter.plan(rewriter, q)
+            used.append(planned == planned_from_scratch(rewriter, q))
+            return planned
+
+        rewriter.plan = checked
+        try:
+            self.system.execute(query)
+        finally:
+            del rewriter.plan
+        assert used == [True]
         self.seen[query] = None
 
     @rule(rank=st.sampled_from(RANKS))
     def repeat(self, rank):
         self.run(POOL[rank])
+
+    @rule(shape=st.sampled_from(SHAPES), lo=st.integers(0, 950), width=st.integers(5, 500))
+    def reader_first(self, shape, lo, width):
+        """A serving reader plans a fresh query before the writer runs it:
+        the writer's own new candidates extend the reader's record."""
+        query = shape(lo, min(lo + width, 1000))
+        self.system.rewriter.plan(query)
+        self.run(query)
 
     @rule(shape=st.sampled_from(SHAPES), lo=st.integers(0, 950), width=st.integers(5, 500))
     def fresh(self, shape, lo, width):
@@ -305,20 +330,22 @@ def recorded(system, query) -> QueryPlan:
     return planned
 
 
-def test_admitted_on_the_second_sighting(system):
+def test_admitted_on_the_first_sighting(system):
     rewriter, query = system.rewriter, total(100, 300)
-    rewriter.plan(query)
-    assert record_stats() == {"hits": 0, "misses": 1, "evictions": 0, "entries": 0}
-    second = rewriter.plan(query)
-    assert record_stats()["entries"] == 1
-    assert rewriter.plan(query) is second  # a lookup, the same object
+    first = rewriter.plan(query)
+    assert record_stats() == {"hits": 0, "misses": 1, "evictions": 0, "entries": 1}
+    assert rewriter.plan(query) is first  # a lookup, the same object
     assert record_stats()["hits"] == 1
 
 
-def test_a_unique_stream_keeps_no_record(system):
+def test_a_unique_stream_stays_bounded(system, monkeypatch):
+    bound = 8
+    monkeypatch.setattr(rewriter_module, "_PLAN_RECORD_MAX", bound)
     for lo in range(0, 600, 20):
         system.execute(total(lo, lo + 50))
-    assert record_stats()["entries"] == record_stats()["hits"] == 0
+        assert len(system.rewriter._records) <= bound
+    assert len(system.rewriter._records) == bound
+    assert record_stats()["evictions"] == 30 - bound
 
 
 def test_an_appended_view_that_matches_nothing_keeps_the_record(system):
@@ -333,14 +360,42 @@ def test_an_appended_view_that_matches_nothing_keeps_the_record(system):
     assert planned == planned_from_scratch(system.rewriter, query)
 
 
+def test_an_appended_non_resident_view_extends_the_record(system):
+    system.execute(total(0, 1000))  # its join view matches a later subplan of the query
+    query = rows(150, 250)
+    planned = recorded(system, query)
+    known = {m.view_id for m in planned.matches}
+    # Step 4 as the writer runs it before planning: a wider range's candidate
+    # is registered, matches the query's root, and is not resident yet.
+    system._register_candidates(rows(100, 300), float(system.clock))
+    rewriter, calls = system.rewriter, []
+    find_matches = rewriter.find_matches
+    rewriter.find_matches = lambda q: calls.append(q) or find_matches(q)
+    hits = record_stats()["hits"]
+    again = rewriter.plan(query)
+    del rewriter.find_matches
+    assert record_stats()["hits"] == hits + 1 and calls == []
+    (added,) = [i for i, m in enumerate(again.matches) if m.view_id not in known]
+    assert not system.pool.is_resident(again.matches[added].view_id)
+    # In find_matches' order: after its subplan's earlier matches, before a
+    # later subplan's.
+    assert 0 < added < len(again.matches) - 1
+    assert again.matches[added - 1].subplan == again.matches[added].subplan
+    assert again.matches[added + 1].subplan != again.matches[added].subplan
+    assert again.rewritings is planned.rewritings and again.chosen is planned.chosen
+    assert again == planned_from_scratch(rewriter, query)
+
+
 def test_an_appended_view_that_matches_replans(system):
     query = rows(150, 250)
     planned = recorded(system, query)
+    known = {m.view_id for m in planned.matches}
     system.execute(rows(100, 300))  # a wider range: its candidate answers the query
     misses = record_stats()["misses"]
     again = system.rewriter.plan(query)
     assert record_stats()["misses"] == misses + 1
-    assert len(again.matches) > len(planned.matches)
+    appended = [m.view_id for m in again.matches if m.view_id not in known]
+    assert appended and all(system.pool.is_resident(v) for v in appended)
     assert again == planned_from_scratch(system.rewriter, query)
 
 

@@ -31,6 +31,7 @@ from repro.serve.service import QueryService
 from repro.serve.snapshot import SnapshotManager
 from repro.storage.pool import MaterializedViewPool
 from repro.workloads.generator import sdss_mapped_workload
+from tests.test_plan_record import planned_from_scratch
 
 TIMEOUT = 60.0
 
@@ -360,6 +361,34 @@ class TestQueryService:
         assert (m["offered"], m["failed"], m["answered"]) == (2, 1, 1)
         assert m["accounting_ok"]
 
+    def test_a_writer_bug_is_counted_and_the_writer_lives_on(
+        self, fx, plans, digests, monkeypatch
+    ):
+        # An exception that is not a ReproError, raised inside the writer's
+        # step 3, must neither end the writer thread nor go uncounted.
+        from repro.core.selection import Selection
+
+        real = Selection.plan_view_creations
+        calls = []
+
+        def raising_on_the_third_step(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("bug inside selection")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Selection, "plan_view_creations", raising_on_the_third_step)
+        system = deepsea(fx.catalog, domains=fx.domains)
+        with QueryService(system, workers=2, queue_depth=64) as svc:
+            outs = drain(svc, plans)
+        assert [answer_digest(o.table) for o in outs] == digests
+        writer = svc.metrics()["writer"]
+        assert writer["errors"] == 1
+        assert writer["steps"] == len(plans) - 1  # it stepped on past the bug
+        (error,) = svc.writer.errors
+        assert error.startswith("RuntimeError: bug inside selection")
+        assert "Traceback" in error and "raising_on_the_third_step" in error
+
     def test_stop_is_idempotent(self, fx, plans, digests):
         system = deepsea(fx.catalog, domains=fx.domains)
         svc = QueryService(system, workers=1).start()
@@ -375,6 +404,34 @@ class TestQueryService:
             QueryService(system, workers=0)
         with pytest.raises(ValueError):
             QueryService(system, retries=-1)
+
+
+class TestOnePlanPerQuery:
+    """More readers than cores race the writer over one plan record.  Each
+    query is planned by whichever of reader and writer comes first and
+    read (or extended) by the other, so once the service is stopped every
+    record must still equal planning from scratch, and every answer the
+    serial one.  Run by CI under a 1 µs switch interval too."""
+
+    def test_records_and_answers_survive_four_readers(self, fx, plans, digests):
+        rng = np.random.default_rng(4)
+        order = list(range(len(plans))) + list(rng.integers(0, len(plans), len(plans)))
+        system = deepsea(fx.catalog, domains=fx.domains)
+        svc = QueryService(system, workers=4, queue_depth=128).start()
+        try:
+            outs = drain(svc, [plans[i] for i in order], pace_s=0.001)
+        finally:
+            svc.stop(timeout=TIMEOUT)
+        assert not any(t.is_alive() for t in [*svc._readers, svc.writer._thread])
+        assert all(o is not None and o.status == "answered" for o in outs)
+        assert [answer_digest(o.table) for o in outs] == [digests[i] for i in order]
+        metrics = svc.metrics()
+        assert metrics["writer"]["errors"] == 0
+        assert metrics["writer"]["steps"] == len(order)
+        rewriter = system.rewriter
+        with svc.plan_lock:
+            for plan in plans:
+                assert rewriter.plan(plan) == planned_from_scratch(rewriter, plan)
 
 
 class TestFeedBatchUnderReaders:
@@ -480,3 +537,4 @@ class TestDriverGates:
         assert check_gates({"chaos": self.phase(retries=0)})
         assert check_gates({"chaos": self.phase(writer={"steps": 0})})
         assert check_gates({"chaos": self.phase(pool_epoch=0)})
+        assert check_gates({"steady": self.phase(writer={"steps": 5, "errors": 1})})
