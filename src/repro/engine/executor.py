@@ -32,8 +32,8 @@ from repro.engine.catalog import Catalog
 from repro.engine.cost import ClusterSpec, CostLedger
 from repro.engine.indexes import RowIdMatch, join_probe
 from repro.engine.schema import Column, Schema
-from repro.engine.table import JoinView, Table, TableView, lazy_views_enabled
-from repro.engine.types import ColumnKind, EncodedColumn, decoded, sort_key
+from repro.engine.table import JoinView, Table, TableView
+from repro.engine.types import ColumnKind
 from repro.errors import PlanError, SchemaError
 from repro.query.algebra import (
     Aggregate,
@@ -343,21 +343,11 @@ def hash_join(left: Table, right: Table, left_attr: str, right_attr: str) -> Tab
     if lrows is not None:
         left_idx = lrows[left_idx]
 
-    if lazy_views_enabled():
-        # The join output itself stays late-materialized: columns the
-        # plan projects away downstream are never gathered at all.
-        side_of = {name: 0 for name in left.schema.names}
-        side_of.update({name: 1 for name in right.schema.names if name not in drop_right})
-        return JoinView(schema, scale, [(lsrc, left_idx), (rsrc, right_idx)], side_of)
-
-    cols: dict[str, np.ndarray] = {}
-    for name in left.schema.names:
-        cols[name] = lsrc.column(name)[left_idx]
-    for name in right.schema.names:
-        if name in drop_right:
-            continue
-        cols[name] = rsrc.column(name)[right_idx]
-    return Table(schema, cols, scale)
+    # The join output itself stays late-materialized: columns the plan
+    # projects away downstream are never gathered at all.
+    side_of = {name: 0 for name in left.schema.names}
+    side_of.update({name: 1 for name in right.schema.names if name not in drop_right})
+    return JoinView(schema, scale, [(lsrc, left_idx), (rsrc, right_idx)], side_of)
 
 
 def _gather_source(table: Table) -> "tuple[Table, np.ndarray | None]":
@@ -414,7 +404,6 @@ def _aggregate_bincount(
     table: Table,
     out_schema: Schema,
     group_by: tuple[str, ...],
-    raw_keys: "list[np.ndarray]",
     keys: "list[np.ndarray]",
     aggregates: tuple[AggSpec, ...],
 ) -> "Table | None":
@@ -437,8 +426,8 @@ def _aggregate_bincount(
       the results are equal bit-for-bit, not just approximately.
       Float inputs, ``min``/``max``, and unbounded magnitudes fall back
       to the sorted path.
-    * The combined key span must be small (compact dictionary codes or
-      dense dimension keys) so the bucket array stays O(rows).
+    * The combined key span must be small (dense dimension keys) so the
+      bucket array stays O(rows).
     """
     packed = _pack_group_codes(keys)
     if packed is None:
@@ -451,7 +440,7 @@ def _aggregate_bincount(
             continue
         if spec.func not in ("sum", "avg"):
             return None
-        vals = decoded(table.column(spec.attr))
+        vals = table.column(spec.attr)
         if vals.dtype.kind not in "iu":
             return None
         if vals.size and int(np.abs(vals).max()) * vals.size >= 2**53:
@@ -469,12 +458,8 @@ def _aggregate_bincount(
         digits.append(remainder % radix)
         remainder = remainder // radix
     digits.reverse()
-    for name, raw, key, digit, lo in zip(group_by, raw_keys, keys, digits, los):
-        head = (digit + lo).astype(key.dtype)
-        if isinstance(raw, EncodedColumn):
-            cols[name] = EncodedColumn(head, raw.values)
-        else:
-            cols[name] = head.astype(raw.dtype)
+    for name, key, digit, lo in zip(group_by, keys, digits, los):
+        cols[name] = (digit + lo).astype(key.dtype)
     for spec, vals in plans:
         if vals is None:
             cols[spec.alias] = sizes.astype(np.int64)
@@ -491,11 +476,10 @@ def _aggregate_bincount(
 def aggregate(table: Table, group_by: tuple[str, ...], aggregates: tuple[AggSpec, ...]) -> Table:
     """Group-by aggregation via sort + ``reduceat``.
 
-    Encoded string group keys sort and compare by their int32 codes
-    (sorted dictionaries make code order equal value order), and the
-    output group columns stay encoded — no decode anywhere.  The row
-    gather for aggregate inputs is computed once per distinct source
-    attribute, not once per :class:`AggSpec`.
+    Compact integer keys take the sort-free bincount path
+    (:func:`_aggregate_bincount`); any other key — float or string —
+    sorts.  The row gather for aggregate inputs is computed once per
+    distinct source attribute, not once per :class:`AggSpec`.
     """
     out_schema = Schema(
         tuple(table.schema.column(g) for g in group_by)
@@ -505,12 +489,9 @@ def aggregate(table: Table, group_by: tuple[str, ...], aggregates: tuple[AggSpec
         return Table.empty(out_schema, table.scale)
 
     if group_by:
-        raw_keys = [table.column(g) for g in group_by]
-        keys = [sort_key(k) for k in raw_keys]
+        keys = [table.column(g) for g in group_by]
         if all(k.dtype.kind in "iu" for k in keys):
-            fast = _aggregate_bincount(
-                table, out_schema, group_by, raw_keys, keys, aggregates
-            )
+            fast = _aggregate_bincount(table, out_schema, group_by, keys, aggregates)
             if fast is not None:
                 return fast
         if len(keys) == 1:
@@ -533,11 +514,8 @@ def aggregate(table: Table, group_by: tuple[str, ...], aggregates: tuple[AggSpec
     group_sizes = np.diff(np.append(starts, table.nrows))
     cols: dict[str, np.ndarray] = {}
     if group_by:
-        for name, raw, k in zip(group_by, raw_keys, sorted_keys):
-            head = k[starts]
-            if isinstance(raw, EncodedColumn):
-                head = EncodedColumn(head, raw.values)
-            cols[name] = head
+        for name, k in zip(group_by, sorted_keys):
+            cols[name] = k[starts]
 
     # One gather per distinct aggregate input attribute: several AggSpecs
     # over the same column (sum+avg of sales is the workload's common
@@ -547,7 +525,7 @@ def aggregate(table: Table, group_by: tuple[str, ...], aggregates: tuple[AggSpec
     def sorted_values(attr: str) -> np.ndarray:
         values = gathered.get(attr)
         if values is None:
-            values = decoded(table.column(attr))[order]
+            values = table.column(attr)[order]
             gathered[attr] = values
         return values
 

@@ -43,7 +43,6 @@ import numpy as np
 from repro.caches import register_cache
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
-from repro.engine.types import decoded, sort_key
 
 # A cached probe is a table.  Against a build root with distinct keys it
 # holds the matched build row per probe row (-1: none); otherwise each
@@ -68,12 +67,11 @@ class SortIndex:
     unique: bool
 
     @classmethod
-    def build(cls, keys) -> "SortIndex":
-        # Encoded string columns sort by their int32 codes (sorted
-        # dictionary ⇒ identical order); sorted_keys stays decoded so
-        # probes from *other* dictionaries binary-search correctly.
-        order = np.argsort(sort_key(keys), kind="stable")
-        sorted_keys = decoded(keys)[order]
+    def build(cls, keys: np.ndarray) -> "SortIndex":
+        """The index of one key column of any kind: numeric and string
+        (object) columns sort and binary-search alike."""
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
         return cls(order, sorted_keys, _strictly_increasing(sorted_keys))
 
 
@@ -227,7 +225,7 @@ class ProbeCache:
         if entry is None:
             self.misses += 1
             box.cached += 1
-            entry = per_right[attrs] = _probe_rows(index, decoded(root.column(left_attr)))
+            entry = per_right[attrs] = _probe_rows(index, root.column(left_attr))
         else:
             self.hits += 1
         return entry
@@ -346,7 +344,7 @@ def join_probe(
 
     if entry is None:
         index = root_index if rrows is None else sort_index(right, right_attr)
-        keys = decoded(left.column(left_attr))
+        keys = left.column(left_attr)
         return (
             np.searchsorted(index.sorted_keys, keys, side="left"),
             np.searchsorted(index.sorted_keys, keys, side="right"),
@@ -371,22 +369,6 @@ def join_probe(
     left_idx = np.flatnonzero(keep)
     _PROBE_CACHE.fk_rows += 1
     return RowIdMatch(left_idx, rroot, match[left_idx])
-
-
-def cache_stats() -> tuple[int, int]:
-    """(hits, misses) of the global sort-index cache — for tests and profiling."""
-    return _GLOBAL_CACHE.hits, _GLOBAL_CACHE.misses
-
-
-def probe_cache_stats() -> tuple[int, int]:
-    """(hits, misses) of the global probe cache — for tests and profiling."""
-    return _PROBE_CACHE.hits, _PROBE_CACHE.misses
-
-
-def clear_caches() -> None:
-    """Drop all cached indexes (tests / long-lived sessions)."""
-    _GLOBAL_CACHE.clear()
-    _PROBE_CACHE.clear()
 
 
 register_cache("engine.indexes.sort", _GLOBAL_CACHE.clear, _GLOBAL_CACHE.stats)

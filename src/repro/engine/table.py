@@ -8,24 +8,23 @@ generated to stand in for a 100 GB instance carries ``scale`` such that
 ``size_bytes`` reports the nominal (simulated) size.  All cost-model
 accounting uses ``size_bytes``; all query answers use the actual rows.
 
-Row-level operators (``filter``/``take``) do not copy column data: they
-return a :class:`TableView` — a selection vector (row-index array) over
-the root table, with per-column gathers deferred until a column is
-actually touched and cached once gathered.  A ``Select→Project→Join``
-chain therefore materializes each payload column exactly once, at the
-join gather or at an explicit :meth:`materialize` boundary (capture,
-pickling, simulated-disk writes).  Views promote the old ``_lineage``
-acceleration hint into the primary representation; the hint itself is
-still maintained so the join-probe caches keep working unchanged.
+Every column is a plain numpy array of its kind's dtype (``STRING``
+columns are object arrays; :mod:`repro.engine.types`).  Row-level
+operators (``filter``/``take``) do not copy column data: they return a
+:class:`TableView` — a selection vector (row-index array) over the root
+table, with per-column gathers deferred until a column is actually
+touched and cached once gathered.  A ``Select→Project→Join`` chain
+therefore materializes each payload column exactly once, at the join
+gather or at an explicit :meth:`materialize` boundary (capture,
+pickling, simulated-disk writes).  Views also maintain the row-lineage
+hint the join-probe caches key on.
 
 Tables are immutable by convention: operators return new tables and never
 mutate column arrays in place.  :meth:`Table.append` keeps that promise
 while growing a table at a cost of O(batch): the grown table and the one
 it grew from are read-only prefix views of one shared tail buffer, and
 rows are only ever written past every existing table's visible length
-(:class:`_TailBuffer`).  ``ColumnKind.STRING`` columns are stored
-dictionary-encoded (:class:`~repro.engine.types.EncodedColumn`); decoding
-happens only in :meth:`to_rows` and at pickle boundaries.
+(:class:`_TailBuffer`).
 """
 
 from __future__ import annotations
@@ -37,33 +36,8 @@ from typing import ClassVar
 import numpy as np
 
 from repro.engine.schema import Schema
-from repro.engine.types import (
-    ColumnKind,
-    EncodedColumn,
-    coerce_array,
-    concat_columns,
-    decoded,
-    sort_key,
-)
+from repro.engine.types import coerce_array
 from repro.errors import SchemaError
-
-# Module-level switch for the zero-copy path.  The eager path is kept
-# (a) as the reference implementation for the equivalence property tests
-# and (b) as an escape hatch; both paths produce bit-identical rows,
-# ledgers, and lineage.
-_LAZY_VIEWS = True
-
-
-def set_lazy_views(enabled: bool) -> bool:
-    """Toggle late materialization; returns the previous setting."""
-    global _LAZY_VIEWS
-    previous = _LAZY_VIEWS
-    _LAZY_VIEWS = enabled
-    return previous
-
-
-def lazy_views_enabled() -> bool:
-    return _LAZY_VIEWS
 
 
 class _TailBuffer:
@@ -77,8 +51,6 @@ class _TailBuffer:
     version immutable: rows are only ever written at ``filled`` and
     beyond, and only by the one appender that :meth:`claim` hands the
     range to; whoever is not appending to the tip gets a fresh buffer.
-    Dictionary-encoded columns keep their int32 codes here (the
-    dictionary itself is shared, never grown in place).
     """
 
     __slots__ = ("arrays", "capacity", "filled", "_lock")
@@ -87,9 +59,8 @@ class _TailBuffer:
         self.capacity = 2 * nrows
         self.arrays: dict[str, np.ndarray] = {}
         for name, col in columns.items():
-            stored = sort_key(col)
-            array = np.empty(self.capacity, dtype=stored.dtype)
-            array[:nrows] = stored
+            array = np.empty(self.capacity, dtype=col.dtype)
+            array[:nrows] = col
             self.arrays[name] = array
         self.filled = nrows
         self._lock = threading.Lock()
@@ -119,44 +90,14 @@ class _TailBuffer:
             assert stop <= self.filled
             self.arrays[name][start:stop] = part
 
-    def visible(self, like: dict, nrows: int) -> dict:
-        """Read-only column views of the first ``nrows`` rows (``like``
-        supplies the dictionary of each encoded column)."""
+    def visible(self, nrows: int) -> dict:
+        """Read-only column views of the first ``nrows`` rows."""
         columns: dict = {}
         for name, array in self.arrays.items():
             view = array[:nrows]
             view.flags.writeable = False
-            template = like[name]
-            if isinstance(template, EncodedColumn):
-                columns[name] = EncodedColumn(view, template.values)
-            else:
-                columns[name] = view
+            columns[name] = view
         return columns
-
-
-def _tail_part(own, new) -> "np.ndarray | None":
-    """``new``'s rows in the form ``own``'s tail buffer stores, or ``None``
-    when they cannot extend it in place: a dtype that ``np.concatenate``
-    would promote, or a string the dictionary does not hold (the
-    concatenation then re-unifies the dictionaries, renumbering codes
-    that older versions still read)."""
-    if not isinstance(own, EncodedColumn):
-        if isinstance(new, EncodedColumn) or new.dtype != own.dtype:
-            return None
-        return new
-    if not isinstance(new, EncodedColumn):
-        new = EncodedColumn.encode(new)
-    if new.values is own.values or np.array_equal(new.values, own.values):
-        return new.codes
-    if len(own.values) == 0:
-        return None
-    # A batch is encoded on its own, so its dictionary is usually a strict
-    # subset: translate its codes, exactly as ``concat_columns`` would
-    # through a union dictionary equal to ``own.values``.
-    at = np.minimum(np.searchsorted(own.values, new.values), len(own.values) - 1)
-    if not np.array_equal(own.values[at], new.values):
-        return None
-    return at.astype(np.int32)[new.codes]
 
 
 @dataclass(eq=False)
@@ -165,9 +106,8 @@ class Table:
 
     Attributes:
         schema: Column definitions; order defines row layout.
-        columns: Mapping from column name to a numpy array (or
-            :class:`EncodedColumn` for STRING columns). All columns must
-            have equal length.
+        columns: Mapping from column name to a numpy array of the
+            column kind's dtype. All columns must have equal length.
         scale: Multiplier applied when converting actual in-memory bytes
             to nominal (simulated) bytes.
 
@@ -190,14 +130,6 @@ class Table:
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
         self._nrows = lengths.pop() if lengths else 0
-        # Normalize STRING columns to the dictionary-encoded form so every
-        # downstream kernel can rely on integer codes.  Numeric columns
-        # pass through untouched.
-        for col in self.schema.columns:
-            if col.kind is ColumnKind.STRING:
-                value = self.columns[col.name]
-                if not isinstance(value, EncodedColumn):
-                    self.columns[col.name] = EncodedColumn.encode(value)
         # Row lineage: (root table, row indices into root | None for "all
         # rows in order", monotonic flag).  Set by filter/take/project so
         # the join-key probe cache (repro.engine.indexes) can reuse
@@ -212,17 +144,13 @@ class Table:
     _tail: ClassVar["_TailBuffer | None"] = None
 
     def __getstate__(self) -> dict:
-        """Pickle without lineage and with strings decoded.
+        """Pickle without lineage.
 
         Lineage is an in-process acceleration hint: it points at the
         *root* table a selection came from, so pickling it would drag the
         full base relation across every process boundary (the parallel
         runner ships result tables back from pool workers).  Dropping it
-        only means a restored table starts cache-cold.  Dictionary-encoded
-        columns are decoded to plain object arrays — the wire format stays
-        representation-independent — and re-encoded on restore; both
-        directions are deterministic, so semantics and ``size_bytes`` are
-        untouched.
+        only means a restored table starts cache-cold.
         """
         state = dict(self.__dict__)
         state["_lineage"] = None
@@ -230,16 +158,7 @@ class Table:
         # view by content, and the buffer (with every later version's
         # rows) stays behind.
         state.pop("_tail", None)
-        state["columns"] = {name: decoded(col) for name, col in self.columns.items()}
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        for col in self.schema.columns:
-            if col.kind is ColumnKind.STRING:
-                value = self.columns[col.name]
-                if not isinstance(value, EncodedColumn):
-                    self.columns[col.name] = EncodedColumn.encode(value)
 
     def _derived_lineage(
         self, rows: "np.ndarray | None", monotonic: bool
@@ -302,26 +221,19 @@ class Table:
     # Row-level operations (all return new tables)
     # ------------------------------------------------------------------
     def _select_rows(self, rows: np.ndarray, monotonic: bool) -> "Table":
-        """Rows at ``rows`` — a TableView when lazy, a copy otherwise."""
-        if _LAZY_VIEWS:
-            return TableView(self, self.schema, rows, monotonic)
-        cols = {name: arr[rows] for name, arr in self.columns.items()}
-        out = Table(self.schema, cols, self.scale)
-        out._lineage = self._derived_lineage(rows, monotonic)
-        return out
+        """A view of the rows at ``rows``."""
+        return TableView(self, self.schema, rows, monotonic)
 
     def filter(self, mask: np.ndarray) -> "Table":
         """Rows where ``mask`` is true.
 
-        On the lazy path the view keeps the boolean mask itself and
-        defers ``np.flatnonzero`` until row *indices* are actually needed
-        (index composition, lineage, gather plans).  A filter that is
-        only counted, re-filtered (masks AND together), or gathered once
-        never pays for the index conversion.
+        The view keeps the boolean mask itself and defers
+        ``np.flatnonzero`` until row *indices* are actually needed (index
+        composition, lineage, gather plans).  A filter that is only
+        counted, re-filtered (masks AND together), or gathered once never
+        pays for the index conversion.
         """
-        if _LAZY_VIEWS:
-            return TableView(self, self.schema, None, True, _mask=np.asarray(mask, dtype=bool))
-        return self._select_rows(np.flatnonzero(mask), True)
+        return TableView(self, self.schema, None, True, _mask=np.asarray(mask, dtype=bool))
 
     def take(self, indices: np.ndarray) -> "Table":
         """Rows at ``indices`` (with repetition allowed)."""
@@ -361,7 +273,7 @@ class Table:
             if other.schema.names != first.schema.names:
                 raise SchemaError("cannot concat tables with different schemas")
         cols = {
-            name: concat_columns([t.column(name) for t in tables])
+            name: np.concatenate([t.column(name) for t in tables])
             for name in first.schema.names
         }
         return Table(first.schema, cols, max(t.scale for t in tables))
@@ -373,11 +285,11 @@ class Table:
         (:class:`_TailBuffer`); ``self`` is never touched and keeps
         reading its own prefix.  The batch rows are written in place only
         when ``self`` is the buffer's newest version and every column's
-        dtype and dictionary agree.  Everything else — a table that has
-        no buffer yet or has filled it, a second fork appending to the
-        same parent, an append retried after a journal rollback, a batch
-        bringing a new string — concatenates into a fresh buffer, so the
-        result is column for column what ``concat_many`` returns.
+        dtype agrees.  Everything else — a table that has no buffer yet or
+        has filled it, a second fork appending to the same parent, an
+        append retried after a journal rollback, a dtype ``np.concatenate``
+        would promote — concatenates into a fresh buffer, so the result is
+        column for column what ``concat_many`` returns.
         """
         if batch.schema.names != self.schema.names:
             raise SchemaError("cannot append a batch with a different schema")
@@ -385,47 +297,26 @@ class Table:
         tail = self._tail
         parts: "dict[str, np.ndarray] | None" = None
         if tail is not None:
-            parts = {}
-            for name in self.schema.names:
-                part = _tail_part(self.columns[name], batch.column(name))
-                if part is None:
-                    parts = None
-                    break
-                parts[name] = part
+            parts = {name: batch.column(name) for name in self.schema.names}
+            if any(part.dtype != tail.arrays[name].dtype for name, part in parts.items()):
+                parts = None
         if parts is not None and tail.claim(start, batch.nrows):
             tail.write(start, parts)
-            like, scale = self.columns, max(self.scale, batch.scale)
+            scale = max(self.scale, batch.scale)
         else:
             grown = Table.concat_many([self, batch])
             tail = _TailBuffer(grown.columns, total)
-            like, scale = grown.columns, grown.scale
-        out = Table(self.schema, tail.visible(like, total), scale)
+            scale = grown.scale
+        out = Table(self.schema, tail.visible(total), scale)
         out._tail = tail
         return out
-
-    def distinct(self) -> "Table":
-        """Remove duplicate rows (used for overlapping-fragment unions)."""
-        if self._nrows == 0:
-            return self
-        # sort_key: encoded string columns sort by their int32 codes —
-        # bit-identical row order to sorting decoded values, because the
-        # dictionary is sorted.
-        keys = [sort_key(self.column(n)) for n in self.schema.names]
-        order = np.lexsort(keys[::-1])
-        keep = np.ones(self._nrows, dtype=bool)
-        same_as_prev = np.ones(self._nrows - 1, dtype=bool)
-        for arr in keys:
-            s = arr[order]
-            same_as_prev &= s[1:] == s[:-1]
-        keep[1:] = ~same_as_prev
-        return self.take(order[keep])
 
     # ------------------------------------------------------------------
     # Test helpers
     # ------------------------------------------------------------------
     def to_rows(self) -> list[tuple]:
         """Materialize as a list of row tuples (tests only)."""
-        arrays = [decoded(self.column(name)) for name in self.schema.names]
+        arrays = [self.column(name) for name in self.schema.names]
         return list(zip(*(arr.tolist() for arr in arrays))) if arrays else []
 
     def sorted_rows(self) -> list[tuple]:
@@ -440,9 +331,8 @@ class TableView(Table):
     root table — plus the view's own (possibly narrowed) schema.  Column
     gathers happen on first access via :meth:`column` and are cached, so
     chained ``filter``/``take``/``project`` calls compose selections
-    instead of copying payload columns.  Semantically a ``TableView`` is
-    indistinguishable from the eager table it stands for; every operator
-    accepts either.
+    instead of copying payload columns.  Every operator accepts a view
+    wherever it accepts a table.
 
     The selection is held in one of two forms.  A view built by
     :meth:`Table.filter` starts as a *boolean mask* over the root; the
@@ -540,15 +430,14 @@ class TableView(Table):
         return self._root, self._rows
 
     def __reduce__(self):
-        # Views never cross a pickle boundary as views: ship the decoded,
+        # Views never cross a pickle boundary as views: ship the
         # materialized state (the root may be an entire base relation).
-        plain = {name: decoded(self.column(name)) for name in self.schema.names}
-        return (_unpickle_table, (self.schema, plain, self.scale))
+        return (_unpickle_table, (self.schema, self.columns, self.scale))
 
     # -- row-level operations -------------------------------------------
     def filter(self, mask: np.ndarray) -> Table:
         mask = np.asarray(mask, dtype=bool)
-        if _LAZY_VIEWS and self._rows_arr is None:
+        if self._rows_arr is None:
             # Mask refinement: write the narrower selection back into the
             # root-level mask — no flatnonzero, no index composition.  A
             # mask-built view is always monotonic, so the result is too.
@@ -559,13 +448,7 @@ class TableView(Table):
 
     def _select_rows(self, rows: np.ndarray, monotonic: bool) -> Table:
         composed = self._rows[rows]
-        mono = monotonic and self._monotonic
-        if _LAZY_VIEWS:
-            return TableView(self._root, self.schema, composed, mono)
-        cols = {name: self._root.columns[name][composed] for name in self.schema.names}
-        out = Table(self.schema, cols, self.scale)
-        out._lineage = self._root._derived_lineage(composed, mono)
-        return out
+        return TableView(self._root, self.schema, composed, monotonic and self._monotonic)
 
     def project(self, names: tuple[str, ...] | list[str]) -> Table:
         schema = self.schema.subset(tuple(names))
@@ -594,8 +477,8 @@ class JoinView(Table):
 
     ``filter``/``take`` compose row selections into both index arrays
     (two integer gathers, no payload copies); ``project`` narrows the
-    schema and shares the gather cache.  Like the seed's eager join
-    output, a ``JoinView`` is a fresh root for lineage purposes.
+    schema and shares the gather cache.  A ``JoinView`` is a fresh root
+    for lineage purposes.
     """
 
     def __init__(
@@ -640,15 +523,11 @@ class JoinView(Table):
         return own
 
     def __reduce__(self):
-        plain = {name: decoded(self.column(name)) for name in self.schema.names}
-        return (_unpickle_table, (self.schema, plain, self.scale))
+        return (_unpickle_table, (self.schema, self.columns, self.scale))
 
     def _select_rows(self, rows: np.ndarray, monotonic: bool) -> Table:
-        if _LAZY_VIEWS:
-            sides = [(source, idx[rows]) for source, idx in self._sides]
-            return JoinView(self.schema, self.scale, sides, self._side_of)
-        cols = {name: self.column(name)[rows] for name in self.schema.names}
-        return Table(self.schema, cols, self.scale)
+        sides = [(source, idx[rows]) for source, idx in self._sides]
+        return JoinView(self.schema, self.scale, sides, self._side_of)
 
     def project(self, names: tuple[str, ...] | list[str]) -> Table:
         schema = self.schema.subset(tuple(names))

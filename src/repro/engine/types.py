@@ -4,17 +4,14 @@ The engine is columnar and numpy-backed.  Each column has a logical kind
 that determines its numpy dtype and its *accounting width* — the number of
 bytes one value contributes to the simulated on-disk size of a table.  The
 accounting width is what the DeepSea cost model sees; it is deliberately
-decoupled from the in-memory representation so that string columns can be
-dictionary-encoded while still being charged a fixed width.
+decoupled from the in-memory representation: a ``STRING`` value is
+charged 32 bytes whatever its length.
 
-String columns are stored as an :class:`EncodedColumn`: an ``int32`` code
-array plus a *sorted* dictionary of distinct values.  Because the
-dictionary is sorted, code order equals value order, so every comparison-
-based kernel (``lexsort``, ``argsort``, run-boundary equality in
-``distinct``/``aggregate``) runs on the integer codes and produces row
-orders bit-identical to operating on the decoded strings.  Codes flow
-through filter/take/join/group-by untouched; values are decoded only at
-the engine's edges (``to_rows``, pickling, cross-dictionary probes).
+Every kind has one representation, a plain numpy array of its dtype.
+``STRING`` columns are object arrays of Python ``str``: ``argsort``,
+``lexsort``, ``searchsorted``, elementwise comparison and
+``minimum``/``maximum.reduceat`` all work on them directly, so every
+kernel treats a string column like any other.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ class ColumnKind(enum.Enum):
 
     @property
     def dtype(self) -> np.dtype:
-        """The numpy dtype values of this kind present at the engine edge."""
+        """The numpy dtype of a column of this kind."""
         if self is ColumnKind.INT64:
             return np.dtype(np.int64)
         if self is ColumnKind.FLOAT64:
@@ -48,125 +45,14 @@ class ColumnKind(enum.Enum):
         return np.dtype(object)
 
 
-class EncodedColumn:
-    """A dictionary-encoded string column: int32 codes + sorted values.
-
-    Invariant: ``values`` is sorted and duplicate-free, so for any two
-    rows ``i, j``: ``codes[i] < codes[j]  ⇔  decoded[i] < decoded[j]``.
-    Every order-sensitive kernel may therefore operate on ``codes``.
-    The dictionary is shared (never copied) by fancy-indexing, so a
-    filtered or joined column costs one int32 gather.
-    """
-
-    __slots__ = ("codes", "values")
-
-    def __init__(self, codes: np.ndarray, values: np.ndarray):
-        self.codes = codes
-        self.values = values
-
-    @classmethod
-    def encode(cls, array) -> "EncodedColumn":
-        arr = np.asarray(array, dtype=object)
-        if len(arr) == 0:
-            return cls(np.empty(0, dtype=np.int32), np.empty(0, dtype=object))
-        values, codes = np.unique(arr, return_inverse=True)
-        return cls(codes.astype(np.int32, copy=False), values)
-
-    # -- container protocol -------------------------------------------
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, item):
-        if isinstance(item, (int, np.integer)):
-            return self.values[self.codes[item]]
-        return EncodedColumn(self.codes[item], self.values)
-
-    def __eq__(self, other):
-        # Element-wise, mirroring ndarray semantics (used by tests and
-        # run-boundary detection on same-dictionary columns).
-        if isinstance(other, EncodedColumn):
-            if self.values is other.values or np.array_equal(self.values, other.values):
-                return self.codes == other.codes
-            return self.decode() == other.decode()
-        return self.decode() == other
-
-    __hash__ = None  # type: ignore[assignment] — mutable-array holder
-
-    # -- ndarray-compatible surface -----------------------------------
-    @property
-    def dtype(self) -> np.dtype:
-        """Logical dtype: what :meth:`decode` yields at the engine edge."""
-        return np.dtype(object)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.codes.nbytes) + int(self.values.nbytes)
-
-    def decode(self) -> np.ndarray:
-        """Materialize the object-array view of this column."""
-        if len(self.values) == 0:
-            return np.empty(len(self.codes), dtype=object)
-        return self.values[self.codes]
-
-    def tolist(self) -> list:
-        return self.decode().tolist()
-
-    def min(self):
-        # Sorted dictionary: the smallest present code decodes to the
-        # smallest present value.
-        return self.values[self.codes.min()]
-
-    def max(self):
-        return self.values[self.codes.max()]
-
-
-def coerce_array(kind: ColumnKind, values):
-    """Coerce ``values`` into the storage representation for ``kind``.
-
-    Numeric kinds return plain numpy arrays; STRING returns a
-    dictionary-encoded :class:`EncodedColumn`.
-    """
-    if kind is ColumnKind.STRING:
-        if isinstance(values, EncodedColumn):
-            return values
-        return EncodedColumn.encode(values)
+def coerce_array(kind: ColumnKind, values) -> np.ndarray:
+    """Coerce ``values`` into the numpy array a column of ``kind`` holds."""
     return np.asarray(values, dtype=kind.dtype)
 
 
-def decoded(column) -> np.ndarray:
-    """The plain-ndarray view of a column (decoding if dictionary-encoded)."""
-    if isinstance(column, EncodedColumn):
-        return column.decode()
-    return column
+def decoded(column: np.ndarray) -> np.ndarray:
+    """``column`` itself: columns have one representation.
 
-
-def sort_key(column) -> np.ndarray:
-    """An array whose ordering matches the column's value ordering.
-
-    For encoded columns this is the int32 code array (valid because the
-    dictionary is sorted), turning object-array comparison sorts into
-    integer sorts.  Only meaningful *within* one column — codes from
-    different dictionaries are not comparable; use :func:`decoded` there.
+    Kept only because ``perfbench/workloads.py`` still imports it.
     """
-    if isinstance(column, EncodedColumn):
-        return column.codes
     return column
-
-
-def concat_columns(parts: list):
-    """Concatenate column parts, re-unifying dictionaries when encoded.
-
-    Mixed-dictionary concatenation rebuilds one sorted union dictionary
-    and remaps each part's codes through a searchsorted translation, so
-    the invariant (sorted, duplicate-free dictionary) survives any
-    sequence of concats.
-    """
-    if not any(isinstance(p, EncodedColumn) for p in parts):
-        return np.concatenate(parts)
-    parts = [p if isinstance(p, EncodedColumn) else EncodedColumn.encode(p) for p in parts]
-    first_values = parts[0].values
-    if all(p.values is first_values or np.array_equal(p.values, first_values) for p in parts[1:]):
-        return EncodedColumn(np.concatenate([p.codes for p in parts]), first_values)
-    union = np.unique(np.concatenate([p.values for p in parts]))
-    remapped = [np.searchsorted(union, p.values).astype(np.int32)[p.codes] for p in parts]
-    return EncodedColumn(np.concatenate(remapped), union)

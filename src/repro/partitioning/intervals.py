@@ -242,12 +242,24 @@ class Interval:
     # Data access
     # ------------------------------------------------------------------
     def mask(self, values: np.ndarray) -> np.ndarray:
-        """Boolean mask of array elements that fall inside the interval."""
+        """Boolean mask of array elements that fall inside the interval.
+
+        An integer array is compared with integer bounds: a finite float
+        bound is rounded inward, which keeps exactly the same integers.
+        Compared with the float itself, numpy would round every value to
+        float64 first, and beyond ±2⁵³ that changes the answer.
+        """
+        low, high = self.low, self.high
+        if values.dtype.kind in "iu":
+            if isinstance(low, float) and math.isfinite(low):
+                low = math.floor(low) if self.low_open else math.ceil(low)
+            if isinstance(high, float) and math.isfinite(high):
+                high = math.ceil(high) if self.high_open else math.floor(high)
         mask: "np.ndarray | None" = None
-        if self.low is not None:
-            mask = values > self.low if self.low_open else values >= self.low
-        if self.high is not None:
-            high = values < self.high if self.high_open else values <= self.high
+        if low is not None:
+            mask = values > low if self.low_open else values >= low
+        if high is not None:
+            high = values < high if self.high_open else values <= high
             mask = high if mask is None else np.logical_and(mask, high, out=mask)
         if mask is None:
             mask = np.ones(len(values), dtype=bool)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.table import Table
-from repro.engine.types import decoded
 from repro.partitioning.intervals import Interval
 
 
@@ -27,10 +26,9 @@ class RangePredicate:
     interval: Interval
 
     def mask(self, table: Table) -> np.ndarray:
-        # ``decoded`` unwraps dictionary-encoded string columns so the
-        # interval's value comparisons see actual values, not codes; on a
-        # TableView, ``column`` gathers only the predicate's attribute.
-        return self.interval.mask(decoded(table.column(self.attr)))
+        """Rows of ``table`` whose ``attr`` lies in the interval.  On a
+        view, ``column`` gathers only the predicate's attribute."""
+        return self.interval.mask(table.column(self.attr))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.attr} in {self.interval}"

@@ -12,9 +12,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro import caches
 from repro.baselines import deepsea
 from repro.bench.harness import clear_caches, run_system
-from repro.engine import indexes
 from repro.engine.executor import hash_join
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
@@ -133,8 +133,8 @@ class TestJoinCaches:
         cold = hash_join(sales_table, item_table, "s_item_sk", "i_item_sk")
         warm1 = hash_join(sales_table, item_table, "s_item_sk", "i_item_sk")
         warm2 = hash_join(sales_table, item_table, "s_item_sk", "i_item_sk")
-        hits, _misses = indexes.probe_cache_stats()
-        assert hits >= 1  # the cache really served the third join
+        # The cache really served the third join.
+        assert caches.cache_stats()["engine.indexes.probe"]["hits"] >= 1
         assert tables_equal(cold, warm1) and tables_equal(cold, warm2)
         clear_caches()
         assert tables_equal(cold, hash_join(sales_table, item_table, "s_item_sk", "i_item_sk"))
@@ -152,8 +152,9 @@ class TestJoinCaches:
     def test_clear_caches_resets_stats(self, sales_table, item_table):
         hash_join(sales_table, item_table, "s_item_sk", "i_item_sk")
         clear_caches()
-        assert indexes.cache_stats() == (0, 0)
-        assert indexes.probe_cache_stats() == (0, 0)
+        stats = caches.cache_stats()
+        for name in ("engine.indexes.sort", "engine.indexes.probe"):
+            assert (stats[name]["hits"], stats[name]["misses"]) == (0, 0)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Hypothesis drives random workloads — random templates, ranges, pool
 limits, and policies — through DeepSea and asserts every answer equals
-direct execution.  This is the multiset-equality guarantee the rewriter's
-sufficient matching condition promises (§8.1), exercised across
-materialization, fragment covers, overlapping refinement, eviction, and
-re-creation.
+SQLite's answer to the query as written (``tests/sql_oracle.py``, which
+shares no code with the engine).  This is the multiset-equality guarantee
+the rewriter's sufficient matching condition promises (§8.1), exercised
+across materialization, fragment covers, overlapping refinement,
+eviction, and re-creation.
 """
 
 import numpy as np
@@ -16,37 +17,32 @@ from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.query.algebra import Aggregate, AggSpec, Join, Project, Relation, Select
 from repro.query.predicates import between
+from tests.sql_oracle import SqlOracle
 
 DOMAIN = Interval.closed(0, 200)
 DOMAINS = {"f_k": DOMAIN, "d_k": DOMAIN}
 
 
-def build_catalog(seed: int) -> Catalog:
+def build_rows(seed: int) -> dict:
+    """Each table's schema and rows, as plain Python values."""
     rng = np.random.default_rng(seed)
     n = 300
-    fact_schema = Schema.of(Column("f_id"), Column("f_k"), Column("f_v"))
-    dim_schema = Schema.of(Column("d_k"), Column("d_c"))
-    fact = Table.from_dict(
-        fact_schema,
-        {
-            "f_id": np.arange(n),
-            "f_k": rng.integers(0, 201, n),
-            "f_v": rng.integers(0, 50, n),
-        },
-        scale=5e5,
-    )
-    dim = Table.from_dict(
-        dim_schema,
-        {"d_k": np.arange(201), "d_c": rng.integers(0, 6, 201)},
-        scale=5e5,
-    )
-    catalog = Catalog()
-    catalog.register("fact", fact)
-    catalog.register("dim", dim)
-    return catalog
+    fact = zip(range(n), rng.integers(0, 201, n).tolist(), rng.integers(0, 50, n).tolist())
+    dim = zip(range(201), rng.integers(0, 6, 201).tolist())
+    return {
+        "fact": (Schema.of(Column("f_id"), Column("f_k"), Column("f_v")), list(fact)),
+        "dim": (Schema.of(Column("d_k"), Column("d_c")), list(dim)),
+    }
 
 
-_CATALOG = build_catalog(0)
+_ROWS = build_rows(0)
+_CATALOG = Catalog()
+for _name, (_schema, _rows) in _ROWS.items():
+    _columns = {c: [row[i] for row in _rows] for i, c in enumerate(_schema.names)}
+    _CATALOG.register(_name, Table.from_dict(_schema, _columns, scale=5e5))
+_ORACLE = SqlOracle(
+    {name: ([(c, "INTEGER") for c in schema.names], rows) for name, (schema, rows) in _ROWS.items()}
+)
 
 join = Join(Relation("fact"), Relation("dim"), "f_k", "d_k")
 
@@ -83,6 +79,8 @@ query_strategy = st.tuples(
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_deepsea_always_matches_direct_execution(plans, pool_fraction, overlapping, eager):
+    """Named for its first reference, direct execution; SQLite is the
+    reference now."""
     smax = _CATALOG.total_size_bytes * pool_fraction if pool_fraction is not None else None
     system = DeepSea(
         _CATALOG,
@@ -94,11 +92,11 @@ def test_deepsea_always_matches_direct_execution(plans, pool_fraction, overlappi
             creation_cooldown=2.0,
         ),
     )
-    reference = DeepSea(_CATALOG, domains=DOMAINS, policy=Policy(materialize=False))
     # repeat the workload to force reuse / refinement / eviction paths
     for plan in plans + plans:
-        got = system.execute(plan).result.sorted_rows()
-        expected = reference.execute(plan).result.sorted_rows()
-        assert got == expected
+        got = system.execute(plan).result.to_rows()
+        want = _ORACLE.answer(plan)
+        problem = want.differs_from(got)
+        assert problem is None, f"{problem}\n{plan}\n{want.sql}"
         if smax is not None:
             assert system.pool.used_bytes <= smax + 1e-6

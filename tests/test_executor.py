@@ -9,7 +9,8 @@ from repro.engine.cost import ClusterSpec
 from repro.engine.executor import ExecutionContext, Executor, aggregate, hash_join
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
-from repro.engine.types import ColumnKind, decoded, sort_key
+from repro import caches
+from repro.engine.types import ColumnKind
 from repro.errors import SchemaError
 from repro.query.algebra import Aggregate, AggSpec, Join, Project, Relation, Select
 from repro.query.predicates import between
@@ -236,7 +237,7 @@ class TestMultiKeyBincount:
         assert fast.schema.names == slow.schema.names
         assert fast.nrows == slow.nrows
         for name in fast.schema.names:
-            a, b = np.asarray(decoded(fast.column(name))), np.asarray(decoded(slow.column(name)))
+            a, b = fast.column(name), slow.column(name)
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
 
@@ -279,7 +280,9 @@ class TestMultiKeyBincount:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_encoded_string_key_plus_int_key(self, rows):
+    def test_string_key_plus_int_key_sorts(self, rows):
+        """A string key is never packed: the sorted path groups it, in
+        the lexicographic order of the key tuples."""
         schema = Schema.of(
             Column("cat", ColumnKind.STRING), Column("bucket"), Column("v")
         )
@@ -307,11 +310,10 @@ class TestMultiKeyBincount:
             schema,
             {"a": [1, 1, 2, 2], "b": [0, 0, 1, 1], "c": [5, 5, 5, 6], "v": [1, 2, 3, 4]},
         )
-        raw_keys = [t.column(g) for g in ("a", "b", "c")]
-        keys = [sort_key(k) for k in raw_keys]
+        keys = [t.column(g) for g in ("a", "b", "c")]
         out_schema = Schema.of(Column("a"), Column("b"), Column("c"), Column("s"))
         fast = executor_mod._aggregate_bincount(
-            t, out_schema, ("a", "b", "c"), raw_keys, keys, (AggSpec("sum", "v", "s"),)
+            t, out_schema, ("a", "b", "c"), keys, (AggSpec("sum", "v", "s"),)
         )
         assert fast is not None
         assert fast.to_rows() == [(1, 0, 5, 3), (2, 1, 5, 3), (2, 1, 6, 4)]
@@ -324,11 +326,10 @@ class TestMultiKeyBincount:
             schema,
             {"a": [0, 1_000_000], "b": [0, 1_000_000], "v": [1, 2]},
         )
-        raw_keys = [t.column(g) for g in ("a", "b")]
-        keys = [sort_key(k) for k in raw_keys]
+        keys = [t.column(g) for g in ("a", "b")]
         out_schema = Schema.of(Column("a"), Column("b"), Column("s"))
         fast = executor_mod._aggregate_bincount(
-            t, out_schema, ("a", "b"), raw_keys, keys, (AggSpec("sum", "v", "s"),)
+            t, out_schema, ("a", "b"), keys, (AggSpec("sum", "v", "s"),)
         )
         assert fast is None
         # ...but the public entry point still answers via the sorted path.
@@ -351,8 +352,8 @@ class TestMultiKeyBincount:
 # ----------------------------------------------------------------------
 def _direct_index(table, attr):
     keys = table.column(attr)
-    order = np.argsort(sort_key(keys), kind="stable")
-    return order, decoded(keys)[order]
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
 
 
 def oracle_join_probe(left, right, left_attr, right_attr):
@@ -373,7 +374,7 @@ def oracle_join_probe(left, right, left_attr, right_attr):
             rroot, rrows = right, None  # reordered subset: underivable
 
     root_order, root_sorted = _direct_index(rroot, right_attr)
-    keys = decoded(lroot.column(left_attr))
+    keys = lroot.column(left_attr)
     starts_full = np.searchsorted(root_sorted, keys, side="left")
     ends_full = np.searchsorted(root_sorted, keys, side="right")
     if lrows is not None:
@@ -433,7 +434,6 @@ def join_cases(draw):
         "probe": draw(st.lists(st.integers(0, 20), max_size=30)),  # > 16: no partner
         "batch": draw(st.lists(st.integers(0, 20), max_size=6)),
         "probe_mask": draw(st.none() | st.lists(st.booleans(), min_size=40, max_size=40)),
-        "lazy": draw(st.booleans()),
     }
     shape = draw(st.sampled_from(["whole", "project", "filter", "reordered"]))
     if shape == "filter":
@@ -456,8 +456,6 @@ class TestJoinKernelOracle:
         assert got.schema == want.schema and got.nrows == want.nrows
         for name in want.schema.names:
             g, w = got.column(name), want.column(name)
-            assert type(g) is type(w)
-            g, w = decoded(g), decoded(w)
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
 
@@ -471,7 +469,7 @@ class TestJoinKernelOracle:
         def fact(keys):
             return Table.from_dict(fact_schema, {"k": key(keys), "v": [k / 8 for k in keys]})
 
-        dim = Table.from_dict(  # encoded on its own: another dictionary
+        dim = Table.from_dict(
             dim_schema, {"d": key(case["build"]), "label": range(len(case["build"]))}
         )
         shape = case["shape"]
@@ -494,12 +492,8 @@ class TestJoinKernelOracle:
     @settings(max_examples=200, deadline=None)
     @given(join_cases())
     def test_equals_range_expansion_cold_and_warm(self, case):
-        from repro.engine import indexes
-        from repro.engine.table import set_lazy_views
-
-        previous = set_lazy_views(case["lazy"])
+        caches.clear_all_caches()
         try:
-            indexes.clear_caches()
             fact, batch, _dim, right = self.tables(case)
 
             def check(probe_root):
@@ -514,5 +508,4 @@ class TestJoinKernelOracle:
             check(grown)  # the cached probe extended by the batch alone
             check(grown)
         finally:
-            set_lazy_views(previous)
-            indexes.clear_caches()
+            caches.clear_all_caches()

@@ -92,3 +92,17 @@ def test_only_the_statistics_module_reads_raw_hit_lists():
 def test_no_core_module_outgrows_600_lines():
     sizes = {p.name: len(p.read_text().splitlines()) for p in CORE.glob("*.py")}
     assert not {name: n for name, n in sizes.items() if n > 600}
+
+
+ORACLE = Path(__file__).resolve().parent / "sql_oracle.py"
+ENGINE_SIDE = ("repro.engine", "repro.core", "repro.matching", "repro.storage")
+
+
+def test_the_sql_oracle_shares_no_code_with_the_engine():
+    """The reference answers plans without the machinery it judges."""
+    offenders = [
+        name
+        for name in imported_modules(ORACLE)
+        if any(name == side or name.startswith(side + ".") for side in ENGINE_SIDE)
+    ]
+    assert not offenders, offenders

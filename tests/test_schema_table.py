@@ -105,21 +105,6 @@ class TestTable:
         with pytest.raises(SchemaError):
             sales_table.concat(item_table)
 
-    def test_distinct(self, sales_schema):
-        t = Table.from_dict(
-            sales_schema,
-            {
-                "s_id": [1, 1, 2],
-                "s_item_sk": [5, 5, 6],
-                "s_qty": [1, 1, 1],
-                "s_price": [2.0, 2.0, 3.0],
-            },
-        )
-        assert t.distinct().nrows == 2
-
-    def test_distinct_empty(self, sales_schema):
-        assert Table.empty(sales_schema).distinct().nrows == 0
-
     def test_sorted_rows_roundtrip(self, sales_schema):
         t = Table.from_dict(
             sales_schema,

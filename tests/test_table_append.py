@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import caches
 from repro.engine import indexes
 from repro.engine.executor import hash_join
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
-from repro.engine.types import ColumnKind, EncodedColumn, decoded
+from repro.engine.types import ColumnKind
 from repro.errors import SchemaError
 
 SCHEMA = Schema.of(
@@ -39,29 +40,23 @@ def make(keys, words=None, scale=1.0):
 
 
 def assert_same(a: Table, b: Table):
-    """Exact equality: schema, row order, values, dtypes, dictionaries."""
+    """Exact equality: schema, row order, values, dtypes."""
     assert a.schema.names == b.schema.names and a.nrows == b.nrows
     assert a.scale == b.scale
     for name in a.schema.names:
         ca, cb = a.column(name), b.column(name)
-        assert type(ca) is type(cb)
-        if isinstance(ca, EncodedColumn):
-            np.testing.assert_array_equal(ca.values, cb.values)
-            assert ca.codes.dtype == cb.codes.dtype
-            np.testing.assert_array_equal(ca.codes, cb.codes)
-        else:
-            assert ca.dtype == cb.dtype
-            np.testing.assert_array_equal(ca, cb)
+        assert ca.dtype == cb.dtype
+        np.testing.assert_array_equal(ca, cb)
 
 
 def frozen(table: Table) -> list:
     """A deep copy of what ``table`` shows, to compare against later."""
-    return [np.array(decoded(table.column(n)), copy=True) for n in table.schema.names]
+    return [np.array(table.column(n), copy=True) for n in table.schema.names]
 
 
 def assert_unchanged(table: Table, before: list):
     for name, old in zip(table.schema.names, before):
-        np.testing.assert_array_equal(decoded(table.column(name)), old)
+        np.testing.assert_array_equal(table.column(name), old)
 
 
 def in_place(parent: Table, child: Table) -> bool:
@@ -77,7 +72,7 @@ class TestAppendEqualsConcat:
         assert_same(out, Table.concat_many([base, batch]))
         assert base._tail is None  # the parent is never adopted into a buffer
 
-    def test_chain_of_appends_numeric_and_encoded(self):
+    def test_chain_of_appends_numeric_and_string(self):
         table = reference = make(range(8))
         versions = []
         for i in range(12):
@@ -90,24 +85,14 @@ class TestAppendEqualsConcat:
         for version, before in versions:
             assert_unchanged(version, before)
 
-    def test_batch_with_a_subset_dictionary_extends_in_place(self):
+    def test_batch_with_a_new_string_extends_in_place(self):
         base = make(range(10)).append(make([1]))
-        batch = make([7, 7], words=["cat", "ant"])  # its own, smaller dictionary
+        before = frozen(base)
+        batch = make([7, 7, 8], words=["cat", "bat", "zebra"])  # one seen, two new
         out = base.append(batch)
         assert in_place(base, out)
         assert_same(out, Table.concat_many([base, batch]))
-
-    def test_batch_with_a_new_string_reunifies_the_dictionary(self):
-        base = make(range(10)).append(make([1]))
-        before = frozen(base)
-        batch = make([7, 8], words=["bat", "zebra"])
-        out = base.append(batch)
-        assert not in_place(base, out)  # fallback: codes are renumbered
-        assert_same(out, Table.concat_many([base, batch]))
-        assert list(out.column("s").values) == sorted(set(WORDS) | {"bat", "zebra"})
         assert_unchanged(base, before)
-        # The fresh buffer is a tip again: the next append is in place.
-        assert in_place(out, out.append(make([2])))
 
     def test_a_dtype_numpy_would_promote_falls_back(self):
         schema = Schema.of(Column("k"))
@@ -156,7 +141,7 @@ class TestAppendEqualsConcat:
             st.tuples(
                 st.integers(min_value=0, max_value=5),  # which live version to grow
                 st.lists(st.integers(min_value=0, max_value=30), max_size=6),
-                st.booleans(),  # bring a string no dictionary has seen
+                st.booleans(),  # bring a string no version holds yet
             ),
             min_size=1,
             max_size=12,
@@ -210,7 +195,7 @@ class TestOwnership:
         with pytest.raises(ValueError):
             out.column("k")[0] = 99
         with pytest.raises(ValueError):
-            out.column("s").codes[0] = 0
+            out.column("s")[0] = "yak"
 
     def test_concurrent_forks_of_one_parent(self):
         """More appenders than cores racing for one tip: exactly one may
@@ -262,7 +247,7 @@ class TestPickling:
 # Index inheritance
 # ----------------------------------------------------------------------
 def cold_sort_index(table: Table, column: str):
-    indexes.clear_caches()
+    caches.clear_all_caches()
     fresh = pickle.loads(pickle.dumps(table))  # no parent link, no cache entry
     return indexes.sort_index(fresh, column)
 
@@ -286,9 +271,9 @@ class TestSortIndexInheritance:
 
     @pytest.fixture(autouse=True)
     def _cold(self):
-        indexes.clear_caches()
+        caches.clear_all_caches()
         yield
-        indexes.clear_caches()
+        caches.clear_all_caches()
 
     @pytest.mark.parametrize("batch, unique", [([41, 3, 45], True), ([41, 8], False)])
     def test_extended_uniqueness_equals_cold_build(self, batch, unique):
@@ -320,9 +305,9 @@ class TestProbeInheritance:
 
     @pytest.fixture(autouse=True)
     def _cold(self):
-        indexes.clear_caches()
+        caches.clear_all_caches()
         yield
-        indexes.clear_caches()
+        caches.clear_all_caches()
 
     def dim(self):
         keys = np.repeat(np.arange(0, 40, 2), 2)  # duplicates: multi-match probes
@@ -364,7 +349,7 @@ class TestProbeInheritance:
         child = parent.append(make([4, 4, 41, 0]))
         self.probe(child, dim)
         got = self.probe(child, dim).column("match")
-        indexes.clear_caches()
+        caches.clear_all_caches()
         fresh = pickle.loads(pickle.dumps(child))  # no buffer, no entry
         self.probe(fresh, dim)
         cold = self.probe(fresh, dim).column("match")
@@ -407,13 +392,11 @@ class TestProbeInheritance:
         hash_join(table, dim, "k", "d")  # the grown root's own two strikes
         selected = table.filter(table.column("k") % 3 == 0)
         warm = hash_join(selected, dim, "k", "d").materialize()
-        assert indexes.probe_cache_stats()[0] > 0
-        indexes.clear_caches()
+        assert caches.cache_stats()["engine.indexes.probe"]["hits"] > 0
+        caches.clear_all_caches()
         cold = hash_join(selected.materialize(), dim, "k", "d").materialize()
         for name in warm.schema.names:
-            np.testing.assert_array_equal(
-                decoded(warm.column(name)), decoded(cold.column(name))
-            )
+            np.testing.assert_array_equal(warm.column(name), cold.column(name))
 
 
 class TestDimensionIngest:
@@ -425,9 +408,9 @@ class TestDimensionIngest:
 
     @pytest.fixture(autouse=True)
     def _cold(self):
-        indexes.clear_caches()
+        caches.clear_all_caches()
         yield
-        indexes.clear_caches()
+        caches.clear_all_caches()
 
     def catalog(self):
         from repro.engine.catalog import Catalog
@@ -448,7 +431,7 @@ class TestDimensionIngest:
         filtered build sides, each checked against a cold join."""
         sub = dim.filter(dim.column("label") < 4)
         warm = [hash_join(fact, side, "k", "d") for side in (dim, sub) for _ in range(3)]
-        indexes.clear_caches()
+        caches.clear_all_caches()
         cold = [
             hash_join(fact.materialize(), side.materialize(), "k", "d")
             for side in (dim, sub) for _ in range(3)
@@ -456,8 +439,8 @@ class TestDimensionIngest:
         for w, c in zip(warm, cold):
             assert w.schema.names == c.schema.names and w.nrows == c.nrows
             for name in w.schema.names:
-                want = decoded(c.column(name))
-                got = decoded(w.column(name))
+                want = c.column(name)
+                got = w.column(name)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
 

@@ -1,12 +1,12 @@
-"""Zero-copy execution core: encoded strings, views, and the result cache.
+"""Zero-copy execution core: views and the result cache.
 
-Three families of guarantees:
+Two families of guarantees:
 
-* representation — dictionary-encoded string columns and late-materialized
-  selection/join views behave exactly like the eager tables they stand for;
-* equivalence — randomized plans produce bit-identical rows *and* ledgers
-  through the eager and zero-copy paths (``set_lazy_views`` toggles the
-  reference implementation);
+* representation — late-materialized selection/join views hold the rows
+  the plain tables they stand for would, gather each column at most once,
+  and never cross a pickle or disk boundary as views (the answers of
+  whole plans are checked against SQLite by
+  ``tests/test_sql_oracle.py``);
 * reuse — the cross-query result cache replays recorded charges
   bit-identically and is invalidated by catalog versions and pool epochs.
 """
@@ -15,15 +15,13 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine.catalog import Catalog
 from repro.engine.cost import ClusterSpec, CostLedger
 from repro.engine.executor import ExecutionContext, Executor, aggregate, hash_join
 from repro.engine import result_cache
 from repro.engine.schema import Column, Schema
-from repro.engine.table import JoinView, Table, TableView, set_lazy_views
-from repro.engine.types import ColumnKind, EncodedColumn, coerce_array, concat_columns
+from repro.engine.table import JoinView, Table, TableView
+from repro.engine.types import ColumnKind
 from repro.errors import SchemaError
 from repro.faults.schedule import FaultSchedule
 from repro.partitioning.intervals import Interval
@@ -32,7 +30,6 @@ from repro.query.algebra import (
     AggSpec,
     Join,
     MaterializedScan,
-    Project,
     Relation,
     Select,
 )
@@ -55,66 +52,6 @@ def _clean_result_cache():
     result_cache.GLOBAL.clear()
     yield
     result_cache.GLOBAL.clear()
-
-
-# ----------------------------------------------------------------------
-# EncodedColumn
-# ----------------------------------------------------------------------
-class TestEncodedColumn:
-    def test_roundtrip_and_sorted_dictionary(self):
-        col = EncodedColumn.encode(["pear", "apple", "pear", "fig"])
-        assert col.tolist() == ["pear", "apple", "pear", "fig"]
-        assert col.values.tolist() == sorted(set(["pear", "apple", "fig"]))
-        assert col.codes.dtype == np.int32
-
-    def test_code_order_equals_value_order(self):
-        col = EncodedColumn.encode(["b", "c", "a", "c"])
-        by_codes = np.argsort(col.codes, kind="stable")
-        by_values = np.argsort(col.decode(), kind="stable")
-        assert by_codes.tolist() == by_values.tolist()
-
-    def test_fancy_index_shares_dictionary(self):
-        col = EncodedColumn.encode(["x", "y", "x", "z"])
-        sub = col[np.array([2, 0])]
-        assert isinstance(sub, EncodedColumn)
-        assert sub.values is col.values
-        assert sub.tolist() == ["x", "x"]
-        assert col[3] == "z"  # scalar access decodes
-
-    def test_elementwise_eq_across_dictionaries(self):
-        a = EncodedColumn.encode(["u", "v", "w"])
-        b = EncodedColumn.encode(["u", "x", "w"])  # different dictionary
-        assert (a == b).tolist() == [True, False, True]
-        assert (a == np.array(["u", "v", "q"], dtype=object)).tolist() == [
-            True, True, False,
-        ]
-
-    def test_min_max_decode(self):
-        col = EncodedColumn.encode(["m", "a", "z"])[np.array([0, 2])]
-        assert col.min() == "m"
-        assert col.max() == "z"
-
-    def test_empty(self):
-        col = EncodedColumn.encode([])
-        assert len(col) == 0
-        assert col.decode().tolist() == []
-
-    def test_coerce_array_encodes_strings(self):
-        assert isinstance(coerce_array(ColumnKind.STRING, ["a"]), EncodedColumn)
-        assert coerce_array(ColumnKind.INT64, [1]).dtype == np.int64
-
-    def test_concat_same_dictionary_keeps_it(self):
-        col = EncodedColumn.encode(["a", "b", "a"])
-        out = concat_columns([col[np.array([0, 1])], col[np.array([2])]])
-        assert out.values is col.values
-        assert out.tolist() == ["a", "b", "a"]
-
-    def test_concat_rebuilds_sorted_union_dictionary(self):
-        a = EncodedColumn.encode(["b", "d"])
-        b = EncodedColumn.encode(["a", "c", "d"])
-        out = concat_columns([a, b])
-        assert out.tolist() == ["b", "d", "a", "c", "d"]
-        assert out.values.tolist() == ["a", "b", "c", "d"]
 
 
 # ----------------------------------------------------------------------
@@ -143,13 +80,8 @@ class TestTableView:
         t = str_table()
         view = t.filter(np.array([True, False, True, True, False]))
         assert isinstance(view, TableView)
-        eager = set_lazy_views(False)
-        try:
-            reference = t.filter(np.array([True, False, True, True, False]))
-        finally:
-            set_lazy_views(eager)
-        assert type(reference) is Table
-        assert view.to_rows() == reference.to_rows()
+        rows = t.to_rows()
+        assert view.to_rows() == [rows[0], rows[2], rows[3]]
 
     def test_composed_selections_stay_one_level_deep(self):
         t = str_table()
@@ -168,28 +100,13 @@ class TestTableView:
         with pytest.raises(SchemaError):
             narrow.column("v")
 
-    def test_pickle_materializes_and_reencodes(self):
+    def test_pickle_materializes_a_plain_table(self):
         t = str_table()
         view = t.filter(np.array([False, True, False, True, False]))
         restored = pickle.loads(pickle.dumps(view))
         assert type(restored) is Table
         assert restored.to_rows() == view.to_rows()
-        assert isinstance(restored.column("name"), EncodedColumn)
-
-    def test_view_lineage_matches_eager_lineage(self):
-        t = str_table()
-        mask = np.array([True, False, True, True, False])
-        view = t.filter(mask)
-        eager = set_lazy_views(False)
-        try:
-            reference = t.filter(mask)
-        finally:
-            set_lazy_views(eager)
-        vroot, vrows, vmono = view._lineage
-        eroot, erows, emono = reference._lineage
-        assert vroot is eroot is t
-        assert vrows.tolist() == erows.tolist()
-        assert vmono == emono
+        assert restored.column("name").dtype == object
 
     def test_empty_selection(self):
         t = str_table()
@@ -253,24 +170,6 @@ class TestJoinView:
         assert type(restored) is Table
         assert restored.sorted_rows() == out.sorted_rows()
 
-    def test_matches_eager_join_bitwise(self):
-        left, right = self.make_join()
-        lazy = hash_join(left, right, "k", "k")
-        eager = set_lazy_views(False)
-        try:
-            reference = hash_join(left, right, "k", "k")
-        finally:
-            set_lazy_views(eager)
-        assert lazy.to_rows() == reference.to_rows()
-        for name in reference.schema.names:
-            a = lazy.column(name)
-            b = reference.column(name)
-            if isinstance(a, EncodedColumn):
-                assert a.tolist() == b.tolist()
-            else:
-                assert a.dtype == b.dtype
-                assert np.array_equal(a, b)
-
     def test_hdfs_write_is_a_materialization_boundary(self):
         from repro.storage.hdfs import SimulatedHDFS
 
@@ -283,13 +182,13 @@ class TestJoinView:
 
 
 # ----------------------------------------------------------------------
-# Aggregation over encoded keys / bincount fast path
+# Aggregation over string keys / bincount fast path
 # ----------------------------------------------------------------------
 class TestAggregate:
-    def test_string_group_keys_stay_encoded_and_sorted(self):
+    def test_string_group_keys_come_out_sorted(self):
         t = str_table()
         out = aggregate(t, ("name",), (AggSpec("count", None, "n"),))
-        assert isinstance(out.column("name"), EncodedColumn)
+        assert out.column("name").dtype == object
         assert out.to_rows() == [
             ("apple", 2), ("beet", 1), ("cherry", 1), ("date", 1),
         ]
@@ -337,98 +236,6 @@ class TestAggregate:
         )
         out = aggregate(t, ("g",), (AggSpec("sum", "x", "s"),))
         assert out.column("s").tolist() == [4 * 2**30]
-
-
-# ----------------------------------------------------------------------
-# Eager vs zero-copy equivalence (randomized, fixed seeds via hypothesis)
-# ----------------------------------------------------------------------
-EQ_SCHEMA_FACT = Schema.of(Column("f_k"), Column("f_v"), Column("f_name", ColumnKind.STRING))
-EQ_SCHEMA_DIM = Schema.of(Column("d_k"), Column("d_c"))
-
-
-def eq_catalog(seed: int) -> Catalog:
-    rng = np.random.default_rng(seed)
-    n = 240
-    names = np.array(["ash", "birch", "cedar", "doum", "elm"], dtype=object)
-    fact = Table.from_dict(
-        EQ_SCHEMA_FACT,
-        {
-            "f_k": rng.integers(0, 60, n),
-            "f_v": rng.integers(0, 100, n),
-            "f_name": names[rng.integers(0, len(names), n)],
-        },
-    )
-    dim = Table.from_dict(EQ_SCHEMA_DIM, {"d_k": np.arange(60), "d_c": rng.integers(0, 5, 60)})
-    catalog = Catalog()
-    catalog.register("fact", fact)
-    catalog.register("dim", dim)
-    return catalog
-
-
-def eq_plan(kind: int, lo: int, hi: int):
-    joined = Join(Relation("fact"), Relation("dim"), "f_k", "d_k")
-    selected = Select(joined, (between("f_k", lo, hi),))
-    if kind == 0:
-        return Project(selected, ("f_name", "f_v"))
-    if kind == 1:
-        return Aggregate(selected, ("f_name",), (AggSpec("sum", "f_v", "s"),))
-    if kind == 2:
-        return Aggregate(
-            Select(Relation("fact"), (between("f_k", lo, hi),)),
-            ("f_k",),
-            (AggSpec("count", None, "n"), AggSpec("avg", "f_v", "m")),
-        )
-    return Aggregate(
-        selected, ("d_c",), (AggSpec("min", "f_v", "lo"), AggSpec("max", "f_v", "hi"))
-    )
-
-
-@given(
-    seed=st.integers(0, 5),
-    queries=st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 60), st.integers(0, 60)),
-        min_size=1,
-        max_size=6,
-    ),
-)
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_eager_and_zero_copy_paths_are_bit_identical(seed, queries):
-    catalog = eq_catalog(seed)
-    for kind, a, b in queries:
-        plan = eq_plan(kind, min(a, b), max(a, b))
-        rows, ledgers = [], []
-        for lazy in (True, False):
-            result_cache.GLOBAL.clear()  # no cross-path replay shortcuts
-            previous = set_lazy_views(lazy)
-            try:
-                executor = Executor(ExecutionContext(catalog))
-                result = executor.execute(plan)
-            finally:
-                set_lazy_views(previous)
-            rows.append(result.table.sorted_rows())
-            ledgers.append(ledger_tuple(result.ledger))
-    assert rows[0] == rows[1]
-    assert ledgers[0] == ledgers[1]
-
-
-def test_all_rows_filtered_equivalence():
-    catalog = eq_catalog(0)
-    plan = Aggregate(
-        Select(Relation("fact"), (between("f_k", 1000, 2000),)),
-        ("f_name",),
-        (AggSpec("sum", "f_v", "s"),),
-    )
-    outputs = []
-    for lazy in (True, False):
-        result_cache.GLOBAL.clear()
-        previous = set_lazy_views(lazy)
-        try:
-            result = Executor(ExecutionContext(catalog)).execute(plan)
-        finally:
-            set_lazy_views(previous)
-        outputs.append((result.table.sorted_rows(), ledger_tuple(result.ledger)))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0] == []
 
 
 # ----------------------------------------------------------------------
@@ -589,18 +396,5 @@ class TestMaskDeferral:
     def test_string_columns_gather_through_mask(self):
         view = str_table().filter(self.MASK)
         col = view.column("name")
-        assert isinstance(col, EncodedColumn)
+        assert col.dtype == object
         assert list(col) == ["cherry", "beet", "apple"]
-
-    def test_eager_mode_still_copies(self):
-        eager = set_lazy_views(False)
-        try:
-            out = str_table().filter(self.MASK)
-        finally:
-            set_lazy_views(eager)
-        assert type(out) is Table
-        assert out.to_rows() == [
-            str_table().to_rows()[0],
-            str_table().to_rows()[2],
-            str_table().to_rows()[3],
-        ]
