@@ -11,6 +11,12 @@ so a change that quietly loses uniqueness (a dropped flag, an append
 path that forgets it) fails here with the observed share instead of
 shipping as a slowdown.
 
+Every workload join key is an int64 surrogate key of compact span, so
+every probe must be answered by the build index's position table:
+``positional`` counts probes served by address and ``binary`` those
+that fell back to binary search.  The gate fails on any ``binary``
+probe, printing both counts.
+
 Runs the H (Hive: every query executed directly) system over a fig-5a
 workload in-process and reads the cache registry.  Runnable locally:
 
@@ -30,15 +36,22 @@ def check(stats: dict, floor: float) -> list[str]:
     probe = stats.get("engine.indexes.probe")
     if probe is None:
         return ["engine.indexes.probe not in cache stats"]
-    if "fk_rows" not in probe or "fk_fallback" not in probe:
-        return [f"engine.indexes.probe lacks the row-id join counters: {sorted(probe)}"]
+    missing = {"fk_rows", "fk_fallback", "positional", "binary"} - set(probe)
+    if missing:
+        return [f"engine.indexes.probe lacks the join counters {sorted(missing)}: {sorted(probe)}"]
     joins = probe["fk_rows"] + probe["fk_fallback"]
     if joins == 0:
         return ["no cached joins recorded — the workload ran no repeated join"]
+    problems = []
     share = probe["fk_rows"] / joins
     if share < floor:
-        return [f"row-id join share {share:.3f} below floor {floor:.2f}"]
-    return []
+        problems.append(f"row-id join share {share:.3f} below floor {floor:.2f}")
+    if probe["binary"]:
+        problems.append(
+            f"{probe['binary']} probes binary-searched "
+            f"({probe['positional']} by position table): every workload key is compact"
+        )
+    return problems
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -63,7 +76,9 @@ def main(argv: "list[str] | None" = None) -> int:
     caches.clear_all_caches()
     run_system("H", hive(fx.catalog, domains=fx.domains), plans)
     stats = caches.cache_stats()
-    print(f"engine.indexes.probe: {stats.get('engine.indexes.probe')}")
+    probe = stats.get("engine.indexes.probe") or {}
+    print(f"engine.indexes.probe: {probe}")
+    print(f"probes: {probe.get('positional')} by position table, {probe.get('binary')} binary")
     problems = check(stats, args.floor)
     for problem in problems:
         print(f"FAIL {problem}", file=sys.stderr)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.engine import prune, result_cache
 from repro.engine.catalog import Catalog
 from repro.engine.cost import ClusterSpec, CostLedger
-from repro.engine.indexes import RowIdMatch, join_probe
+from repro.engine.indexes import RowIdMatch, direct_addressable, join_probe
 from repro.engine.schema import Column, Schema
 from repro.engine.table import JoinView, Table, TableView
 from repro.engine.types import ColumnKind
@@ -391,13 +391,36 @@ def _pack_group_codes(
         los.append(lo)
         radices.append(radix)
         span_product *= radix
-        if span_product > 8 * n + 1024:
+        if not direct_addressable(span_product, n):
             return None
     codes = np.zeros(n, dtype=np.int64)
     for key, lo, radix in zip(keys, los, radices):
         codes *= radix
         codes += key.astype(np.int64) - lo
     return codes, los, radices
+
+
+def _max_magnitude(values: np.ndarray) -> int:
+    """``max |v|`` of a non-empty integer array, exact at -2⁶³ (where
+    ``np.abs`` wraps to itself)."""
+    return max(int(values.max()), -int(values.min()))
+
+
+def _check_int64_sums(values: np.ndarray, starts: np.ndarray) -> None:
+    """Raise ``OverflowError`` when a group's exact sum of int64
+    ``values`` leaves int64, where ``np.add.reduceat`` wraps.
+
+    No group can overflow while ``max |v| · rows < 2⁶³``; only past that
+    bound are the groups summed again, exactly, in Python integers.  A
+    group whose partial sums overflow but whose total fits passes: the
+    wrapped int64 addition then ends on the exact total.
+    """
+    limit = 2**63
+    if _max_magnitude(values) * len(values) < limit:
+        return
+    exact = np.add.reduceat(values.astype(object), starts)
+    if any(not -limit <= total < limit for total in exact):
+        raise OverflowError("integer overflow in SUM over an int64 column")
 
 
 def _aggregate_bincount(
@@ -443,7 +466,7 @@ def _aggregate_bincount(
         vals = table.column(spec.attr)
         if vals.dtype.kind not in "iu":
             return None
-        if vals.size and int(np.abs(vals).max()) * vals.size >= 2**53:
+        if vals.size and _max_magnitude(vals) * vals.size >= 2**53:
             return None
         plans.append((spec, vals))
 
@@ -479,7 +502,9 @@ def aggregate(table: Table, group_by: tuple[str, ...], aggregates: tuple[AggSpec
     Compact integer keys take the sort-free bincount path
     (:func:`_aggregate_bincount`); any other key — float or string —
     sorts.  The row gather for aggregate inputs is computed once per
-    distinct source attribute, not once per :class:`AggSpec`.
+    distinct source attribute, not once per :class:`AggSpec`.  An int64
+    SUM whose total leaves int64 raises ``OverflowError``, as SQLite
+    refuses it too.
     """
     out_schema = Schema(
         tuple(table.schema.column(g) for g in group_by)
@@ -541,6 +566,8 @@ def aggregate(table: Table, group_by: tuple[str, ...], aggregates: tuple[AggSpec
             # existing results stay bit-identical.
             if acc.dtype.kind in "iu" and acc.dtype.itemsize < 8:
                 acc = acc.astype(np.int64)
+            if acc.dtype == np.int64:
+                _check_int64_sums(acc, starts)
             cols[spec.alias] = np.add.reduceat(acc, starts)
         elif spec.func == "avg":
             cols[spec.alias] = np.add.reduceat(values.astype(np.float64), starts) / group_sizes

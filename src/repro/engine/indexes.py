@@ -2,7 +2,7 @@
 
 Every equi-join in :func:`repro.engine.executor.hash_join` needs the build
 side's key column in sorted order (argsort + sorted keys) before it can
-binary-search the probe keys.  Base tables and resident view fragments are
+find each probe key's match range in it.  Base tables and resident view fragments are
 immutable and joined over and over across a workload — on the SDSS
 benchmarks the same dimension table is re-argsorted hundreds of times —
 so this module keeps one :class:`SortIndex` per ``(table, column)`` pair
@@ -26,6 +26,15 @@ probe row matches at most one build row, so the probe cache keeps, per
 probe-root row, the *row id* of that build row (or -1) instead of a
 match range, and a query's join is one gather of it and one membership
 test against the build side's selection (:func:`join_probe`).
+
+Every probe is one call, :meth:`SortIndex.search`.  A join key is
+almost always an int64 surrogate key whose values fill a compact range
+(:func:`direct_addressable`), and for those the index also holds a
+*position table* — per value in the key range, the number of keys below
+it — so a probe key's match range is two gathers, not two binary
+searches.  Any other key column (float, string, a sparse span) and any
+probe of another dtype binary-searches; both give exactly
+``np.searchsorted``'s answer.
 
 :meth:`Table.append` returns a new table object, a new identity, so no
 entry can go stale: a grown table's probes and sort indexes are built
@@ -57,14 +66,55 @@ def _strictly_increasing(sorted_keys: np.ndarray) -> bool:
     return bool(np.all(sorted_keys[1:] > sorted_keys[:-1]))
 
 
+def direct_addressable(span: int, n: int) -> bool:
+    """Whether ``span`` integer slots are few enough to address ``n`` rows
+    directly: an array over the whole key range costs O(rows).  The one
+    density rule of the engine — the position table here and the
+    bincount grouping of ``executor.aggregate`` both apply it."""
+    return span <= 8 * n + 1024
+
+
+_INT64 = np.dtype(np.int64)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _position_table(sorted_keys: np.ndarray) -> "tuple[int, int, np.ndarray] | None":
+    """``(base, top, below)`` for int64 keys of compact span, else ``None``.
+
+    ``below[i]`` counts the keys less than ``base + i``, for every value
+    from ``base`` (one below the smallest key) to ``top`` (one above the
+    largest) and one past it, so a probe key ``v`` clipped into
+    ``[base, top]`` has ``searchsorted`` positions ``below[v - base]``
+    (left) and ``below[v - base + 1]`` (right).  Clipping is exact —
+    every key below ``base`` has the positions of ``base`` and every key
+    above ``top`` those of ``top`` — and keeps the subtraction in range
+    near ±2⁶³.
+    """
+    if sorted_keys.dtype != _INT64:
+        return None
+    n = len(sorted_keys)
+    if n == 0:
+        return 0, 0, np.zeros(2, dtype=np.intp)
+    lo, hi = int(sorted_keys[0]), int(sorted_keys[-1])
+    if not direct_addressable(hi - lo + 1, n):
+        return None
+    base, top = max(lo - 1, _INT64_MIN), min(hi + 1, _INT64_MAX)
+    counts = np.bincount(sorted_keys - base, minlength=top - base + 1)
+    below = np.zeros(top - base + 2, dtype=np.intp)
+    np.cumsum(counts, out=below[1:])
+    return base, top, below
+
+
 @dataclass(frozen=True)
 class SortIndex:
     """Sorted-key index of one column: stable argsort order + sorted keys,
-    and whether the keys are all distinct."""
+    whether the keys are all distinct, and — for int64 keys of compact
+    span — a position table that answers :meth:`search` by address."""
 
     order: np.ndarray
     sorted_keys: np.ndarray
     unique: bool
+    positions: "tuple[int, int, np.ndarray] | None" = None
 
     @classmethod
     def build(cls, keys: np.ndarray) -> "SortIndex":
@@ -72,7 +122,30 @@ class SortIndex:
         (object) columns sort and binary-search alike."""
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
-        return cls(order, sorted_keys, _strictly_increasing(sorted_keys))
+        return cls(
+            order, sorted_keys, _strictly_increasing(sorted_keys), _position_table(sorted_keys)
+        )
+
+    def search(self, keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """``(starts, ends)``: element for element the ``searchsorted`` of
+        ``keys`` into the sorted keys, sides ``"left"`` and ``"right"``.
+
+        int64 probe keys against a position table are two gathers; any
+        other probe (float, string or mixed-dtype keys, a sparse key
+        span) is the binary search itself.  Counted in the probe cache's
+        stats as ``positional`` / ``binary``.
+        """
+        if self.positions is None or keys.dtype != _INT64:
+            _PROBE_CACHE.binary += 1
+            return (
+                np.searchsorted(self.sorted_keys, keys, side="left"),
+                np.searchsorted(self.sorted_keys, keys, side="right"),
+            )
+        _PROBE_CACHE.positional += 1
+        base, top, below = self.positions
+        slots = np.clip(keys, base, top)
+        slots -= base
+        return below[slots], below[1:][slots]
 
 
 class IndexCache:
@@ -144,12 +217,12 @@ class _PairBox:
 
 
 class ProbeCache:
-    """Cached binary-search results of full probe columns against a build side.
+    """Cached probe results of full probe columns against a build side.
 
-    For a join ``L ⋈ R`` the executor binary-searches every probe key of
-    ``L`` into ``R``'s sorted keys.  When ``L`` is derived from a long-lived
+    For a join ``L ⋈ R`` the executor searches every probe key of ``L``
+    in ``R``'s sort index.  When ``L`` is derived from a long-lived
     root table (a base relation or resident fragment) by selection — the
-    shape of every workload query — the searchsorted of the *root's full
+    shape of every workload query — the search of the *root's full
     key column* is the same for every query, and the per-query result is
     just a row-indexed slice of it:
 
@@ -174,7 +247,9 @@ class ProbeCache:
     its own two strikes, then one full-root probe.
 
     ``fk_rows`` counts joins :func:`join_probe` served by row id and
-    ``fk_fallback`` joins whose build key was not distinct.
+    ``fk_fallback`` joins whose build key was not distinct;
+    ``positional`` counts :meth:`SortIndex.search` calls answered by the
+    position table and ``binary`` those that binary-searched.
     """
 
     def __init__(self) -> None:
@@ -188,6 +263,8 @@ class ProbeCache:
         self.evictions = 0
         self.fk_rows = 0
         self.fk_fallback = 0
+        self.positional = 0
+        self.binary = 0
 
     def _on_pair_dead(self, box: "_PairBox") -> None:
         # Either end of a (probe root, build root) pair dying drops every
@@ -244,6 +321,8 @@ class ProbeCache:
         self.evictions = 0
         self.fk_rows = 0
         self.fk_fallback = 0
+        self.positional = 0
+        self.binary = 0
 
     def stats(self) -> dict:
         """Counter snapshot for :func:`repro.caches.cache_stats`."""
@@ -259,13 +338,14 @@ class ProbeCache:
             "entries": entries,
             "fk_rows": self.fk_rows,
             "fk_fallback": self.fk_fallback,
+            "positional": self.positional,
+            "binary": self.binary,
         }
 
 
 def _probe_rows(index: SortIndex, keys: np.ndarray) -> Table:
     """The probe-cache entry rows for probe ``keys`` against ``index``."""
-    starts = np.searchsorted(index.sorted_keys, keys, side="left")
-    ends = np.searchsorted(index.sorted_keys, keys, side="right")
+    starts, ends = index.search(keys)
     if not index.unique:
         return Table(_RANGE_SCHEMA, {"starts": starts, "ends": ends})
     match = np.full(len(keys), -1, dtype=index.order.dtype)
@@ -344,12 +424,8 @@ def join_probe(
 
     if entry is None:
         index = root_index if rrows is None else sort_index(right, right_attr)
-        keys = left.column(left_attr)
-        return (
-            np.searchsorted(index.sorted_keys, keys, side="left"),
-            np.searchsorted(index.sorted_keys, keys, side="right"),
-            index.order,
-        )
+        starts, ends = index.search(left.column(left_attr))
+        return starts, ends, index.order
 
     if not root_index.unique:
         starts, ends = entry.columns["starts"], entry.columns["ends"]

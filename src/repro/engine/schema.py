@@ -38,6 +38,9 @@ class Schema:
     """An ordered, uniquely named set of columns."""
 
     columns: tuple[Column, ...]
+    # The column names in order, built once: the row-level operators and
+    # the ingest path read them on every call.
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False, hash=False, default=())
     _by_name: dict[str, Column] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
@@ -48,15 +51,12 @@ class Schema:
             if col.name in by_name:
                 raise SchemaError(f"duplicate column name: {col.name!r}")
             by_name[col.name] = col
+        object.__setattr__(self, "names", tuple(by_name))
         object.__setattr__(self, "_by_name", by_name)
 
     @classmethod
     def of(cls, *columns: Column) -> "Schema":
         return cls(tuple(columns))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(col.name for col in self.columns)
 
     @property
     def row_bytes(self) -> int:

@@ -241,8 +241,8 @@ class Interval:
     # ------------------------------------------------------------------
     # Data access
     # ------------------------------------------------------------------
-    def mask(self, values: np.ndarray) -> np.ndarray:
-        """Boolean mask of array elements that fall inside the interval.
+    def _bounds_for(self, values: np.ndarray) -> "tuple[float | None, float | None]":
+        """The bounds :meth:`mask` and :meth:`sorted_span` compare ``values`` with.
 
         An integer array is compared with integer bounds: a finite float
         bound is rounded inward, which keeps exactly the same integers.
@@ -255,6 +255,31 @@ class Interval:
                 low = math.floor(low) if self.low_open else math.ceil(low)
             if isinstance(high, float) and math.isfinite(high):
                 high = math.ceil(high) if self.high_open else math.floor(high)
+        return low, high
+
+    def sorted_span(self, sorted_values: np.ndarray) -> "tuple[int, int]":
+        """``(start, stop)`` such that ``sorted_values[start:stop]`` are
+        exactly the elements :meth:`mask` keeps, for ascending
+        ``sorted_values`` (NaN last, as numpy sorts): two binary searches
+        instead of a comparison per element."""
+        low, high = self._bounds_for(sorted_values)
+        if any(isinstance(b, float) and math.isnan(b) for b in (low, high)):
+            return 0, 0  # NaN compares false
+        start = stop = 0
+        if low is not None:
+            start = _search(sorted_values, low, "right" if self.low_open else "left")
+        if high is not None:
+            stop = _search(sorted_values, high, "left" if self.high_open else "right")
+        elif low is None or sorted_values.dtype.kind in "iu":
+            stop = len(sorted_values)
+        else:
+            # A lower bound alone still drops the float NaN tail.
+            stop = _search(sorted_values, math.nan, "left")
+        return start, max(start, stop)
+
+    def mask(self, values: np.ndarray) -> np.ndarray:
+        """Boolean mask of array elements that fall inside the interval."""
+        low, high = self._bounds_for(values)
         mask: "np.ndarray | None" = None
         if low is not None:
             mask = values > low if self.low_open else values >= low
@@ -271,6 +296,23 @@ class Interval:
         lo = "-inf" if self.low is None else f"{self.low:g}"
         hi = "+inf" if self.high is None else f"{self.high:g}"
         return f"{lb}{lo}, {hi}{rb}"
+
+
+def _search(sorted_values: np.ndarray, bound, side: str) -> int:
+    """``np.searchsorted`` of ``bound`` into ascending ``sorted_values``.
+    An integer array is compared in exact integers: an infinite or
+    out-of-range bound never reaches numpy, which would compare it in
+    float64 or refuse it."""
+    if sorted_values.dtype.kind in "iu":
+        if isinstance(bound, float) and math.isinf(bound):
+            return 0 if bound < 0 else len(sorted_values)
+        info = np.iinfo(sorted_values.dtype)
+        if int(bound) < info.min:
+            return 0
+        if int(bound) > info.max:
+            return len(sorted_values)
+        bound = sorted_values.dtype.type(int(bound))
+    return int(np.searchsorted(sorted_values, bound, side=side))
 
 
 def sort_key(interval: Interval) -> tuple:

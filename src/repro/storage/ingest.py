@@ -17,9 +17,10 @@ Two maintenance paths:
   view(batch))`` (for a join, Δ(R ⋈ S) = ΔR ⋈ S).  The pass executes the
   view plan over a throwaway catalog that holds the batch in place of
   the ingested relation, routes the resulting delta rows to the affected
-  fragments through the pool's sorted interval structure (fragments
-  whose interval misses the batch's min/max range are skipped without a
-  mask), and appends each fragment's slice to its payload
+  fragments in one pass per partition attribute (one stable argsort of
+  the column; each fragment's rows are then two binary searches over
+  the sorted values, :func:`fragment_rows`), and appends each
+  fragment's slice to its payload
   (:meth:`Table.append`: O(slice), the old payload's storage shared, not
   copied).  A patch is a journaled evict + re-admit under
   the same :class:`~repro.storage.pool.FragmentKey` — never an in-place
@@ -54,6 +55,7 @@ from repro.engine.table import Table
 from repro.query.algebra import Join, Plan, Project, Relation, Select, base_relations
 
 if TYPE_CHECKING:
+    from repro.partitioning.intervals import Interval
     from repro.storage.pool import FragmentEntry
 
 # Queries of look-ahead when pricing upkeep against read benefit: the
@@ -88,6 +90,22 @@ def delta_source(plan: Plan) -> str | None:
         else:
             return None
     return node.name if base_relations(plan).count(node.name) == 1 else None
+
+
+def route_rows(values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """One partition column of a delta, routed once: the stable order
+    that sorts it, and the sorted values (:func:`fragment_rows`)."""
+    order = np.argsort(values, kind="stable")
+    return order, values[order]
+
+
+def fragment_rows(route: "tuple[np.ndarray, np.ndarray]", interval: Interval) -> np.ndarray:
+    """The ascending delta rows ``interval`` holds — exactly
+    ``np.flatnonzero(interval.mask(values))`` — from ``route_rows(values)``:
+    two binary searches over the sorted values and a sort of the slice."""
+    order, sorted_values = route
+    start, stop = interval.sorted_span(sorted_values)
+    return np.sort(order[start:stop])
 
 
 @dataclass
@@ -299,37 +317,24 @@ class DeltaMaintainer:
         # routed = delta rows entering the router; applied = rows landed
         # in payloads (overlapping fragments may land a row twice).
         applied = patched = dropped = 0
+        routes: "dict[str, tuple[np.ndarray, np.ndarray]]" = {}
         for attr, entry in self._entries_of(view_id):
+            if delta.nrows == 0:
+                continue
             if attr is None:
-                if delta.nrows == 0:
+                piece = delta
+            else:
+                route = routes.get(attr)
+                if route is None:
+                    route = routes[attr] = route_rows(delta.column(attr))
+                rows = fragment_rows(route, entry.key.interval)
+                if len(rows) == 0:
                     continue
-                old = pool.read_entry(entry.fragment_id, ledger)
-                payload = old.append(delta)
-                seconds += cluster.write_elapsed(delta.size_bytes, nfiles=1)
-                applied += delta.nrows
-                if self._patch(entry, payload):
-                    dropped += 1
-                else:
-                    patched += 1
-                continue
-            values = delta.column(attr)
-            if len(values) == 0:
-                continue
-            lo, hi = float(values.min()), float(values.max())
-            interval = entry.key.interval
-            # Sorted-interval pruning: a fragment whose range misses the
-            # batch's [min, max] envelope routes zero rows — skip the mask.
-            if hi < interval.lo or lo > interval.hi:
-                continue
-            mask = interval.mask(values)
-            hits = int(np.count_nonzero(mask))
-            if hits == 0:
-                continue
-            piece = delta.filter(mask)
+                piece = delta.take(rows)
             old = pool.read_entry(entry.fragment_id, ledger)
             payload = old.append(piece)
             seconds += cluster.write_elapsed(piece.size_bytes, nfiles=1)
-            applied += hits
+            applied += piece.nrows
             if self._patch(entry, payload):
                 dropped += 1
             else:

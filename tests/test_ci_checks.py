@@ -111,26 +111,33 @@ class TestCheckJoinFastPath:
         return module.check(stats, floor)
 
     @staticmethod
-    def probe(fk_rows: int, fk_fallback: int) -> dict:
+    def probe(fk_rows: int, fk_fallback: int, binary: int = 0) -> dict:
         return {"hits": 9, "misses": 1, "evictions": 0, "entries": 1,
-                "fk_rows": fk_rows, "fk_fallback": fk_fallback}
+                "fk_rows": fk_rows, "fk_fallback": fk_fallback,
+                "positional": 20, "binary": binary}
 
     def test_passes_at_and_above_floor(self):
         assert self.problems(self.probe(90, 10)) == []
         assert self.problems(self.probe(143, 0)) == []
-        proc = run_check("check_join_fast_path.py", "--queries", "40", "--instance-gb", "5")
+        # At the gate's own instance size: a 5 GB instance samples 500 of
+        # the 40,001 item keys, a span too sparse for a position table.
+        proc = run_check("check_join_fast_path.py", "--queries", "40")
         assert proc.returncode == 0, proc.stderr
-        assert "fk_rows" in proc.stdout
+        assert "fk_rows" in proc.stdout and " 0 binary" in proc.stdout
 
     def test_fails_below_floor_with_observed_share(self):
         (problem,) = self.problems(self.probe(89, 11))
         assert "0.890" in problem
 
+    def test_fails_on_any_binary_search_probe(self):
+        (problem,) = self.problems(self.probe(143, 0, binary=1))
+        assert "1 probes binary-searched (20 by position table)" in problem
+
     def test_fails_without_counters_or_joins(self):
         (missing,) = self.problems(None)
         assert "not in cache stats" in missing
         (counters,) = self.problems({"hits": 1, "misses": 1, "evictions": 0, "entries": 1})
-        assert "row-id join counters" in counters
+        assert "lacks the join counters" in counters and "binary" in counters
         (idle,) = self.problems(self.probe(0, 0))
         assert "no cached joins" in idle
 

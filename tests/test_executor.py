@@ -142,6 +142,20 @@ class TestAggregate:
         out = aggregate(t, ("g",), (AggSpec("sum", "v", "s"),))
         assert sum(r[1] for r in out.to_rows()) == sum(r[1] for r in rows)
 
+    def test_int64_sums_are_exact_or_raise(self):
+        """A sum is exact whenever the group's total fits int64 — also with
+        -2⁶³ in the group, where ``np.abs`` wraps — and raises when it
+        does not."""
+        schema = Schema.of(Column("g"), Column("v"))
+        low, big = -(2**63), 2**62
+        t = Table.from_dict(schema, {"g": [1, 1, 2, 2, 2], "v": [low, 5, big, big, -big]})
+        out = aggregate(t, ("g",), (AggSpec("sum", "v", "s"),))
+        assert out.to_rows() == [(1, low + 5), (2, big)]  # partial sums overflow, totals fit
+        grown = Table.from_dict(schema, {"g": [1, 1], "v": [big, big]})
+        for group_by in ((), ("g",)):
+            with pytest.raises(OverflowError):
+                aggregate(grown, group_by, (AggSpec("sum", "v", "s"),))
+
 
 class TestPlanExecution:
     def test_select_project(self, executor, sales_table):

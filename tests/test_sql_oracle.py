@@ -50,9 +50,10 @@ SCHEMAS = {
 }
 KIND = {col.name: col.kind for schema in SCHEMAS.values() for col in schema.columns}
 # SUM and AVG read only these columns.  Over the ±2⁶² keys an int64 SUM
-# can overflow, where SQLite raises and the engine wraps (pinned, not
-# hidden, by test_int64_sum_overflow_is_not_silent), and AVG's float sum
-# can cancel to a result no fixed tolerance bounds.
+# can overflow: SQLite raises when a partial sum does, the engine when the
+# total does (test_int64_sum_overflow_is_not_silent), so the two raise on
+# different inputs; and AVG's float sum can cancel to a result no fixed
+# tolerance bounds.
 SUMMABLE = {"f_v", "f_x", "d_c", "t_w"}
 
 EDGE = 2**53
@@ -231,12 +232,9 @@ def test_engine_answers_equal_sqlite(data, growth, cuts, queries):
         oracle.close()
 
 
-@pytest.mark.xfail(
-    strict=True, raises=pytest.fail.Exception, reason="an int64 SUM that overflows wraps"
-)
 def test_int64_sum_overflow_is_not_silent():
-    """SQLite refuses a SUM beyond int64; the engine answers 2·2⁶² with
-    −2⁶³.  This passes once the engine refuses too."""
+    """SQLite refuses a SUM beyond int64, and so does the engine, where
+    a wrapping sum would answer 2·2⁶² with −2⁶³."""
     rows = [(0, 2**62, 0, 0.0, ""), (1, 2**62, 0, 0.0, "")]
     catalog = Catalog()
     catalog.register("fact", build(SCHEMAS["fact"], rows, "plain", []))
@@ -251,5 +249,5 @@ def test_int64_sum_overflow_is_not_silent():
         raise AssertionError("SQLite summed past int64")
     finally:
         oracle.close()
-    with pytest.raises(OverflowError):  # fails today: the engine returns -2**63
+    with pytest.raises(OverflowError):
         Executor(ExecutionContext(catalog)).execute(plan)

@@ -252,18 +252,18 @@ def cold_sort_index(table: Table, column: str):
     return indexes.sort_index(fresh, column)
 
 
-class Recorder:
-    """Records the length of every array a numpy function is handed."""
+class SearchRecorder:
+    """Records the number of keys every ``SortIndex.search`` probes."""
 
-    def __init__(self, monkeypatch, name: str, arg: int = 0):
+    def __init__(self, monkeypatch):
         self.sizes: list[int] = []
-        real = getattr(np, name)
+        real = indexes.SortIndex.search
 
-        def spy(*args, **kwargs):
-            self.sizes.append(len(args[arg]))
-            return real(*args, **kwargs)
+        def spy(index, keys):
+            self.sizes.append(len(keys))
+            return real(index, keys)
 
-        monkeypatch.setattr(f"repro.engine.indexes.np.{name}", spy)
+        monkeypatch.setattr(indexes.SortIndex, "search", spy)
 
 
 class TestSortIndexInheritance:
@@ -327,9 +327,9 @@ class TestProbeInheritance:
         assert self.probe(parent, dim).schema.names == ("starts", "ends")
         child = parent.append(make([4, 4, 41, 0]))
         assert self.probe(child, dim) is None  # a new table: its own strikes
-        searches = Recorder(monkeypatch, "searchsorted", arg=1)
+        searches = SearchRecorder(monkeypatch)
         got = self.probe(child, dim)
-        assert searches.sizes == [504, 504]  # the grown root, probed whole
+        assert searches.sizes == [504]  # the grown root, probed whole
         monkeypatch.undo()
         keys, sorted_d = child.column("k"), indexes.sort_index(dim, "d").sorted_keys
         np.testing.assert_array_equal(
@@ -471,9 +471,9 @@ class TestDimensionIngest:
         cat = catalog.get("cat")
         cat_index = indexes.sort_index(cat, "c")
         assert indexes._PROBE_CACHE.probe(grown, "label", cat, "c", cat_index) is None
-        searches = Recorder(monkeypatch, "searchsorted", arg=1)
+        searches = SearchRecorder(monkeypatch)
         entry = indexes._PROBE_CACHE.probe(grown, "label", cat, "c", cat_index)
-        assert searches.sizes == [33, 33]  # the grown root, probed whole
+        assert searches.sizes == [33]  # the grown root, probed whole
         monkeypatch.undo()
         assert index.unique and entry.schema.names == ("match",)
         np.testing.assert_array_equal(entry.column("match"), grown.column("label"))
