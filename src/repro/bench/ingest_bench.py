@@ -174,9 +174,9 @@ def table_digest(table: Table) -> str:
 
 
 def _recompute(plan, catalog: Catalog, cluster) -> Table:
-    """Evaluate ``plan`` directly over base tables, no caches, no pool."""
+    """Evaluate ``plan`` directly over base tables, without the pool."""
     executor = Executor(ExecutionContext(catalog, None, cluster))
-    return executor.execute(plan, None, use_cache=False).table
+    return executor.execute(plan, None).table
 
 
 def verify_pool_identity(system) -> "tuple[int, list[str]]":

@@ -8,7 +8,6 @@ not here; the executor resolves ``Relation`` leaves against the catalog and
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 from repro.engine.table import Table
@@ -17,31 +16,24 @@ from repro.errors import CatalogError
 if TYPE_CHECKING:
     from repro.storage.journal import PoolJournal
 
-# Monotonic catalog identities for cross-query cache keys.  A plain
-# counter — never ``id()``, which the allocator can reuse after a catalog
-# is garbage collected, silently aliasing two different catalogs.
-_CATALOG_UIDS = itertools.count(1)
-
 
 class Catalog:
     """A registry of base tables.
 
-    ``uid`` names this catalog instance process-uniquely and ``version``
-    increments on every mutation; together they key the subplan result
-    cache (:mod:`repro.engine.result_cache`) so an entry computed against
-    one catalog state can never be served against another.
+    ``version`` changes on every mutation; the plan record and the
+    estimate memo key on it, so an entry computed against one catalog
+    state can never be served against another.
     """
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self.uid: int = next(_CATALOG_UIDS)
         self.version: int = 0
         # Version numbers are drawn from this monotonic counter rather
         # than incrementing ``version`` directly: a journal rollback of an
         # aborted ingest restores ``version`` to its pre-transaction value
         # but never rewinds the counter, so a version stamped by the
         # aborted transaction can never be re-issued for different
-        # content — cache entries keyed on it are stranded, not aliased.
+        # content — memo entries keyed on it are stranded, not aliased.
         self._version_seq: int = 0
 
     def _bump_version(self) -> None:
@@ -111,10 +103,9 @@ class Catalog:
         installs a new table; two forks growing one parent each get their
         own storage for the rows they add), so sharing the table objects
         is safe, while versions and registrations diverge freely.
-        The fork gets its own ``uid`` and starts with this catalog's
-        version counter, so pre-fork cache entries cannot alias post-fork
-        content.  ``_ident`` is accepted and ignored: the benchmark still
-        passes one positionally and may not be edited in this change.
+        The fork starts with this catalog's version counter.  ``_ident``
+        is accepted and ignored: ``perfbench/workloads.py`` still passes
+        one positionally.
         """
         fork = Catalog()
         fork._tables = dict(self._tables)

@@ -161,47 +161,6 @@ class CostLedger:
             + self.maint_s
         )
 
-    @property
-    def is_pristine(self) -> bool:
-        """True iff nothing has been charged yet.
-
-        The subplan result cache (:mod:`repro.engine.result_cache`) may
-        only replay a recorded execution into a pristine ledger: float
-        addition starting from exact zero (``0.0 + x == x``) is the one
-        case where a merged replay is bit-identical to re-running the
-        charges one by one.
-        """
-        return (
-            self.read_s == 0.0
-            and self.write_s == 0.0
-            and self.shuffle_s == 0.0
-            and self.overhead_s == 0.0
-            and self.jobs == 0
-            and self.map_tasks == 0
-            and self.bytes_read == 0.0
-            and self.bytes_written == 0.0
-            and self.files_written == 0
-            and self.fault_s == 0.0
-            and self.task_retries == 0
-            and self.speculative_tasks == 0
-            and self.fault_events == 0
-            and self.maint_s == 0.0
-            and self.delta_rows_routed == 0
-            and self.delta_rows_applied == 0
-            and self.fragments_patched == 0
-            and self.fragments_rebuilt == 0
-        )
-
-    def snapshot(self) -> "CostLedger":
-        """A detached copy of the accumulated charges.
-
-        Drops the fault-injector reference deliberately: a snapshot is a
-        record of past charges, never a live charging target.
-        """
-        copy = CostLedger(self.cluster)
-        copy.merge(self)
-        return copy
-
     # ------------------------------------------------------------------
     def charge_read(self, nbytes: float, nfiles: int = 1) -> None:
         self.read_s += self.cluster.read_elapsed(nbytes, nfiles)

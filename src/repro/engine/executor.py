@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine import prune, result_cache
+from repro.engine import prune
 from repro.engine.catalog import Catalog
 from repro.engine.cost import ClusterSpec, CostLedger
 from repro.engine.indexes import RowIdMatch, direct_addressable, join_probe
@@ -91,32 +91,16 @@ class Executor:
     ) -> ExecutionResult:
         """Run ``plan`` and return its result table and cost ledger.
 
-        Whole-plan executions go through the cross-query result cache
-        (:mod:`repro.engine.result_cache`) when it is safe: no live
-        capture targets, no fault injection, and a pristine ledger to
-        replay into.  A hit returns the cached table and merges the
-        recorded simulated charges — bit-identical to re-executing.
-        ``use_cache=False`` bypasses the cache entirely — one-shot
-        executions against throwaway catalogs (the delta-maintenance pass
-        runs view plans over batch-only catalogs whose uids never recur)
-        would otherwise fill the LRU with unreachable entries.
+        ``use_cache`` is accepted and ignored: every call evaluates the
+        plan.  It stays only because
+        ``perfbench/workloads.py::reference_answer`` still passes it.
         """
         ledger = ledger if ledger is not None else CostLedger(self.context.cluster)
         analysis = analyze_plan(plan)  # boundaries + job count, one traversal
-        key = None
-        if use_cache and not self._capture_targets and result_cache.eligible(ledger):
-            key = result_cache.ResultCache.key_for(plan, analysis, self.context)
-            if key is not None:
-                entry = result_cache.GLOBAL.lookup(key)
-                if entry is not None:
-                    table = result_cache.ResultCache.replay(entry, ledger)
-                    return ExecutionResult(table, ledger)
         self._boundaries = analysis.boundaries
         table = self._eval(plan, ledger)
         if analysis.job_ops == 0:
             ledger.charge_jobs(1)
-        if key is not None:
-            result_cache.GLOBAL.store(key, table, ledger)
         return ExecutionResult(table, ledger)
 
     def execute_with_capture(

@@ -199,14 +199,6 @@ class Table:
         """Nominal (simulated) size of this table in bytes."""
         return self._nrows * self.schema.row_bytes * self.scale
 
-    def memory_bytes(self) -> int:
-        """Actual in-process bytes held by this table's own arrays.
-
-        Used by byte-bounded caches; an estimate, not an accounting
-        quantity (never feeds the simulated ledgers).
-        """
-        return int(sum(col.nbytes for col in self.columns.values()))
-
     def column(self, name: str) -> np.ndarray:
         try:
             return self.columns[name]
@@ -418,11 +410,6 @@ class TableView(Table):
         out._lineage = self._lineage
         return out
 
-    def memory_bytes(self) -> int:
-        own = int(self._rows_arr.nbytes) if self._rows_arr is not None else int(self._mask.nbytes)
-        own += int(sum(col.nbytes for col in self._gathered.values()))
-        return own
-
     def gather_plan(self) -> "tuple[Table, np.ndarray]":
         """The ``(source, indices)`` pair a consumer can gather from
         directly — lets joins fuse the selection vector into their own
@@ -516,11 +503,6 @@ class JoinView(Table):
 
     def materialize(self) -> Table:
         return Table(self.schema, self.columns, self.scale)
-
-    def memory_bytes(self) -> int:
-        own = int(sum(rows.nbytes for _, rows in self._sides))
-        own += int(sum(col.nbytes for col in self._gathered.values()))
-        return own
 
     def __reduce__(self):
         return (_unpickle_table, (self.schema, self.columns, self.scale))

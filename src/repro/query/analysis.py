@@ -165,13 +165,9 @@ class PlanAnalysis:
 
     boundaries: frozenset[Plan]
     job_ops: int  # Join/Aggregate node count (each tree occurrence counts)
-    # Whether any leaf reads the materialized-view pool.  The subplan
-    # result cache keys such plans on a per-view cover-version vector and
-    # pure base-relation plans on the catalog alone.
-    has_materialized: bool = False
     # Sorted, deduplicated view ids of every MaterializedScan leaf — the
-    # views whose pool state the plan's result can depend on.  The result
-    # cache keys pool-reading plans on exactly these views' cover
+    # views whose pool state the plan's result can depend on.  The
+    # estimate memo keys pool-reading plans on exactly these views' cover
     # versions, so mutations to disjoint views leave entries valid.
     view_ids: tuple[str, ...] = ()
 
@@ -191,7 +187,6 @@ def analyze_plan(plan: Plan) -> PlanAnalysis:
     view_ids = tuple(
         sorted({node.view_id for node in nodes if isinstance(node, MaterializedScan)})
     )
-    has_materialized = bool(view_ids)
     for node in nodes:
         if isinstance(node, (Join, Aggregate)):
             job_ops += 1
@@ -204,7 +199,7 @@ def analyze_plan(plan: Plan) -> PlanAnalysis:
                 base = base.child
             if isinstance(base, (Join, Aggregate)):
                 boundaries.add(node)
-    return PlanAnalysis(frozenset(boundaries), job_ops, has_materialized, view_ids)
+    return PlanAnalysis(frozenset(boundaries), job_ops, view_ids)
 
 
 def job_boundaries(plan: Plan) -> frozenset[Plan]:

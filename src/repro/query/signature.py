@@ -80,7 +80,7 @@ class Signature:
 # tree) plus a small id naming the schema map's contents.
 _SIGNATURE_CACHE: dict[tuple, Signature] = {}
 _SIGNATURE_CACHE_MAX = 65_536
-_SIGNATURE_EVICTIONS = [0]
+_SIGNATURE_COUNTERS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def compute_signature(plan: Plan, schemas: SchemaMap) -> Signature:
@@ -93,11 +93,13 @@ def compute_signature(plan: Plan, schemas: SchemaMap) -> Signature:
     key = (plan, schema_id(schemas))
     cached = _SIGNATURE_CACHE.get(key)
     if cached is not None:
+        _SIGNATURE_COUNTERS["hits"] += 1
         return cached
+    _SIGNATURE_COUNTERS["misses"] += 1
     signature = _compute_signature(plan, schemas)
     if len(_SIGNATURE_CACHE) >= _SIGNATURE_CACHE_MAX:
         _SIGNATURE_CACHE.pop(next(iter(_SIGNATURE_CACHE)))
-        _SIGNATURE_EVICTIONS[0] += 1
+        _SIGNATURE_COUNTERS["evictions"] += 1
     _SIGNATURE_CACHE[key] = signature
     return signature
 
@@ -148,16 +150,18 @@ def view_id_for(plan: Plan) -> str:
 def clear_signature_caches() -> None:
     """Drop memoized signatures and view ids (tests / long-lived sessions)."""
     _SIGNATURE_CACHE.clear()
-    _SIGNATURE_EVICTIONS[0] = 0
+    for name in _SIGNATURE_COUNTERS:
+        _SIGNATURE_COUNTERS[name] = 0
     view_id_for.cache_clear()
 
 
 def _signature_cache_stats() -> dict:
+    """The signature memo's own counters plus ``view_id_for``'s."""
     info = view_id_for.cache_info()
     return {
-        "hits": info.hits,
-        "misses": info.misses,
-        "evictions": _SIGNATURE_EVICTIONS[0],
+        "hits": _SIGNATURE_COUNTERS["hits"] + info.hits,
+        "misses": _SIGNATURE_COUNTERS["misses"] + info.misses,
+        "evictions": _SIGNATURE_COUNTERS["evictions"],
         "entries": len(_SIGNATURE_CACHE) + info.currsize,
     }
 

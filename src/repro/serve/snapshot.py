@@ -38,7 +38,7 @@ class LeasedPoolView:
     """A read-only pool facade pinned to one lease's epoch.
 
     Exposes exactly the surface the executor and the execution-side
-    caches consult — ``uid``/``epoch``/``cover_version`` for cache keys,
+    caches consult — ``epoch``/``cover_version`` for cache keys,
     ``get_fragment``/``read_entry``/``whole_view_entry`` for evaluation —
     resolving entry lookups against the pinned snapshot.
     """
@@ -51,10 +51,6 @@ class LeasedPoolView:
             for entry in lease.entries.values()
             if entry.key.attr is None
         }
-
-    @property
-    def uid(self) -> int:
-        return self._pool.uid
 
     @property
     def epoch(self) -> int:

@@ -291,16 +291,11 @@ class DeltaMaintainer:
         """A view's defining plan over ``catalog``: (rows, simulated seconds).
 
         Executor semantics (not a re-implementation) are what make a
-        maintained payload byte-identical to a full recompute.  The result
-        cache is bypassed on both maintenance paths: a lookup cannot hit —
-        the scratch catalog's uid never recurs, and the live catalog's
-        version was bumped by this very batch — while a store would park
-        a view-sized table in the LRU that only a query equal to the
-        unpushed view definition, at this exact version, could ever use.
+        maintained payload byte-identical to a full recompute.
         """
         scratch = CostLedger(self.system.cluster)
         executor = Executor(ExecutionContext(catalog, None, self.system.cluster))
-        table = executor.execute(plan, scratch, use_cache=False).table
+        table = executor.execute(plan, scratch).table
         return table, scratch.total_seconds
 
     def _apply_delta(self, view_id: str, plan: Plan, inputs: Catalog, ledger: CostLedger) -> int:

@@ -27,10 +27,6 @@ from repro.query.algebra import Plan
 from repro.storage.hdfs import SimulatedHDFS, StoredFile
 from repro.storage.journal import PoolJournal
 
-# Process-unique pool identities for result-cache keys (see
-# MaterializedViewPool.uid).
-_POOL_UIDS = itertools.count(1)
-
 if TYPE_CHECKING:
     from repro.engine.cost import CostLedger
     from repro.faults.recovery import FragmentRecovery
@@ -99,23 +95,16 @@ class MaterializedViewPool:
     def __init__(self, smax_bytes: float | None = None, hdfs: SimulatedHDFS | None = None):
         self.smax_bytes = smax_bytes
         self.hdfs = hdfs or SimulatedHDFS()
-        # Cache-invalidation identity: ``uid`` names this pool process-
-        # uniquely (fragment ids like "frag-3" repeat across pools) and
         # ``epoch`` increments on *every* residency mutation — admit,
-        # evict, rollback restore.  The subplan result cache keys
-        # MaterializedScan-bearing plans on (uid, epoch), so a cached
-        # result can never outlive the pool configuration it was computed
-        # against.  Monotonic counters, never ``id()`` (reusable).
-        self.uid: int = next(_POOL_UIDS)
+        # evict, rollback restore; snapshot leases pin it.
         self.epoch: int = 0
         # Per-view cover versions: the epoch value of the view's last
         # residency mutation.  Every bump feeds the global epoch (a view
-        # mutation is also a pool mutation — the result cache's epoch key
-        # stays authoritative), but memos key on the *per-view* version so
-        # a mutation of view V invalidates only V's entries.  Version
-        # values are epochs, hence globally unique: after a rollback
-        # restores a view's pre-transaction version, no later mutation can
-        # re-issue a mid-transaction value.
+        # mutation is also a pool mutation), but memos key on the
+        # *per-view* version so a mutation of view V invalidates only
+        # V's entries.  Version values are epochs, hence globally unique:
+        # after a rollback restores a view's pre-transaction version, no
+        # later mutation can re-issue a mid-transaction value.
         self._cover_versions: dict[str, int] = {}
         self._views: dict[str, _PooledView] = {}
         self._definitions: dict[str, ViewDefinition] = {}

@@ -32,7 +32,7 @@ def run_check(script: str, *args: str) -> subprocess.CompletedProcess:
 
 GOOD_MATCHING = {
     "matching.match_view": {"hits": 95, "misses": 5, "evictions": 0, "entries": 5},
-    "engine.result_cache": {"hits": 10, "misses": 20, "evictions": 0, "entries": 20},
+    "query.analysis": {"hits": 10, "misses": 20, "evictions": 0, "entries": 20},
 }
 
 
@@ -61,7 +61,7 @@ class TestCheckMatchingMemo:
         assert "0.050" in problem  # the observed rate is in the failure
 
     def test_fails_when_memo_missing(self):
-        assert self.problems({"engine.result_cache": {"hits": 1, "misses": 1}})
+        assert self.problems({"query.analysis": {"hits": 1, "misses": 1}})
 
     def test_floor_flag(self):
         proc = run_check(
@@ -69,15 +69,6 @@ class TestCheckMatchingMemo:
         )
         assert proc.returncode == 1
         assert "below floor" in proc.stderr
-
-
-class TestCheckResultCacheReuse:
-    def test_scaled_down_replay_hits_the_cache(self):
-        proc = run_check(
-            "check_result_cache_reuse.py", "--queries", "15", "--instance-gb", "5"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "rerun result-cache hits:" in proc.stdout
 
 
 class TestCheckFragmentPrune:

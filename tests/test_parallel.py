@@ -61,18 +61,24 @@ class TestFanOut:
 
     def test_workers_start_with_empty_caches(self):
         # Worker isolation: whatever the parent cached before the fork, a
-        # worker starts from an empty result cache with zeroed counters.
-        def result_cache_on_entry():
-            return caches.cache_stats()["engine.result_cache"]
+        # worker starts with every registered cache empty and its
+        # counters zeroed.
+        def counters_on_entry():
+            return {
+                name: (stats["entries"], stats["hits"], stats["misses"])
+                for name, stats in caches.cache_stats().items()
+            }
 
         fx = _fixture()
         clear_caches()
         system = _factories(fx)["H"]()
         for plan in _plans(fx):
             system.execute(plan)
-        assert result_cache_on_entry()["entries"] > 0
-        for seen in fan_out([result_cache_on_entry] * 4, workers=2):
-            assert (seen["entries"], seen["hits"], seen["misses"]) == (0, 0, 0)
+        warm = counters_on_entry()
+        assert any(entries > 0 for entries, _, _ in warm.values())
+        for seen in fan_out([counters_on_entry] * 4, workers=2):
+            assert seen.keys() == warm.keys()
+            assert all(counts == (0, 0, 0) for counts in seen.values()), seen
 
 
 class TestWorkerCrashRecovery:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import caches
 from repro.errors import PlanError
 from repro.partitioning.intervals import Interval
 from repro.query.algebra import (
@@ -164,6 +165,17 @@ class TestSignature:
     def test_view_id_deterministic_and_distinct(self):
         assert view_id_for(join_plan()) == view_id_for(join_plan())
         assert view_id_for(join_plan()) != view_id_for(Relation("sales"))
+
+    def test_memo_counts_its_own_hits_and_misses(self):
+        caches.clear_all_caches()
+        plan = selected_join()
+        compute_signature(plan, SCHEMAS)
+        first = caches.cache_stats()["query.signature"]
+        compute_signature(plan, SCHEMAS)
+        again = caches.cache_stats()["query.signature"]
+        assert first["misses"] == 1
+        assert again["hits"] == first["hits"] + 1
+        assert again["misses"] == first["misses"]
 
 
 class TestPushDown:

@@ -1,14 +1,9 @@
-"""Zero-copy execution core: views and the result cache.
+"""Zero-copy execution core: late-materialized views.
 
-Two families of guarantees:
-
-* representation — late-materialized selection/join views hold the rows
-  the plain tables they stand for would, gather each column at most once,
-  and never cross a pickle or disk boundary as views (the answers of
-  whole plans are checked against SQLite by
-  ``tests/test_sql_oracle.py``);
-* reuse — the cross-query result cache replays recorded charges
-  bit-identically and is invalidated by catalog versions and pool epochs.
+Late-materialized selection/join views hold the rows the plain tables
+they stand for would, gather each column at most once, and never cross a
+pickle or disk boundary as views (the answers of whole plans are checked
+against SQLite by ``tests/test_sql_oracle.py``).
 """
 
 import pickle
@@ -16,42 +11,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.engine.cost import ClusterSpec, CostLedger
-from repro.engine.executor import ExecutionContext, Executor, aggregate, hash_join
-from repro.engine import result_cache
+from repro.engine.executor import aggregate, hash_join
 from repro.engine.schema import Column, Schema
 from repro.engine.table import JoinView, Table, TableView
 from repro.engine.types import ColumnKind
 from repro.errors import SchemaError
-from repro.faults.schedule import FaultSchedule
-from repro.partitioning.intervals import Interval
-from repro.query.algebra import (
-    Aggregate,
-    AggSpec,
-    Join,
-    MaterializedScan,
-    Relation,
-    Select,
-)
-from repro.query.predicates import between
-from repro.storage.pool import MaterializedViewPool
-
-LEDGER_FIELDS = (
-    "read_s", "write_s", "shuffle_s", "overhead_s", "jobs", "map_tasks",
-    "bytes_read", "bytes_written", "files_written", "fault_s",
-    "task_retries", "speculative_tasks", "fault_events",
-)
-
-
-def ledger_tuple(ledger: CostLedger) -> tuple:
-    return tuple(getattr(ledger, f) for f in LEDGER_FIELDS)
-
-
-@pytest.fixture(autouse=True)
-def _clean_result_cache():
-    result_cache.GLOBAL.clear()
-    yield
-    result_cache.GLOBAL.clear()
+from repro.query.algebra import AggSpec
 
 
 # ----------------------------------------------------------------------
@@ -236,111 +201,6 @@ class TestAggregate:
         )
         out = aggregate(t, ("g",), (AggSpec("sum", "x", "s"),))
         assert out.column("s").tolist() == [4 * 2**30]
-
-
-# ----------------------------------------------------------------------
-# Result cache
-# ----------------------------------------------------------------------
-def cache_stats():
-    return result_cache.GLOBAL.stats()
-
-
-class TestResultCache:
-    def plan(self):
-        return Aggregate(
-            Select(
-                Join(Relation("sales"), Relation("item"), "s_item_sk", "i_item_sk"),
-                (between("i_item_sk", 0, 50),),
-            ),
-            ("i_category",),
-            (AggSpec("sum", "s_qty", "q"),),
-        )
-
-    def test_hit_replays_table_and_charges_bitwise(self, catalog):
-        ctx = ExecutionContext(catalog)
-        first = Executor(ctx).execute(self.plan())
-        again = Executor(ctx).execute(self.plan())
-        assert cache_stats()["hits"] == 1
-        assert again.table.sorted_rows() == first.table.sorted_rows()
-        assert ledger_tuple(again.ledger) == ledger_tuple(first.ledger)
-
-    def test_catalog_version_invalidates(self, catalog, sales_table):
-        ctx = ExecutionContext(catalog)
-        Executor(ctx).execute(self.plan())
-        catalog.replace("sales", sales_table.take(np.arange(10)))
-        Executor(ctx).execute(self.plan())
-        assert cache_stats()["hits"] == 0
-        assert cache_stats()["misses"] == 2
-
-    def test_pool_epoch_invalidates_materialized_scans(self, catalog):
-        pool = MaterializedViewPool()
-        pool.define_view("v", Relation("sales"))
-        sales = catalog.get("sales")
-        f = pool.add_fragment("v", "s_item_sk", Interval.closed(0, 99), sales)
-        ctx = ExecutionContext(catalog, pool)
-        scan = MaterializedScan("v", (f.fragment_id,), "s_item_sk", (None,))
-        Executor(ctx).execute(scan)
-        Executor(ctx).execute(scan)
-        assert cache_stats()["hits"] == 1
-        pool.add_fragment(  # bumps the pool epoch
-            "v", "s_item_sk", Interval(100, 200, True, False), sales.take(np.arange(3))
-        )
-        Executor(ctx).execute(scan)
-        assert cache_stats()["hits"] == 1
-        assert cache_stats()["misses"] == 2
-
-    def test_pool_independent_plans_share_entries_across_pools(self, catalog):
-        plain = Executor(ExecutionContext(catalog)).execute(self.plan())
-        pooled = Executor(ExecutionContext(catalog, MaterializedViewPool())).execute(self.plan())
-        assert cache_stats()["hits"] == 1
-        assert pooled.table.sorted_rows() == plain.table.sorted_rows()
-
-    def test_faulted_ledger_bypasses_cache(self, catalog):
-        ctx = ExecutionContext(catalog)
-        ledger = CostLedger(ctx.cluster)
-        ledger.faults = FaultSchedule.of("t", seed=1, task_failure=0.5).injector()
-        Executor(ctx).execute(self.plan(), ledger)
-        assert cache_stats()["misses"] == 0  # never even consulted
-
-    def test_capture_bypasses_cache(self, catalog):
-        executor = Executor(ExecutionContext(catalog))
-        executor.execute_with_capture(self.plan(), [self.plan()])
-        assert cache_stats()["misses"] == 0
-
-    def test_dirty_ledger_bypasses_cache(self, catalog):
-        ctx = ExecutionContext(catalog)
-        dirty = CostLedger(ctx.cluster)
-        dirty.charge_jobs(1)
-        Executor(ctx).execute(self.plan(), dirty)
-        assert cache_stats()["misses"] == 0
-
-    def test_lru_eviction_is_byte_bounded(self):
-        cache = result_cache.ResultCache(max_bytes=1024)
-        schema = Schema.of(Column("a"))
-        cluster = ClusterSpec()
-        for i in range(8):
-            t = Table.from_dict(schema, {"a": np.arange(32) + i})
-            cache.store((i,), t, CostLedger(cluster))
-        assert cache.stats()["bytes"] <= 1024
-        assert cache.stats()["evictions"] > 0
-        assert cache.lookup((0,)) is None  # oldest evicted first
-
-    def test_oversized_result_not_cached(self):
-        cache = result_cache.ResultCache(max_bytes=64)
-        schema = Schema.of(Column("a"))
-        t = Table.from_dict(schema, {"a": np.arange(1000)})
-        cache.store(("big",), t, CostLedger(ClusterSpec()))
-        assert cache.stats()["entries"] == 0
-
-    def test_registry_clear_resets_everything(self, catalog):
-        from repro.caches import clear_all_caches
-
-        ctx = ExecutionContext(catalog)
-        Executor(ctx).execute(self.plan())
-        clear_all_caches()
-        assert cache_stats() == {
-            "hits": 0, "misses": 0, "evictions": 0, "entries": 0, "bytes": 0,
-        }
 
 
 class TestMaskDeferral:
