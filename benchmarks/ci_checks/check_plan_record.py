@@ -11,7 +11,16 @@ check both halves:
   queries must be answered from a record, and ``find_matches`` must run
   exactly once per record miss.  A validity token that moves when nothing
   changed (or a record that stops being admitted) drops the share; a
-  second planning path shows up as extra ``find_matches`` calls.
+  second planning path shows up as extra ``find_matches`` calls.  The
+  same run gates the adaptation record DeepSea keeps beside a recurring
+  query's planning record (``repro/core/adaptation.py``): the structural
+  work of Algorithm 1's steps 4 and 5 runs at most once per adaptation
+  miss.  ``view_candidate_subplans`` may run only for a query that
+  arrived without an adaptation record, and ``partition_candidates``,
+  in a query the adaptation record answered, only for a tentative design
+  replaced since (its identity is the record's token).  A record that is
+  not kept, or a token that moves when nothing changed, shows up as
+  extra calls.
 * **Served once.**  A fault-free ``QueryService`` (two readers and the
   writer) over a stream without repeats.  A reader and the writer plan
   each query once between them: ``find_matches`` may run once per
@@ -35,10 +44,12 @@ import sys
 _CLIENTS = 2
 
 
-def check(repeat: dict, find_matches_calls: int, served: dict, floor: float) -> list[str]:
+def check(
+    repeat: dict, find_matches_calls: int, served: dict, floor: float, adapted: dict
+) -> list[str]:
     """Violations of the gate, given the repeat run's ``matching.plan_record``
-    counters and ``find_matches`` calls, and the served run's counts
-    (empty = pass)."""
+    counters, ``find_matches`` calls and adaptation counts, and the served
+    run's counts (empty = pass)."""
     problems = []
     planned = repeat.get("hits", 0) + repeat.get("misses", 0)
     if not planned:
@@ -49,6 +60,19 @@ def check(repeat: dict, find_matches_calls: int, served: dict, floor: float) -> 
     if find_matches_calls != repeat["misses"]:
         problems.append(
             f"find_matches ran {find_matches_calls} times for {repeat['misses']} record misses"
+        )
+    if not adapted.get("answered", 0):
+        problems.append("no query was answered by an adaptation record")
+    if adapted.get("view_candidate_subplans", 0) > adapted.get("misses", 0):
+        problems.append(
+            f"view_candidate_subplans ran {adapted['view_candidate_subplans']} times for "
+            f"{adapted['misses']} adaptation misses"
+        )
+    if adapted.get("partition_candidates", 0) > adapted.get("designs_replaced", 0):
+        problems.append(
+            f"partition_candidates ran {adapted['partition_candidates']} times in queries "
+            f"the adaptation record answered, for {adapted['designs_replaced']} tentative "
+            "designs replaced"
         )
     if not served.get("answered", 0):
         return problems + ["no query was served — the served run checked nothing"]
@@ -67,23 +91,77 @@ def check(repeat: dict, find_matches_calls: int, served: dict, floor: float) -> 
     return problems
 
 
-def _run(fx, plans) -> "tuple[dict, int]":
+def _run(fx, plans) -> "tuple[dict, int, dict]":
+    """Run ``plans``; count ``find_matches`` calls and the adaptation record's
+    answers, misses, structural calls and the designs replaced under it.
+
+    A query is answered by the adaptation record when its planning record
+    held one on arrival and that planning record answered the query too
+    (a replanned query derives steps 2 and 5 afresh)."""
+    import repro.core.deepsea as deepsea_module
+    import repro.core.selection as selection_module
     from repro import caches
     from repro.baselines import deepsea
 
     caches.clear_all_caches()
     system = deepsea(fx.catalog, domains=fx.domains)
-    rewriter, calls = system.rewriter, [0]
+    rewriter, tentative, calls = system.rewriter, system.tentative, [0]
     find_matches = rewriter.find_matches
+    adapted = {
+        "answered": 0,
+        "misses": 0,
+        "view_candidate_subplans": 0,
+        "partition_candidates": 0,
+        "designs_replaced": 0,
+    }
+    structural = []  # calls of either structural function in the current query
 
     def counted(query):
         calls[0] += 1
         return find_matches(query)
 
+    def tallied(name, function):
+        def call(*args, **kwargs):
+            structural.append(name)
+            return function(*args, **kwargs)
+
+        return call
+
+    def replacing(function):
+        def call(view_id, attr, arg):
+            before = tentative.get(view_id, attr)
+            function(view_id, attr, arg)
+            replaced = before is not None and tentative.get(view_id, attr) is not before
+            adapted["designs_replaced"] += replaced
+
+        return call
+
     rewriter.find_matches = counted
-    for plan in plans:
-        system.execute(plan)
-    return caches.cache_stats()["matching.plan_record"], calls[0]
+    for name in ("apply_split", "add_overlapping", "replace_design"):
+        setattr(tentative, name, replacing(getattr(tentative, name)))
+    patched = [
+        (deepsea_module, "view_candidate_subplans"),
+        (deepsea_module, "partition_candidates"),
+        (selection_module, "partition_candidates"),
+    ]
+    originals = [getattr(module, name) for module, name in patched]
+    for (module, name), original in zip(patched, originals):
+        setattr(module, name, tallied(name, original))
+    try:
+        for plan in plans:
+            kept = rewriter.recorded(plan)
+            arrived = kept is not None and kept.adaptation is not None
+            structural.clear()
+            system.execute(plan)
+            adapted["misses"] += not arrived
+            adapted["view_candidate_subplans"] += structural.count("view_candidate_subplans")
+            if arrived and rewriter.recorded(plan) is kept:
+                adapted["answered"] += 1
+                adapted["partition_candidates"] += structural.count("partition_candidates")
+    finally:
+        for (module, name), original in zip(patched, originals):
+            setattr(module, name, original)
+    return caches.cache_stats()["matching.plan_record"], calls[0], adapted
 
 
 def _serve(fx, plans) -> dict:
@@ -170,18 +248,22 @@ def main(argv: "list[str] | None" = None) -> int:
     draws = np.random.default_rng(2).choice(
         len(distinct), size=args.queries, p=popularity / popularity.sum()
     )
-    repeat, calls = _run(fx, [distinct[i] for i in draws])
+    repeat, calls, adapted = _run(fx, [distinct[i] for i in draws])
     stream = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=args.queries, seed=3)
     served = _serve(fx, list(dict.fromkeys(stream)))
     print(
         f"repeat-heavy: {repeat['hits']} of {args.queries} queries from a record, "
         f"{calls} find_matches calls for {repeat['misses']} misses, "
-        f"{repeat['entries']} records; served once: {served['answered']} answered, "
+        f"{repeat['entries']} records; adaptation: {adapted['answered']} queries answered, "
+        f"{adapted['misses']} misses, {adapted['view_candidate_subplans']} "
+        f"view_candidate_subplans calls, {adapted['partition_candidates']} partition_candidates "
+        f"calls when answered for {adapted['designs_replaced']} designs replaced; "
+        f"served once: {served['answered']} answered, "
         f"{served['find_matches']} find_matches calls, {served['invalidations']} invalidated "
         f"records, writer executed {served['executes']} of {served['steps']} steps "
         f"({served['views_created']} views created)"
     )
-    problems = check(repeat, calls, served, args.floor)
+    problems = check(repeat, calls, served, args.floor, adapted)
     for problem in problems:
         print(f"FAIL {problem}", file=sys.stderr)
     return 1 if problems else 0

@@ -37,6 +37,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from functools import partial
 
+from repro.core.adaptation import AdaptationRecord, CandidateDesigns, DesignSite
 from repro.core.domains import DomainResolver
 from repro.core.policies import Policy
 from repro.core.repartition import Repartitioner
@@ -55,7 +56,7 @@ from repro.partitioning.candidates import partition_candidates
 from repro.partitioning.intervals import Interval
 from repro.query.algebra import Plan, replace_subplan
 from repro.query.optimizer import push_down
-from repro.query.signature import view_id_for
+from repro.query.signature import Signature, view_id_for
 from repro.query.subqueries import view_candidate_subplans
 from repro.storage.hdfs import SimulatedHDFS
 from repro.storage.ingest import DeltaMaintainer, IngestReport
@@ -99,7 +100,7 @@ class DeepSea:
             vstats = stats.view(view_id)
             if vstats is None:
                 return None
-            return vstats.size_bytes, tuple(tentative.attrs_of(view_id))
+            return vstats.size_bytes, tentative.attrs_of(view_id)
 
         self.rewriter = rewriter = Rewriter(
             self.schemas,
@@ -212,27 +213,42 @@ class DeepSea:
                 with self._stage("execution"):
                     result = self.executor.execute(push_down(plan, self.schemas), exec_ledger)
         else:
-            selection, repartitioner = self.selection, self.repartitioner
+            selection, repartitioner, rewriter = self.selection, self.repartitioner, self.rewriter
             with self._stage("matching"):
+                # A recurrence of a planned query: its adaptation record, made
+                # now if it has none.  Every part of it checks its own tokens.
+                kept = rewriter.recorded(plan)
+                record = None
+                if kept is not None:
+                    record = kept.adaptation or AdaptationRecord()
+
                 # 4 (early). Register candidates so the current query contributes
                 # its own evidence — the paper's final UPDATESTATS folded forward.
-                candidates = self._register_candidates(plan, t)
+                candidates = self._register_candidates(plan, t, record)
 
                 # 1 and 3. Matches, their savings, and Q_best.
-                planned = self.rewriter.plan(plan)
+                planned = rewriter.plan(plan)
                 matches, rewritings, chosen = planned.matches, planned.rewritings, planned.chosen
+                # Kept if the planning record answered; one made before is
+                # carried over to the record of a replanned query.
+                now = rewriter.recorded(plan)
+                if kept is not None and (now is kept or kept.adaptation is not None):
+                    now.adaptation = record
+                else:
+                    record = None
 
                 # 2. Statistics: benefit events and PSTAT hits, which planning
                 # never reads — so it may follow step 3.
-                self._update_match_statistics(planned, t)
+                self._update_match_statistics(planned, t, record)
 
             with self._stage("selection"):
                 # 5. Selection: creations and refinements.
                 usable = {r.view_id for r in rewritings}
                 creations = selection.plan_view_creations(candidates, usable, t)
-                refinements = (
-                    selection.plan_refinements(matches, t) if self.policy.repartition else []
-                )
+                refinements = []
+                if self.policy.repartition:
+                    kept_sites = record.refinements if record is not None else None
+                    refinements = selection.plan_refinements(matches, t, kept_sites)
 
             # 6. Execute (with capture for instrumentation).
             #
@@ -357,11 +373,19 @@ class DeepSea:
     # ------------------------------------------------------------------
     # Candidate registration (Definitions 6 and 7)
     # ------------------------------------------------------------------
-    def _register_candidates(self, plan: Plan, t: float) -> list[tuple[str, Plan]]:
-        query_sig = self.rewriter.signature_of(plan)
-        registered: list[tuple[str, Plan]] = []
-        for sub in view_candidate_subplans(plan):
-            view_id = view_id_for(sub)
+    def _register_candidates(
+        self, plan: Plan, t: float, record: AdaptationRecord | None = None
+    ) -> list[tuple[str, Plan]]:
+        if record is None:
+            record = AdaptationRecord()
+        if record.candidates is None:
+            record.query_sig = self.rewriter.signature_of(plan)
+            record.candidates = [
+                (view_id_for(sub), sub, CandidateDesigns())
+                for sub in view_candidate_subplans(plan)
+            ]
+            record.registered = [(view_id, sub) for view_id, sub, _ in record.candidates]
+        for view_id, sub, designs in record.candidates:
             if self.stats.view(view_id) is None:
                 sub_sig = self.rewriter.signature_of(sub)
                 self.filter_tree.add(view_id, sub_sig)
@@ -372,66 +396,85 @@ class DeepSea:
                 # COST(V) is the full recreation price: recompute the
                 # defining query and write the partitioned result (§7.1).
                 vstats.creation_cost_s = estimate.cost_s + self.cluster.write_elapsed(0.0, nfiles=4)
-            self._refine_tentative_designs(view_id, query_sig, t)
-            registered.append((view_id, sub))
-        return registered
+            self._refine_tentative_designs(view_id, record.query_sig, t, designs)
+        return record.registered
 
-    def _refine_tentative_designs(self, view_id: str, query_sig, t: float) -> None:
+    def _refine_tentative_designs(
+        self, view_id: str, query_sig: Signature, t: float, designs: CandidateDesigns
+    ) -> None:
         """Progressive partition design for a (not yet resident) view."""
         view_sig = self.filter_tree.signature(view_id)
         if view_sig is None:
             return
-        ranges = partition_attr_ranges(view_sig, query_sig)
-        for attr in sorted(ranges):
-            domain = self.domains(attr)
-            if domain is None:
-                continue
-            design = self.tentative.ensure(view_id, attr, domain)
+        version = self.domains.version
+        if designs.signature is not view_sig or designs.domains_version != version:
+            designs.sites = self._design_sites(view_sig, query_sig)
+            designs.signature, designs.domains_version = view_sig, version
+        for site in designs.sites:
+            attr = site.attr
+            design = self.tentative.ensure(view_id, attr, site.domain)
             if self.policy.partitioning != "adaptive":
                 continue
             if self.pool.is_resident(view_id):
                 continue  # resident partitions refine via the cost filter
             if len(design) >= _MAX_TENTATIVE_FRAGMENTS:
                 continue
-            theta = ranges[attr].intersect(domain)
-            if theta is None:
+            if site.theta is None:
                 continue
-            for candidate in partition_candidates(theta, list(design.intervals), domain):
+            if site.design is not design:
+                site.design = design
+                site.splits = partition_candidates(site.theta, list(design.intervals), site.domain)
+            for candidate in site.splits:
                 self.valuation.inherit_fragment_stats(view_id, attr, candidate, t)
                 current = self.tentative.get(view_id, attr)
                 if current is not None and candidate.parent in current.intervals:
                     self.tentative.apply_split(view_id, attr, candidate)
 
+    def _design_sites(self, view_sig: Signature, query_sig: Signature) -> list[DesignSite]:
+        """A site per attribute with a domain that the query restricts."""
+        ranges = partition_attr_ranges(view_sig, query_sig)
+        return [
+            DesignSite(attr, domain, ranges[attr].intersect(domain))
+            for attr in sorted(ranges)
+            if (domain := self.domains(attr)) is not None
+        ]
+
     # ------------------------------------------------------------------
     # Statistics update (§8.4)
     # ------------------------------------------------------------------
-    def _update_match_statistics(self, planned: QueryPlan, t: float) -> None:
-        # A view often matches several subqueries of the same query (e.g.
-        # the bare join and the selection above it).  The view's best use
-        # is the one with the largest saving; record exactly one benefit
-        # event and one round of fragment hits per view per query.
-        best: dict[str, tuple[float, ViewMatch]] = {}
-        for match, saving in zip(planned.matches, planned.savings):
-            if saving is None:
-                continue  # the view has no statistics
-            current = best.get(match.view_id)
-            specificity = len(match.attr_ranges)
-            if current is None or (saving, specificity) > (
-                current[0],
-                len(current[1].attr_ranges),
-            ):
-                best[match.view_id] = (saving, match)
-        for view_id, (saving, match) in best.items():
-            vstats = self.stats.view(view_id)
-            vstats.record_benefit(t, saving)
-            for attr in self.tentative.attrs_of(view_id):
-                domain = self.domains(attr)
-                if domain is None:
-                    continue
-                theta = match.attr_ranges.get(attr)
-                theta = theta.intersect(domain) if theta is not None else domain
-                if theta is None:
-                    continue
+    def _update_match_statistics(
+        self, planned: QueryPlan, t: float, record: AdaptationRecord | None = None
+    ) -> None:
+        version = self.domains.version
+        derived = record.statistics if record is not None else None
+        if derived is None or derived[0] is not planned or derived[1] != version:
+            # A view often matches several subqueries of the same query (e.g.
+            # the bare join and the selection above it).  The view's best use
+            # is the one with the largest saving; record exactly one benefit
+            # event and one round of fragment hits per view per query.
+            best: dict[str, tuple[float, ViewMatch]] = {}
+            for match, saving in zip(planned.matches, planned.savings):
+                if saving is None:
+                    continue  # the view has no statistics
+                current = best.get(match.view_id)
+                specificity = len(match.attr_ranges)
+                if current is None or (saving, specificity) > (
+                    current[0],
+                    len(current[1].attr_ranges),
+                ):
+                    best[match.view_id] = (saving, match)
+            # A view's tentative attributes are among the saving inputs the
+            # planning record watches: a new one gives a new QueryPlan.
+            views = [
+                (view_id, saving, self._hit_ranges(match, self.tentative.attrs_of(view_id)))
+                for view_id, (saving, match) in best.items()
+            ]
+            derived = (planned, version, views)
+            if record is not None:
+                record.statistics = derived
+        for view_id, saving, ranges in derived[2]:
+            self.stats.view(view_id).record_benefit(t, saving)
+            for attr, theta in ranges:
                 # Hits are recorded over PSTAT — every tracked fragment,
                 # including unmaterialized candidate pieces — so that
                 # refinement candidates accumulate their own evidence.
@@ -441,3 +484,17 @@ class DeepSea:
                         self.stats.ensure_fragment(view_id, attr, interval)
                     self._pstat_synced[(view_id, attr)] = design
                 self.stats.record_overlapping_hits(view_id, attr, t, theta)
+
+    def _hit_ranges(self, match: ViewMatch, attrs: tuple[str, ...]) -> list[tuple[str, Interval]]:
+        """``(attr, θ)`` the match's hits are recorded with: its range on each
+        attribute clamped to the domain, the whole domain where it has none."""
+        ranges = []
+        for attr in attrs:
+            domain = self.domains(attr)
+            if domain is None:
+                continue
+            theta = match.attr_ranges.get(attr)
+            theta = theta.intersect(domain) if theta is not None else domain
+            if theta is not None:
+                ranges.append((attr, theta))
+        return ranges

@@ -11,12 +11,18 @@ mutates the pool; applying a decision is the repartitioner's job
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator
 
+from repro.core.adaptation import (
+    RECENT_HITS,
+    CandidateRecord,
+    JitterWindow,
+    RefinementRecord,
+    range_mids,
+    spread,
+)
 from repro.core.domains import DomainResolver
 from repro.core.merging import MergeCandidate, find_merge_candidates
 from repro.core.policies import Policy
@@ -29,7 +35,7 @@ from repro.costmodel.value import RealizingHitsIndex, view_benefit
 from repro.engine.cost import ClusterSpec
 from repro.matching.partition_match import greedy_cover
 from repro.matching.rewriter import ViewMatch
-from repro.partitioning.candidates import SplitCandidate, partition_candidates
+from repro.partitioning.candidates import partition_candidates
 from repro.partitioning.intervals import Interval, IntervalIndex
 from repro.query.algebra import Plan
 from repro.storage.pool import FragmentKey, MaterializedViewPool
@@ -90,21 +96,21 @@ def _piece_refinement_passes(
         cover = greedy_cover(piece, resident_index)
         if cover is None:
             # hole in the partition: nothing to refine from
-            estimator.piece_memo[piece] = (False, 0.0, 0.0, 0.0)
+            estimator.remember(piece, (False, 0.0, 0.0, 0.0))
             return False
         cover_bytes = sum(resident_sizes[c.interval] for c in cover)
         if size_est > 0.5 * cover_bytes:
             # The range is already served by a reasonably tight cover;
             # shaving a sliver off it would recur forever under
             # endpoint jitter without a matching payoff.
-            estimator.piece_memo[piece] = (False, 0.0, 0.0, 0.0)
+            estimator.remember(piece, (False, 0.0, 0.0, 0.0))
             return False
         saving_per_hit = max(
             cluster.read_elapsed(cover_bytes, nfiles=len(cover))
             - cluster.read_elapsed(size_est, nfiles=1),
             0.0,
         )
-        estimator.piece_memo[piece] = (True, size_est, cost_est, saving_per_hit)
+        estimator.remember(piece, (True, size_est, cost_est, saving_per_hit))
     # Only queries whose need from this parent fits inside the
     # piece realize the per-hit margin; MLE smoothing tops this up
     # (capped, so the fitted tail cannot manufacture evidence).
@@ -243,23 +249,25 @@ class Selection:
     # ------------------------------------------------------------------
     # Refinement planning (§7.2 filter with adjusted hits)
     # ------------------------------------------------------------------
-    def plan_refinements(self, matches: list[ViewMatch], t: float) -> list[Refinement]:
+    def plan_refinements(
+        self, matches: "tuple[ViewMatch, ...]", t: float, record: RefinementRecord | None = None
+    ) -> list[Refinement]:
+        """§7.2 refinements of the resident partitions the matches touch.
+
+        ``record`` keeps what this derives from the matches across the
+        query's recurrences (a fresh one is used and dropped otherwise, and
+        reads each jitter from scratch).
+        """
         if self.policy.partitioning != "adaptive":
             return []
+        kept = record is not None
+        if record is None:
+            record = RefinementRecord()
         refinements: list[Refinement] = []
         seen: set[tuple[str, str, Interval]] = set()
-        for match, attr in self._touched_partitions(matches):
-            view_id = match.view_id
-            theta = match.attr_ranges.get(attr)
-            domain = self.domains(attr)
-            if theta is None or domain is None:
-                continue
-            theta = theta.intersect(domain)
-            if theta is None:
-                continue
-            design = self.tentative.ensure(view_id, attr, domain)
-            for candidate in partition_candidates(theta, list(design.intervals), domain):
-                key = (view_id, attr, candidate.parent)
+        for view_id, attr, theta, domain in self._refinement_sites(matches, record):
+            for candidate in self._site_candidates(record, view_id, attr, theta, domain, kept):
+                key = (view_id, attr, candidate.split.parent)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -268,32 +276,91 @@ class Selection:
                     refinements.append(refinement)
         return refinements
 
+    def _refinement_sites(self, matches, record: RefinementRecord) -> list:
+        """``(view, attr, θ ∩ domain, domain)`` per resident partition a match
+        touches: the record's, or derived again when a token moved."""
+        cover_version, version = self.pool.cover_version, self.domains.version
+        if (
+            record.matches is matches
+            and record.domains_version == version
+            and all(cover_version(v) == c for v, c in record.covers)
+        ):
+            return record.sites
+        if record.domains_version != version:
+            record.candidates.clear()
+        sites = []
+        for match, attr in self._touched_partitions(matches):
+            theta = match.attr_ranges.get(attr)
+            domain = self.domains(attr)
+            if theta is None or domain is None:
+                continue
+            theta = theta.intersect(domain)
+            if theta is not None:
+                sites.append((match.view_id, attr, theta, domain))
+        record.matches, record.domains_version, record.sites = matches, version, sites
+        record.covers = tuple(
+            (v, cover_version(v)) for v in dict.fromkeys(m.view_id for m in matches)
+        )
+        return sites
+
+    def _site_candidates(
+        self,
+        record: RefinementRecord,
+        view_id: str,
+        attr: str,
+        theta: Interval,
+        domain: Interval,
+        kept: bool = True,
+    ) -> list[CandidateRecord]:
+        """Definition 7's candidates for θ over the partition's design as it
+        is now: an earlier site's refinement may have replaced it.  Only a
+        ``kept`` record's candidates keep a :class:`JitterWindow`."""
+        design = self.tentative.ensure(view_id, attr, domain)
+        derived = record.candidates.get((view_id, attr, theta))
+        if derived is None or derived[0] is not design:
+            derived = record.candidates[(view_id, attr, theta)] = (
+                design,
+                [
+                    CandidateRecord(
+                        c,
+                        [p for p in c.pieces if theta.contains(p)],
+                        jitter=JitterWindow() if kept else None,
+                    )
+                    for c in partition_candidates(theta, list(design.intervals), domain)
+                ],
+            )
+        return derived[1]
+
     def _evaluate_refinement(
         self,
         view_id: str,
         attr: str,
-        candidate: SplitCandidate,
+        candidate: CandidateRecord,
         theta: Interval,
         domain: Interval,
         t: float,
     ) -> Refinement | None:
         if self.stats.view(view_id) is None:
             return None
-        hot = [p for p in candidate.pieces if theta.contains(p)]
+        split, hot = candidate.split, candidate.hot
         if not hot:
             return None
         # Track the candidate pieces in PSTAT immediately (ADDCANDIDATES):
         # even if the §7.2 filter rejects them now, they accumulate hit
         # evidence and may pass on a later query.
-        self.valuation.inherit_fragment_stats(view_id, attr, candidate, t)
+        if not candidate.held:
+            candidate.held = self.valuation.inherit_fragment_stats(view_id, attr, split, t)
         if self.policy.overlapping:
             # Widen before filtering: the filter's realizing-hits test asks
             # which past queries the new fragment would have served, and
             # that must be judged against the fragment actually created.
-            jitter = self.observed_jitter(view_id, attr, candidate.parent, theta)
-            hot = [self.widen_piece(p, theta, candidate.parent, domain, jitter) for p in hot]
+            jitter = self.observed_jitter(view_id, attr, split.parent, theta, candidate.jitter)
+            if candidate.widened is None or candidate.widened[0] != jitter:
+                widened = [self.widen_piece(p, theta, split.parent, domain, jitter) for p in hot]
+                candidate.widened = (jitter, widened)
+            hot = candidate.widened[1]
         part = self.valuation.partition(view_id, attr)
-        if not self._refinement_passes(view_id, attr, candidate.parent, hot, part, t):
+        if not self._refinement_passes(view_id, attr, split.parent, hot, part, t):
             return None
         if self.policy.overlapping:
             pieces = tuple(
@@ -306,45 +373,32 @@ class Selection:
                 return None
             for piece in pieces:
                 self.tentative.add_overlapping(view_id, attr, piece)
-            return Refinement(view_id, attr, candidate.parent, None, pieces)
-        self.tentative.apply_split(view_id, attr, candidate)
-        return Refinement(view_id, attr, candidate.parent, candidate.pieces, None)
+            return Refinement(view_id, attr, split.parent, None, pieces)
+        self.tentative.apply_split(view_id, attr, split)
+        return Refinement(view_id, attr, split.parent, split.pieces, None)
 
-    def observed_jitter(self, view_id: str, attr: str, parent: Interval, theta: Interval) -> float:
+    def observed_jitter(
+        self,
+        view_id: str,
+        attr: str,
+        parent: Interval,
+        theta: Interval,
+        window: JitterWindow | None = None,
+    ) -> float:
         """Standard deviation of recent query midpoints around ``theta``.
 
         Measured from the parent fragment's recorded hit ranges, so the
         widening below can cover the workload's actual endpoint jitter
         (heavy skew keeps ranges near one spot but their midpoints still
-        wander by the distribution's sigma).
+        wander by the distribution's sigma).  ``window`` keeps the reading
+        for this (parent, θ) between calls.
         """
         parent_stats = self.stats.fragment(view_id, attr, parent)
         if parent_stats is None:
             return 0.0
-        # Inlined bounded/overlaps/width tests over the precomputed bound
-        # keys — identical predicates to the Interval methods, without the
-        # per-range attribute and property calls (this loop runs for every
-        # candidate of every query).
-        theta_width = theta.width
-        half_width = 0.5 * theta_width
-        tl, tu = theta._lkey, theta._ukey
-        mids = []
-        for rng in parent_stats.recent_ranges(30):
-            if rng is None:
-                continue
-            lk, uk = rng._lkey, rng._ukey
-            lo, hi = lk[0], uk[0]
-            if math.isinf(lo) or math.isinf(hi):
-                continue
-            if not (lk <= tu and tl <= uk):
-                continue
-            # same template family: comparable selection widths only
-            if abs((hi - lo) - theta_width) <= half_width:
-                mids.append((lo + hi) / 2.0)
-        if len(mids) < 2:
-            return 0.0
-        mean = sum(mids) / len(mids)
-        return (sum((m - mean) ** 2 for m in mids) / len(mids)) ** 0.5
+        if window is not None:
+            return window.read(parent_stats, theta)
+        return spread(range_mids(parent_stats.recent_ranges(RECENT_HITS), theta))
 
     def widen_piece(
         self,
@@ -385,6 +439,17 @@ class Selection:
         served by tight fragments yields no benefit, which is what stops
         the system from re-carving the same hot spot query after query.
         """
+        # A piece whose memoized prefix failed fails again and touches
+        # nothing: step over those before setting the filter up.
+        memo = part.profile.piece_memo
+        start = 0
+        for piece in hot:
+            pre = memo.get(piece)
+            if pre is None or pre[0]:
+                break
+            start += 1
+        if start == len(hot):
+            return False
         dist_fn = defer_fn = None
         if self.policy.smoothing_enabled:
             # Most candidate pieces fail the size/cover prefix before the
@@ -411,7 +476,7 @@ class Selection:
             safety=self.policy.refinement_safety,
             defer_fn=defer_fn,
         )
-        return any(check(piece) for piece in hot)
+        return any(check(piece) for piece in hot[start:])
 
     # ------------------------------------------------------------------
     # Fragment merging (§11 extension)

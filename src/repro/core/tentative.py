@@ -16,8 +16,6 @@ progressively:
 
 from __future__ import annotations
 
-from bisect import insort
-
 from repro.errors import PartitionError
 from repro.partitioning.candidates import SplitCandidate
 from repro.partitioning.fragmentation import Fragmentation
@@ -30,8 +28,9 @@ class TentativePartitions:
     def __init__(self) -> None:
         self._designs: dict[tuple[str, str], Fragmentation] = {}
         # view -> its attributes with a design, sorted: read for every match
-        # of every query, so not a scan over every design.
-        self._attrs: dict[str, list[str]] = {}
+        # of every query, so not a scan over every design.  Replaced, never
+        # mutated, when an attribute is added: the tuple is its own token.
+        self._attrs: dict[str, tuple[str, ...]] = {}
 
     def get(self, view_id: str, attr: str) -> Fragmentation | None:
         return self._designs.get((view_id, attr))
@@ -45,15 +44,17 @@ class TentativePartitions:
 
     def _install(self, view_id: str, attr: str, design: Fragmentation) -> None:
         if (view_id, attr) not in self._designs:
-            insort(self._attrs.setdefault(view_id, []), attr)
+            self._attrs[view_id] = tuple(sorted((*self._attrs.get(view_id, ()), attr)))
         self._designs[(view_id, attr)] = design
 
     def intervals(self, view_id: str, attr: str) -> list[Interval]:
         design = self._designs.get((view_id, attr))
         return list(design.intervals) if design else []
 
-    def attrs_of(self, view_id: str) -> list[str]:
-        return list(self._attrs.get(view_id, ()))
+    def attrs_of(self, view_id: str) -> tuple[str, ...]:
+        """The view's attributes with a design, sorted: the same tuple until
+        an attribute is added."""
+        return self._attrs.get(view_id, ())
 
     # ------------------------------------------------------------------
     def apply_split(self, view_id: str, attr: str, candidate: SplitCandidate) -> None:

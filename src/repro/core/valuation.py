@@ -176,20 +176,28 @@ class Valuation:
 
     def inherit_fragment_stats(
         self, view_id: str, attr: str, candidate: SplitCandidate, t: float
-    ) -> None:
+    ) -> bool:
         """Track split pieces in PSTAT, giving them the parent's hit history.
 
         Each piece inherits the hits whose recorded query range touched it
         (hits without a range wholesale) — a membership in the partition's
         hit log, not a copy; decay and the MLE smoothing keep any residual
         over-count from distorting values.
+
+        Returns whether every piece now holds a hit.  From then on this call
+        changes nothing for the candidate: PSTAT rows are never removed and
+        a hit never leaves one.
         """
         parent = self.stats.fragment(view_id, attr, candidate.parent)
+        held = True
         for piece in candidate.pieces:
             piece_stats = self.stats.ensure_fragment(view_id, attr, piece)
-            if parent is not None and not piece_stats.hit_count():
-                self.settle_fit(view_id, attr, t)
-                piece_stats.inherit_hits(parent, piece)
+            if not piece_stats.hit_count():
+                if parent is not None:
+                    self.settle_fit(view_id, attr, t)
+                    piece_stats.inherit_hits(parent, piece)
+                held = held and piece_stats.hit_count() > 0
+        return held
 
     # ------------------------------------------------------------------
     # Φ (admission and eviction ranking, §7.3 / §10.1)

@@ -23,6 +23,11 @@ import numpy as np
 from repro.engine.cost import ClusterSpec
 from repro.partitioning.intervals import Interval
 
+# Bound of a profile's piece memo, oldest entry out first.  Endpoint jitter
+# keeps widening pieces to new bounds for as long as a cover stands, and an
+# entry is only ever a replay of what recomputing it gives.
+_PIECE_MEMO_MAX = 1_024
+
 
 class ResidentProfile:
     """Vectorized size/cost estimator over one resident fragment list.
@@ -48,7 +53,8 @@ class ResidentProfile:
         self._cluster = cluster
         self._n = len(resident)
         # piece -> memoized §7.2 filter prefix (see _piece_refinement_passes);
-        # shares this profile's lifetime, i.e. "resident set unchanged".
+        # shares this profile's lifetime, i.e. "resident set unchanged", and
+        # holds at most _PIECE_MEMO_MAX pieces (see remember).
         self.piece_memo: dict = {}
         if not self._n:
             return
@@ -67,6 +73,13 @@ class ResidentProfile:
         self._read_cost = np.array(
             [cluster.read_elapsed(s, nfiles=1) for _, s in resident], dtype=np.float64
         )
+
+    def remember(self, piece: Interval, prefix: tuple) -> None:
+        """Memoize ``piece``'s filter prefix, dropping the oldest piece when full."""
+        memo = self.piece_memo
+        if len(memo) >= _PIECE_MEMO_MAX:
+            del memo[next(iter(memo))]
+        memo[piece] = prefix
 
     def estimate(self, piece: Interval) -> tuple[float, float]:
         """``(estimate_fragment_size(piece), estimate_fragment_cost(piece))``."""

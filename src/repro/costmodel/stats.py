@@ -213,6 +213,10 @@ class HitLog:
         """The entries ``row`` holds, in log order."""
         return np.flatnonzero(self._member[: self._n, row])
 
+    def entries_from(self, row: int, start: int) -> np.ndarray:
+        """The entries ``row`` holds from log position ``start`` on, in log order."""
+        return start + np.flatnonzero(self._member[start : self._n, row])
+
     def held_count(self, row: int) -> int:
         """How many entries ``row`` holds: ``len(entries(row))``, kept as the
         membership changes."""
@@ -360,6 +364,26 @@ class FragmentStats:
         """θ of the last ``k`` hits, oldest first."""
         log = self._hits()
         return log.ranges(log.entries(self._row)[-k:])
+
+    def hit_mark(self) -> tuple[int, int]:
+        """Where the hit list stands: ``(hits held, entries in the partition's log)``."""
+        log = self._hits()
+        return log.held_count(self._row), len(log)
+
+    def ranges_since(self, mark: tuple[int, int]) -> "list[Interval | None] | None":
+        """θ of the hits appended after ``mark`` (a :meth:`hit_mark`), oldest first.
+
+        ``None`` when the list also gained hits logged before the mark (an
+        inheritance or a merge).  A fragment never loses a hit, so it gained
+        only appended ones exactly when its count grew by as many as it
+        holds past the mark.
+        """
+        log = self._hits()
+        held, start = mark
+        appended = log.entries_from(self._row, start)
+        if log.held_count(self._row) - held != appended.size:
+            return None
+        return log.ranges(appended)
 
     def ranged_hit_keys(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """``(times, θ lower keys, θ upper keys)`` of the hits that carry a range."""

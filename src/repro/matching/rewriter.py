@@ -186,6 +186,9 @@ class _PlanRecord:
 
     Nothing else is read: signatures, matching and pushdown are pure in
     the plans, and the cluster and schemas are fixed per rewriter.
+
+    ``adaptation`` is the caller's: what it derives from the planned query
+    and keeps for as long as the record lives (:meth:`Rewriter.recorded`).
     """
 
     planned: QueryPlan
@@ -195,6 +198,7 @@ class _PlanRecord:
     tree: tuple[int, int]
     probes: list[list]  # [subplan signature, bucket length seen, subplan]
     inputs: tuple
+    adaptation: object = None
 
 
 class Rewriter:
@@ -266,6 +270,15 @@ class Rewriter:
         )
         self._record(query, planned, inputs)
         return planned
+
+    def recorded(self, query: Plan) -> "_PlanRecord | None":
+        """The query's record as it stands, checked against nothing.
+
+        A caller keeping state beside a record reads it here before
+        planning: the record answered the query when this returns the same
+        object after :meth:`plan`.
+        """
+        return self._records.get(query)
 
     def _saving(self, query: Plan, match: ViewMatch, inputs) -> float | None:
         if inputs is None:

@@ -170,13 +170,27 @@ class TestCheckPlanRecord:
     """The verdict on synthetic counters, then one live run."""
 
     @staticmethod
-    def problems(repeat: dict, calls: int, served: dict, floor: float = 0.7) -> list[str]:
+    def problems(
+        repeat: dict, calls: int, served: dict, floor: float = 0.7, adapted: "dict | None" = None
+    ) -> list[str]:
         spec = importlib.util.spec_from_file_location(
             "check_plan_record", CHECKS / "check_plan_record.py"
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return module.check(repeat, calls, served, floor)
+        return module.check(repeat, calls, served, floor, adapted or TestCheckPlanRecord.adapted())
+
+    @staticmethod
+    def adapted(**over) -> dict:
+        base = {
+            "answered": 60,
+            "misses": 40,
+            "view_candidate_subplans": 40,
+            "partition_candidates": 2,
+            "designs_replaced": 5,
+        }
+        base.update(over)
+        return base
 
     @staticmethod
     def counters(hits: int, misses: int, entries: int = 0, evictions: int = 0) -> dict:
@@ -202,6 +216,7 @@ class TestCheckPlanRecord:
         )
         assert proc.returncode == 0, proc.stderr
         assert "from a record" in proc.stdout
+        assert "adaptation:" in proc.stdout
         assert "served once" in proc.stdout
 
     def test_fails_below_floor_with_observed_share(self):
@@ -220,6 +235,19 @@ class TestCheckPlanRecord:
         served = self.served(executes_without_creation=2)
         (problem,) = self.problems(self.counters(80, 20), 20, served)
         assert "the writer executed 2 queries" in problem
+
+    def test_fails_when_structural_work_runs_beside_the_adaptation_record(self):
+        adapted = self.adapted(view_candidate_subplans=41)
+        (problem,) = self.problems(self.counters(80, 20), 20, self.served(), adapted=adapted)
+        assert "view_candidate_subplans ran 41 times for 40 adaptation misses" in problem
+        adapted = self.adapted(partition_candidates=6)
+        (problem,) = self.problems(self.counters(80, 20), 20, self.served(), adapted=adapted)
+        assert "partition_candidates ran 6 times" in problem
+        assert "for 5 tentative designs replaced" in problem
+        (problem,) = self.problems(
+            self.counters(80, 20), 20, self.served(), adapted=self.adapted(answered=0)
+        )
+        assert "no query was answered by an adaptation record" in problem
 
     def test_fails_when_nothing_was_planned(self):
         (problem,) = self.problems(self.counters(0, 0), 0, self.served())

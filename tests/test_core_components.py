@@ -178,7 +178,7 @@ class TestTentative:
         tp = TentativePartitions()
         design = tp.ensure("v", "a", self.DOMAIN)
         assert list(design.intervals) == [self.DOMAIN]
-        assert tp.attrs_of("v") == ["a"]
+        assert tp.attrs_of("v") == ("a",)
 
     def test_ensure_idempotent(self):
         tp = TentativePartitions()

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.selection as selection_module
 import repro.core.valuation as valuation_module
+import repro.costmodel.estimate as estimate_module
 import repro.costmodel.value as value_module
-from repro import Catalog, DeepSea, Interval, Policy
+from repro import Catalog, DeepSea, Interval, Policy, caches
 from repro.baselines import deepsea
 from repro.bench.harness import sdss_fixture
 from repro.core.admission import AdmissionController
@@ -309,6 +310,34 @@ class TestPieceRefinementMemo:
             safety=1.0,
         )
         assert estimator.piece_memo[piece][0] is False
+
+
+def test_a_long_stable_stream_keeps_the_piece_memo_bounded():
+    """Endpoint jitter widens pieces to new bounds for as long as a cover
+    stands, so each profile keeps only its latest ``_PIECE_MEMO_MAX``
+    pieces; a run so bounded reports what the unbounded run does."""
+    fx = sdss_fixture(20.0)
+    hot = sdss_mapped_workload(fx.log, fx.item_domain, n_queries=20, seed=2)
+    popularity = 1.0 / np.arange(1, len(hot) + 1) ** 1.1
+    draws = np.random.default_rng(2).choice(len(hot), 200, p=popularity / popularity.sum())
+    plans = [hot[i] for i in draws]
+
+    def run():
+        caches.clear_all_caches()
+        system = deepsea(fx.catalog, domains=fx.domains)
+        fingerprints, largest = [], 0
+        for plan in plans:
+            fingerprints.append(report_fingerprint(system.execute(plan)))
+            profiles = [p._profile for p in system.valuation._partitions.values() if p._profile]
+            largest = max([largest] + [len(profile.piece_memo) for profile in profiles])
+        return fingerprints, largest
+
+    reference, unbounded = run()
+    bound = 4
+    assert unbounded > bound
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(estimate_module, "_PIECE_MEMO_MAX", bound)
+        assert run() == (reference, bound)
 
 
 # ----------------------------------------------------------------------

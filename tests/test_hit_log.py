@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.adaptation import JitterWindow
 from repro.core.merging import co_access_fraction
 from repro.core.selection import Selection
 from repro.core.valuation import Valuation
@@ -173,6 +174,44 @@ def test_every_reader_sees_the_lists_it_saw_before(script, decay):
     for attr in ATTRS:
         log = new.hit_log("v", attr)
         assert log is None or len(log) <= writes  # one entry per recorded query at most
+
+
+@given(steps, st.integers(1, 4))
+@settings(max_examples=examples(dev=15, deep=300), deadline=None)
+def test_a_kept_jitter_window_reads_the_bits_a_fresh_read_takes(script, stride):
+    """A :class:`JitterWindow` keeps one (parent, θ)'s observed jitter as the
+    hit lists change under every write; read every ``stride`` steps, it
+    gives the per-fragment lists' reading bit for bit."""
+    new, old = StatisticsStore(), list_pstat.StatisticsStore()
+    windows, t = {}, 0.0
+    for i, step in enumerate(script):
+        t += STRIDE
+        apply(step, new, old, t)
+        if i % stride:
+            continue
+        for attr in ATTRS:
+            for parent in new.intervals_for("v", attr):
+                for theta in PROBES:
+                    window = windows.setdefault((attr, parent, theta), JitterWindow())
+                    got = window.read(new.fragment("v", attr, parent), theta)
+                    want = list_pstat.observed_jitter(old, "v", attr, parent, theta)
+                    assert got.hex() == want.hex()
+
+
+def test_a_window_read_before_its_fragment_inherits_reads_it_again():
+    """Inherited hits are older than the window's mark, not appended after
+    it: the window re-reads the list rather than missing them."""
+    store, theta = StatisticsStore(), Interval.closed(10, 25)
+    store.ensure_fragment("v", "a", DOMAIN)
+    for lo in (10.0, 12.0):
+        store.record_overlapping_hits("v", "a", lo, Interval.closed(lo, lo + 15))
+    window, piece = JitterWindow(), store.ensure_fragment("v", "a", theta)
+    assert window.read(piece, theta) == 0.0
+    piece.inherit_hits(store.fragment("v", "a", DOMAIN), theta)
+    assert window.read(piece, theta) == Selection.observed_jitter(
+        SimpleNamespace(stats=store), "v", "a", theta, theta
+    )
+    assert window.read(piece, theta) == 1.0
 
 
 def test_one_entry_per_query_however_many_fragments_it_touches():

@@ -14,10 +14,15 @@ and savings.
   every query seen so far both ways.
 * Twin runs, with the record and with planning from scratch, must give
   equal reports on repeat-heavy and unique-range streams, unbounded and at
-  a 10 % pool.
+  a 10 % pool; so must twin runs with and without the adaptation record
+  DeepSea keeps beside it (``repro/core/adaptation.py``), on those streams
+  and with fact batches or faults interleaved.
 * Unit tests pin each validity token, the extension, and admission at a
-  query's first sighting within a bounded record.
+  query's first sighting within a bounded record; and each token of the
+  adaptation record.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,11 +34,15 @@ import repro.query.signature as signature_module
 from repro import Catalog, DeepSea, Interval, Policy, caches
 from repro.baselines import deepsea
 from repro.bench.harness import sdss_fixture
+from repro.bench.ingest_bench import BatchSpec
+from repro.core.adaptation import AdaptationRecord, CandidateRecord, RefinementRecord
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.faults.schedule import FaultSchedule
 from repro.matching.rewriter import QueryPlan, Rewriter
 from repro.parallel.determinism import report_fingerprint
+from repro.partitioning.candidates import SplitCandidate, partition_candidates
+from repro.partitioning.fragmentation import Fragmentation
 from repro.query.algebra import Aggregate, AggSpec, Join, Project, Relation, Select
 from repro.query.predicates import between
 from repro.workloads.generator import sdss_mapped_workload
@@ -261,6 +270,28 @@ def sdss_streams():
     return fx, {"repeat_hot": [hot[i] for i in draws], "sdss_long": unique}
 
 
+def twin_run(fx, plans, smax=None, batches=None, faults=None) -> "tuple[list, int]":
+    """Every report's fingerprint, and how many queries found an adaptation record."""
+    caches.clear_all_caches()
+    catalog = fx.catalog.fork() if batches else fx.catalog
+    system = deepsea(catalog, domains=fx.domains, smax_bytes=smax)
+    if faults is not None:
+        system.attach_faults(faults)
+    fingerprints, adapted = [], 0
+    for i, plan in enumerate(plans):
+        if batches and i in batches:
+            system.ingest("store_sales", batches[i])
+        kept = system.rewriter.recorded(plan)
+        adapted += kept is not None and kept.adaptation is not None
+        fingerprints.append(report_fingerprint(system.execute(plan)))
+    return fingerprints, adapted
+
+
+def no_record(self, query):
+    """``Rewriter.recorded`` bypassed: DeepSea derives every step afresh."""
+    return None
+
+
 @pytest.mark.parametrize("stream", ["repeat_hot", "sdss_long"])
 @pytest.mark.parametrize("pool_share", [None, 0.10])
 def test_twin_runs_give_equal_reports(stream, pool_share, monkeypatch):
@@ -268,17 +299,38 @@ def test_twin_runs_give_equal_reports(stream, pool_share, monkeypatch):
     plans = streams[stream]
     smax = None if pool_share is None else pool_share * fx.catalog.total_size_bytes
 
-    def run():
-        caches.clear_all_caches()
-        system = deepsea(fx.catalog, domains=fx.domains, smax_bytes=smax)
-        return [report_fingerprint(system.execute(plan)) for plan in plans]
-
-    with_record = run()
+    with_record, adapted = twin_run(fx, plans, smax)
     hits = record_stats()["hits"]
-    monkeypatch.setattr(Rewriter, "plan", planned_from_scratch)
-    assert run() == with_record
     if stream == "repeat_hot":
         assert hits > len(plans) // 2  # the record did answer
+        assert adapted > len(plans) // 2  # and so did the adaptation record
+        with monkeypatch.context() as patched:
+            patched.setattr(Rewriter, "recorded", no_record)
+            assert twin_run(fx, plans, smax) == (with_record, 0)
+    monkeypatch.setattr(Rewriter, "plan", planned_from_scratch)
+    assert twin_run(fx, plans, smax) == (with_record, 0)
+
+
+@pytest.mark.parametrize("interleaved", ["ingest", "faults"])
+def test_twin_runs_with_batches_or_faults_give_equal_reports(interleaved, monkeypatch):
+    """Fact batches move the catalog version and patch resident fragments;
+    a fault schedule crashes, rolls back and retries steps.  Neither may
+    make the adaptation record answer differently."""
+    fx, streams = sdss_streams()
+    plans = streams["repeat_hot"][:120]
+    run = {}
+    if interleaved == "ingest":
+        id0, lo, hi = fx.catalog.get("store_sales").nrows, 0, int(fx.item_domain.hi)
+        run["batches"] = {
+            at: BatchSpec(at, 60, lo, hi, k * 60, 2).rows(id0)
+            for k, at in enumerate(range(5, len(plans), 12))
+        }
+    else:
+        run["faults"] = "perfect-storm"
+    with_record, adapted = twin_run(fx, plans, **run)
+    assert adapted > len(plans) // 4
+    monkeypatch.setattr(Rewriter, "recorded", no_record)
+    assert twin_run(fx, plans, **run) == (with_record, 0)
 
 
 def test_long_stream_keeps_both_memos_bounded_with_identical_ledgers(monkeypatch):
@@ -453,3 +505,143 @@ def test_a_saving_follows_its_views_size_alone(system):
     assert again.savings != planned.savings  # ... with the moved saving recomputed
     assert again.rewritings is planned.rewritings
     assert again == planned_from_scratch(system.rewriter, query)
+
+
+# ----------------------------------------------------------------------
+# The adaptation record's tokens, one at a time: after each moves, what the
+# record hands out is what a fresh derivation gives.
+# ----------------------------------------------------------------------
+def adapted(system, query):
+    """Run ``query`` until an adaptation record is kept beside its plan record."""
+    for _ in range(3):
+        system.execute(query)
+    adaptation = system.rewriter.recorded(query).adaptation
+    assert adaptation is not None
+    return adaptation
+
+
+def test_a_cover_version_move_rederives_the_refinement_sites(system):
+    query = total(100, 300)
+    record = adapted(system, query).refinements
+    matches, selection = record.matches, system.selection
+    ((view_id, attr, _, _),) = record.sites  # one resident partition the query touches
+    for entry in system.pool.fragments_of(view_id, attr):
+        system.pool.evict(entry.fragment_id)
+    # The same matches object: only the view's cover version says it is gone.
+    sites = selection._refinement_sites(matches, record)
+    assert sites == selection._refinement_sites(matches, RefinementRecord()) == []
+
+
+def test_new_matches_rederive_the_refinement_sites(system):
+    """The planning record's matches are a token of their own: the same
+    views at the same cover versions may be matched with other ranges."""
+    query = total(100, 300)
+    record = adapted(system, query).refinements
+    ((view_id, attr, _, _),) = record.sites
+    matches = tuple(
+        replace(m, attr_ranges={**m.attr_ranges, attr: Interval.closed(150, 250)})
+        if m.view_id == view_id and attr in m.attr_ranges
+        else m
+        for m in record.matches
+    )
+    selection = system.selection
+    sites = selection._refinement_sites(matches, record)
+    assert sites == selection._refinement_sites(matches, RefinementRecord())
+    assert [site[2] for site in sites] == [Interval.closed(150, 250)]
+
+
+def test_a_declared_domain_rederives_every_part(system):
+    query = total(100, 300)
+    adaptation = adapted(system, query)
+    planned = system.rewriter.plan(query)
+    narrower = Interval.closed(0, 200)  # clamps the query's θ to [100, 200]
+    system.domains.declare("d_k", narrower)
+    # step 5
+    selection, record = system.selection, adaptation.refinements
+    sites = selection._refinement_sites(record.matches, record)
+    assert sites == selection._refinement_sites(record.matches, RefinementRecord())
+    assert {(site[2], site[3]) for site in sites} == {(Interval.closed(100, 200), narrower)}
+    # step 2
+    fresh, t = AdaptationRecord(), float(system.clock)
+    system._update_match_statistics(planned, t, adaptation)
+    system._update_match_statistics(planned, t, fresh)
+    views = adaptation.statistics[2]
+    assert views == fresh.statistics[2]
+    assert ("d_k", Interval.closed(100, 200)) in sum((ranges for _, _, ranges in views), [])
+    # step 4 runs before planning, with the record as it was kept
+    system.execute(query)
+    design_sites = [
+        (site.attr, site.domain, site.theta)
+        for _, _, designs in adaptation.candidates
+        for site in designs.sites
+    ]
+    assert ("d_k", narrower, Interval.closed(100, 200)) in design_sites
+
+
+def test_a_design_replaced_mid_query_is_read_again(system, monkeypatch):
+    """A later site of the same partition sees what an earlier site's
+    refinement made of the design."""
+    query = total(100, 300)
+    record = adapted(system, query).refinements
+    ((view_id, attr, theta, domain),) = record.sites
+    (match,) = [m for m in record.matches if m.view_id == view_id and attr in m.attr_ranges]
+    earlier = replace(match, attr_ranges={**match.attr_ranges, attr: Interval.closed(500, 600)})
+    matches = (earlier, match)
+    selection, t = system.selection, float(system.clock)
+    selection.plan_refinements(matches, t, record)  # both sites derived
+    evaluated = []
+
+    def evaluate(view_id, attr, candidate, theta, domain, t):
+        if not evaluated:  # the earlier site's refinement replaces the design
+            system.tentative.replace_design(view_id, attr, Fragmentation.single(attr, domain))
+        evaluated.append((theta, candidate.split))
+
+    monkeypatch.setattr(selection, "_evaluate_refinement", evaluate)
+    selection.plan_refinements(matches, t, record)
+    assert [split for th, split in evaluated if th == theta] == partition_candidates(
+        theta, [domain], domain
+    )
+
+
+def test_a_design_replaced_between_recurrences_is_split_again():
+    """Step 4: a candidate view's design replaced since the record derived
+    its splits is split by the query's θ again."""
+    caches.clear_all_caches()
+    system = DeepSea(small_catalog(), domains={"d_k": DOMAIN}, policy=Policy(evidence_factor=1e9))
+    query = total(100, 300)
+    adaptation = adapted(system, query)
+    (view_id,) = [
+        v for v, _, designs in adaptation.candidates if any(s.theta for s in designs.sites)
+    ]
+    assert not system.pool.is_resident(view_id)
+    system.tentative.replace_design(view_id, "d_k", Fragmentation.single("d_k", DOMAIN))
+    system.execute(query)
+    design = system.tentative.get(view_id, "d_k")
+    assert partition_candidates(Interval.closed(100, 300), list(design.intervals), DOMAIN) == []
+
+
+def test_a_piece_that_gets_its_first_hit_later_inherits_it(system):
+    """ADDCANDIDATES keeps running while a piece holds no hit: here the
+    candidate's parent has no statistics at first, and later holds hits
+    its own parent passed down."""
+    query = total(100, 300)
+    record = adapted(system, query).refinements
+    ((view_id, attr, theta, domain),) = record.sites
+    stats, selection, t = system.stats, system.selection, float(system.clock)
+    parent, piece = Interval.closed(110, 140), Interval.closed(120, 130)
+    grandparent = next(
+        f
+        for f in stats.fragments_for(view_id, attr)
+        if f.interval.contains(parent) and f.hit_count()
+    )
+    sides = Interval.closed_open(110, 120), Interval.open_closed(130, 140)
+    split = SplitCandidate(parent, (sides[0], piece, sides[1]))
+    candidate = CandidateRecord(split, [piece])
+    assert stats.fragment(view_id, attr, parent) is None
+    selection._evaluate_refinement(view_id, attr, candidate, theta, domain, t)
+    assert not stats.fragment(view_id, attr, piece).hit_count()
+    # the parent is tracked later, inheriting the hits that touch it
+    stats.ensure_fragment(view_id, attr, parent).inherit_hits(grandparent, parent)
+    selection._evaluate_refinement(view_id, attr, candidate, theta, domain, t)
+    got = stats.fragment(view_id, attr, piece).times_array().tolist()
+    assert got and got == stats.fragment(view_id, attr, parent).times_array().tolist()
